@@ -81,6 +81,7 @@ void BM_MinimalBatchExtraction(benchmark::State& state) {
 BENCHMARK(BM_MinimalBatchExtraction)
     ->Arg(100)
     ->Arg(400)
+    ->Arg(1600)
     ->Unit(benchmark::kMillisecond);
 
 void BM_MotwaniBatchBaseline(benchmark::State& state) {

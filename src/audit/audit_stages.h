@@ -77,7 +77,13 @@ void StaticOnlyBatchVerdict(const AuditExpression& expr,
 
 /// Phase-5 greedy batch minimization: drops each profile (in id order) if
 /// the batch stays suspicious without it; returns the kept query ids.
-/// Propagates suspicion-check errors (e.g. unprojectable lineage).
+/// The kept list is the one n successive CheckBatchSuspicion calls on the
+/// shrinking batch would give, but the cost is one pass over all supports
+/// (every valid fact's components and every query's lineage, once) plus
+/// O(|supports of i|) per drop test, instead of n full batch checks.
+/// Only `options.mode` is read; the list never depended on tid_bitmaps.
+/// In kJointPerQuery mode a profile whose lineage cannot be projected
+/// onto a scheme's tables fails the call; it never shortens the list.
 Result<std::vector<int64_t>> MinimizeBatch(
     const TargetView& view, const std::vector<GranuleScheme>& schemes,
     const AuditExpression& expr, const std::vector<AccessProfile>& profiles,
