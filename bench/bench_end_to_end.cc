@@ -70,38 +70,6 @@ BENCHMARK(BM_PipelineJoinStrategy)
     ->Args({300, 0})
     ->Unit(benchmark::kMillisecond);
 
-/// Secondary-index ablation: indexes on the audit-relevant columns
-/// prefilter the candidate re-executions.
-void BM_PipelineIndexAblation(benchmark::State& state) {
-  const bool use_index = state.range(1) != 0;
-  auto world = bench::MakeWorld(static_cast<size_t>(state.range(0)),
-                                /*log_size=*/1000);
-  if (use_index) {
-    auto health = world->db.GetTable("P-Health");
-    auto personal = world->db.GetTable("P-Personal");
-    if (!health.ok() || !personal.ok()) std::abort();
-    if (!(*health)->CreateIndex("disease").ok()) std::abort();
-    if (!(*personal)->CreateIndex("zipcode").ok()) std::abort();
-  }
-  audit::Auditor auditor(&world->db, &world->backlog, &world->log);
-  audit::AuditOptions options;
-  options.exec.use_index = use_index;
-  options.minimize_batch = false;
-  for (auto _ : state) {
-    auto report = auditor.Audit(bench::CanonicalAudit(), Ts(1000000),
-                                options);
-    if (!report.ok()) std::abort();
-    benchmark::DoNotOptimize(report);
-  }
-  state.SetLabel(use_index ? "indexed" : "scan");
-}
-BENCHMARK(BM_PipelineIndexAblation)
-    ->Args({1000, 0})
-    ->Args({1000, 1})
-    ->Args({5000, 0})
-    ->Args({5000, 1})
-    ->Unit(benchmark::kMillisecond);
-
 /// Join-reordering ablation on the audit executor.
 void BM_PipelineReorderAblation(benchmark::State& state) {
   const bool reorder = state.range(0) != 0;

@@ -208,7 +208,7 @@ Status SupportCounts::Build(const TargetView& view,
       supplies_[q].push_back(it->second);
     };
     if (per_table) {
-      // The tids of IndispensableTids(table), for every scheme table.
+      // The tids of IndispensableTidBitmap(table), for every scheme table.
       for (size_t t = 0; t < tables.size(); ++t) {
         for (size_t j = 0; j < result.from.size(); ++j) {
           if (result.from[j] != tables[t]) continue;
@@ -328,16 +328,12 @@ StaticScreenResult StaticScreenRange(const AuditExpression& expr,
       sql::QueryShape shape = logged.shape.zero()
                                   ? sql::ComputeQueryShape(logged.sql)
                                   : logged.shape;
-      ShapeScreen fresh;
-      ShapeScreen* screened = nullptr;
-      if (cache_ctx.shape_dedup) {
-        auto hit = memo.find(shape);
-        if (hit != memo.end()) screened = &hit->second;
-      }
-      if (screened == nullptr) {
+      auto [it, fresh] = memo.try_emplace(shape);
+      ShapeScreen& screen = it->second;
+      if (fresh) {
         auto stmt = sql::ParseSelect(logged.sql);
         if (!stmt.ok()) {
-          fresh.parse_failed = true;
+          screen.parse_failed = true;
         } else {
           auto shared = std::make_shared<const sql::SelectStatement>(
               std::move(*stmt));
@@ -348,21 +344,18 @@ StaticScreenResult StaticScreenRange(const AuditExpression& expr,
             // Unresolvable columns / unknown tables: the check proved
             // nothing about this query. Record an error verdict, distinct
             // from "statically cleared".
-            fresh.error = true;
+            screen.error = true;
           } else if (*candidate) {
-            fresh.candidate = true;
-            fresh.stmt = std::move(shared);
+            screen.candidate = true;
+            screen.stmt = std::move(shared);
           }
         }
-        screened = cache_ctx.shape_dedup
-                       ? &memo.emplace(shape, std::move(fresh)).first->second
-                       : &fresh;
       }
-      verdict.parse_failed = screened->parse_failed;
-      verdict.error = screened->error;
-      if (screened->candidate) {
+      verdict.parse_failed = screen.parse_failed;
+      verdict.error = screen.error;
+      if (screen.candidate) {
         verdict.candidate = true;
-        out.candidates.push_back(ScreenedCandidate{i, screened->stmt});
+        out.candidates.push_back(ScreenedCandidate{i, screen.stmt});
       }
     }
     out.verdicts.push_back(verdict);
@@ -441,39 +434,37 @@ Result<bool> SharesIndispensableTuple(const QueryResult& query_result,
                                       const AuditExpression& expr,
                                       const std::vector<std::string>& common,
                                       const DatabaseView& state,
-                                      const ExecOptions& exec,
-                                      bool tid_bitmaps) {
-  if (tid_bitmaps && common.size() == 1) {
+                                      const ExecOptions& exec) {
+  auto run_audit_query = [&]() -> Result<QueryResult> {
+    sql::SelectStatement audit_query;
+    audit_query.select_star = true;
+    audit_query.from = expr.from;
+    audit_query.where = expr.where ? expr.where->Clone() : nullptr;
+    return Execute(audit_query, state, exec);
+  };
+
+  if (common.size() == 1) {
     // Single common table: both projections are plain tid sets, so the
     // intersection test is one word-wide bitmap Intersects.
     auto query_tids = query_result.ProjectLineageBitmap(common[0]);
     if (!query_tids.ok()) return query_tids.status();
     if (query_tids->Empty()) return false;
-
-    sql::SelectStatement audit_query;
-    audit_query.select_star = true;
-    audit_query.from = expr.from;
-    audit_query.where = expr.where ? expr.where->Clone() : nullptr;
-    auto audit_result = Execute(audit_query, state, exec);
+    auto audit_result = run_audit_query();
     if (!audit_result.ok()) return audit_result.status();
     auto audit_tids = audit_result->ProjectLineageBitmap(common[0]);
     if (!audit_tids.ok()) return audit_tids.status();
     return query_tids->Intersects(*audit_tids);
   }
 
+  // A tid tuple over several tables has no bitmap form: intersect the
+  // projected tuple sets.
   auto query_tuples = query_result.ProjectLineage(common);
   if (!query_tuples.ok()) return query_tuples.status();
   if (query_tuples->empty()) return false;
-
-  sql::SelectStatement audit_query;
-  audit_query.select_star = true;
-  audit_query.from = expr.from;
-  audit_query.where = expr.where ? expr.where->Clone() : nullptr;
-  auto audit_result = Execute(audit_query, state, exec);
+  auto audit_result = run_audit_query();
   if (!audit_result.ok()) return audit_result.status();
   auto audit_tuples = audit_result->ProjectLineage(common);
   if (!audit_tuples.ok()) return audit_tuples.status();
-
   for (const auto& tuple : *query_tuples) {
     if (audit_tuples->count(tuple) > 0) return true;
   }

@@ -45,16 +45,14 @@ struct CandidateCacheContext {
   /// State key the static decisions are valid for (the catalog epoch of
   /// the pinned view; the global mutation count in ablation mode).
   uint64_t state_key = 0;
-  /// Parse + screen once per structural shape instead of once per log
-  /// entry (sound: shape-equal entries lex to identical token streams,
-  /// so they parse and screen identically; admission stays per-entry
-  /// because it reads the entry's user/role/purpose/time annotations).
-  /// Off reproduces the pre-shape behavior for ablation.
-  bool shape_dedup = true;
 };
 
 /// Runs limiting-parameter admission, SQL parsing, and static candidacy
-/// over log entries [begin, end). `expr` must be qualified. Pure apart
+/// over log entries [begin, end). Parsing and screening run once per
+/// structural query shape (sound: shape-equal entries lex to identical
+/// token streams, so they parse and screen identically); admission stays
+/// per entry because it reads the entry's user/role/purpose/time
+/// annotations. `expr` must be qualified. Pure apart
 /// from the (internally synchronized) cache: reads shared state only, so
 /// ranges can run concurrently.
 StaticScreenResult StaticScreenRange(const AuditExpression& expr,
@@ -81,7 +79,7 @@ void StaticOnlyBatchVerdict(const AuditExpression& expr,
 /// shrinking batch would give, but the cost is one pass over all supports
 /// (every valid fact's components and every query's lineage, once) plus
 /// O(|supports of i|) per drop test, instead of n full batch checks.
-/// Only `options.mode` is read; the list never depended on tid_bitmaps.
+/// Only `options.mode` is read.
 /// In kJointPerQuery mode a profile whose lineage cannot be projected
 /// onto a scheme's tables fails the call; it never shortens the list.
 Result<std::vector<int64_t>> MinimizeBatch(
@@ -98,16 +96,13 @@ std::vector<std::string> CommonTables(const sql::SelectStatement& query,
 /// Whether the executed query (`query_result`) shares an indispensable
 /// tuple with the audit expression's target data over the `common`
 /// tables on `state`: both lineages are projected onto `common` and
-/// intersected. The core dynamic test of both baseline auditors.
-/// `tid_bitmaps` routes the single-common-table case through compressed
-/// tid bitmaps (word-wide Intersects instead of tuple-set probes); the
-/// answer and error statuses are identical either way.
+/// intersected. The core dynamic test of both baseline auditors. A
+/// single common table is tested with one word-wide bitmap Intersects.
 Result<bool> SharesIndispensableTuple(const QueryResult& query_result,
                                       const AuditExpression& expr,
                                       const std::vector<std::string>& common,
                                       const DatabaseView& state,
-                                      const ExecOptions& exec,
-                                      bool tid_bitmaps = true);
+                                      const ExecOptions& exec);
 
 }  // namespace audit
 }  // namespace auditdb

@@ -73,7 +73,7 @@ std::string AuditReport::DetailedReport(const QueryLog& log) const {
     } else if (verdict.parse_failed) {
       flag = "unparsed ";
     } else if (verdict.error) {
-      flag = "ERROR    ";  // static check failed: nothing proven
+      flag = "ERROR    ";  // a check failed: nothing proven
     } else if (!verdict.candidate) {
       flag = "cleared  ";  // statically
     } else if (verdict.suspicious_alone) {
@@ -178,7 +178,6 @@ Result<AuditReport> Auditor::AuditPinned(const AuditExpression& parsed,
   cache_ctx.state_key = options.cache_global_state_keys
                             ? db_->mutation_count()
                             : pin.db.catalog_epoch();
-  cache_ctx.shape_dedup = options.shape_dedup;
   StaticScreenResult screened =
       StaticScreenRange(expr, *log_, pin.db.catalog(), options.candidate, 0,
                         pin.log_size, cache_ctx);
@@ -249,8 +248,10 @@ Result<AuditReport> Auditor::AuditPinned(const AuditExpression& parsed,
     auto profile = ComputeAccessProfile(*candidate.stmt, it->second->View(),
                                         options.exec);
     if (!profile.ok()) {
-      // Execution-time failure (e.g. type error): skip this query but
-      // keep auditing the rest.
+      // Execution-time failure (e.g. type error): keep auditing the rest,
+      // but flag the query — it was never checked, so it must not read
+      // as clean.
+      report.verdicts[candidate.log_index].error = true;
       continue;
     }
     profiles.push_back(std::move(*profile));

@@ -41,10 +41,6 @@ struct AuditOptions {
   /// the serving stack. Non-owning — must outlive the audit. Null runs
   /// every check directly; results are byte-identical either way.
   DecisionCache* cache = nullptr;
-  /// Parse + screen once per structural query shape instead of once per
-  /// log entry. Off reproduces the per-entry behavior (ablation; results
-  /// are byte-identical either way).
-  bool shape_dedup = true;
   /// Ablation: key cached decisions on the global mutation count (the
   /// pre-MVCC scheme, where any write evicts everything) instead of the
   /// catalog epoch / per-table version fingerprints. Never changes
@@ -75,9 +71,11 @@ struct QueryVerdict {
   bool suspicious_alone = false;
   /// Parse failure (logged text is not auditable SQL).
   bool parse_failed = false;
-  /// The static candidacy check itself failed (e.g. the query references
-  /// a table or column unknown to the audited catalog). Distinct from
-  /// "statically cleared": nothing was proven about this query.
+  /// A check of this query failed: the static candidacy check (e.g. the
+  /// query references a table or column unknown to the audited catalog)
+  /// or the candidate's re-execution against its historical state (e.g.
+  /// a type error). Distinct from "cleared": nothing was proven about
+  /// this query.
   bool error = false;
 };
 

@@ -51,7 +51,7 @@ std::vector<GranuleScheme> BuildSchemes(const AuditExpression& expr) {
 
 GranuleEnumerator::GranuleEnumerator(const TargetView& view,
                                      std::vector<GranuleScheme> schemes,
-                                     Threshold threshold, bool use_bitmaps)
+                                     Threshold threshold)
     : view_(view), schemes_(std::move(schemes)), threshold_(threshold) {
   valid_facts_.resize(schemes_.size());
   attr_columns_.resize(schemes_.size());
@@ -92,16 +92,8 @@ GranuleEnumerator::GranuleEnumerator(const TargetView& view,
     // the way the paper lists granules, not in set order.
     std::sort(attr_columns_[s].begin(), attr_columns_[s].end());
     // A fact with a NULL scheme attribute discloses nothing under this
-    // scheme; the batch screen returns the remaining facts in order
-    // (bitmaps iterate rows ascending, so both kernels yield the same
-    // vector).
-    if (use_bitmaps) {
-      NonNullBitmap(batch, attr_columns_[s]).ForEach([&](int64_t row) {
-        valid_facts_[s].push_back(static_cast<size_t>(row));
-      });
-    } else {
-      valid_facts_[s] = NonNullRows(batch, attr_columns_[s]);
-    }
+    // scheme; the batch screen returns the remaining facts in order.
+    valid_facts_[s] = NonNullRows(batch, attr_columns_[s]);
   }
 }
 

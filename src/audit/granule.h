@@ -43,13 +43,8 @@ struct Granule {
 /// paper's Fig. 4 listing, which has no granule for the absent age value).
 class GranuleEnumerator {
  public:
-  /// `use_bitmaps` picks the validity-screen kernel: compressed row
-  /// bitmaps (word-wide NULL screen, default) or the plain row-index
-  /// scan. Valid facts are identical either way; the flag exists for the
-  /// ablation/differential tests.
   GranuleEnumerator(const TargetView& view,
-                    std::vector<GranuleScheme> schemes, Threshold threshold,
-                    bool use_bitmaps = true);
+                    std::vector<GranuleScheme> schemes, Threshold threshold);
 
   const std::vector<GranuleScheme>& schemes() const { return schemes_; }
 

@@ -41,18 +41,6 @@ bool BatchIndex::Accesses(const ColumnRef& col) const {
   return false;
 }
 
-const std::unordered_set<Tid>& BatchIndex::IndispensableTids(
-    const std::string& table) {
-  auto it = tid_union_.find(table);
-  if (it != tid_union_.end()) return it->second;
-  std::unordered_set<Tid> tids;
-  for (const auto* profile : batch_) {
-    auto per_query = profile->result.IndispensableTids(table);
-    tids.insert(per_query.begin(), per_query.end());
-  }
-  return tid_union_.emplace(table, std::move(tids)).first->second;
-}
-
 const TidBitmap& BatchIndex::IndispensableTidBitmap(const std::string& table) {
   auto it = tid_bitmap_union_.find(table);
   if (it != tid_bitmap_union_.end()) return it->second;
@@ -61,13 +49,6 @@ const TidBitmap& BatchIndex::IndispensableTidBitmap(const std::string& table) {
     tids.Or(profile->result.IndispensableTidBitmap(table));
   }
   return tid_bitmap_union_.emplace(table, std::move(tids)).first->second;
-}
-
-bool BatchIndex::IndispensableContains(const std::string& table, Tid tid) {
-  if (options_.tid_bitmaps) {
-    return IndispensableTidBitmap(table).Contains(tid);
-  }
-  return IndispensableTids(table).count(tid) > 0;
 }
 
 Result<bool> BatchIndex::JointlyWitnessed(
@@ -85,7 +66,7 @@ Result<bool> BatchIndex::JointlyWitnessed(
     }
     if (!covers) continue;
 
-    if (options_.tid_bitmaps && tables.size() == 1) {
+    if (tables.size() == 1) {
       auto key = std::make_pair(q, tables[0]);
       auto it = joint_single_.find(key);
       if (it == joint_single_.end()) {
@@ -141,7 +122,7 @@ Result<SuspicionResult> CheckBatchSuspicion(
     const std::vector<const AccessProfile*>& batch,
     const SuspicionOptions& options) {
   SuspicionResult result;
-  BatchIndex index(batch, options);
+  BatchIndex index(batch);
   // Columnar projection of the view, shared by every scheme's validity
   // screen.
   Batch view_batch = view.ToBatch();
@@ -197,24 +178,15 @@ Result<SuspicionResult> CheckBatchSuspicion(
 
       // NULL cells disclose nothing: facts with a NULL scheme attribute
       // are outside this scheme. The batch screen yields the rest in
-      // fact order (the bitmap arm iterates rows ascending — identical).
-      std::vector<size_t> valid_rows;
-      if (options.tid_bitmaps) {
-        NonNullBitmap(view_batch, attr_cols).ForEach([&](int64_t row) {
-          valid_rows.push_back(static_cast<size_t>(row));
-        });
-      } else {
-        valid_rows = NonNullRows(view_batch, attr_cols);
-      }
+      // fact order.
+      std::vector<size_t> valid_rows = NonNullRows(view_batch, attr_cols);
       valid_count = valid_rows.size();
 
-      // Word-wide prescreen (bitmap arm, per-table mode): if the view's
-      // tids for some scheme table never intersect the batch's
-      // indispensable union, the per-fact probes below would reject every
-      // fact — skip them.
+      // Word-wide prescreen (per-table mode): if the view's tids for some
+      // scheme table never intersect the batch's indispensable union, the
+      // per-fact probes below would reject every fact — skip them.
       bool can_access = true;
-      if (indispensable && options.tid_bitmaps &&
-          options.mode == IndispensabilityMode::kPerTable &&
+      if (indispensable && options.mode == IndispensabilityMode::kPerTable &&
           view.table_tids.size() == view.tables.size()) {
         for (size_t i = 0; i < tid_positions.size(); ++i) {
           if (!view.table_tids[tid_positions[i]].Intersects(
@@ -232,9 +204,8 @@ Result<SuspicionResult> CheckBatchSuspicion(
           if (indispensable) {
             if (options.mode == IndispensabilityMode::kPerTable) {
               for (size_t i = 0; i < tid_positions.size(); ++i) {
-                if (!index.IndispensableContains(
-                        scheme.tid_tables[i],
-                        fact.tids[tid_positions[i]])) {
+                if (!index.IndispensableTidBitmap(scheme.tid_tables[i])
+                         .Contains(fact.tids[tid_positions[i]])) {
                   accessed = false;
                   break;
                 }

@@ -30,11 +30,6 @@ enum class IndispensabilityMode {
 
 struct SuspicionOptions {
   IndispensabilityMode mode = IndispensabilityMode::kPerTable;
-  /// Run indispensability bookkeeping over compressed tid bitmaps
-  /// (common/tid_bitmap.h) instead of hash sets. Verdicts are
-  /// byte-identical either way; off is the ablation baseline the
-  /// differential tests pin against.
-  bool tid_bitmaps = true;
 };
 
 /// Access outcome for one granule scheme.
@@ -61,36 +56,29 @@ struct SuspicionResult {
 };
 
 /// Precomputed batch-level access state: per-table indispensable-tid
-/// unions (hash sets or compressed bitmaps, per SuspicionOptions), joint
-/// lineage projections, and output-value sets, each cached on first use.
-/// Holds the profile pointer vector by value — the profiles themselves
-/// must outlive the index, but the vector argument may be a temporary.
+/// unions (compressed bitmaps), joint lineage projections, and
+/// output-value sets, each cached on first use. Holds the profile pointer
+/// vector by value — the profiles themselves must outlive the index, but
+/// the vector argument may be a temporary.
 class BatchIndex {
  public:
-  explicit BatchIndex(std::vector<const AccessProfile*> batch,
-                      const SuspicionOptions& options = SuspicionOptions{})
-      : batch_(std::move(batch)), options_(options) {}
+  explicit BatchIndex(std::vector<const AccessProfile*> batch)
+      : batch_(std::move(batch)) {}
 
   /// Whether any query in the batch references `col`.
   bool Accesses(const ColumnRef& col) const;
 
-  /// Union of per-query indispensable tids for `table` (cached), as a
-  /// hash set. The ablation-baseline representation.
-  const std::unordered_set<Tid>& IndispensableTids(const std::string& table);
-
-  /// The same union as a compressed bitmap: built with word-wide Or over
-  /// per-query bitmaps.
+  /// Union of per-query indispensable tids for `table` (cached): built
+  /// with word-wide Or over per-query bitmaps.
   const TidBitmap& IndispensableTidBitmap(const std::string& table);
 
-  /// Membership probe against the union, dispatching on the configured
-  /// representation.
-  bool IndispensableContains(const std::string& table, Tid tid);
-
   /// Whether some single query's lineage contains the tid tuple `tids`
-  /// over `tables` (joint witness). A query whose FROM clause lacks one
-  /// of the tables legitimately has no joint witness; any other lineage
-  /// projection failure (e.g. ragged lineage rows) is a real error and
-  /// propagates.
+  /// over `tables` (joint witness). Single-table tuples probe a cached
+  /// per-query bitmap; wider tuples probe the query's projected lineage,
+  /// since a tid tuple has no bitmap form. A query whose FROM clause
+  /// lacks one of the tables legitimately has no joint witness; any other
+  /// lineage projection failure (e.g. ragged lineage rows) is a real
+  /// error and propagates.
   Result<bool> JointlyWitnessed(const std::vector<std::string>& tables,
                                 const std::vector<Tid>& tids);
 
@@ -101,8 +89,6 @@ class BatchIndex {
 
  private:
   std::vector<const AccessProfile*> batch_;
-  SuspicionOptions options_;
-  std::unordered_map<std::string, std::unordered_set<Tid>> tid_union_;
   std::unordered_map<std::string, TidBitmap> tid_bitmap_union_;
   std::unordered_map<
       std::pair<size_t, std::vector<std::string>>,
@@ -110,7 +96,7 @@ class BatchIndex {
       PairHash<size_t, std::vector<std::string>, std::hash<size_t>,
                VectorHash<std::string>>>
       joint_;
-  /// Single-table joint witnesses as per-query bitmaps (bitmap mode).
+  /// Single-table joint witnesses as per-query bitmaps.
   std::unordered_map<std::pair<size_t, std::string>, TidBitmap,
                      PairHash<size_t, std::string, std::hash<size_t>,
                               std::hash<std::string>>>

@@ -59,17 +59,6 @@ Result<Snapshot> Backlog::SnapshotAt(Timestamp t, size_t limit) const {
       }
     }
   }
-  // Mirror the live tables' secondary indexes (built in bulk after
-  // replay), so historical audits get the same access paths.
-  for (const auto& name : live.TableNames()) {
-    auto version = live.GetTable(name);
-    if (!version.ok()) return version.status();
-    auto table = snapshot.GetTable(name);
-    if (!table.ok()) return table.status();
-    for (const auto& column : (*version)->IndexedColumns()) {
-      AUDITDB_RETURN_IF_ERROR((*table)->CreateIndex(column));
-    }
-  }
   return snapshot;
 }
 

@@ -125,18 +125,6 @@ class ExecutionContext {
       }
     }
 
-    // Plan index prefilters: positions not served by a hash join can
-    // restrict their scan through a secondary index when a same-typed
-    // `col op literal` conjunct exists. The conjunct is still evaluated
-    // (the prefilter may be a superset, e.g. around NULLs).
-    prefilters_.resize(tables_.size());
-    if (options_.use_index) {
-      for (size_t i = 0; i < tables_.size(); ++i) {
-        if (hash_plans_[i].enabled) continue;
-        AUDITDB_RETURN_IF_ERROR(PlanIndexPrefilter(i));
-      }
-    }
-
     AUDITDB_RETURN_IF_ERROR(PlanScanStages());
     batches_.resize(tables_.size());
     filters_.resize(tables_.size());
@@ -186,27 +174,18 @@ class ExecutionContext {
   }
 
   /// Lazily builds position `i`'s TableFilter (local-stage outcomes over
-  /// the table's columnar batch, narrowed to the index prefilter if one
-  /// was planned). Built at most once per query, on first visit.
+  /// the table's columnar batch). Built at most once per query, on first
+  /// visit.
   const TableFilter& Filter(size_t position) {
     if (!filters_[position].has_value()) {
       if (!batches_[position]) {
         batches_[position] = tables_[position]->Columnar();
       }
-      std::optional<std::vector<uint32_t>> selection;
-      if (prefilters_[position].has_value()) {
-        std::vector<uint32_t> rows;
-        rows.reserve(prefilters_[position]->size());
-        for (size_t r : *prefilters_[position]) {
-          rows.push_back(static_cast<uint32_t>(r));
-        }
-        selection = std::move(rows);
-      }
       ScanOptions opts;
       opts.compiled = options_.compiled_scan;
       opts.batch_size = options_.scan_batch_size;
       filters_[position] = BuildTableFilter(*batches_[position],
-                                            stages_[position], selection,
+                                            stages_[position], std::nullopt,
                                             opts);
     }
     return *filters_[position];
@@ -278,71 +257,6 @@ class ExecutionContext {
       remaining.erase(remaining.begin() + static_cast<ptrdiff_t>(best));
     }
     stmt_.from = std::move(order);
-    return Status::Ok();
-  }
-
-  Status PlanIndexPrefilter(size_t position) {
-    const std::string& this_table = stmt_.from[position];
-    const TableVersion& table = *tables_[position];
-    std::optional<std::vector<Tid>> best;
-    for (const auto& sc : conjuncts_) {
-      if (sc.ready_at != position) continue;
-      ColumnRef col;
-      BinaryOp op;
-      Value literal;
-      if (!IsColumnLiteralComparison(*sc.expr, &col, &op, &literal)) {
-        continue;
-      }
-      if (col.table != this_table || !table.HasIndex(col.column)) continue;
-      // Same-typed only: mixed-type comparisons coerce and must scan.
-      auto col_idx = table.schema().FindColumn(col.column);
-      if (!col_idx.has_value() ||
-          table.schema().column(*col_idx).type != literal.type()) {
-        continue;
-      }
-      Result<std::vector<Tid>> tids = std::vector<Tid>{};
-      switch (op) {
-        case BinaryOp::kEq:
-          tids = table.IndexLookupEq(col.column, literal);
-          break;
-        case BinaryOp::kLt:
-          tids = table.IndexLookupRange(
-              col.column, std::nullopt,
-              IndexBound{literal, /*strict=*/true});
-          break;
-        case BinaryOp::kLe:
-          tids = table.IndexLookupRange(
-              col.column, std::nullopt,
-              IndexBound{literal, /*strict=*/false});
-          break;
-        case BinaryOp::kGt:
-          tids = table.IndexLookupRange(
-              col.column, IndexBound{literal, /*strict=*/true},
-              std::nullopt);
-          break;
-        case BinaryOp::kGe:
-          tids = table.IndexLookupRange(
-              col.column, IndexBound{literal, /*strict=*/false},
-              std::nullopt);
-          break;
-        default:
-          continue;  // <> and LIKE don't index
-      }
-      if (!tids.ok()) return tids.status();
-      if (!best.has_value() || tids->size() < best->size()) {
-        best = std::move(*tids);
-      }
-    }
-    if (best.has_value()) {
-      std::vector<size_t> positions;
-      positions.reserve(best->size());
-      for (Tid tid : *best) {
-        auto pos = table.GetPosition(tid);
-        if (!pos.ok()) continue;
-        positions.push_back(*pos);
-      }
-      prefilters_[position] = std::move(positions);
-    }
     return Status::Ok();
   }
 
@@ -475,12 +389,6 @@ class ExecutionContext {
       }
       return Status::Ok();
     }
-    if (prefilters_[position].has_value()) {
-      for (size_t r : *prefilters_[position]) {
-        AUDITDB_RETURN_IF_ERROR(try_row(r));
-      }
-      return Status::Ok();
-    }
     for (size_t r = 0; r < table.rows().size(); ++r) {
       AUDITDB_RETURN_IF_ERROR(try_row(r));
     }
@@ -498,7 +406,6 @@ class ExecutionContext {
   std::vector<int> projection_slots_;
   std::vector<ScheduledConjunct> conjuncts_;
   std::vector<HashJoinPlan> hash_plans_;
-  std::vector<std::optional<std::vector<size_t>>> prefilters_;
   std::vector<std::vector<ScanStage>> stages_;
   std::vector<std::shared_ptr<const Batch>> batches_;
   std::vector<std::optional<TableFilter>> filters_;
@@ -509,17 +416,6 @@ class ExecutionContext {
 };
 
 }  // namespace
-
-std::set<Tid> QueryResult::IndispensableTids(const std::string& table) const {
-  std::set<Tid> out;
-  for (size_t j = 0; j < from.size(); ++j) {
-    if (from[j] != table) continue;
-    for (const auto& tuple : lineage) {
-      if (j < tuple.size()) out.insert(tuple[j]);
-    }
-  }
-  return out;
-}
 
 TidBitmap QueryResult::IndispensableTidBitmap(const std::string& table) const {
   TidBitmap out;

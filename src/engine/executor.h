@@ -16,10 +16,6 @@ struct ExecOptions {
   /// Accelerate equality joins with a build-side hash table; when false,
   /// every join is a pure nested loop (the ablation baseline).
   bool hash_join = true;
-  /// Prefilter scans through secondary indexes (Table::CreateIndex) for
-  /// same-typed `col op literal` conjuncts. No effect on tables without
-  /// indexes.
-  bool use_index = true;
   /// Greedy selectivity-based join reordering: start from the table with
   /// the smallest filtered cardinality, then repeatedly add the smallest
   /// equi-join-connected table. Output rows may come in a different
@@ -51,13 +47,9 @@ struct QueryResult {
   /// lineage[i][j] = tid of the row of table from[j] behind output row i.
   std::vector<std::vector<Tid>> lineage;
 
-  /// Tids of `table` that are indispensable to the query (empty set if the
-  /// table is not in FROM).
-  std::set<Tid> IndispensableTids(const std::string& table) const;
-
-  /// Same witness set as IndispensableTids, as a compressed bitmap. The
-  /// bitmap iterates in ascending tid order, so consumers stay
-  /// byte-identical to the set-based path.
+  /// Tids of `table` that are indispensable to the query (empty if the
+  /// table is not in FROM), as a compressed bitmap iterating in ascending
+  /// tid order.
   TidBitmap IndispensableTidBitmap(const std::string& table) const;
 
   /// Distinct lineage tuples projected onto `tables` (each must be in

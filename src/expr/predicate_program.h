@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "src/common/status.h"
+#include "src/common/tid_bitmap.h"
 #include "src/expr/expression.h"
 #include "src/types/column_vector.h"
 

@@ -145,7 +145,6 @@ Result<AuditReport> AuditScheduler::RunPinned(
   cache_ctx.state_key = options.cache_global_state_keys
                             ? db.mutation_count()
                             : pin.db.catalog_epoch();
-  cache_ctx.shape_dedup = options.shape_dedup;
 
   std::vector<std::function<Status()>> tasks;
   tasks.reserve(static_ranges.size() + 1);
@@ -338,6 +337,7 @@ Result<AuditReport> AuditScheduler::RunPinned(
 
   // Candidate re-execution against the shared snapshots.
   std::vector<std::optional<AccessProfile>> profile_slots(candidates.size());
+  std::vector<char> exec_failed(candidates.size(), 0);
   {
     auto chunks = Chunks(candidates.size(), exec_shard);
     std::vector<std::function<Status()>> exec_tasks;
@@ -350,9 +350,14 @@ Result<AuditReport> AuditScheduler::RunPinned(
           const Snapshot& snapshot = *snapshots[slot_of_key[keys[c]]];
           auto profile = ComputeAccessProfile(*candidates[c].stmt,
                                               snapshot.View(), options.exec);
-          // Execution-time failure (e.g. type error): skip this query
-          // but keep auditing the rest — same as the serial auditor.
-          if (profile.ok()) profile_slots[c] = std::move(*profile);
+          // Execution-time failure (e.g. type error): keep auditing the
+          // rest, but flag the query as an error below — same as the
+          // serial auditor.
+          if (profile.ok()) {
+            profile_slots[c] = std::move(*profile);
+          } else {
+            exec_failed[c] = 1;
+          }
         }
         return Status::Ok();
       });
@@ -373,6 +378,9 @@ Result<AuditReport> AuditScheduler::RunPinned(
   std::vector<AccessProfile> profiles;
   std::vector<int64_t> profile_ids;
   for (size_t c = 0; c < candidates.size(); ++c) {
+    if (exec_failed[c] != 0) {
+      report.verdicts[candidates[c].log_index].error = true;
+    }
     if (!profile_slots[c].has_value()) continue;
     profiles.push_back(std::move(*profile_slots[c]));
     profile_ids.push_back(log.Entry(candidates[c].log_index).id);

@@ -1,7 +1,5 @@
 #include "src/storage/table.h"
 
-#include <algorithm>
-
 namespace auditdb {
 
 std::string TidToString(Tid tid) { return "t" + std::to_string(tid); }
@@ -63,66 +61,9 @@ void RowStore::EraseStable(size_t pos) {
 }
 
 // ---------------------------------------------------------------------------
-// Shared index-lookup machinery (Table and TableVersion expose identical
-// read paths over the same map structures).
+// Columnar projection (one build per TableVersion)
 
 namespace {
-
-std::vector<Tid> InRowOrder(const TidIndex& index, std::vector<Tid> tids) {
-  std::sort(tids.begin(), tids.end(),
-            [&index](Tid a, Tid b) { return index.at(a) < index.at(b); });
-  return tids;
-}
-
-std::vector<std::string> IndexedColumnNames(const SecondaryIndexes& secondary) {
-  std::vector<std::string> out;
-  out.reserve(secondary.size());
-  for (const auto& [column, by_value] : secondary) out.push_back(column);
-  return out;
-}
-
-Result<std::vector<Tid>> LookupEq(const SecondaryIndexes& secondary,
-                                  const TidIndex& index,
-                                  const std::string& table_name,
-                                  const std::string& column,
-                                  const Value& value) {
-  auto it = secondary.find(column);
-  if (it == secondary.end()) {
-    return Status::NotFound("no index on " + table_name + "." + column);
-  }
-  auto hit = it->second.find(value);
-  if (hit == it->second.end()) return std::vector<Tid>{};
-  return InRowOrder(index, hit->second);
-}
-
-Result<std::vector<Tid>> LookupRange(const SecondaryIndexes& secondary,
-                                     const TidIndex& index,
-                                     const std::string& table_name,
-                                     const std::string& column,
-                                     const std::optional<IndexBound>& lower,
-                                     const std::optional<IndexBound>& upper) {
-  auto it = secondary.find(column);
-  if (it == secondary.end()) {
-    return Status::NotFound("no index on " + table_name + "." + column);
-  }
-  const auto& by_value = it->second;
-  auto begin = by_value.begin();
-  auto end = by_value.end();
-  if (lower.has_value()) {
-    begin = lower->strict ? by_value.upper_bound(lower->value)
-                          : by_value.lower_bound(lower->value);
-  }
-  std::vector<Tid> tids;
-  for (auto cursor = begin; cursor != end; ++cursor) {
-    if (upper.has_value()) {
-      auto cmp = cursor->first.Compare(upper->value);
-      if (!cmp.ok()) break;  // heterogeneous tail: stop (same-typed only)
-      if (*cmp > 0 || (*cmp == 0 && upper->strict)) break;
-    }
-    tids.insert(tids.end(), cursor->second.begin(), cursor->second.end());
-  }
-  return InRowOrder(index, tids);
-}
 
 std::shared_ptr<const Batch> BuildColumnar(const TableSchema& schema,
                                            const RowStore& rows) {
@@ -146,7 +87,6 @@ std::shared_ptr<const Batch> BuildColumnar(const TableSchema& schema,
 Table::Table(TableSchema schema)
     : schema_(std::make_shared<const TableSchema>(std::move(schema))),
       index_(std::make_shared<TidIndex>()),
-      secondary_(std::make_shared<SecondaryIndexes>()),
       stats_(std::make_shared<TableStats>()) {
   rows_.SetStats(stats_);
 }
@@ -182,20 +122,13 @@ TidIndex* Table::OwnedIndex() {
   return index_.get();
 }
 
-SecondaryIndexes* Table::OwnedSecondary() {
-  if (secondary_.use_count() > 1) {
-    secondary_ = std::make_shared<SecondaryIndexes>(*secondary_);
-  }
-  return secondary_.get();
-}
-
 std::shared_ptr<const TableVersion> Table::CurrentVersion() const {
   std::lock_guard<std::mutex> lock(version_mu_);
   if (!current_) {
     stats_->versions_published.fetch_add(1, std::memory_order_relaxed);
     current_ = std::make_shared<const TableVersion>(
         schema_, epoch_.load(std::memory_order_acquire), rows_, index_,
-        secondary_, stats_);
+        stats_);
   }
   return current_;
 }
@@ -210,7 +143,6 @@ Result<Tid> Table::Insert(std::vector<Value> values) {
   Tid tid = next_tid_++;
   (*OwnedIndex())[tid] = rows_.size();
   rows_.PushBack(Row{tid, std::move(values)});
-  IndexInsert(rows_[rows_.size() - 1]);
   BumpEpoch();
   return tid;
 }
@@ -225,7 +157,6 @@ Status Table::InsertWithTid(Tid tid, std::vector<Value> values) {
   (*OwnedIndex())[tid] = rows_.size();
   rows_.PushBack(Row{tid, std::move(values)});
   if (tid >= next_tid_) next_tid_ = tid + 1;
-  IndexInsert(rows_[rows_.size() - 1]);
   BumpEpoch();
   return Status::Ok();
 }
@@ -239,9 +170,7 @@ Status Table::Update(Tid tid, std::vector<Value> values) {
   }
   size_t pos = it->second;
   BeginWrite();
-  IndexRemove(rows_[pos]);
   rows_.MutableAt(pos).values = std::move(values);
-  IndexInsert(rows_[pos]);
   BumpEpoch();
   return Status::Ok();
 }
@@ -259,9 +188,7 @@ Status Table::UpdateColumn(Tid tid, const std::string& column, Value value) {
   }
   size_t pos = it->second;
   BeginWrite();
-  IndexRemove(rows_[pos]);
   rows_.MutableAt(pos).values[*col] = std::move(value);
-  IndexInsert(rows_[pos]);
   BumpEpoch();
   return Status::Ok();
 }
@@ -274,7 +201,6 @@ Result<Row> Table::Delete(Tid tid) {
   }
   size_t pos = it->second;
   BeginWrite();
-  IndexRemove(rows_[pos]);
   Row before = std::move(rows_.MutableAt(pos));
   // Stable removal: keeps insertion order deterministic (result sets and
   // granule listings are order-sensitive in tests and paper artifacts).
@@ -301,74 +227,17 @@ void Table::ReserveTidsThrough(Tid tid) {
   if (tid >= next_tid_) next_tid_ = tid + 1;
 }
 
-std::vector<std::string> Table::IndexedColumns() const {
-  return IndexedColumnNames(*secondary_);
-}
-
-Status Table::CreateIndex(const std::string& column) {
-  auto col = schema_->FindColumn(column);
-  if (!col.has_value()) {
-    return Status::NotFound("no column '" + column + "' in " +
-                            schema_->name());
-  }
-  if (secondary_->count(column) > 0) return Status::Ok();
-  // Retire the cached version so new snapshots see the index, but keep the
-  // epoch: building an access path changes no data, so epoch-keyed
-  // decisions stay valid.
-  BeginWrite();
-  auto& by_value = (*OwnedSecondary())[column];
-  for (const auto& row : rows_) {
-    by_value[row.values[*col]].push_back(row.tid);
-  }
-  return Status::Ok();
-}
-
-void Table::IndexInsert(const Row& row) {
-  if (secondary_->empty()) return;
-  for (auto& [column, by_value] : *OwnedSecondary()) {
-    auto col = schema_->FindColumn(column);
-    if (col.has_value()) by_value[row.values[*col]].push_back(row.tid);
-  }
-}
-
-void Table::IndexRemove(const Row& row) {
-  if (secondary_->empty()) return;
-  for (auto& [column, by_value] : *OwnedSecondary()) {
-    auto col = schema_->FindColumn(column);
-    if (!col.has_value()) continue;
-    auto it = by_value.find(row.values[*col]);
-    if (it == by_value.end()) continue;
-    auto& tids = it->second;
-    tids.erase(std::remove(tids.begin(), tids.end(), row.tid), tids.end());
-    if (tids.empty()) by_value.erase(it);
-  }
-}
-
-Result<std::vector<Tid>> Table::IndexLookupEq(const std::string& column,
-                                              const Value& value) const {
-  return LookupEq(*secondary_, *index_, schema_->name(), column, value);
-}
-
-Result<std::vector<Tid>> Table::IndexLookupRange(
-    const std::string& column, const std::optional<IndexBound>& lower,
-    const std::optional<IndexBound>& upper) const {
-  return LookupRange(*secondary_, *index_, schema_->name(), column, lower,
-                     upper);
-}
-
 // ---------------------------------------------------------------------------
 // TableVersion (read side)
 
 TableVersion::TableVersion(std::shared_ptr<const TableSchema> schema,
                            uint64_t epoch, RowStore rows,
                            std::shared_ptr<const TidIndex> index,
-                           std::shared_ptr<const SecondaryIndexes> secondary,
                            std::shared_ptr<TableStats> stats)
     : schema_(std::move(schema)),
       epoch_(epoch),
       rows_(std::move(rows)),
       index_(std::move(index)),
-      secondary_(std::move(secondary)),
       stats_(std::move(stats)) {
   if (stats_) stats_->live_versions.fetch_add(1, std::memory_order_relaxed);
 }
@@ -406,22 +275,6 @@ std::shared_ptr<const Batch> TableVersion::Columnar() const {
     stats_->columnar_hits.fetch_add(1, std::memory_order_relaxed);
   }
   return batch_;
-}
-
-std::vector<std::string> TableVersion::IndexedColumns() const {
-  return IndexedColumnNames(*secondary_);
-}
-
-Result<std::vector<Tid>> TableVersion::IndexLookupEq(
-    const std::string& column, const Value& value) const {
-  return LookupEq(*secondary_, *index_, schema_->name(), column, value);
-}
-
-Result<std::vector<Tid>> TableVersion::IndexLookupRange(
-    const std::string& column, const std::optional<IndexBound>& lower,
-    const std::optional<IndexBound>& upper) const {
-  return LookupRange(*secondary_, *index_, schema_->name(), column, lower,
-                     upper);
 }
 
 }  // namespace auditdb

@@ -8,7 +8,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -50,18 +49,8 @@ struct ChangeEvent {
   Row row;
 };
 
-/// Bound of an index range lookup (either end optional at the call site;
-/// bounds must be same-typed with the column).
-struct IndexBound {
-  Value value;
-  bool strict = false;
-};
-
 /// tid -> position in the row store.
 using TidIndex = std::map<Tid, size_t>;
-/// column name -> (value -> tids with that value).
-using SecondaryIndexes =
-    std::map<std::string, std::map<Value, std::vector<Tid>>>;
 
 /// Monotonic per-table counters of the MVCC machinery: how many versions
 /// are pinned right now, how much copy-on-write actually copied, and how
@@ -236,7 +225,7 @@ class Table {
   void ReserveTidsThrough(Tid tid);
 
   /// --- MVCC versions -------------------------------------------------
-  /// The current immutable version: schema, rows, indexes and epoch,
+  /// The current immutable version: schema, rows, tid index and epoch,
   /// sharing this table's storage (no copying at publish time; a later
   /// mutation copies only what it touches). Published lazily and cached
   /// until the next mutation, so back-to-back snapshots of a quiet table
@@ -262,51 +251,20 @@ class Table {
   /// Version/COW counters shared with every published version.
   const TableStats& stats() const { return *stats_; }
 
-  /// --- Secondary indexes -------------------------------------------
-  /// An ordered value index over one column, maintained across
-  /// mutations. The executor uses it to prefilter scans for
-  /// `col = literal` and range predicates when the literal's type
-  /// matches the column's (mixed-type comparisons coerce and must go
-  /// through a scan).
-
-  /// Builds an index over `column` (idempotent).
-  Status CreateIndex(const std::string& column);
-  bool HasIndex(const std::string& column) const {
-    return secondary_->count(column) > 0;
-  }
-  /// Names of indexed columns (snapshots mirror the live table's
-  /// indexes so audits of historical states get the same access paths).
-  std::vector<std::string> IndexedColumns() const;
-
-  /// Tids whose `column` equals `value` exactly (same type), in
-  /// insertion order.
-  Result<std::vector<Tid>> IndexLookupEq(const std::string& column,
-                                         const Value& value) const;
-
-  /// Tids whose `column` lies in the given range (either bound optional;
-  /// bounds must be same-typed with the column), in insertion order.
-  Result<std::vector<Tid>> IndexLookupRange(
-      const std::string& column, const std::optional<IndexBound>& lower,
-      const std::optional<IndexBound>& upper) const;
-
  private:
   Status CheckArity(const std::vector<Value>& values) const;
-  void IndexInsert(const Row& row);
-  void IndexRemove(const Row& row);
   /// Retires the cached current version before a mutation touches
   /// storage (lets an unpinned mutation work in place).
   void BeginWrite();
   /// Publishes the mutation by advancing the epoch (release).
   void BumpEpoch();
-  /// Copy-on-write guards: make the tid / secondary index maps uniquely
-  /// owned before mutating them (published versions share them).
+  /// Copy-on-write guard: makes the tid index uniquely owned before
+  /// mutating it (published versions share it).
   TidIndex* OwnedIndex();
-  SecondaryIndexes* OwnedSecondary();
 
   std::shared_ptr<const TableSchema> schema_;
   RowStore rows_;
   std::shared_ptr<TidIndex> index_;
-  std::shared_ptr<SecondaryIndexes> secondary_;
   Tid next_tid_ = 1;
 
   std::shared_ptr<TableStats> stats_;
@@ -317,7 +275,7 @@ class Table {
 };
 
 /// An immutable snapshot of one table: the *read side* of the MVCC pair.
-/// Shares the publishing table's row segments and index maps (cheap to
+/// Shares the publishing table's row segments and tid index (cheap to
 /// pin), carries the epoch it was published at, and owns a build-once
 /// columnar batch — immutable data never invalidates, so the batch lives
 /// exactly as long as the version. All members are safe to use from any
@@ -327,7 +285,6 @@ class TableVersion {
   /// Published by Table::CurrentVersion(); not for direct construction.
   TableVersion(std::shared_ptr<const TableSchema> schema, uint64_t epoch,
                RowStore rows, std::shared_ptr<const TidIndex> index,
-               std::shared_ptr<const SecondaryIndexes> secondary,
                std::shared_ptr<TableStats> stats);
   ~TableVersion();
 
@@ -354,22 +311,11 @@ class TableVersion {
   /// version is immutable.
   std::shared_ptr<const Batch> Columnar() const;
 
-  bool HasIndex(const std::string& column) const {
-    return secondary_->count(column) > 0;
-  }
-  std::vector<std::string> IndexedColumns() const;
-  Result<std::vector<Tid>> IndexLookupEq(const std::string& column,
-                                         const Value& value) const;
-  Result<std::vector<Tid>> IndexLookupRange(
-      const std::string& column, const std::optional<IndexBound>& lower,
-      const std::optional<IndexBound>& upper) const;
-
  private:
   std::shared_ptr<const TableSchema> schema_;
   uint64_t epoch_ = 0;
   RowStore rows_;
   std::shared_ptr<const TidIndex> index_;
-  std::shared_ptr<const SecondaryIndexes> secondary_;
   std::shared_ptr<TableStats> stats_;
 
   mutable std::mutex columnar_mu_;

@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "src/common/tid_bitmap.h"
 #include "src/types/value.h"
 
 namespace auditdb {
@@ -221,12 +220,6 @@ struct Batch {
 /// column (the audit layers' validity screen for granule schemes).
 std::vector<size_t> NonNullRows(const Batch& batch,
                                 const std::vector<size_t>& columns);
-
-/// Same validity screen as a compressed row bitmap (row index as tid).
-/// Iterates ascending, so converting back to indices reproduces
-/// NonNullRows exactly.
-TidBitmap NonNullBitmap(const Batch& batch,
-                        const std::vector<size_t>& columns);
 
 }  // namespace auditdb
 

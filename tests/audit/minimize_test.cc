@@ -2,8 +2,7 @@
 // replaced: one full CheckBatchSuspicion per candidate on the shrinking
 // batch. The kept id lists must match exactly, on the paper fixture and
 // on generated hospital worlds (one state, and churned into many), in
-// every indispensability mode, INDISPENSABLE setting, threshold and tid
-// representation.
+// every indispensability mode, INDISPENSABLE setting and threshold.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -92,7 +91,7 @@ class MinimizeDifferentialTest : public ::testing::Test {
     return in;
   }
 
-  /// Runs every (mode, INDISPENSABLE, threshold, tid_bitmaps) combination
+  /// Runs every (mode, INDISPENSABLE, threshold) combination
   /// of `body` (an audit expression without those clauses) through both
   /// minimizers. Returns how many combinations had a suspicious batch.
   size_t ExpectSameKeptLists(const std::string& body) {
@@ -113,45 +112,41 @@ class MinimizeDifferentialTest : public ::testing::Test {
         for (const auto& p : in->profiles) batch.push_back(&p);
         for (auto mode : {IndispensabilityMode::kPerTable,
                           IndispensabilityMode::kJointPerQuery}) {
-          for (bool bitmaps : {true, false}) {
-            SuspicionOptions options;
-            options.mode = mode;
-            options.tid_bitmaps = bitmaps;
-            const std::string where =
-                text + " | joint=" +
-                std::to_string(mode == IndispensabilityMode::kJointPerQuery) +
-                " bitmaps=" + std::to_string(bitmaps);
-            auto want = ReferenceMinimize(in->view, in->schemes, in->expr,
-                                          in->profiles, in->profile_ids,
-                                          options);
-            auto got = MinimizeBatch(in->view, in->schemes, in->expr,
-                                     in->profiles, in->profile_ids, options);
-            EXPECT_TRUE(want.ok()) << where << ": "
-                                   << want.status().ToString();
-            EXPECT_TRUE(got.ok()) << where << ": " << got.status().ToString();
-            if (!want.ok() || !got.ok()) continue;
-            EXPECT_EQ(*got, *want) << where;
+          SuspicionOptions options;
+          options.mode = mode;
+          const std::string where =
+              text + " | joint=" +
+              std::to_string(mode == IndispensabilityMode::kJointPerQuery);
+          auto want = ReferenceMinimize(in->view, in->schemes, in->expr,
+                                        in->profiles, in->profile_ids,
+                                        options);
+          auto got = MinimizeBatch(in->view, in->schemes, in->expr,
+                                   in->profiles, in->profile_ids, options);
+          EXPECT_TRUE(want.ok()) << where << ": "
+                                 << want.status().ToString();
+          EXPECT_TRUE(got.ok()) << where << ": " << got.status().ToString();
+          if (!want.ok() || !got.ok()) continue;
+          EXPECT_EQ(*got, *want) << where;
 
-            auto full = CheckBatchSuspicion(in->view, in->schemes,
-                                            in->expr.threshold,
-                                            in->expr.indispensable, batch,
-                                            options);
-            EXPECT_TRUE(full.ok()) << where;
-            if (!full.ok() || !full->suspicious) continue;
-            ++suspicious;
-            // The kept batch must itself be suspicious.
-            std::unordered_map<int64_t, const AccessProfile*> by_id;
-            for (size_t i = 0; i < in->profiles.size(); ++i) {
-              by_id[in->profile_ids[i]] = &in->profiles[i];
-            }
-            std::vector<const AccessProfile*> kept;
-            for (int64_t id : *got) kept.push_back(by_id.at(id));
-            auto kept_result = CheckBatchSuspicion(
-                in->view, in->schemes, in->expr.threshold,
-                in->expr.indispensable, kept, options);
-            EXPECT_TRUE(kept_result.ok() && kept_result->suspicious)
-                << where;
+          auto full = CheckBatchSuspicion(in->view, in->schemes,
+                                          in->expr.threshold,
+                                          in->expr.indispensable, batch,
+                                          options);
+          EXPECT_TRUE(full.ok()) << where;
+          if (!full.ok() || !full->suspicious) continue;
+          ++suspicious;
+          // The kept batch must itself be suspicious.
+          std::unordered_map<int64_t, const AccessProfile*> by_id;
+          for (size_t i = 0; i < in->profiles.size(); ++i) {
+            by_id[in->profile_ids[i]] = &in->profiles[i];
           }
+          std::vector<const AccessProfile*> kept;
+          for (int64_t id : *got) kept.push_back(by_id.at(id));
+          auto kept_result = CheckBatchSuspicion(
+              in->view, in->schemes, in->expr.threshold,
+              in->expr.indispensable, kept, options);
+          EXPECT_TRUE(kept_result.ok() && kept_result->suspicious)
+              << where;
         }
       }
     }
@@ -299,14 +294,10 @@ TEST_F(MinimizeDifferentialTest, RaggedLineageFailsInJointMode) {
     std::vector<AccessProfile> profiles;
     profiles.push_back(ragged_first ? ragged : good);
     profiles.push_back(ragged_first ? good : ragged);
-    for (bool bitmaps : {true, false}) {
-      SuspicionOptions joint;
-      joint.mode = IndispensabilityMode::kJointPerQuery;
-      joint.tid_bitmaps = bitmaps;
-      auto kept = MinimizeBatch(*view, schemes, expr, profiles, {1, 2}, joint);
-      EXPECT_FALSE(kept.ok()) << "ragged_first=" << ragged_first
-                              << " tid_bitmaps=" << bitmaps;
-    }
+    SuspicionOptions joint;
+    joint.mode = IndispensabilityMode::kJointPerQuery;
+    auto kept = MinimizeBatch(*view, schemes, expr, profiles, {1, 2}, joint);
+    EXPECT_FALSE(kept.ok()) << "ragged_first=" << ragged_first;
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include "src/audit/audit_parser.h"
 #include "src/workload/hospital.h"
+#include "tests/audit/suspicion_reference.h"
 
 namespace auditdb {
 namespace audit {
@@ -294,9 +295,9 @@ TEST_F(SuspicionTest, MakeThresholdNotion) {
 
 // Regression: a ragged lineage row used to be swallowed by the joint-witness
 // cache as "no witness" (non-suspicious); it must surface as an error now,
-// through both the tuple-set arm and the bitmap arm.
+// through both the multi-table tuple arm (kSemanticAudit's two-table
+// scheme) and the single-table bitmap arm (a one-table scheme).
 TEST_F(SuspicionTest, RaggedLineagePropagatesErrorInJointMode) {
-  auto expr = Parse(kSemanticAudit);
   auto q3 = Profile(
       "SELECT name, disease, address FROM P-Personal, P-Health "
       "WHERE P-Personal.pid=P-Health.pid AND zipcode='145568' "
@@ -304,16 +305,21 @@ TEST_F(SuspicionTest, RaggedLineagePropagatesErrorInJointMode) {
   ASSERT_FALSE(q3.result.lineage.empty());
   q3.result.lineage[0].pop_back();  // now shorter than FROM
 
-  auto view = ComputeTargetView(expr, db_.View(), Ts(1));
-  ASSERT_TRUE(view.ok());
-  for (bool bitmaps : {true, false}) {
+  for (const std::string& text :
+       {kSemanticAudit,
+        std::string("AUDIT (name) FROM P-Personal WHERE zipcode='145568'")}) {
+    auto expr = Parse(text);
+    auto schemes = BuildSchemes(expr);
+    ASSERT_EQ(schemes.size(), 1u);
+    EXPECT_EQ(schemes[0].tid_tables.size(),
+              text == kSemanticAudit ? 2u : 1u);
+    auto view = ComputeTargetView(expr, db_.View(), Ts(1));
+    ASSERT_TRUE(view.ok());
     SuspicionOptions joint;
     joint.mode = IndispensabilityMode::kJointPerQuery;
-    joint.tid_bitmaps = bitmaps;
-    auto result = CheckBatchSuspicion(*view, BuildSchemes(expr),
-                                      expr.threshold, expr.indispensable,
-                                      {&q3}, joint);
-    EXPECT_FALSE(result.ok()) << "tid_bitmaps=" << bitmaps;
+    auto result = CheckBatchSuspicion(*view, schemes, expr.threshold,
+                                      expr.indispensable, {&q3}, joint);
+    EXPECT_FALSE(result.ok()) << text;
   }
 }
 
@@ -328,13 +334,9 @@ TEST_F(SuspicionTest, PartialFromCoverageIsNotAnError) {
       "WHERE P-Personal.pid=P-Health.pid AND P-Health.pid=P-Employ.pid "
       "AND zipcode='145568' AND disease='diabetic' AND salary > 10000");
   auto q2 = Profile("SELECT disease FROM P-Health WHERE disease='diabetic'");
-  for (bool bitmaps : {true, false}) {
-    SuspicionOptions joint;
-    joint.mode = IndispensabilityMode::kJointPerQuery;
-    joint.tid_bitmaps = bitmaps;
-    auto result = Check(expr, {&q1, &q2}, joint);
-    EXPECT_TRUE(result.suspicious) << "tid_bitmaps=" << bitmaps;
-  }
+  SuspicionOptions joint;
+  joint.mode = IndispensabilityMode::kJointPerQuery;
+  EXPECT_TRUE(Check(expr, {&q1, &q2}, joint).suspicious);
 }
 
 // Regression: BatchIndex used to hold a reference to the caller's vector; a
@@ -346,14 +348,14 @@ TEST_F(SuspicionTest, BatchIndexOutlivesTemporaryBatchVector) {
   BatchIndex index(std::vector<const AccessProfile*>{&profile});
   // The temporary vector is dead here; every probe below reads batch_.
   EXPECT_TRUE(index.Accesses(ColumnRef{"P-Health", "disease"}));
-  EXPECT_FALSE(index.IndispensableTids("P-Health").empty());
-  EXPECT_FALSE(index.IndispensableTidBitmap("P-Health").Empty());
-  EXPECT_TRUE(index.IndispensableContains(
-      "P-Health", *index.IndispensableTids("P-Health").begin()));
+  const TidBitmap& tids = index.IndispensableTidBitmap("P-Health");
+  EXPECT_FALSE(tids.Empty());
+  std::set<Tid> want = reference::LineageTids(profile.result, "P-Health");
+  EXPECT_EQ(tids.ToVector(), std::vector<Tid>(want.begin(), want.end()));
 }
 
-// Differential: the compressed-bitmap kernels must reproduce the set-based
-// suspicion verdicts and accessed-fact lists exactly, across modes.
+// Differential: the compressed-bitmap kernels must reproduce the std::set
+// reference model's verdicts and accessed-fact lists exactly, across modes.
 TEST_F(SuspicionTest, BitmapAblationMatchesSetPath) {
   auto expr = Parse(kSemanticAudit);
   auto q1 = Profile(
@@ -368,22 +370,16 @@ TEST_F(SuspicionTest, BitmapAblationMatchesSetPath) {
   for (auto mode : {IndispensabilityMode::kPerTable,
                     IndispensabilityMode::kJointPerQuery}) {
     for (const auto& batch : batches) {
-      SuspicionOptions on, off;
-      on.mode = off.mode = mode;
-      on.tid_bitmaps = true;
-      off.tid_bitmaps = false;
-      auto with = Check(expr, batch, on);
-      auto without = Check(expr, batch, off);
-      EXPECT_EQ(with.suspicious, without.suspicious);
-      ASSERT_EQ(with.per_scheme.size(), without.per_scheme.size());
-      for (size_t s = 0; s < with.per_scheme.size(); ++s) {
-        EXPECT_EQ(with.per_scheme[s].attrs_covered,
-                  without.per_scheme[s].attrs_covered);
-        EXPECT_EQ(with.per_scheme[s].accessed_facts,
-                  without.per_scheme[s].accessed_facts);
-        EXPECT_EQ(with.per_scheme[s].suspicious,
-                  without.per_scheme[s].suspicious);
-      }
+      SuspicionOptions options;
+      options.mode = mode;
+      auto with = Check(expr, batch, options);
+      auto view = ComputeTargetView(expr, db_.View(), Ts(1));
+      ASSERT_TRUE(view.ok());
+      auto model = reference::CheckBatch(*view, BuildSchemes(expr),
+                                         expr.threshold, expr.indispensable,
+                                         batch, mode);
+      ASSERT_TRUE(model.ok());
+      reference::ExpectSameResult(with, *model, "");
     }
   }
 }

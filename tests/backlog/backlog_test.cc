@@ -157,29 +157,6 @@ TEST_F(BacklogTest, MaterializedBacklogTableIsQueryable) {
   EXPECT_EQ(versions->rows.size(), 3u);  // insert, update, delete images
 }
 
-TEST_F(BacklogTest, SnapshotsMirrorLiveIndexes) {
-  ASSERT_TRUE(db_.Insert("T", {Value::Int(1), Value::String("x")}, Ts(10))
-                  .ok());
-  ASSERT_TRUE(db_.Insert("T", {Value::Int(2), Value::String("y")}, Ts(20))
-                  .ok());
-  auto live = db_.GetTable("T");
-  ASSERT_TRUE(live.ok());
-  ASSERT_TRUE((*live)->CreateIndex("a").ok());
-
-  auto snapshot = backlog_.SnapshotAt(Ts(15));
-  ASSERT_TRUE(snapshot.ok());
-  auto table = snapshot->GetTable("T");
-  ASSERT_TRUE(table.ok());
-  EXPECT_TRUE((*table)->HasIndex("a"));
-  auto hits = (*table)->IndexLookupEq("a", Value::Int(1));
-  ASSERT_TRUE(hits.ok());
-  EXPECT_EQ(hits->size(), 1u);
-  // The second insert is after the snapshot time: not in its index.
-  hits = (*table)->IndexLookupEq("a", Value::Int(2));
-  ASSERT_TRUE(hits.ok());
-  EXPECT_TRUE(hits->empty());
-}
-
 TEST_F(BacklogTest, MaterializeUnknownTableFails) {
   EXPECT_FALSE(backlog_.MaterializeBacklogTable("Nope").ok());
 }

@@ -52,10 +52,10 @@ TEST_F(LineageTest, JoinProfileSpansTables) {
   EXPECT_TRUE(profile.Accesses(ColumnRef{"P-Health", "disease"}));
   EXPECT_TRUE(profile.Accesses(ColumnRef{"P-Health", "pid"}));
   EXPECT_TRUE(profile.Accesses(ColumnRef{"P-Personal", "pid"}));
-  EXPECT_EQ(profile.result.IndispensableTids("P-Personal"),
-            (std::set<Tid>{12, 14}));
-  EXPECT_EQ(profile.result.IndispensableTids("P-Health"),
-            (std::set<Tid>{22, 24}));
+  EXPECT_EQ(profile.result.IndispensableTidBitmap("P-Personal").ToVector(),
+            (std::vector<Tid>{12, 14}));
+  EXPECT_EQ(profile.result.IndispensableTidBitmap("P-Health").ToVector(),
+            (std::vector<Tid>{22, 24}));
 }
 
 TEST_F(LineageTest, PaperSuspicionExample) {
@@ -67,7 +67,7 @@ TEST_F(LineageTest, PaperSuspicionExample) {
       "SELECT zipcode FROM P-Personal, P-Health "
       "WHERE P-Personal.pid = P-Health.pid AND disease = 'cancer'");
   EXPECT_TRUE(profile.result.rows.empty());
-  EXPECT_TRUE(profile.result.IndispensableTids("P-Personal").empty());
+  EXPECT_TRUE(profile.result.IndispensableTidBitmap("P-Personal").Empty());
 }
 
 }  // namespace

@@ -186,14 +186,6 @@ TEST_P(ExecutorDifferential, MatchesBruteForce) {
   Random rng(GetParam());
   Database db;
   BuildRandomDb(rng, &db, 4 + rng.Uniform(3));
-  // Secondary indexes on some columns exercise the prefilter path.
-  {
-    auto t0 = db.GetTable("T0");
-    auto t1 = db.GetTable("T1");
-    ASSERT_TRUE(t0.ok() && t1.ok());
-    ASSERT_TRUE((*t0)->CreateIndex("a").ok());
-    ASSERT_TRUE((*t1)->CreateIndex("c").ok());
-  }
   auto view = db.View();
 
   for (int i = 0; i < 25; ++i) {
@@ -201,20 +193,17 @@ TEST_P(ExecutorDifferential, MatchesBruteForce) {
     auto slow = BruteForce(stmt, view);
     ASSERT_TRUE(slow.ok());
     for (bool hash_join : {true, false}) {
-      for (bool use_index : {true, false}) {
-        for (bool reorder : {false, true}) {
-          ExecOptions options;
-          options.hash_join = hash_join;
-          options.use_index = use_index;
-          options.reorder_joins = reorder;
-          auto fast = Execute(stmt, view, options);
-          ASSERT_TRUE(fast.ok()) << stmt.ToString() << " -> "
-                                 << fast.status().ToString();
-          EXPECT_EQ(fast->from, stmt.from);
-          EXPECT_EQ(Canonicalize(*fast), Canonicalize(*slow))
-              << stmt.ToString() << " hash=" << hash_join
-              << " index=" << use_index << " reorder=" << reorder;
-        }
+      for (bool reorder : {false, true}) {
+        ExecOptions options;
+        options.hash_join = hash_join;
+        options.reorder_joins = reorder;
+        auto fast = Execute(stmt, view, options);
+        ASSERT_TRUE(fast.ok()) << stmt.ToString() << " -> "
+                               << fast.status().ToString();
+        EXPECT_EQ(fast->from, stmt.from);
+        EXPECT_EQ(Canonicalize(*fast), Canonicalize(*slow))
+            << stmt.ToString() << " hash=" << hash_join
+            << " reorder=" << reorder;
       }
     }
   }

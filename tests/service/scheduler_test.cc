@@ -305,6 +305,62 @@ TEST_F(SchedulerTest, ErrorVerdictsMatchSerialByteForByte) {
   }
 }
 
+TEST_F(SchedulerTest, FailedReexecutionIsAnErrorNotAClear) {
+  // Candidates that pass the static screen but fail when re-executed
+  // (type errors, division by zero) were never checked: they must read as
+  // errors, never as clean, identically in the serial and parallel
+  // pipelines.
+  const std::string join =
+      "SELECT name, disease FROM P-Personal, P-Health "
+      "WHERE P-Personal.pid=P-Health.pid AND ";
+  const std::vector<std::string> failing = {
+      join + "name + 1 > 3",
+      join + "disease - 1 = 2",
+      join + "P-Personal.pid / 0 = 1",
+  };
+  QueryLog log;
+  log.Append(join + "disease='diabetic'", Ts(150), "alice", "doctor",
+             "treatment");
+  for (size_t i = 0; i < failing.size(); ++i) {
+    log.Append(failing[i], Ts(151 + static_cast<int64_t>(i)), "alice",
+               "doctor", "treatment");
+  }
+  audit::Auditor auditor(&world_->db, &world_->backlog, &log);
+  auto serial = auditor.Audit(kAudit, Ts(1000000));
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  ASSERT_EQ(serial->verdicts.size(), 4u);
+  EXPECT_FALSE(serial->verdicts[0].error);
+  for (size_t i = 1; i < 4; ++i) {
+    const audit::QueryVerdict& verdict = serial->verdicts[i];
+    EXPECT_TRUE(verdict.admitted && verdict.candidate) << failing[i - 1];
+    EXPECT_TRUE(verdict.error) << failing[i - 1];
+    EXPECT_FALSE(verdict.suspicious_alone) << failing[i - 1];
+  }
+  EXPECT_EQ(serial->num_candidates, 4u);
+  EXPECT_EQ(serial->num_executed, 1u);
+  // Each failing query's report line carries the ERROR flag.
+  auto expect_error_lines = [&](const std::string& detailed) {
+    for (const auto& sql : failing) {
+      size_t at = detailed.find(sql);
+      ASSERT_NE(at, std::string::npos) << detailed;
+      size_t line = detailed.rfind('\n', at) + 1;
+      EXPECT_EQ(detailed.compare(line, 14, "  [ERROR    ] "), 0) << detailed;
+    }
+  };
+  expect_error_lines(serial->DetailedReport(log));
+
+  for (size_t threads : {1u, 2u, 8u}) {
+    ThreadPool pool(PoolOptions(threads));
+    AuditScheduler scheduler(&pool);
+    auto parallel = scheduler.Run(world_->db, world_->backlog, log, kAudit,
+                                  Ts(1000000));
+    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+    EXPECT_EQ(parallel->CanonicalString(), serial->CanonicalString())
+        << "thread count " << threads;
+    expect_error_lines(parallel->DetailedReport(log));
+  }
+}
+
 TEST_F(SchedulerTest, ServiceDecisionCacheIsSharedAndInert) {
   // Two service audits of the same expression: the second is answered
   // out of the decision cache, and both reports are byte-identical to

@@ -109,92 +109,6 @@ TEST(TableTest, DeleteReturnsBeforeImageAndKeepsOrder) {
   EXPECT_FALSE(table.Delete(*t2).ok());  // already gone
 }
 
-class IndexedTableTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    table_ = std::make_unique<Table>(TwoColSchema());
-    for (int i = 0; i < 8; ++i) {
-      auto tid = table_->Insert(
-          {Value::Int(i % 4), Value::String("s" + std::to_string(i))});
-      ASSERT_TRUE(tid.ok());
-      tids_.push_back(*tid);
-    }
-    ASSERT_TRUE(table_->CreateIndex("a").ok());
-  }
-
-  std::unique_ptr<Table> table_;
-  std::vector<Tid> tids_;
-};
-
-TEST_F(IndexedTableTest, CreateIndexIdempotentAndValidated) {
-  EXPECT_TRUE(table_->HasIndex("a"));
-  EXPECT_FALSE(table_->HasIndex("b"));
-  EXPECT_TRUE(table_->CreateIndex("a").ok());  // idempotent
-  EXPECT_FALSE(table_->CreateIndex("nope").ok());
-}
-
-TEST_F(IndexedTableTest, EqLookupInRowOrder) {
-  auto hits = table_->IndexLookupEq("a", Value::Int(1));
-  ASSERT_TRUE(hits.ok());
-  // Rows 1 and 5 have a == 1, in insertion order.
-  EXPECT_EQ(*hits, (std::vector<Tid>{tids_[1], tids_[5]}));
-  auto missing = table_->IndexLookupEq("a", Value::Int(99));
-  ASSERT_TRUE(missing.ok());
-  EXPECT_TRUE(missing->empty());
-  EXPECT_FALSE(table_->IndexLookupEq("b", Value::String("x")).ok());
-}
-
-TEST_F(IndexedTableTest, RangeLookup) {
-  // a >= 2: rows 2, 3, 6, 7.
-  auto hits = table_->IndexLookupRange(
-      "a", IndexBound{Value::Int(2), false}, std::nullopt);
-  ASSERT_TRUE(hits.ok());
-  EXPECT_EQ(*hits,
-            (std::vector<Tid>{tids_[2], tids_[3], tids_[6], tids_[7]}));
-  // 1 < a < 3: rows 2, 6.
-  hits = table_->IndexLookupRange("a",
-                                  IndexBound{Value::Int(1), true},
-                                  IndexBound{Value::Int(3), true});
-  ASSERT_TRUE(hits.ok());
-  EXPECT_EQ(*hits, (std::vector<Tid>{tids_[2], tids_[6]}));
-  // Unbounded: everything.
-  hits = table_->IndexLookupRange("a", std::nullopt, std::nullopt);
-  ASSERT_TRUE(hits.ok());
-  EXPECT_EQ(hits->size(), 8u);
-}
-
-TEST_F(IndexedTableTest, IndexFollowsMutations) {
-  // Update moves the row to a different key.
-  ASSERT_TRUE(table_->UpdateColumn(tids_[1], "a", Value::Int(3)).ok());
-  auto ones = table_->IndexLookupEq("a", Value::Int(1));
-  ASSERT_TRUE(ones.ok());
-  EXPECT_EQ(*ones, (std::vector<Tid>{tids_[5]}));
-  auto threes = table_->IndexLookupEq("a", Value::Int(3));
-  ASSERT_TRUE(threes.ok());
-  EXPECT_EQ(*threes, (std::vector<Tid>{tids_[1], tids_[3], tids_[7]}));
-
-  // Delete removes its entry.
-  ASSERT_TRUE(table_->Delete(tids_[5]).ok());
-  ones = table_->IndexLookupEq("a", Value::Int(1));
-  ASSERT_TRUE(ones.ok());
-  EXPECT_TRUE(ones->empty());
-
-  // Full-row update re-keys too.
-  ASSERT_TRUE(
-      table_->Update(tids_[0], {Value::Int(9), Value::String("z")}).ok());
-  auto nines = table_->IndexLookupEq("a", Value::Int(9));
-  ASSERT_TRUE(nines.ok());
-  EXPECT_EQ(*nines, (std::vector<Tid>{tids_[0]}));
-}
-
-TEST_F(IndexedTableTest, IndexBuiltOverExistingRowsMatchesScan) {
-  // Build a second index late; it must see the current state.
-  ASSERT_TRUE(table_->CreateIndex("b").ok());
-  auto hit = table_->IndexLookupEq("b", Value::String("s3"));
-  ASSERT_TRUE(hit.ok());
-  EXPECT_EQ(*hit, (std::vector<Tid>{tids_[3]}));
-}
-
 TEST(TableTest, ColumnarIsCachedUntilMutation) {
   Table table(TwoColSchema());
   ASSERT_TRUE(table.Insert(Row1()).ok());

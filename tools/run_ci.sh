@@ -79,14 +79,14 @@ cmake -B "${PREFIX}-asan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build "${PREFIX}-asan" -j "${JOBS}" \
       --target net_test subscription_test auditd audit_client \
                subscription_soak common_test suspicion_test \
-               bitmap_ablation_test minimize_test
+               suspicion_reference_test minimize_test
 # ASan exits non-zero on any report; halt_on_error makes that immediate.
 # The tid-bitmap and suspicion suites ride along here: the BatchIndex
 # lifetime regression (dangling batch vector) is exactly the kind of bug
 # only this tree can see.
 export ASAN_OPTIONS="halt_on_error=1:abort_on_error=0:exitcode=99"
 ctest --test-dir "${PREFIX}-asan" --output-on-failure \
-      -R 'FrameCodecTest|FrameReaderTest|FieldCodecTest|ErrorCodecTest|TypePredicatesTest|AuditServerTest|PushCodecTest|SubscriptionRegistryTest|PushSubscriptionTest|TidBitmapTest|TidBitmapDifferentialTest|SuspicionTest|BitmapAblationTest|MinimizeDifferentialTest'
+      -R 'FrameCodecTest|FrameReaderTest|FieldCodecTest|ErrorCodecTest|TypePredicatesTest|AuditServerTest|PushCodecTest|SubscriptionRegistryTest|PushSubscriptionTest|TidBitmapTest|TidBitmapDifferentialTest|SuspicionTest|SuspicionReferenceTest|MinimizeDifferentialTest'
 
 echo "-- auditd loopback smoke (ASan build) --"
 PORT_FILE="$(mktemp)"
@@ -201,16 +201,16 @@ echo "== [5/9] tid-bitmap kernels under UndefinedBehaviorSanitizer =="
 # The compressed-bitmap containers are the one place in the tree doing
 # dense bit manipulation (word shifts, countr_zero scans, sign-flip
 # encoding of INT64_MIN/MAX tids): run their unit + differential suites,
-# and the suspicion/granule ablation differentials that exercise them
-# end-to-end, with UB checking hot.
+# and the suspicion/granule reference-model differentials that exercise
+# them end-to-end, with UB checking hot.
 cmake -B "${PREFIX}-ubsan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DAUDITDB_SANITIZE=undefined
 cmake --build "${PREFIX}-ubsan" -j "${JOBS}" \
-      --target common_test suspicion_test bitmap_ablation_test \
+      --target common_test suspicion_test suspicion_reference_test \
                minimize_test
 export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
 ctest --test-dir "${PREFIX}-ubsan" --output-on-failure \
-      -R 'TidBitmapTest|TidBitmapDifferentialTest|SuspicionTest|BitmapAblationTest|MinimizeDifferentialTest'
+      -R 'TidBitmapTest|TidBitmapDifferentialTest|SuspicionTest|SuspicionReferenceTest|MinimizeDifferentialTest'
 
 echo "== [6/9] policy gate under AddressSanitizer =="
 cmake --build "${PREFIX}-asan" -j "${JOBS}" \
