@@ -74,7 +74,7 @@ void BM_SerialBaseline(benchmark::State& state) {
 BENCHMARK(BM_SerialBaseline)->Unit(benchmark::kMillisecond);
 
 /// Admission-policy ablation: a tiny queue under kReject sheds to inline
-/// execution in the scheduler thread; kBlock stalls producers instead.
+/// execution on the auditing thread; kBlock stalls producers instead.
 void BM_ServiceAdmission(benchmark::State& state) {
   auto world = bench::MakeWorld(kPatients, /*queries=*/1000);
   service::AuditServiceOptions options = ServiceOptions(4);

@@ -10,10 +10,10 @@
 namespace auditdb {
 namespace audit {
 
-/// Stage helpers of the audit pipeline, factored out of Auditor::Audit so
-/// the serial auditor and the concurrent AuditScheduler run the *same*
-/// per-query logic — the determinism guarantee (parallel output identical
-/// to serial) rests on sharing these, not on reimplementing them.
+/// Stage helpers of the audit pipeline. Auditor::AuditPinned runs them
+/// over shards (on the caller thread or a worker pool), and the baseline
+/// auditors and benchmark drivers call them directly, so every caller
+/// runs the *same* per-query logic.
 
 /// A query that survived the static phase within one log shard.
 struct ScreenedCandidate {

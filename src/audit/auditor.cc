@@ -3,10 +3,16 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <functional>
+#include <iterator>
+#include <map>
 #include <memory>
-#include <unordered_map>
+#include <optional>
+#include <utility>
 
 #include "src/audit/audit_stages.h"
+#include "src/backlog/snapshot.h"
+#include "src/service/thread_pool.h"
 
 namespace auditdb {
 namespace audit {
@@ -19,6 +25,12 @@ std::vector<int64_t> AuditReport::SuspiciousQueryIds() const {
   return out;
 }
 
+size_t AuditReport::NumErrored() const {
+  return static_cast<size_t>(
+      std::count_if(verdicts.begin(), verdicts.end(),
+                    [](const QueryVerdict& v) { return v.error; }));
+}
+
 std::string AuditReport::Summary() const {
   std::string out;
   out += "logged=" + std::to_string(num_logged);
@@ -29,6 +41,9 @@ std::string AuditReport::Summary() const {
   out += " schemes=" + std::to_string(num_schemes);
   out += std::string(" batch_suspicious=") +
          (batch_suspicious ? "true" : "false");
+  if (size_t errored = NumErrored(); errored > 0) {
+    out += " batch_incomplete=" + std::to_string(errored);
+  }
   auto ids = SuspiciousQueryIds();
   out += " suspicious_queries=[";
   for (size_t i = 0; i < ids.size(); ++i) {
@@ -59,7 +74,12 @@ std::string AuditReport::DetailedReport(const QueryLog& log) const {
     out += timing;
   }
   out += std::string("batch verdict: ") +
-         (batch_suspicious ? "SUSPICIOUS" : "not suspicious") + "\n";
+         (batch_suspicious ? "SUSPICIOUS" : "not suspicious");
+  if (size_t errored = NumErrored(); errored > 0) {
+    out += " (INCOMPLETE: " + std::to_string(errored) +
+           " errored quer" + (errored == 1 ? "y" : "ies") + " unchecked)";
+  }
+  out += "\n";
   if (!minimal_batch.empty()) {
     out += "minimal suspicious batch:";
     for (int64_t id : minimal_batch) out += " #" + std::to_string(id);
@@ -116,6 +136,9 @@ std::string AuditReport::CanonicalString() const {
   }
   out += std::string("batch_suspicious=") +
          (batch_suspicious ? "true" : "false") + "\n";
+  if (size_t errored = NumErrored(); errored > 0) {
+    out += "batch_incomplete=" + std::to_string(errored) + "\n";
+  }
   out += "minimal_batch=[";
   for (size_t i = 0; i < minimal_batch.size(); ++i) {
     if (i > 0) out += ",";
@@ -151,9 +174,54 @@ Result<AuditReport> Auditor::Audit(const AuditExpression& parsed,
   return AuditPinned(parsed, options, Pin());
 }
 
+
+namespace {
+
+using Clock = std::chrono::steady_clock;
+using Task = std::function<Status()>;
+
+double SecondsBetween(Clock::time_point start, Clock::time_point end) {
+  return std::chrono::duration<double>(end - start).count();
+}
+
+/// Upper bounds on log entries per static-screening shard and candidates
+/// per execution / check shard; Shards() shrinks them to the pool.
+constexpr size_t kStaticShardSize = 256;
+constexpr size_t kExecShardSize = 32;
+
+/// Splits [0, n) into contiguous [begin, end) ranges: one range on the
+/// caller thread (null `pool`), else ~4 per worker of at most `cap`
+/// entries each. Boundaries never affect output, only load balance.
+std::vector<std::pair<size_t, size_t>> Shards(
+    size_t n, size_t cap, const service::ThreadPool* pool) {
+  size_t size = n;
+  if (pool != nullptr) {
+    size_t slots = 4 * std::max<size_t>(pool->num_threads(), 1);
+    size = std::min(cap, (n + slots - 1) / slots);
+  }
+  size = std::max<size_t>(size, 1);
+  std::vector<std::pair<size_t, size_t>> out;
+  for (size_t begin = 0; begin < n; begin += size) {
+    out.emplace_back(begin, std::min(begin + size, n));
+  }
+  return out;
+}
+
+/// Runs one stage's tasks and returns the first failure in task order,
+/// so the error an audit reports never depends on the pool.
+Status RunStage(service::ThreadPool* pool, std::vector<Task> tasks) {
+  for (const Status& status : service::RunBatch(pool, std::move(tasks))) {
+    AUDITDB_RETURN_IF_ERROR(status);
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
 Result<AuditReport> Auditor::AuditPinned(const AuditExpression& parsed,
                                          const AuditOptions& options,
-                                         const AuditPin& pin) const {
+                                         const AuditPin& pin,
+                                         service::ThreadPool* pool) const {
   AuditExpression expr = parsed.Clone();
   AUDITDB_RETURN_IF_ERROR(expr.Qualify(pin.db.catalog()));
 
@@ -161,34 +229,67 @@ Result<AuditReport> Auditor::AuditPinned(const AuditExpression& parsed,
   report.expression = expr.ToString();
   report.num_logged = pin.log_size;
 
-  using Clock = std::chrono::steady_clock;
-  auto seconds_since = [](Clock::time_point start) {
-    return std::chrono::duration<double>(Clock::now() - start).count();
-  };
-  auto phase_start = Clock::now();
-
-  // Phase 1+2: limiting parameters, then static candidacy (the same
-  // range helper the concurrent scheduler shards over). Static decisions
-  // read only schemas, so their cache key is the catalog epoch — row
-  // writes never evict them (the ablation flag restores the old
-  // evict-on-any-write keying).
+  // --- Phases 1+2: limiting parameters, then static candidacy, one task
+  // per log range. Phase 3's target view does not depend on the
+  // candidates, so its task rides in the same batch and overlaps the
+  // screening on a pool. Static decisions read only schemas, so their
+  // cache key is the catalog epoch — row writes never evict them (the
+  // ablation flag restores the old evict-on-any-write keying). The cache
+  // is internally synchronized, so shards share it.
   CandidateCacheContext cache_ctx;
   cache_ctx.cache = options.cache;
   cache_ctx.expr_hash = std::hash<std::string>{}(report.expression);
   cache_ctx.state_key = options.cache_global_state_keys
                             ? db_->mutation_count()
                             : pin.db.catalog_epoch();
-  StaticScreenResult screened =
-      StaticScreenRange(expr, *log_, pin.db.catalog(), options.candidate, 0,
-                        pin.log_size, cache_ctx);
-  report.verdicts = std::move(screened.verdicts);
-  report.num_admitted = screened.num_admitted;
-  report.num_candidates = screened.candidates.size();
-  std::vector<ScreenedCandidate>& candidates = screened.candidates;
+  auto ranges = Shards(pin.log_size, kStaticShardSize, pool);
+  std::vector<StaticScreenResult> screened(ranges.size());
+  // Each shard's finish time: static_seconds ends at the latest one, so
+  // it never counts the view task, whichever thread runs that.
+  std::vector<Clock::time_point> screened_at(ranges.size());
+  TargetView view;
+  std::vector<Task> tasks;
+  tasks.reserve(ranges.size() + 1);
+  for (size_t i = 0; i < ranges.size(); ++i) {
+    tasks.push_back([&, i] {
+      screened[i] = StaticScreenRange(expr, *log_, pin.db.catalog(),
+                                      options.candidate, ranges[i].first,
+                                      ranges[i].second, cache_ctx);
+      screened_at[i] = Clock::now();
+      return Status::Ok();
+    });
+  }
+  if (!options.static_only) {
+    tasks.push_back([&] {
+      auto start = Clock::now();
+      auto computed = ComputeTargetViewOverVersions(
+          expr, *backlog_, options.exec, pin.backlog_events);
+      if (!computed.ok()) return computed.status();
+      view = std::move(*computed);
+      report.view_seconds = SecondsBetween(start, Clock::now());
+      return Status::Ok();
+    });
+  }
+  auto stage_start = Clock::now();
+  Status first_stage = RunStage(pool, std::move(tasks));
+  auto screened_end = stage_start;
+  for (auto at : screened_at) screened_end = std::max(screened_end, at);
+  report.static_seconds = SecondsBetween(stage_start, screened_end);
+  AUDITDB_RETURN_IF_ERROR(first_stage);
 
-  report.static_seconds = seconds_since(phase_start);
+  // Merge the shards in log order.
+  std::vector<ScreenedCandidate> candidates;
+  for (StaticScreenResult& shard : screened) {
+    report.num_admitted += shard.num_admitted;
+    std::move(shard.verdicts.begin(), shard.verdicts.end(),
+              std::back_inserter(report.verdicts));
+    std::move(shard.candidates.begin(), shard.candidates.end(),
+              std::back_inserter(candidates));
+  }
+  report.num_candidates = candidates.size();
 
-  // Data-independent mode: decide from the static phase alone.
+  // Data-independent mode: decide from the static phase alone. Tasks
+  // write disjoint verdicts (one per candidate), so they need no merge.
   if (options.static_only) {
     std::vector<const sql::SelectStatement*> stmts;
     stmts.reserve(candidates.size());
@@ -196,109 +297,136 @@ Result<AuditReport> Auditor::AuditPinned(const AuditExpression& parsed,
       stmts.push_back(candidate.stmt.get());
     }
     StaticOnlyBatchVerdict(expr, pin.db.catalog(), stmts, &report);
-    if (options.per_query_verdicts) {
-      for (const auto& candidate : candidates) {
-        auto single = IsSingleCandidate(*candidate.stmt, expr,
-                                        pin.db.catalog(), options.candidate);
-        QueryVerdict& verdict = report.verdicts[candidate.log_index];
-        // A failed check proves nothing — flag the error instead of
-        // silently reporting the query as not suspicious.
-        if (!single.ok()) {
-          verdict.error = true;
-        } else {
-          verdict.suspicious_alone = *single;
+    if (!options.per_query_verdicts) return report;
+    tasks.clear();
+    for (auto [begin, end] : Shards(candidates.size(), kExecShardSize, pool)) {
+      tasks.push_back([&, begin, end] {
+        for (size_t c = begin; c < end; ++c) {
+          auto single = IsSingleCandidate(*candidates[c].stmt, expr,
+                                          pin.db.catalog(), options.candidate);
+          QueryVerdict& verdict = report.verdicts[candidates[c].log_index];
+          // A failed check proves nothing — flag the error instead of
+          // silently reporting the query as not suspicious.
+          if (!single.ok()) {
+            verdict.error = true;
+          } else {
+            verdict.suspicious_alone = *single;
+          }
         }
-      }
+        return Status::Ok();
+      });
     }
+    AUDITDB_RETURN_IF_ERROR(RunStage(pool, std::move(tasks)));
     return report;
   }
 
-  // Phase 3: target data view across DATA-INTERVAL versions (reading
-  // only the pinned backlog prefix).
-  phase_start = Clock::now();
-  auto view = ComputeTargetViewOverVersions(expr, *backlog_, options.exec,
-                                            pin.backlog_events);
-  if (!view.ok()) return view.status();
-  report.target_view_size = view->size();
-
+  report.target_view_size = view.size();
   auto schemes = BuildSchemes(expr);
   report.num_schemes = schemes.size();
-  report.view_seconds = seconds_since(phase_start);
-  phase_start = Clock::now();
 
-  // Phase 4: execute candidates against their own historical states.
-  // Queries between the same two changes share a state; cache snapshots
-  // by event count.
-  std::unordered_map<size_t, std::unique_ptr<Snapshot>> snapshot_cache;
+  // --- Phase 4: re-execute each candidate against its own historical
+  // state (reading only the pinned backlog prefix). Candidates between
+  // the same two changes share a state, keyed by event count: each
+  // distinct state is reconstructed once, one task per state, then
+  // candidate ranges re-execute against the shared read-only snapshots.
+  stage_start = Clock::now();
+  std::map<size_t, size_t> slot_of_key;
+  std::vector<size_t> slot_of(candidates.size());
+  std::vector<Timestamp> slot_time;
+  for (size_t c = 0; c < candidates.size(); ++c) {
+    Timestamp at = log_->Entry(candidates[c].log_index).timestamp;
+    size_t key = backlog_->EventCountAt(at, pin.backlog_events);
+    auto [it, fresh] = slot_of_key.emplace(key, slot_time.size());
+    if (fresh) slot_time.push_back(at);
+    slot_of[c] = it->second;
+  }
+  std::vector<std::unique_ptr<Snapshot>> snapshots(slot_time.size());
+  tasks.clear();
+  for (size_t s = 0; s < slot_time.size(); ++s) {
+    tasks.push_back([&, s] {
+      auto snapshot = backlog_->SnapshotAt(slot_time[s], pin.backlog_events);
+      if (!snapshot.ok()) return snapshot.status();
+      snapshots[s] = std::make_unique<Snapshot>(std::move(*snapshot));
+      return Status::Ok();
+    });
+  }
+  AUDITDB_RETURN_IF_ERROR(RunStage(pool, std::move(tasks)));
+
+  std::vector<std::optional<AccessProfile>> profile_slots(candidates.size());
+  tasks.clear();
+  for (auto [begin, end] : Shards(candidates.size(), kExecShardSize, pool)) {
+    tasks.push_back([&, begin, end] {
+      for (size_t c = begin; c < end; ++c) {
+        auto profile = ComputeAccessProfile(
+            *candidates[c].stmt, snapshots[slot_of[c]]->View(), options.exec);
+        if (profile.ok()) {
+          profile_slots[c] = std::move(*profile);
+        } else {
+          // Execution-time failure (e.g. type error): keep auditing the
+          // rest, but flag the query — it was never checked, so it must
+          // not read as clean.
+          report.verdicts[candidates[c].log_index].error = true;
+        }
+      }
+      return Status::Ok();
+    });
+  }
+  AUDITDB_RETURN_IF_ERROR(RunStage(pool, std::move(tasks)));
+
+  // Merge profiles in candidate (= log) order.
   std::vector<AccessProfile> profiles;
   std::vector<int64_t> profile_ids;
-  for (const auto& candidate : candidates) {
-    const LoggedQuery& logged = log_->Entry(candidate.log_index);
-    size_t key = backlog_->EventCountAt(logged.timestamp, pin.backlog_events);
-    auto it = snapshot_cache.find(key);
-    if (it == snapshot_cache.end()) {
-      auto snapshot =
-          backlog_->SnapshotAt(logged.timestamp, pin.backlog_events);
-      if (!snapshot.ok()) return snapshot.status();
-      it = snapshot_cache
-               .emplace(key,
-                        std::make_unique<Snapshot>(std::move(*snapshot)))
-               .first;
-    }
-    auto profile = ComputeAccessProfile(*candidate.stmt, it->second->View(),
-                                        options.exec);
-    if (!profile.ok()) {
-      // Execution-time failure (e.g. type error): keep auditing the rest,
-      // but flag the query — it was never checked, so it must not read
-      // as clean.
-      report.verdicts[candidate.log_index].error = true;
-      continue;
-    }
-    profiles.push_back(std::move(*profile));
-    profile_ids.push_back(logged.id);
-    ++report.num_executed;
+  std::vector<size_t> profile_log_index;
+  for (size_t c = 0; c < candidates.size(); ++c) {
+    if (!profile_slots[c].has_value()) continue;
+    profiles.push_back(std::move(*profile_slots[c]));
+    profile_ids.push_back(log_->Entry(candidates[c].log_index).id);
+    profile_log_index.push_back(candidates[c].log_index);
   }
+  report.num_executed = profiles.size();
+  report.exec_seconds = SecondsBetween(stage_start, Clock::now());
 
-  report.exec_seconds = seconds_since(phase_start);
-  phase_start = Clock::now();
-
-  // Phase 5: granule-access suspicion.
+  // --- Phase 5: granule-access suspicion. The batch verdict is one call;
+  // the per-query singleton checks fan out per candidate range, each
+  // writing its own verdicts; greedy minimization stays one call because
+  // its drop order is part of the output contract.
+  stage_start = Clock::now();
   std::vector<const AccessProfile*> batch;
   batch.reserve(profiles.size());
   for (const auto& p : profiles) batch.push_back(&p);
-
-  auto batch_result = CheckBatchSuspicion(*view, schemes, expr.threshold,
+  auto batch_result = CheckBatchSuspicion(view, schemes, expr.threshold,
                                           expr.indispensable, batch,
                                           options.suspicion);
   if (!batch_result.ok()) return batch_result.status();
   report.batch_suspicious = batch_result->suspicious;
-  report.evidence = batch_result->Describe(*view, schemes);
+  report.evidence = batch_result->Describe(view, schemes);
 
   if (options.per_query_verdicts) {
-    std::unordered_map<int64_t, size_t> profile_by_id;
-    for (size_t i = 0; i < profile_ids.size(); ++i) {
-      profile_by_id[profile_ids[i]] = i;
+    tasks.clear();
+    for (auto [begin, end] : Shards(profiles.size(), kExecShardSize, pool)) {
+      tasks.push_back([&, begin, end] {
+        for (size_t p = begin; p < end; ++p) {
+          std::vector<const AccessProfile*> single{&profiles[p]};
+          auto single_result = CheckBatchSuspicion(
+              view, schemes, expr.threshold, expr.indispensable, single,
+              options.suspicion);
+          if (!single_result.ok()) return single_result.status();
+          report.verdicts[profile_log_index[p]].suspicious_alone =
+              single_result->suspicious;
+        }
+        return Status::Ok();
+      });
     }
-    for (auto& verdict : report.verdicts) {
-      auto it = profile_by_id.find(verdict.query_id);
-      if (it == profile_by_id.end()) continue;
-      std::vector<const AccessProfile*> single{&profiles[it->second]};
-      auto single_result = CheckBatchSuspicion(*view, schemes,
-                                               expr.threshold,
-                                               expr.indispensable, single,
-                                               options.suspicion);
-      if (!single_result.ok()) return single_result.status();
-      verdict.suspicious_alone = single_result->suspicious;
-    }
+    AUDITDB_RETURN_IF_ERROR(RunStage(pool, std::move(tasks)));
   }
 
   if (options.minimize_batch && report.batch_suspicious) {
-    auto minimal = MinimizeBatch(*view, schemes, expr, profiles,
-                                 profile_ids, options.suspicion);
+    auto minimal = MinimizeBatch(view, schemes, expr, profiles, profile_ids,
+                                 options.suspicion);
     if (!minimal.ok()) return minimal.status();
     report.minimal_batch = std::move(*minimal);
   }
-  report.check_seconds = seconds_since(phase_start);
+  report.check_seconds = SecondsBetween(stage_start, Clock::now());
 
   return report;
 }

@@ -14,7 +14,7 @@
 namespace auditdb {
 
 namespace service {
-class AuditScheduler;
+class ThreadPool;
 }  // namespace service
 
 namespace audit {
@@ -122,9 +122,14 @@ struct AuditReport {
 
   /// Deterministic serialization of every audit outcome field — verdicts,
   /// counts, batch verdict, minimal batch, evidence — excluding only the
-  /// wall-clock phase timings. The concurrent scheduler's report must
-  /// match the serial auditor's byte for byte under this rendering.
+  /// wall-clock phase timings. A report computed on a worker pool matches
+  /// the caller-thread report byte for byte under this rendering.
   std::string CanonicalString() const;
+
+  /// Number of verdicts flagged `error`. When nonzero the batch verdict
+  /// is incomplete: those queries were never checked, so nothing was
+  /// proven about them.
+  size_t NumErrored() const;
 };
 
 /// The audit pipeline (Section 3 end to end):
@@ -160,18 +165,18 @@ class Auditor {
   /// reads only the pinned state, so it runs correctly concurrent with
   /// writers and two audits over equal pins produce byte-identical
   /// reports.
+  ///
+  /// Each stage is a batch of independent tasks over contiguous shards
+  /// (log ranges, database versions, candidate ranges) whose results
+  /// merge in log order, run by service::RunBatch: on the caller thread
+  /// when `pool` is null, fanned out over `pool` otherwise. The report's
+  /// CanonicalString() is the same either way and at any pool size. A
+  /// task already running on `pool` must pass null, never `pool` itself
+  /// (see RunBatch).
   Result<AuditReport> AuditPinned(const AuditExpression& expr,
                                   const AuditOptions& options,
-                                  const AuditPin& pin) const;
-
-  /// Parallel entry point: shards the pipeline over `scheduler`'s worker
-  /// pool and merges deterministically — the report's CanonicalString()
-  /// is identical to the serial Audit()'s at any thread count.
-  /// Implemented in src/service/scheduler.cc.
-  Result<AuditReport> AuditParallel(const AuditExpression& expr,
-                                    service::AuditScheduler* scheduler,
-                                    const AuditOptions& options =
-                                        AuditOptions{}) const;
+                                  const AuditPin& pin,
+                                  service::ThreadPool* pool = nullptr) const;
 
  private:
   const Database* db_;

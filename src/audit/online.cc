@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <optional>
 
 #include "src/audit/candidate.h"
 #include "src/service/thread_pool.h"
@@ -193,11 +192,13 @@ Status OnlineAuditor::ObserveEntry(Entry* entry, const LoggedQuery& query,
     auto candidate = CachedBatchCandidate(
         decision_cache(), ctx.shape, entry->expr_hash, ctx.catalog_epoch,
         *ctx.stmt, entry->expr, ctx.view.catalog(), CandidateOptions{});
-    // A failed candidacy check (unknown table or column) is an error,
-    // not a cleared query: propagate it like the offline per-query
-    // error verdicts instead of treating the query as non-suspicious.
+    // A failed candidacy check (unknown table or column) or a failed
+    // execution of a candidate is an error, not a cleared query:
+    // propagate it like the offline per-query error verdicts instead of
+    // treating the query as non-suspicious.
     if (!candidate.ok()) return candidate.status();
-    contributes = *candidate && ctx.profile != nullptr;
+    if (*candidate) AUDITDB_RETURN_IF_ERROR(ctx.profile_status);
+    contributes = *candidate;
   }
   if (!contributes) return Status::Ok();
   if (entry->built_fingerprint !=
@@ -292,29 +293,27 @@ Result<std::vector<OnlineAuditor::Screening>> OnlineAuditor::ObserveImpl(
   ctx.catalog_epoch = ctx.view.catalog_epoch();
 
   auto stmt = sql::ParseSelect(query.sql);
-  std::optional<AccessProfile> profile_local;
-  std::shared_ptr<const AccessProfile> profile_shared;
+  std::shared_ptr<const AccessProfile> profile;
   if (stmt.ok()) {
     ctx.stmt = &*stmt;
-    if (DecisionCache* cache = decision_cache()) {
-      uint64_t fingerprint = ctx.view.EpochFingerprint(stmt->from);
-      profile_shared = cache->LookupProfile(ctx.shape, fingerprint);
-      if (profile_shared == nullptr) {
-        auto computed = ComputeAccessProfile(*stmt, ctx.view);
-        if (computed.ok()) {
-          profile_shared =
-              std::make_shared<const AccessProfile>(std::move(*computed));
-          cache->StoreProfile(ctx.shape, fingerprint, profile_shared);
-        }
-      }
-      ctx.profile = profile_shared.get();
-    } else {
+    DecisionCache* cache = decision_cache();
+    uint64_t fingerprint = 0;
+    if (cache != nullptr) {
+      fingerprint = ctx.view.EpochFingerprint(stmt->from);
+      profile = cache->LookupProfile(ctx.shape, fingerprint);
+    }
+    if (profile == nullptr) {
       auto computed = ComputeAccessProfile(*stmt, ctx.view);
       if (computed.ok()) {
-        profile_local = std::move(*computed);
-        ctx.profile = &*profile_local;
+        profile = std::make_shared<const AccessProfile>(std::move(*computed));
+        if (cache != nullptr) {
+          cache->StoreProfile(ctx.shape, fingerprint, profile);
+        }
+      } else {
+        ctx.profile_status = computed.status();
       }
     }
+    ctx.profile = profile.get();
   }
 
   std::vector<Entry*> visit = EntriesToVisit(ctx);

@@ -127,9 +127,10 @@ class OnlineAuditor {
   /// current database state; expressions whose limiting parameters
   /// reject the access are skipped (their previous state is reported
   /// unchanged). Candidacy-check failures (e.g. the query references a
-  /// table unknown to the catalog) propagate as errors rather than
-  /// silently clearing the query; unparseable queries are ignored, as in
-  /// the offline pipeline's parse_failed verdicts. Returns one Screening
+  /// table unknown to the catalog) and a candidate's execution failure
+  /// (e.g. a type error) propagate as errors rather than silently
+  /// clearing the query; unparseable queries are ignored, as in the
+  /// offline pipeline's parse_failed verdicts. Returns one Screening
   /// per registered expression.
   Result<std::vector<Screening>> Observe(const LoggedQuery& query);
 
@@ -191,7 +192,12 @@ class OnlineAuditor {
   /// for every visited entry.
   struct ObserveContext {
     const sql::SelectStatement* stmt = nullptr;
+    /// The query's executed profile; null when parsing or execution
+    /// failed.
     const AccessProfile* profile = nullptr;
+    /// Why execution failed (Ok otherwise). A candidate entry returns it:
+    /// a query that was never executed must not read as cleared.
+    Status profile_status;
     sql::QueryShape shape;
     /// Catalog epoch of `view` — the state key of schema-only decisions.
     uint64_t catalog_epoch = 0;
@@ -204,9 +210,10 @@ class OnlineAuditor {
   void RecomputeAccessCounts(Entry* entry);
   static Screening ScreeningOf(const Entry& entry);
   /// One expression's share of Observe: candidacy check + coverage
-  /// accumulation. `stmt`/`profile` may be null (parse or execution
-  /// failure — the entry's state is left unchanged). Entries are
-  /// independent, so distinct entries may be observed concurrently.
+  /// accumulation. `stmt` may be null (parse failure — the entry's state
+  /// is left unchanged); a candidate whose execution failed returns
+  /// `ctx.profile_status`. Entries are independent, so distinct entries
+  /// may be observed concurrently.
   Status ObserveEntry(Entry* entry, const LoggedQuery& query,
                       const ObserveContext& ctx);
   /// Entries the observation must visit, in registration order. With the

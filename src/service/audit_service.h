@@ -5,14 +5,15 @@
 #include <string>
 #include <vector>
 
-#include "src/service/scheduler.h"
+#include "src/audit/auditor.h"
+#include "src/audit/expression_library.h"
+#include "src/service/thread_pool.h"
 
 namespace auditdb {
 namespace service {
 
 struct AuditServiceOptions {
   ThreadPoolOptions pool;
-  SchedulerOptions scheduler;
   /// Memoize static per-(query, expression) decisions across audit runs
   /// in a service-owned decision cache (audit_index.h). Ablation knob:
   /// results are byte-identical with it off.
@@ -20,10 +21,16 @@ struct AuditServiceOptions {
   audit::DecisionCacheOptions decision_cache;
 };
 
-/// The deployable front door of concurrent auditing: owns a worker pool,
-/// a scheduler, and a metrics registry, bound to one (database, backlog,
-/// query log) triple. Intended lifecycle: construct once, serve many
-/// audit runs, read metrics, destroy (joins workers).
+/// The deployable front door of concurrent auditing: pins the bound
+/// (database, backlog, query log) triple and runs Auditor::AuditPinned on
+/// a service-owned worker pool, metering every run. Intended lifecycle:
+/// construct once, serve many audit runs, read metrics, destroy (joins
+/// workers).
+///
+/// Metrics: the pool's "pool.*" instruments, the "scheduler.runs"
+/// counter (every audit run, library screenings included) and the
+/// "scheduler.{static,exec,check}_stage_micros" histograms, observed
+/// from each successful report's phase timings.
 class AuditService {
  public:
   /// All three stores must outlive the service.
@@ -31,33 +38,38 @@ class AuditService {
                const QueryLog* log,
                AuditServiceOptions options = AuditServiceOptions{});
 
-  /// Parses (anchored at `now`) and audits in parallel. Identical output
+  /// Parses (anchored at `now`) and audits on the pool. Identical output
   /// (AuditReport::CanonicalString) to the serial Auditor.
   Result<audit::AuditReport> Audit(const std::string& audit_text,
                                    Timestamp now,
                                    const audit::AuditOptions& options =
-                                       audit::AuditOptions{},
-                                   std::vector<ShardFailure>* failures =
-                                       nullptr);
+                                       audit::AuditOptions{});
 
-  /// Audits a parsed expression in parallel.
+  /// Audits a parsed expression on the pool.
   Result<audit::AuditReport> Audit(const audit::AuditExpression& expr,
                                    const audit::AuditOptions& options =
-                                       audit::AuditOptions{},
-                                   std::vector<ShardFailure>* failures =
-                                       nullptr);
+                                       audit::AuditOptions{});
 
-  /// Screens every member of a standing-expression library against the
-  /// bound log, one job per expression.
-  std::vector<AuditScheduler::ExpressionScreening> ScreenLibrary(
+  /// Outcome of screening one library member.
+  struct ExpressionScreening {
+    int expression_id = 0;
+    Status status;
+    /// Valid iff status.ok().
+    audit::AuditReport report;
+  };
+
+  /// Screens every member of a standing-expression library against one
+  /// pin of the bound log, one pool task per expression, results in
+  /// ascending id order. A failed expression records its status; it
+  /// never fails the sweep.
+  std::vector<ExpressionScreening> ScreenLibrary(
       const audit::ExpressionLibrary& library,
       const audit::AuditOptions& options = audit::AuditOptions{});
 
-  /// Captures a consistent pin of the bound stores: log and backlog
-  /// prefix lengths plus a pinned snapshot of every table's current
-  /// version. Cheap (no copies); the caller decides what lock, if any,
-  /// makes the capture atomic against external state transitions.
-  audit::AuditPin Pin() const;
+  /// Captures a consistent pin of the bound stores (Auditor::Pin). Cheap
+  /// (no copies); the caller decides what lock, if any, makes the capture
+  /// atomic against external state transitions.
+  audit::AuditPin Pin() const { return auditor_.Pin(); }
 
   /// Audits against a caller-captured pin; the run never reads live
   /// state, so it can proceed with no external lock held while writers
@@ -66,23 +78,20 @@ class AuditService {
                                          Timestamp now,
                                          const audit::AuditPin& pin,
                                          const audit::AuditOptions& options =
-                                             audit::AuditOptions{},
-                                         std::vector<ShardFailure>* failures =
-                                             nullptr);
+                                             audit::AuditOptions{});
 
   /// ScreenLibrary against a caller-captured pin (see AuditPinned).
-  std::vector<AuditScheduler::ExpressionScreening> ScreenLibraryPinned(
+  std::vector<ExpressionScreening> ScreenLibraryPinned(
       const audit::ExpressionLibrary& library, const audit::AuditPin& pin,
       const audit::AuditOptions& options = audit::AuditOptions{});
 
   size_t num_threads() const { return pool_.num_threads(); }
   const MetricsRegistry& metrics() const { return metrics_; }
-  /// Counters, gauges and latency histograms of the pool and scheduler
-  /// as one JSON object.
+  /// Counters, gauges and latency histograms of the pool and the audit
+  /// runs as one JSON object.
   std::string MetricsJson() const { return metrics_.ToJson(); }
 
   ThreadPool* pool() { return &pool_; }
-  AuditScheduler* scheduler() { return &scheduler_; }
 
   /// The service-owned decision cache; null when disabled. Shared_ptr so
   /// a database change listener can keep invalidating it safely even if
@@ -92,17 +101,23 @@ class AuditService {
   }
 
  private:
-  /// `options` with the service cache injected (unless the caller bound
-  /// its own, or the cache is disabled).
-  audit::AuditOptions WithCache(const audit::AuditOptions& options) const;
+  /// Audits `expr` against `pin` with the service cache injected (unless
+  /// the caller bound its own, or the cache is disabled), fanning out
+  /// over `pool` (null: the calling thread), and meters the run.
+  Result<audit::AuditReport> Run(const audit::AuditExpression& expr,
+                                 const audit::AuditPin& pin,
+                                 const audit::AuditOptions& options,
+                                 ThreadPool* pool);
 
-  const Database* db_;
-  const Backlog* backlog_;
-  const QueryLog* log_;
+  audit::Auditor auditor_;
   MetricsRegistry metrics_;
   ThreadPool pool_;
-  AuditScheduler scheduler_;
   std::shared_ptr<audit::DecisionCache> cache_;
+
+  Counter* runs_;
+  Histogram* static_stage_micros_;
+  Histogram* exec_stage_micros_;
+  Histogram* check_stage_micros_;
 };
 
 }  // namespace service

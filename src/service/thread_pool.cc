@@ -116,8 +116,13 @@ void ThreadPool::Shutdown() {
 }
 
 std::vector<Status> RunBatch(ThreadPool* pool,
-                             std::vector<std::function<Status()>> tasks,
-                             const JobContext& context) {
+                             std::vector<std::function<Status()>> tasks) {
+  if (pool == nullptr) {
+    std::vector<Status> statuses;
+    statuses.reserve(tasks.size());
+    for (auto& task : tasks) statuses.push_back(task());
+    return statuses;
+  }
   struct BatchState {
     std::mutex mutex;
     std::condition_variable done_cv;
@@ -129,10 +134,8 @@ std::vector<Status> RunBatch(ThreadPool* pool,
   state->statuses.resize(tasks.size());
   if (tasks.empty()) return {};
 
-  auto run_one = [state, context](size_t i,
-                                  const std::function<Status()>& task) {
-    Status status = context.Check();
-    if (status.ok()) status = task();
+  auto run_one = [state](size_t i, const std::function<Status()>& task) {
+    Status status = task();
     std::lock_guard<std::mutex> lock(state->mutex);
     state->statuses[i] = std::move(status);
     if (--state->remaining == 0) state->done_cv.notify_all();

@@ -11,7 +11,6 @@
 
 #include "src/common/status.h"
 #include "src/service/bounded_queue.h"
-#include "src/service/job.h"
 #include "src/service/metrics.h"
 
 namespace auditdb {
@@ -109,16 +108,15 @@ class ThreadPool {
 
 /// Fans `tasks` out to the pool and blocks until all are done; slot i of
 /// the returned vector is task i's Status, so results merge
-/// deterministically no matter the completion order. Each task first
-/// checks `context` (deadline / cancellation) and is skipped with the
-/// corresponding error once the context expires. If the pool's admission
+/// deterministically no matter the completion order. With a null `pool`
+/// the tasks run in order on the caller thread. If the pool's admission
 /// policy rejects a task (queue full under kReject), the caller runs it
 /// inline — backpressure slows the producer down, but every task still
-/// executes exactly once. Safe only from threads outside the pool
-/// (a worker fanning out to its own pool could deadlock on a full queue).
+/// executes exactly once. Safe only from threads outside the pool: a
+/// worker fanning out to its own pool can deadlock (every worker blocked
+/// waiting on tasks queued behind it), so a task passes null instead.
 std::vector<Status> RunBatch(ThreadPool* pool,
-                             std::vector<std::function<Status()>> tasks,
-                             const JobContext& context = JobContext{});
+                             std::vector<std::function<Status()>> tasks);
 
 }  // namespace service
 }  // namespace auditdb

@@ -4,6 +4,7 @@
 
 #include "src/audit/audit_parser.h"
 #include "src/audit/auditor.h"
+#include "src/service/thread_pool.h"
 #include "src/workload/generator.h"
 #include "src/workload/hospital.h"
 
@@ -298,6 +299,50 @@ TEST_F(OnlineAuditorTest, CandidacyErrorsPropagateWithIndexAndCacheOff) {
   ASSERT_TRUE(plain.AddExpression(Parse(kSemantic)).ok());
   auto s = plain.Observe(Q(1, "SELECT name FROM NoSuchTable"));
   EXPECT_FALSE(s.ok());
+}
+
+TEST_F(OnlineAuditorTest, FailedReexecutionIsAnErrorNotAClear) {
+  // Candidates that parse and pass the candidacy check but fail to
+  // execute (type errors, division by zero) were never screened: Observe
+  // must return the failure — serially and on a pool — and leave every
+  // screening as it was, never report the query as cleared.
+  const std::string join =
+      "SELECT name, disease FROM P-Personal, P-Health "
+      "WHERE P-Personal.pid=P-Health.pid AND ";
+  const std::vector<std::string> failing = {
+      join + "name + 1 > 3",
+      join + "disease - 1 = 2",
+      join + "P-Personal.pid / 0 = 1",
+  };
+  service::ThreadPoolOptions pool_options;
+  pool_options.num_threads = 2;
+  service::ThreadPool pool(pool_options);
+  for (service::ThreadPool* on : {static_cast<service::ThreadPool*>(nullptr),
+                                  &pool}) {
+    OnlineAuditor online(&db_);
+    // Two standing expressions, so the pooled Observe fans out.
+    ASSERT_TRUE(online.AddExpression(Parse(kSemantic)).ok());
+    ASSERT_TRUE(online
+                    .AddExpression(Parse(
+                        "AUDIT (name,disease) FROM P-Personal, P-Health "
+                        "WHERE P-Personal.pid = P-Health.pid"))
+                    .ok());
+    auto before = online.Current();
+    for (size_t i = 0; i < failing.size(); ++i) {
+      auto s = online.Observe(Q(static_cast<int64_t>(i + 1), failing[i]), on);
+      EXPECT_FALSE(s.ok()) << failing[i] << (on ? " (pooled)" : " (serial)");
+    }
+    auto after = online.Current();
+    ASSERT_EQ(after.size(), before.size());
+    for (size_t e = 0; e < after.size(); ++e) {
+      EXPECT_EQ(after[e].fired, before[e].fired);
+      EXPECT_EQ(after[e].rank, before[e].rank);
+    }
+    // The same query with a well-typed predicate is screened normally.
+    auto ok = online.Observe(Q(9, join + "disease='diabetic'"), on);
+    ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+    EXPECT_GT((*ok)[0].rank, 0.0);
+  }
 }
 
 // --- Expression index + decision cache --------------------------------

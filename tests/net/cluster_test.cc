@@ -60,6 +60,9 @@ struct Node {
   std::unique_ptr<io::DurableStore> store;
   std::unique_ptr<service::AuditService> service;
   std::unique_ptr<AuditServer> server;
+  /// server->applied_log_id() just before Start(): what recovery alone
+  /// restored, before a replica's sync can move it.
+  int64_t applied_before_start = 0;
 
   struct Config {
     size_t fixture_patients = 0;
@@ -92,6 +95,7 @@ struct Node {
     options.replication = true;
     server = std::make_unique<AuditServer>(service.get(), &db, &backlog,
                                            &log, options);
+    applied_before_start = server->applied_log_id();
     Status started = server->Start();
     EXPECT_TRUE(started.ok()) << started.ToString();
   }
@@ -204,6 +208,45 @@ TEST(ClusterTest, LoadDumpDeltasReplicate) {
   EXPECT_EQ(replica.log.Entry(0).user, "bob");
 }
 
+TEST(ClusterTest, ReplicaCountsAFailedObserveReexecution) {
+  // A replica applies shipped queries without executing them, so its
+  // online monitor is the first to run them against the replica's own
+  // rows. Here only the replica holds rows: a query that executed
+  // cleanly on the primary's empty tables fails on the replica's (a type
+  // error per row). The observation must fail and be counted — a query
+  // that was never executed must not clear.
+  Node::Config primary_config;
+  primary_config.repl_ack = ReplAckPolicy::kAll;
+  Node primary(primary_config);
+  workload::HospitalConfig schema_only;
+  schema_only.num_patients = 0;
+  ASSERT_TRUE(
+      workload::PopulateHospital(&primary.db, schema_only, Ts(1)).ok());
+  Node::Config replica_config;
+  replica_config.fixture_patients = 12;
+  replica_config.replicate_from = primary.address();
+  Node replica(replica_config);
+  ASSERT_TRUE(WaitUntil([&] {
+    return primary.server->follower_count() == 1;
+  }));
+
+  AuditClient subscriber(replica.server->host(), replica.server->port());
+  auto subscription =
+      subscriber.Subscribe(kAuditExpr, Ts(10), [](const PushEvent&) {});
+  ASSERT_TRUE(subscription.ok()) << subscription.status().ToString();
+
+  AuditClient writer(primary.server->host(), primary.server->port());
+  auto result = writer.ExecuteQuery(
+      "SELECT name, disease FROM P-Personal, P-Health "
+      "WHERE P-Personal.pid = P-Health.pid AND P-Personal.pid / 0 = 1",
+      "alice", "Nurse", "treatment", Ts(100));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(WaitUntil([&] {
+    return replica.server->MetricsJson().find(
+               "\"net.push_observe_errors\":1") != std::string::npos;
+  })) << replica.server->MetricsJson();
+}
+
 TEST(ClusterTest, MultiEndpointClientFollowsNotPrimaryRedirects) {
   Node::Config primary_config;
   primary_config.fixture_patients = 6;
@@ -283,7 +326,7 @@ TEST(ClusterTest, ReplicaCatchesUpFromItsDurablePositionAfterACrash) {
   revived_config.data_dir = replica_dir;
   revived_config.replicate_from = primary.address();
   Node revived(revived_config);
-  EXPECT_EQ(revived.server->applied_log_id(), 3);  // recovered, pre-sync
+  EXPECT_EQ(revived.applied_before_start, 3);  // recovered, pre-sync
   ASSERT_TRUE(WaitUntil([&] {
     return revived.server->applied_log_id() == 6;
   }));

@@ -230,7 +230,13 @@ struct RawConn {
   }
 };
 
-Status DriveDistinctPidQueries(AuditClient* driver, size_t count) {
+/// Executes `count` queries, each pushing one event to every name
+/// subscriber. With `pace`, waits after each query until that inbox
+/// covers it, so a reading subscriber is never more than one event
+/// behind — it cannot overflow even a shallow queue, however the
+/// scheduler delays its reader thread.
+Status DriveDistinctPidQueries(AuditClient* driver, size_t count,
+                               Inbox* pace = nullptr) {
   for (size_t q = 1; q <= count; ++q) {
     std::string sql =
         "SELECT name, address FROM P-Personal WHERE pid = 'p" +
@@ -238,6 +244,10 @@ Status DriveDistinctPidQueries(AuditClient* driver, size_t count) {
     auto result = driver->ExecuteQuery(sql, "soak", "driver", "load",
                                        Timestamp(2000000 + (int64_t)q));
     if (!result.ok()) return result.status();
+    if (pace != nullptr && !pace->WaitForCovered(q, milliseconds(5000))) {
+      return Status::DeadlineExceeded("paced subscriber missed query " +
+                                      std::to_string(q));
+    }
   }
   return Status::Ok();
 }
@@ -462,7 +472,8 @@ TEST(PushSubscriptionTest, SlowSubscriberGapsDoNotStallOthers) {
   EXPECT_EQ(fast_sub->expression_id, 1);  // shared standing expression
 
   AuditClient driver(world.server->host(), world.server->port());
-  ASSERT_TRUE(DriveDistinctPidQueries(&driver, kQueries).ok());
+  Status driven = DriveDistinctPidQueries(&driver, kQueries, &fast_inbox);
+  ASSERT_TRUE(driven.ok()) << driven.ToString();
 
   // The fast subscriber gets every event, gap-free.
   ASSERT_TRUE(fast_inbox.WaitForCovered(kQueries, milliseconds(20000)));
@@ -526,7 +537,8 @@ TEST(PushSubscriptionTest, EvictPolicyDisconnectsSlowSubscriber) {
       fast.Subscribe(kNameAudit, Ts(10), fast_inbox.Handler()).ok());
 
   AuditClient driver(world.server->host(), world.server->port());
-  ASSERT_TRUE(DriveDistinctPidQueries(&driver, kQueries).ok());
+  Status driven = DriveDistinctPidQueries(&driver, kQueries, &fast_inbox);
+  ASSERT_TRUE(driven.ok()) << driven.ToString();
 
   EXPECT_TRUE(WaitForCounter(*world.server, "slow_subscribers_evicted", 1,
                              milliseconds(20000)))

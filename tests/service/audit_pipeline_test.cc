@@ -1,14 +1,14 @@
-/// The scheduler's contract: a parallel audit run is byte-identical
-/// (AuditReport::CanonicalString) to the serial Auditor's at any thread
-/// count or shard size, and a poisoned run degrades instead of crashing.
-
-#include "src/service/scheduler.h"
+/// The audit pipeline's contract: Auditor::AuditPinned yields a
+/// byte-identical report (AuditReport::CanonicalString) whether its
+/// stages run on the caller thread or fan out over a worker pool of any
+/// size, and AuditService is only the pin-and-call wrapper around it.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
 
+#include "src/audit/auditor.h"
 #include "src/audit/online.h"
 #include "src/service/audit_service.h"
 #include "src/workload/generator.h"
@@ -31,7 +31,7 @@ constexpr char kThresholdAudit[] =
     "WHERE P-Personal.pid = P-Health.pid";
 
 /// Hospital database + generated query log shared by every test case.
-class SchedulerTest : public ::testing::Test {
+class AuditPipelineTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     world_ = new World();
@@ -66,170 +66,137 @@ class SchedulerTest : public ::testing::Test {
     return options;
   }
 
-  static std::string Serial(const std::string& text,
-                            const audit::AuditOptions& options = {}) {
-    audit::Auditor auditor(&world_->db, &world_->backlog, &world_->log);
-    auto report = auditor.Audit(text, Ts(1000000), options);
+  /// Audits `text` against `log` with the stages on `pool` (null: the
+  /// calling thread).
+  static Result<audit::AuditReport> Run(const std::string& text,
+                                        ThreadPool* pool,
+                                        const audit::AuditOptions& options,
+                                        const QueryLog& log) {
+    auto expr = audit::ParseAudit(text, Ts(1000000));
+    if (!expr.ok()) return expr.status();
+    audit::Auditor auditor(&world_->db, &world_->backlog, &log);
+    return auditor.AuditPinned(*expr, options, auditor.Pin(), pool);
+  }
+
+  static std::string Canonical(const std::string& text, ThreadPool* pool,
+                               const audit::AuditOptions& options = {}) {
+    auto report = Run(text, pool, options, world_->log);
     EXPECT_TRUE(report.ok()) << report.status().ToString();
     return report.ok() ? report->CanonicalString() : "";
   }
 
-  static std::string Parallel(const std::string& text, size_t threads,
-                              SchedulerOptions scheduler_options = {},
-                              const audit::AuditOptions& options = {}) {
+  static std::string Serial(const std::string& text,
+                            const audit::AuditOptions& options = {}) {
+    return Canonical(text, nullptr, options);
+  }
+
+  static std::string Pooled(const std::string& text, size_t threads,
+                            const audit::AuditOptions& options = {}) {
     ThreadPool pool(PoolOptions(threads));
-    AuditScheduler scheduler(&pool, scheduler_options);
-    auto report = scheduler.Run(world_->db, world_->backlog, world_->log,
-                                text, Ts(1000000), options);
-    EXPECT_TRUE(report.ok()) << report.status().ToString();
-    return report.ok() ? report->CanonicalString() : "";
+    return Canonical(text, &pool, options);
   }
 };
 
-SchedulerTest::World* SchedulerTest::world_ = nullptr;
+AuditPipelineTest::World* AuditPipelineTest::world_ = nullptr;
 
-TEST_F(SchedulerTest, ParallelMatchesSerialAt1_2_8Threads) {
+TEST_F(AuditPipelineTest, ParallelMatchesSerialAt1_2_8Threads) {
   const std::string serial = Serial(kAudit);
   ASSERT_FALSE(serial.empty());
+  // Error-free: no incompleteness note anywhere.
+  EXPECT_EQ(serial.find("incomplete"), std::string::npos);
+  audit::Auditor auditor(&world_->db, &world_->backlog, &world_->log);
+  auto audited = auditor.Audit(kAudit, Ts(1000000));
+  ASSERT_TRUE(audited.ok());
+  EXPECT_EQ(audited->CanonicalString(), serial);
+  EXPECT_EQ(audited->Summary().find("incomplete"), std::string::npos);
+  EXPECT_EQ(audited->DetailedReport(world_->log).find("INCOMPLETE"),
+            std::string::npos);
   for (size_t threads : {1u, 2u, 8u}) {
-    EXPECT_EQ(Parallel(kAudit, threads), serial)
-        << "thread count " << threads;
+    EXPECT_EQ(Pooled(kAudit, threads), serial) << "thread count " << threads;
   }
 }
 
-TEST_F(SchedulerTest, ThresholdSemanticsMatchSerial) {
+TEST_F(AuditPipelineTest, ShardBoundariesNeverAffectOutput) {
+  // Shard sizes follow the pool size and the pinned log length (one
+  // shard per stage on the caller thread, ~4 per worker otherwise), so
+  // auditing log prefixes of several lengths on several pool sizes moves
+  // every boundary around.
+  audit::Auditor auditor(&world_->db, &world_->backlog, &world_->log);
+  auto expr = audit::ParseAudit(kAudit, Ts(1000000));
+  ASSERT_TRUE(expr.ok()) << expr.status().ToString();
+  for (size_t prefix : {1u, 17u, 255u, 257u, 600u}) {
+    audit::AuditPin pin = auditor.Pin();
+    ASSERT_LE(prefix, pin.log_size);
+    pin.log_size = prefix;
+    auto serial = auditor.AuditPinned(*expr, {}, pin, nullptr);
+    ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+    EXPECT_EQ(serial->num_logged, prefix);
+    for (size_t threads : {3u, 4u, 7u}) {
+      ThreadPool pool(PoolOptions(threads));
+      auto pooled = auditor.AuditPinned(*expr, {}, pin, &pool);
+      ASSERT_TRUE(pooled.ok()) << pooled.status().ToString();
+      EXPECT_EQ(pooled->CanonicalString(), serial->CanonicalString())
+          << "log prefix " << prefix << ", thread count " << threads;
+    }
+  }
+}
+
+TEST_F(AuditPipelineTest, ThresholdSemanticsMatchSerial) {
   const std::string serial = Serial(kThresholdAudit);
   for (size_t threads : {2u, 8u}) {
-    EXPECT_EQ(Parallel(kThresholdAudit, threads), serial);
+    EXPECT_EQ(Pooled(kThresholdAudit, threads), serial);
   }
 }
 
-TEST_F(SchedulerTest, ShardBoundariesNeverAffectOutput) {
-  const std::string serial = Serial(kAudit);
-  for (size_t shard : {1u, 3u, 17u, 1000u}) {
-    SchedulerOptions options;
-    options.static_shard_size = shard;
-    options.exec_shard_size = (shard + 1) / 2;
-    EXPECT_EQ(Parallel(kAudit, 4, options), serial)
-        << "shard size " << shard;
-  }
-}
-
-TEST_F(SchedulerTest, StaticOnlyMatchesSerial) {
+TEST_F(AuditPipelineTest, StaticOnlyMatchesSerial) {
   audit::AuditOptions options;
   options.static_only = true;
   const std::string serial = Serial(kAudit, options);
   for (size_t threads : {1u, 2u, 8u}) {
-    EXPECT_EQ(Parallel(kAudit, threads, SchedulerOptions{}, options),
-              serial);
+    EXPECT_EQ(Pooled(kAudit, threads, options), serial);
   }
 }
 
-TEST_F(SchedulerTest, MinimizationOrderSurvivesParallelism) {
+TEST_F(AuditPipelineTest, MinimizationOrderSurvivesParallelism) {
   audit::AuditOptions options;
   options.minimize_batch = true;
-  EXPECT_EQ(Parallel(kAudit, 8, SchedulerOptions{}, options),
-            Serial(kAudit, options));
+  EXPECT_EQ(Pooled(kAudit, 8, options), Serial(kAudit, options));
 }
 
-TEST_F(SchedulerTest, AuditorParallelEntryPointMatchesSerial) {
-  auto expr = audit::ParseAudit(kAudit, Ts(1000000));
-  ASSERT_TRUE(expr.ok());
-  ThreadPool pool(PoolOptions(4));
-  AuditScheduler scheduler(&pool);
-  audit::Auditor auditor(&world_->db, &world_->backlog, &world_->log);
-  auto parallel = auditor.AuditParallel(*expr, &scheduler);
-  auto serial = auditor.Audit(*expr);
-  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-  ASSERT_TRUE(serial.ok());
-  EXPECT_EQ(parallel->CanonicalString(), serial->CanonicalString());
-  EXPECT_EQ(auditor.AuditParallel(*expr, nullptr).status().code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST_F(SchedulerTest, ParseErrorSurfacesBeforeAnyShard) {
-  ThreadPool pool(PoolOptions(2));
-  AuditScheduler scheduler(&pool);
-  auto report = scheduler.Run(world_->db, world_->backlog, world_->log,
-                              "AUDIT nonsense ((", Ts(1000000));
+TEST_F(AuditPipelineTest, ParseErrorSurfacesBeforeAnyShard) {
+  AuditService audit_service(&world_->db, &world_->backlog, &world_->log);
+  auto report = audit_service.Audit("AUDIT nonsense ((", Ts(1000000));
   EXPECT_FALSE(report.ok());
 }
 
-TEST_F(SchedulerTest, CancelledRunFailsFastWithCancelled) {
-  ThreadPool pool(PoolOptions(2));
-  SchedulerOptions options;
-  options.cancel = std::make_shared<CancellationToken>();
-  options.cancel->Cancel();
-  AuditScheduler scheduler(&pool, options);
-  auto report = scheduler.Run(world_->db, world_->backlog, world_->log,
-                              kAudit, Ts(1000000));
-  ASSERT_FALSE(report.ok());
-  EXPECT_EQ(report.status().code(), StatusCode::kCancelled);
-}
-
-TEST_F(SchedulerTest, CancelledRunDegradesWhenNotFailFast) {
-  ThreadPool pool(PoolOptions(2));
-  SchedulerOptions options;
-  options.cancel = std::make_shared<CancellationToken>();
-  options.cancel->Cancel();
-  options.fail_fast = false;
-  AuditScheduler scheduler(&pool, options);
-  std::vector<ShardFailure> failures;
-  auto report = scheduler.Run(world_->db, world_->backlog, world_->log,
-                              kAudit, Ts(1000000), audit::AuditOptions{},
-                              &failures);
-  // Every shard is poisoned, but the run still produces a (degraded)
-  // report: one placeholder verdict per logged query, nothing admitted.
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(report->verdicts.size(), world_->log.size());
-  EXPECT_EQ(report->num_admitted, 0u);
-  ASSERT_FALSE(failures.empty());
-  bool saw_static = false, saw_view = false;
-  for (const auto& failure : failures) {
-    EXPECT_EQ(failure.status.code(), StatusCode::kCancelled);
-    if (failure.stage == "static") saw_static = true;
-    if (failure.stage == "view") saw_view = true;
-  }
-  EXPECT_TRUE(saw_static);
-  EXPECT_TRUE(saw_view);
-}
-
-TEST_F(SchedulerTest, CleanRunLeavesFailureListEmpty) {
-  ThreadPool pool(PoolOptions(2));
-  SchedulerOptions options;
-  options.fail_fast = false;
-  AuditScheduler scheduler(&pool, options);
-  std::vector<ShardFailure> failures = {ShardFailure{"stale", 0,
-                                                     Status::Internal("x")}};
-  auto report = scheduler.Run(world_->db, world_->backlog, world_->log,
-                              kAudit, Ts(1000000), audit::AuditOptions{},
-                              &failures);
-  ASSERT_TRUE(report.ok());
-  EXPECT_TRUE(failures.empty());  // Run clears stale entries
-}
-
-TEST_F(SchedulerTest, ScreenLibraryMatchesPerExpressionSerialRuns) {
+TEST_F(AuditPipelineTest, ScreenLibraryMatchesPerExpressionSerialRuns) {
   audit::ExpressionLibrary library(&world_->db.catalog());
   for (const char* text : {kAudit, kThresholdAudit}) {
     auto expr = audit::ParseAudit(text, Ts(1000000));
     ASSERT_TRUE(expr.ok());
     ASSERT_TRUE(library.Add(*expr).ok());
   }
-  ThreadPool pool(PoolOptions(4));
-  AuditScheduler scheduler(&pool);
-  auto screenings = scheduler.ScreenLibrary(world_->db, world_->backlog,
-                                            world_->log, library);
-  ASSERT_EQ(screenings.size(), 2u);
-  EXPECT_LT(screenings[0].expression_id, screenings[1].expression_id);
-  const char* texts[] = {kAudit, kThresholdAudit};
-  for (size_t i = 0; i < screenings.size(); ++i) {
-    ASSERT_TRUE(screenings[i].status.ok())
-        << screenings[i].status.ToString();
-    EXPECT_EQ(screenings[i].report.CanonicalString(), Serial(texts[i]));
+  // One worker: an expression task that fanned out to its own pool would
+  // wait forever on stage tasks queued behind it.
+  for (size_t threads : {1u, 4u}) {
+    AuditServiceOptions options;
+    options.pool.num_threads = threads;
+    AuditService audit_service(&world_->db, &world_->backlog, &world_->log,
+                               options);
+    auto screenings = audit_service.ScreenLibrary(library);
+    ASSERT_EQ(screenings.size(), 2u);
+    EXPECT_LT(screenings[0].expression_id, screenings[1].expression_id);
+    const char* texts[] = {kAudit, kThresholdAudit};
+    for (size_t i = 0; i < screenings.size(); ++i) {
+      ASSERT_TRUE(screenings[i].status.ok())
+          << screenings[i].status.ToString();
+      EXPECT_EQ(screenings[i].report.CanonicalString(), Serial(texts[i]))
+          << "thread count " << threads;
+    }
   }
 }
 
-TEST_F(SchedulerTest, AuditServiceFrontDoorIsDeterministicAndMetered) {
+TEST_F(AuditPipelineTest, AuditServiceFrontDoorIsDeterministicAndMetered) {
   AuditServiceOptions options;
   options.pool.num_threads = 4;
   AuditService audit_service(&world_->db, &world_->backlog, &world_->log,
@@ -241,11 +208,14 @@ TEST_F(SchedulerTest, AuditServiceFrontDoorIsDeterministicAndMetered) {
   std::string json = audit_service.MetricsJson();
   EXPECT_NE(json.find("\"scheduler.runs\":1"), std::string::npos) << json;
   EXPECT_NE(json.find("\"pool.jobs_submitted\""), std::string::npos);
-  EXPECT_NE(json.find("\"scheduler.static_stage_micros\""),
-            std::string::npos);
+  for (const char* stage : {"static", "exec", "check"}) {
+    const std::string observed_once = std::string("\"scheduler.") + stage +
+                                      "_stage_micros\":{\"count\":1,";
+    EXPECT_NE(json.find(observed_once), std::string::npos) << json;
+  }
 }
 
-TEST_F(SchedulerTest, OnlineMonitorParallelObserveMatchesSerial) {
+TEST_F(AuditPipelineTest, OnlineMonitorParallelObserveMatchesSerial) {
   auto add_expressions = [](audit::OnlineAuditor* monitor) {
     for (const char* text : {kAudit, kThresholdAudit}) {
       auto expr = audit::ParseAudit(text, Ts(1000000));
@@ -277,10 +247,10 @@ TEST_F(SchedulerTest, OnlineMonitorParallelObserveMatchesSerial) {
   }
 }
 
-TEST_F(SchedulerTest, ErrorVerdictsMatchSerialByteForByte) {
+TEST_F(AuditPipelineTest, ErrorVerdictsMatchSerialByteForByte) {
   // A query whose static candidacy check fails (unknown table) must get
-  // the same distinct error verdict from the sharded scheduler as from
-  // the serial auditor — in the full and the static-only pipelines.
+  // the same distinct error verdict on a pool as on the caller thread —
+  // in the full and the static-only pipelines.
   QueryLog log;
   log.Append("SELECT secret FROM NoSuchTable", Ts(150), "alice", "doctor",
              "treatment");
@@ -288,28 +258,27 @@ TEST_F(SchedulerTest, ErrorVerdictsMatchSerialByteForByte) {
       "SELECT name, disease FROM P-Personal, P-Health "
       "WHERE P-Personal.pid=P-Health.pid AND disease='diabetic'",
       Ts(151), "alice", "doctor", "treatment");
-  audit::Auditor auditor(&world_->db, &world_->backlog, &log);
   ThreadPool pool(PoolOptions(4));
-  AuditScheduler scheduler(&pool);
   for (bool static_only : {false, true}) {
     audit::AuditOptions options;
     options.static_only = static_only;
-    auto serial = auditor.Audit(kAudit, Ts(1000000), options);
+    auto serial = Run(kAudit, nullptr, options, log);
     ASSERT_TRUE(serial.ok()) << serial.status().ToString();
     EXPECT_NE(serial->CanonicalString().find(" error"), std::string::npos);
-    auto parallel = scheduler.Run(world_->db, world_->backlog, log, kAudit,
-                                  Ts(1000000), options);
+    EXPECT_NE(serial->CanonicalString().find("\nbatch_incomplete=1\n"),
+              std::string::npos);
+    auto parallel = Run(kAudit, &pool, options, log);
     ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
     EXPECT_EQ(parallel->CanonicalString(), serial->CanonicalString())
         << "static_only=" << static_only;
   }
 }
 
-TEST_F(SchedulerTest, FailedReexecutionIsAnErrorNotAClear) {
+TEST_F(AuditPipelineTest, FailedReexecutionIsAnErrorNotAClear) {
   // Candidates that pass the static screen but fail when re-executed
   // (type errors, division by zero) were never checked: they must read as
-  // errors, never as clean, identically in the serial and parallel
-  // pipelines.
+  // errors, never as clean, identically on the caller thread and on
+  // every pool size — and the batch verdict must say it is incomplete.
   const std::string join =
       "SELECT name, disease FROM P-Personal, P-Health "
       "WHERE P-Personal.pid=P-Health.pid AND ";
@@ -325,8 +294,17 @@ TEST_F(SchedulerTest, FailedReexecutionIsAnErrorNotAClear) {
     log.Append(failing[i], Ts(151 + static_cast<int64_t>(i)), "alice",
                "doctor", "treatment");
   }
-  audit::Auditor auditor(&world_->db, &world_->backlog, &log);
-  auto serial = auditor.Audit(kAudit, Ts(1000000));
+  // Each failing query's report line carries the ERROR flag.
+  auto expect_error_lines = [&](const std::string& detailed) {
+    for (const auto& sql : failing) {
+      size_t at = detailed.find(sql);
+      ASSERT_NE(at, std::string::npos) << detailed;
+      size_t line = detailed.rfind('\n', at) + 1;
+      EXPECT_EQ(detailed.compare(line, 14, "  [ERROR    ] "), 0) << detailed;
+    }
+  };
+
+  auto serial = Run(kAudit, nullptr, audit::AuditOptions{}, log);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   ASSERT_EQ(serial->verdicts.size(), 4u);
   EXPECT_FALSE(serial->verdicts[0].error);
@@ -338,30 +316,32 @@ TEST_F(SchedulerTest, FailedReexecutionIsAnErrorNotAClear) {
   }
   EXPECT_EQ(serial->num_candidates, 4u);
   EXPECT_EQ(serial->num_executed, 1u);
-  // Each failing query's report line carries the ERROR flag.
-  auto expect_error_lines = [&](const std::string& detailed) {
-    for (const auto& sql : failing) {
-      size_t at = detailed.find(sql);
-      ASSERT_NE(at, std::string::npos) << detailed;
-      size_t line = detailed.rfind('\n', at) + 1;
-      EXPECT_EQ(detailed.compare(line, 14, "  [ERROR    ] "), 0) << detailed;
-    }
-  };
   expect_error_lines(serial->DetailedReport(log));
+  EXPECT_NE(serial->CanonicalString().find(
+                "\nbatch_suspicious=true\nbatch_incomplete=3\n"),
+            std::string::npos)
+      << serial->CanonicalString();
+  EXPECT_NE(serial->Summary().find("batch_incomplete=3"), std::string::npos);
+  EXPECT_NE(serial->DetailedReport(log).find(
+                "batch verdict: SUSPICIOUS (INCOMPLETE: 3 errored "
+                "queries unchecked)\n"),
+            std::string::npos);
 
-  for (size_t threads : {1u, 2u, 8u}) {
+  for (size_t threads : {1u, 2u, 3u, 8u}) {
     ThreadPool pool(PoolOptions(threads));
-    AuditScheduler scheduler(&pool);
-    auto parallel = scheduler.Run(world_->db, world_->backlog, log, kAudit,
-                                  Ts(1000000));
+    auto parallel = Run(kAudit, &pool, audit::AuditOptions{}, log);
     ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
     EXPECT_EQ(parallel->CanonicalString(), serial->CanonicalString())
         << "thread count " << threads;
     expect_error_lines(parallel->DetailedReport(log));
+    // The funnel: every candidate either executed or errored.
+    EXPECT_EQ(parallel->num_candidates,
+              parallel->num_executed + parallel->NumErrored())
+        << "thread count " << threads;
   }
 }
 
-TEST_F(SchedulerTest, ServiceDecisionCacheIsSharedAndInert) {
+TEST_F(AuditPipelineTest, ServiceDecisionCacheIsSharedAndInert) {
   // Two service audits of the same expression: the second is answered
   // out of the decision cache, and both reports are byte-identical to
   // the cache-less serial auditor's.
@@ -391,7 +371,7 @@ TEST_F(SchedulerTest, ServiceDecisionCacheIsSharedAndInert) {
   EXPECT_EQ(third->CanonicalString(), Serial(kAudit));
 }
 
-TEST_F(SchedulerTest, BackpressuredPoolStillProducesIdenticalOutput) {
+TEST_F(AuditPipelineTest, BackpressuredPoolStillProducesIdenticalOutput) {
   // A rejecting 2-slot queue forces constant load shedding (inline
   // fallback); the report must not change.
   ThreadPool pool([] {
@@ -401,11 +381,7 @@ TEST_F(SchedulerTest, BackpressuredPoolStillProducesIdenticalOutput) {
     options.admission = AdmissionPolicy::kReject;
     return options;
   }());
-  AuditScheduler scheduler(&pool);
-  auto report = scheduler.Run(world_->db, world_->backlog, world_->log,
-                              kAudit, Ts(1000000));
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->CanonicalString(), Serial(kAudit));
+  EXPECT_EQ(Canonical(kAudit, &pool), Serial(kAudit));
 }
 
 }  // namespace

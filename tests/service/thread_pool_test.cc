@@ -215,63 +215,23 @@ TEST(RunBatchTest, EmptyBatchReturnsImmediately) {
   EXPECT_TRUE(RunBatch(&pool, {}).empty());
 }
 
-TEST(RunBatchTest, PreCancelledContextSkipsEveryTask) {
-  ThreadPool pool(Options(2, 64));
-  JobContext ctx;
-  ctx.cancel = std::make_shared<CancellationToken>();
-  ctx.cancel->Cancel();
-  std::atomic<int> ran{0};
+TEST(RunBatchTest, NullPoolRunsInOrderOnTheCallerThread) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<int> order;
   std::vector<std::function<Status()>> tasks;
-  for (int i = 0; i < 10; ++i) {
-    tasks.push_back([&ran]() -> Status {
-      ran.fetch_add(1);
-      return Status::Ok();
-    });
-  }
-  auto statuses = RunBatch(&pool, std::move(tasks), ctx);
-  EXPECT_EQ(ran.load(), 0);
-  for (const auto& status : statuses) {
-    EXPECT_EQ(status.code(), StatusCode::kCancelled);
-  }
-}
-
-TEST(RunBatchTest, MidBatchCancellationStopsLaterTasks) {
-  // One worker → strict FIFO: task 0 cancels the run, tasks 1.. must be
-  // skipped with kCancelled.
-  ThreadPool pool(Options(1, 64));
-  JobContext ctx;
-  ctx.cancel = std::make_shared<CancellationToken>();
-  std::vector<std::function<Status()>> tasks;
-  tasks.push_back([&ctx]() -> Status {
-    ctx.cancel->Cancel();
-    return Status::Ok();
-  });
   for (int i = 0; i < 5; ++i) {
-    tasks.push_back([]() -> Status { return Status::Ok(); });
-  }
-  auto statuses = RunBatch(&pool, std::move(tasks), ctx);
-  EXPECT_TRUE(statuses[0].ok());
-  for (size_t i = 1; i < statuses.size(); ++i) {
-    EXPECT_EQ(statuses[i].code(), StatusCode::kCancelled) << i;
-  }
-}
-
-TEST(RunBatchTest, ExpiredDeadlineSkipsEveryTask) {
-  ThreadPool pool(Options(2, 64));
-  JobContext ctx = JobContext::WithDeadlineAfter(milliseconds(1));
-  std::this_thread::sleep_for(milliseconds(10));
-  std::atomic<int> ran{0};
-  std::vector<std::function<Status()>> tasks;
-  for (int i = 0; i < 8; ++i) {
-    tasks.push_back([&ran]() -> Status {
-      ran.fetch_add(1);
+    tasks.push_back([i, caller, &order]() -> Status {
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      order.push_back(i);
+      if (i == 2) return Status::Internal("task 2");
       return Status::Ok();
     });
   }
-  auto statuses = RunBatch(&pool, std::move(tasks), ctx);
-  EXPECT_EQ(ran.load(), 0);
-  for (const auto& status : statuses) {
-    EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded);
+  auto statuses = RunBatch(nullptr, std::move(tasks));
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  ASSERT_EQ(statuses.size(), 5u);
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(statuses[i].ok(), i != 2) << i;
   }
 }
 

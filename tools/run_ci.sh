@@ -68,10 +68,11 @@ cmake -B "${PREFIX}-tsan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build "${PREFIX}-tsan" -j "${JOBS}" \
       --target service_test subscription_test net_test policy_test \
                common_test
-# TidBitmap rides along: the scheduler suites audit with bitmaps on by
-# default, so the kernels also run under the parallel checkers above.
+# TidBitmap rides along: the audit-pipeline suite audits with bitmaps on
+# by default (caller thread vs 1/2/3/8-worker pools), so the kernels also
+# run under the parallel checkers above.
 ctest --test-dir "${PREFIX}-tsan" --output-on-failure \
-      -R 'SchedulerTest|OnlineConcurrentTest|MvccConcurrentTest|ThreadPoolTest|RunBatchTest|BoundedQueueTest|CounterTest|GaugeTest|HistogramTest|MetricsRegistryTest|PushCodecTest|SubscriptionRegistryTest|SubscriptionConcurrentTest|PushSubscriptionTest|PolicyEngineConcurrentTest|TidBitmapTest|TidBitmapDifferentialTest'
+      -R 'AuditPipelineTest|OnlineConcurrentTest|MvccConcurrentTest|ThreadPoolTest|RunBatchTest|BoundedQueueTest|CounterTest|GaugeTest|HistogramTest|MetricsRegistryTest|PushCodecTest|SubscriptionRegistryTest|SubscriptionConcurrentTest|PushSubscriptionTest|PolicyEngineConcurrentTest|TidBitmapTest|TidBitmapDifferentialTest'
 
 echo "== [4/9] network layer under AddressSanitizer =="
 cmake -B "${PREFIX}-asan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -79,14 +80,17 @@ cmake -B "${PREFIX}-asan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build "${PREFIX}-asan" -j "${JOBS}" \
       --target net_test subscription_test auditd audit_client \
                subscription_soak common_test suspicion_test \
-               suspicion_reference_test minimize_test
+               suspicion_reference_test minimize_test online_test \
+               cluster_test
 # ASan exits non-zero on any report; halt_on_error makes that immediate.
 # The tid-bitmap and suspicion suites ride along here: the BatchIndex
 # lifetime regression (dangling batch vector) is exactly the kind of bug
-# only this tree can see.
+# only this tree can see. The online re-execution-failure cases ride
+# along too: they drive the observe error path, in process and over the
+# wire on a replica.
 export ASAN_OPTIONS="halt_on_error=1:abort_on_error=0:exitcode=99"
 ctest --test-dir "${PREFIX}-asan" --output-on-failure \
-      -R 'FrameCodecTest|FrameReaderTest|FieldCodecTest|ErrorCodecTest|TypePredicatesTest|AuditServerTest|PushCodecTest|SubscriptionRegistryTest|PushSubscriptionTest|TidBitmapTest|TidBitmapDifferentialTest|SuspicionTest|SuspicionReferenceTest|MinimizeDifferentialTest'
+      -R 'FrameCodecTest|FrameReaderTest|FieldCodecTest|ErrorCodecTest|TypePredicatesTest|AuditServerTest|PushCodecTest|SubscriptionRegistryTest|PushSubscriptionTest|TidBitmapTest|TidBitmapDifferentialTest|SuspicionTest|SuspicionReferenceTest|MinimizeDifferentialTest|OnlineAuditorTest.FailedReexecutionIsAnErrorNotAClear|ClusterTest.ReplicaCountsAFailedObserveReexecution'
 
 echo "-- auditd loopback smoke (ASan build) --"
 PORT_FILE="$(mktemp)"
@@ -202,15 +206,17 @@ echo "== [5/9] tid-bitmap kernels under UndefinedBehaviorSanitizer =="
 # dense bit manipulation (word shifts, countr_zero scans, sign-flip
 # encoding of INT64_MIN/MAX tids): run their unit + differential suites,
 # and the suspicion/granule reference-model differentials that exercise
-# them end-to-end, with UB checking hot.
+# them end-to-end, with UB checking hot. The online re-execution-failure
+# cases ride along: their queries fail on integer division by zero and
+# on type errors inside the evaluator.
 cmake -B "${PREFIX}-ubsan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DAUDITDB_SANITIZE=undefined
 cmake --build "${PREFIX}-ubsan" -j "${JOBS}" \
       --target common_test suspicion_test suspicion_reference_test \
-               minimize_test
+               minimize_test online_test cluster_test
 export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
 ctest --test-dir "${PREFIX}-ubsan" --output-on-failure \
-      -R 'TidBitmapTest|TidBitmapDifferentialTest|SuspicionTest|SuspicionReferenceTest|MinimizeDifferentialTest'
+      -R 'TidBitmapTest|TidBitmapDifferentialTest|SuspicionTest|SuspicionReferenceTest|MinimizeDifferentialTest|OnlineAuditorTest.FailedReexecutionIsAnErrorNotAClear|ClusterTest.ReplicaCountsAFailedObserveReexecution'
 
 echo "== [6/9] policy gate under AddressSanitizer =="
 cmake --build "${PREFIX}-asan" -j "${JOBS}" \
