@@ -1,9 +1,8 @@
 /// Experiment P7: end-to-end audit pipeline.
 ///
 /// Full pipeline wall time vs log size, with sweeps over (a) limiting-
-/// parameter selectivity (how much of the log the Pos/Neg clauses admit),
-/// (b) hash-join acceleration on/off in the audit executor, and (c)
-/// database size. Phase counters (admitted/candidates/executed) come out
+/// parameter selectivity (how much of the log the Pos/Neg clauses admit)
+/// and (b) database size. Phase counters (admitted/candidates/executed) come out
 /// as benchmark counters so selectivity of each stage is visible.
 ///
 /// Run: build/bench/bench_end_to_end
@@ -18,11 +17,10 @@ using namespace auditdb;
 using bench::Ts;
 
 void RunPipeline(benchmark::State& state, const std::string& audit_text,
-                 size_t patients, size_t log_size, bool hash_join) {
+                 size_t patients, size_t log_size) {
   auto world = bench::MakeWorld(patients, log_size);
   audit::Auditor auditor(&world->db, &world->backlog, &world->log);
   audit::AuditOptions options;
-  options.exec.hash_join = hash_join;
   options.minimize_batch = false;
   size_t admitted = 0, candidates = 0;
   for (auto _ : state) {
@@ -39,7 +37,7 @@ void RunPipeline(benchmark::State& state, const std::string& audit_text,
 
 void BM_PipelineLogSize(benchmark::State& state) {
   RunPipeline(state, bench::CanonicalAudit(), /*patients=*/300,
-              static_cast<size_t>(state.range(0)), /*hash_join=*/true);
+              static_cast<size_t>(state.range(0)));
 }
 BENCHMARK(BM_PipelineLogSize)
     ->Arg(500)
@@ -49,46 +47,12 @@ BENCHMARK(BM_PipelineLogSize)
 
 void BM_PipelineDbSize(benchmark::State& state) {
   RunPipeline(state, bench::CanonicalAudit(),
-              static_cast<size_t>(state.range(0)), /*log_size=*/1000,
-              /*hash_join=*/true);
+              static_cast<size_t>(state.range(0)), /*log_size=*/1000);
 }
 BENCHMARK(BM_PipelineDbSize)
     ->Arg(100)
     ->Arg(1000)
     ->Arg(5000)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_PipelineJoinStrategy(benchmark::State& state) {
-  RunPipeline(state, bench::CanonicalAudit(),
-              static_cast<size_t>(state.range(0)), /*log_size=*/1000,
-              /*hash_join=*/state.range(1) != 0);
-}
-BENCHMARK(BM_PipelineJoinStrategy)
-    ->Args({100, 1})
-    ->Args({100, 0})
-    ->Args({300, 1})
-    ->Args({300, 0})
-    ->Unit(benchmark::kMillisecond);
-
-/// Join-reordering ablation on the audit executor.
-void BM_PipelineReorderAblation(benchmark::State& state) {
-  const bool reorder = state.range(0) != 0;
-  auto world = bench::MakeWorld(/*patients=*/1000, /*log_size=*/1000);
-  audit::Auditor auditor(&world->db, &world->backlog, &world->log);
-  audit::AuditOptions options;
-  options.exec.reorder_joins = reorder;
-  options.minimize_batch = false;
-  for (auto _ : state) {
-    auto report = auditor.Audit(bench::CanonicalAudit(), Ts(1000000),
-                                options);
-    if (!report.ok()) std::abort();
-    benchmark::DoNotOptimize(report);
-  }
-  state.SetLabel(reorder ? "greedy-reorder" : "from-order");
-}
-BENCHMARK(BM_PipelineReorderAblation)
-    ->Arg(0)
-    ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
 /// Limiting-parameter selectivity: the Pos-Role-Purpose clause admits a
@@ -111,7 +75,7 @@ void BM_PipelineFilterSelectivity(benchmark::State& state) {
       break;
   }
   RunPipeline(state, filter + bench::CanonicalAudit(), /*patients=*/300,
-              /*log_size=*/4000, /*hash_join=*/true);
+              /*log_size=*/4000);
 }
 BENCHMARK(BM_PipelineFilterSelectivity)
     ->Arg(0)

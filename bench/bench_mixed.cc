@@ -7,9 +7,10 @@
 ///               lock is shared with writers and no write evicts
 ///               anything whose tables it didn't touch;
 ///   wholesale   the pre-MVCC ablation: one global reader/writer lock
-///               (audits shared, writes exclusive), global-mutation-
-///               count cache keys, and a change listener that evicts
-///               the whole cache on every write.
+///               (audits shared, writes exclusive) and a change listener
+///               that evicts the whole cache on every write. Under
+///               that lock no audit spans a write, so the listener's
+///               evictions are the only misses writes cause.
 ///
 /// Reported per combo: audits/s, writes/s, and the decision-cache hit
 /// rate. Under the versioned scheme the hit rate stays hot as the
@@ -84,7 +85,6 @@ bool RunCombo(bool versioned, size_t writers, size_t auditors,
 
   audit::AuditOptions options;
   options.cache = &cache;
-  options.cache_global_state_keys = !versioned;
 
   std::shared_mutex state_mutex;  // wholesale mode only
   std::atomic<bool> stop{false};

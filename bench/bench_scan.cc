@@ -1,24 +1,18 @@
-/// Experiment S1: the columnar scan layer vs tuple-at-a-time
-/// interpretation.
+/// Experiment S1: the columnar scan layer.
 ///
 /// Sweeps row count, predicate selectivity, and conjunct count over a
-/// synthetic single-table workload, running the same SELECT once with the
-/// compiled columnar scan (ExecOptions::compiled_scan = true, the default)
-/// and once with the tree-walking interpreter (compiled_scan = false).
-/// Also times an end-to-end audit on the hospital world under both modes.
+/// synthetic single-table workload, timing one SELECT through the
+/// executor's compiled columnar scan.
 ///
 /// Run: build/bench/bench_scan   (artifact: BENCH_scan.json)
 
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
-#include <numeric>
 #include <string>
 
 #include "bench/bench_util.h"
 #include "src/engine/executor.h"
-#include "src/engine/table_scan.h"
-#include "src/sql/parser.h"
 
 namespace {
 
@@ -63,21 +57,18 @@ std::string ScanSql(int selectivity_pct, int conjuncts) {
   return sql;
 }
 
-// Args: {rows, selectivity %, conjuncts, compiled}.
+// Args: {rows, selectivity %, conjuncts}.
 void BM_Filter(benchmark::State& state) {
   const size_t rows = static_cast<size_t>(state.range(0));
   const int selectivity = static_cast<int>(state.range(1));
   const int conjuncts = static_cast<int>(state.range(2));
-  const bool compiled = state.range(3) != 0;
 
   auto db = MakeScanDb(rows);
   const std::string sql = ScanSql(selectivity, conjuncts);
-  ExecOptions options;
-  options.compiled_scan = compiled;
 
   size_t matched = 0;
   for (auto _ : state) {
-    auto result = ExecuteSql(sql, db->View(), options);
+    auto result = ExecuteSql(sql, db->View());
     if (!result.ok()) std::abort();
     matched = result->rows.size();
     benchmark::DoNotOptimize(matched);
@@ -89,156 +80,18 @@ void BM_Filter(benchmark::State& state) {
 
 BENCHMARK(BM_Filter)
     // Row-count sweep at 10% selectivity, 3 conjuncts.
-    ->Args({1000, 10, 3, 0})
-    ->Args({1000, 10, 3, 1})
-    ->Args({10000, 10, 3, 0})
-    ->Args({10000, 10, 3, 1})
-    ->Args({100000, 10, 3, 0})
-    ->Args({100000, 10, 3, 1})
-    ->Args({1000000, 10, 3, 0})
-    ->Args({1000000, 10, 3, 1})
+    ->Args({1000, 10, 3})
+    ->Args({10000, 10, 3})
+    ->Args({100000, 10, 3})
+    ->Args({1000000, 10, 3})
     // Selectivity sweep at 100k rows, 3 conjuncts.
-    ->Args({100000, 1, 3, 0})
-    ->Args({100000, 1, 3, 1})
-    ->Args({100000, 50, 3, 0})
-    ->Args({100000, 50, 3, 1})
-    ->Args({100000, 90, 3, 0})
-    ->Args({100000, 90, 3, 1})
+    ->Args({100000, 1, 3})
+    ->Args({100000, 50, 3})
+    ->Args({100000, 90, 3})
     // Conjunct sweep at 100k rows, 10% selectivity.
-    ->Args({100000, 10, 1, 0})
-    ->Args({100000, 10, 1, 1})
-    ->Args({100000, 10, 2, 0})
-    ->Args({100000, 10, 2, 1})
-    ->Args({100000, 10, 4, 0})
-    ->Args({100000, 10, 4, 1})
-    ->Unit(benchmark::kMillisecond);
-
-// Args: {patients, queries, compiled}. End-to-end audit under both scan
-// modes: the whole pipeline (target view, candidate execution, suspicion)
-// runs on top of the same Execute path.
-void BM_AuditEndToEnd(benchmark::State& state) {
-  const size_t patients = static_cast<size_t>(state.range(0));
-  const size_t queries = static_cast<size_t>(state.range(1));
-  const bool compiled = state.range(2) != 0;
-
-  auto world = bench::MakeWorld(patients, queries);
-  audit::Auditor auditor(&world->db, &world->backlog, &world->log);
-  audit::AuditOptions options;
-  options.exec.compiled_scan = compiled;
-  options.minimize_batch = false;
-
-  for (auto _ : state) {
-    auto report =
-        auditor.Audit(bench::CanonicalAudit(), bench::Ts(1000000), options);
-    if (!report.ok()) std::abort();
-    benchmark::DoNotOptimize(report->batch_suspicious);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(queries));
-}
-
-BENCHMARK(BM_AuditEndToEnd)
-    ->Args({200, 500, 0})
-    ->Args({200, 500, 1})
-    ->Args({1000, 2000, 0})
-    ->Args({1000, 2000, 1})
-    ->Unit(benchmark::kMillisecond);
-
-// ---------------------------------------------------------------------------
-// Experiment S2: selection bitmaps at the scan/predicate boundary.
-//
-// The predicate machine can emit its narrowed row set either as a
-// selection vector (Run/RunChunked) or directly as a compressed row
-// bitmap (RunToBitmap/RunChunkedToBitmap). Decisions are identical; this
-// measures the representation cost at 10M rows, plus the
-// bitmap<->vector conversions the scan layer uses at chunk boundaries.
-// The Batch is built directly (no Database inserts) so the 10M arg
-// stays cheap to set up.
-// ---------------------------------------------------------------------------
-
-/// 10M-row single-table batch M(id INT, score INT), score = id % 100.
-Batch MakeScoreBatch(size_t rows) {
-  Batch batch;
-  batch.num_rows = rows;
-  Value scratch;
-  batch.columns.push_back(ColumnVector::Gather(rows, [&](size_t i) -> const Value& {
-    scratch = Value::Int(static_cast<int64_t>(i));
-    return scratch;
-  }));
-  batch.columns.push_back(ColumnVector::Gather(rows, [&](size_t i) -> const Value& {
-    scratch = Value::Int(static_cast<int64_t>(i % 100));
-    return scratch;
-  }));
-  return batch;
-}
-
-/// Compiles `score < K` against the two-column layout above.
-PredicateProgram CompileScorePredicate(int selectivity_pct) {
-  RowLayout layout;
-  layout.AddTable("M", TableSchema("M", {{"id", ValueType::kInt},
-                                         {"score", ValueType::kInt}}));
-  auto expr = sql::ParseExpression("M.score < " +
-                                   std::to_string(selectivity_pct));
-  if (!expr.ok()) std::abort();
-  if (!BindExpression(expr->get(), layout).ok()) std::abort();
-  auto program = PredicateProgram::Compile(**expr, 0, layout.width());
-  if (!program.ok()) std::abort();
-  return std::move(*program);
-}
-
-// Args: {rows, selectivity %, bitmap}. Full-batch predicate run emitting
-// a selection vector vs a selection bitmap, in 1024-row chunks.
-void BM_PredicateEmit(benchmark::State& state) {
-  const size_t rows = static_cast<size_t>(state.range(0));
-  const int selectivity = static_cast<int>(state.range(1));
-  const bool bitmap = state.range(2) != 0;
-  Batch batch = MakeScoreBatch(rows);
-  PredicateProgram program = CompileScorePredicate(selectivity);
-  std::vector<uint32_t> all_vec(rows);
-  std::iota(all_vec.begin(), all_vec.end(), 0u);
-  TidBitmap all_bm = SelectionToBitmap(all_vec);
-  for (auto _ : state) {
-    if (bitmap) {
-      auto out = RunChunkedToBitmap(program, batch, all_bm, 1024);
-      benchmark::DoNotOptimize(out.passed.Cardinality());
-    } else {
-      auto out = RunChunked(program, batch, all_vec, 1024);
-      benchmark::DoNotOptimize(out.passed.size());
-    }
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(rows));
-}
-BENCHMARK(BM_PredicateEmit)
-    ->Args({1000000, 10, 0})
-    ->Args({1000000, 10, 1})
-    ->Args({10000000, 10, 0})
-    ->Args({10000000, 10, 1})
-    ->Args({10000000, 90, 0})
-    ->Args({10000000, 90, 1})
-    ->Unit(benchmark::kMillisecond);
-
-// Args: {rows, selectivity %}. The boundary conversions themselves:
-// selection vector -> bitmap -> selection vector at 10M rows.
-void BM_SelectionConvert(benchmark::State& state) {
-  const size_t rows = static_cast<size_t>(state.range(0));
-  const size_t pct = static_cast<size_t>(state.range(1));
-  std::vector<uint32_t> sel;
-  sel.reserve(rows * pct / 100);
-  for (size_t i = 0; i < rows; ++i) {
-    if (i % 100 < pct) sel.push_back(static_cast<uint32_t>(i));
-  }
-  for (auto _ : state) {
-    TidBitmap bm = SelectionToBitmap(sel);
-    auto back = BitmapToSelection(bm);
-    benchmark::DoNotOptimize(back.size());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(sel.size()));
-}
-BENCHMARK(BM_SelectionConvert)
-    ->Args({10000000, 10})
-    ->Args({10000000, 90})
+    ->Args({100000, 10, 1})
+    ->Args({100000, 10, 2})
+    ->Args({100000, 10, 4})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

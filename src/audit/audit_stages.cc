@@ -433,14 +433,13 @@ std::vector<std::string> CommonTables(const sql::SelectStatement& query,
 Result<bool> SharesIndispensableTuple(const QueryResult& query_result,
                                       const AuditExpression& expr,
                                       const std::vector<std::string>& common,
-                                      const DatabaseView& state,
-                                      const ExecOptions& exec) {
+                                      const DatabaseView& state) {
   auto run_audit_query = [&]() -> Result<QueryResult> {
     sql::SelectStatement audit_query;
     audit_query.select_star = true;
     audit_query.from = expr.from;
     audit_query.where = expr.where ? expr.where->Clone() : nullptr;
-    return Execute(audit_query, state, exec);
+    return Execute(audit_query, state);
   };
 
   if (common.size() == 1) {

@@ -101,8 +101,7 @@ std::vector<std::string> CommonTables(const sql::SelectStatement& query,
 Result<bool> SharesIndispensableTuple(const QueryResult& query_result,
                                       const AuditExpression& expr,
                                       const std::vector<std::string>& common,
-                                      const DatabaseView& state,
-                                      const ExecOptions& exec);
+                                      const DatabaseView& state);
 
 }  // namespace audit
 }  // namespace auditdb

@@ -233,15 +233,12 @@ Result<AuditReport> Auditor::AuditPinned(const AuditExpression& parsed,
   // per log range. Phase 3's target view does not depend on the
   // candidates, so its task rides in the same batch and overlaps the
   // screening on a pool. Static decisions read only schemas, so their
-  // cache key is the catalog epoch — row writes never evict them (the
-  // ablation flag restores the old evict-on-any-write keying). The cache
-  // is internally synchronized, so shards share it.
+  // cache key is the catalog epoch — row writes never evict them. The
+  // cache is internally synchronized, so shards share it.
   CandidateCacheContext cache_ctx;
   cache_ctx.cache = options.cache;
   cache_ctx.expr_hash = std::hash<std::string>{}(report.expression);
-  cache_ctx.state_key = options.cache_global_state_keys
-                            ? db_->mutation_count()
-                            : pin.db.catalog_epoch();
+  cache_ctx.state_key = pin.db.catalog_epoch();
   auto ranges = Shards(pin.log_size, kStaticShardSize, pool);
   std::vector<StaticScreenResult> screened(ranges.size());
   // Each shard's finish time: static_seconds ends at the latest one, so
@@ -263,7 +260,7 @@ Result<AuditReport> Auditor::AuditPinned(const AuditExpression& parsed,
     tasks.push_back([&] {
       auto start = Clock::now();
       auto computed = ComputeTargetViewOverVersions(
-          expr, *backlog_, options.exec, pin.backlog_events);
+          expr, *backlog_, /*ignored=*/{}, pin.backlog_events);
       if (!computed.ok()) return computed.status();
       view = std::move(*computed);
       report.view_seconds = SecondsBetween(start, Clock::now());
@@ -357,8 +354,8 @@ Result<AuditReport> Auditor::AuditPinned(const AuditExpression& parsed,
   for (auto [begin, end] : Shards(candidates.size(), kExecShardSize, pool)) {
     tasks.push_back([&, begin, end] {
       for (size_t c = begin; c < end; ++c) {
-        auto profile = ComputeAccessProfile(
-            *candidates[c].stmt, snapshots[slot_of[c]]->View(), options.exec);
+        auto profile = ComputeAccessProfile(*candidates[c].stmt,
+                                            snapshots[slot_of[c]]->View());
         if (profile.ok()) {
           profile_slots[c] = std::move(*profile);
         } else {

@@ -20,6 +20,7 @@ class ThreadPool;
 namespace audit {
 
 struct AuditOptions {
+  /// Ignored (see ExecOptions).
   ExecOptions exec;
   CandidateOptions candidate;
   SuspicionOptions suspicion;
@@ -41,11 +42,6 @@ struct AuditOptions {
   /// the serving stack. Non-owning — must outlive the audit. Null runs
   /// every check directly; results are byte-identical either way.
   DecisionCache* cache = nullptr;
-  /// Ablation: key cached decisions on the global mutation count (the
-  /// pre-MVCC scheme, where any write evicts everything) instead of the
-  /// catalog epoch / per-table version fingerprints. Never changes
-  /// results, only hit rates; used by bench_mixed.
-  bool cache_global_state_keys = false;
 };
 
 /// One consistent cut across the three audit stores, captured at a single

@@ -10,8 +10,7 @@ namespace audit {
 
 Result<bool> AgrawalAuditor::IsSuspicious(const sql::SelectStatement& query,
                                           const AuditExpression& expr,
-                                          const DatabaseView& state,
-                                          const ExecOptions& exec) {
+                                          const DatabaseView& state) {
   // Candidate test: C_Q must contain every audited attribute, and the
   // predicates must be mutually satisfiable.
   auto accessed = StaticAccessedColumns(query, state.catalog(),
@@ -33,13 +32,13 @@ Result<bool> AgrawalAuditor::IsSuspicious(const sql::SelectStatement& query,
   // Shared indispensable tuple over the common tables: intersect the
   // lineage of the query's result with the lineage of the audit
   // expression's target view, both projected onto the common tables.
-  auto query_result = Execute(query, state, exec);
+  auto query_result = Execute(query, state);
   if (!query_result.ok()) return query_result.status();
-  return SharesIndispensableTuple(*query_result, expr, common, state, exec);
+  return SharesIndispensableTuple(*query_result, expr, common, state);
 }
 
 Result<AgrawalAuditor::Result_> AgrawalAuditor::Audit(
-    const AuditExpression& parsed, const ExecOptions& exec) const {
+    const AuditExpression& parsed) const {
   AuditExpression expr = parsed.Clone();
   AUDITDB_RETURN_IF_ERROR(expr.Qualify(db_->catalog()));
 
@@ -59,7 +58,7 @@ Result<AgrawalAuditor::Result_> AgrawalAuditor::Audit(
 
     auto snapshot = backlog_->SnapshotAt(logged.timestamp);
     if (!snapshot.ok()) return snapshot.status();
-    auto suspicious = IsSuspicious(*stmt, expr, snapshot->View(), exec);
+    auto suspicious = IsSuspicious(*stmt, expr, snapshot->View());
     if (!suspicious.ok()) continue;
     if (*suspicious) result.suspicious_ids.push_back(logged.id);
   }

@@ -37,15 +37,13 @@ class AgrawalAuditor {
   /// Audits every admitted logged query individually. The expression's
   /// attribute structure is flattened to its attribute set (the audit
   /// list); groups are ignored, as the original syntax has none.
-  Result<Result_> Audit(const AuditExpression& expr,
-                        const ExecOptions& exec = ExecOptions{}) const;
+  Result<Result_> Audit(const AuditExpression& expr) const;
 
   /// Single query check against a given database state (exposed for
   /// differential tests).
   static Result<bool> IsSuspicious(const sql::SelectStatement& query,
                                    const AuditExpression& expr,
-                                   const DatabaseView& state,
-                                   const ExecOptions& exec = ExecOptions{});
+                                   const DatabaseView& state);
 
  private:
   const Database* db_;

@@ -13,7 +13,7 @@ namespace auditdb {
 namespace audit {
 
 Result<MotwaniAuditor::BatchResult> MotwaniAuditor::Audit(
-    const AuditExpression& parsed, const ExecOptions& exec) const {
+    const AuditExpression& parsed) const {
   AuditExpression expr = parsed.Clone();
   AUDITDB_RETURN_IF_ERROR(expr.Qualify(db_->catalog()));
 
@@ -67,10 +67,9 @@ Result<MotwaniAuditor::BatchResult> MotwaniAuditor::Audit(
     if (!snapshot.ok()) return snapshot.status();
     auto state = snapshot->View();
 
-    auto query_result = Execute(*stmt, state, exec);
+    auto query_result = Execute(*stmt, state);
     if (!query_result.ok()) continue;
-    auto shares =
-        SharesIndispensableTuple(*query_result, expr, common, state, exec);
+    auto shares = SharesIndispensableTuple(*query_result, expr, common, state);
     if (!shares.ok() || !*shares) continue;
 
     result.sharing_ids.push_back(logged.id);

@@ -41,8 +41,7 @@ class MotwaniAuditor {
     std::vector<int64_t> weak_ids;
   };
 
-  Result<BatchResult> Audit(const AuditExpression& expr,
-                            const ExecOptions& exec = ExecOptions{}) const;
+  Result<BatchResult> Audit(const AuditExpression& expr) const;
 
  private:
   const Database* db_;

@@ -49,8 +49,8 @@ Result<std::vector<OnlineSchemeState>> BuildOnlineSchemeStates(
     const AuditExpression& expr, const TargetView& view,
     const std::vector<OnlineSchemeState>& previous);
 
-/// Ablation and sharing knobs for the online monitor (ExecOptions-style:
-/// defaults give the fast path, tests and benches flip them off).
+/// Ablation and sharing knobs for the online monitor (defaults give the
+/// fast path; tests and benches flip them off).
 struct OnlineAuditorOptions {
   /// Consult the inverted expression index before any per-entry work, so
   /// a query only visits expressions whose audited attributes it can

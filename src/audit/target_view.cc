@@ -102,8 +102,7 @@ std::vector<ColumnRef> ViewColumns(const AuditExpression& expr) {
 
 Result<TargetView> ComputeTargetView(const AuditExpression& expr,
                                      const DatabaseView& db,
-                                     Timestamp version,
-                                     const ExecOptions& options) {
+                                     Timestamp version) {
   TargetView view;
   view.tables = expr.from;
   view.columns = ViewColumns(expr);
@@ -113,7 +112,7 @@ Result<TargetView> ComputeTargetView(const AuditExpression& expr,
   stmt.select_list = view.columns;
   stmt.where = expr.where ? expr.where->Clone() : nullptr;
 
-  auto result = Execute(stmt, db, options);
+  auto result = Execute(stmt, db);
   if (!result.ok()) return result.status();
 
   FactSet seen;
@@ -128,7 +127,7 @@ Result<TargetView> ComputeTargetView(const AuditExpression& expr,
 
 Result<TargetView> ComputeTargetViewOverVersions(const AuditExpression& expr,
                                                  const Backlog& backlog,
-                                                 const ExecOptions& options,
+                                                 const ExecOptions&,
                                                  size_t event_limit) {
   TargetView merged;
   merged.tables = expr.from;
@@ -139,7 +138,7 @@ Result<TargetView> ComputeTargetViewOverVersions(const AuditExpression& expr,
        backlog.VersionTimestamps(expr.data_interval, event_limit)) {
     auto snapshot = backlog.SnapshotAt(version, event_limit);
     if (!snapshot.ok()) return snapshot.status();
-    auto view = ComputeTargetView(expr, snapshot->View(), version, options);
+    auto view = ComputeTargetView(expr, snapshot->View(), version);
     if (!view.ok()) return view.status();
     for (auto& fact : view->facts) {
       if (!seen.emplace(fact.tids, fact.values).second) continue;

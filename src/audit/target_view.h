@@ -70,18 +70,16 @@ struct TargetView {
 /// facts.
 Result<TargetView> ComputeTargetView(const AuditExpression& expr,
                                      const DatabaseView& db,
-                                     Timestamp version,
-                                     const ExecOptions& options =
-                                         ExecOptions{});
+                                     Timestamp version);
 
 /// Computes U across every data version in `expr.data_interval`, as
 /// reconstructed from the backlog, and unions the facts (deduplicated by
 /// tids + values). `event_limit` bounds the backlog prefix read (a pinned
 /// audit passes its captured event count so concurrent appends are
-/// invisible).
+/// invisible). The ExecOptions parameter is ignored (see ExecOptions).
 Result<TargetView> ComputeTargetViewOverVersions(
     const AuditExpression& expr, const Backlog& backlog,
-    const ExecOptions& options = ExecOptions{},
+    const ExecOptions& = ExecOptions{},
     size_t event_limit = Backlog::kNoLimit);
 
 }  // namespace audit

@@ -28,9 +28,8 @@ struct HashJoinPlan {
 
 class ExecutionContext {
  public:
-  ExecutionContext(const sql::SelectStatement& stmt, const DatabaseView& db,
-                   const ExecOptions& options)
-      : db_(db), options_(options), stmt_(stmt.Clone()) {}
+  ExecutionContext(const sql::SelectStatement& stmt, const DatabaseView& db)
+      : db_(db), stmt_(stmt.Clone()) {}
 
   Result<QueryResult> Run() {
     AUDITDB_RETURN_IF_ERROR(Setup());
@@ -53,20 +52,6 @@ class ExecutionContext {
         if (stmt_.from[i] == stmt_.from[j]) {
           return Status::InvalidArgument("duplicate table in FROM: " +
                                          stmt_.from[i]);
-        }
-      }
-    }
-    original_from_ = stmt_.from;
-    if (options_.reorder_joins && stmt_.from.size() > 1) {
-      AUDITDB_RETURN_IF_ERROR(ReorderJoins());
-    }
-    // lineage_permutation_[i] = position in the (possibly reordered)
-    // execution order of the i-th ORIGINAL table.
-    lineage_permutation_.resize(original_from_.size());
-    for (size_t i = 0; i < original_from_.size(); ++i) {
-      for (size_t j = 0; j < stmt_.from.size(); ++j) {
-        if (stmt_.from[j] == original_from_[i]) {
-          lineage_permutation_[i] = j;
         }
       }
     }
@@ -94,7 +79,7 @@ class ExecutionContext {
         projection_slots_.push_back(*slot);
       }
     }
-    result_.from = original_from_;
+    result_.from = stmt_.from;
 
     // Qualify, bind and schedule WHERE conjuncts.
     if (stmt_.where) {
@@ -119,10 +104,8 @@ class ExecutionContext {
     // Plan hash joins: for each position > 0, find a bound equi-join
     // conjunct `earlier.col = this.col` of matching column types.
     hash_plans_.resize(tables_.size());
-    if (options_.hash_join) {
-      for (size_t i = 1; i < tables_.size(); ++i) {
-        AUDITDB_RETURN_IF_ERROR(PlanHashJoin(i));
-      }
+    for (size_t i = 1; i < tables_.size(); ++i) {
+      AUDITDB_RETURN_IF_ERROR(PlanHashJoin(i));
     }
 
     AUDITDB_RETURN_IF_ERROR(PlanScanStages());
@@ -135,8 +118,7 @@ class ExecutionContext {
   /// into stages: maximal runs of conjuncts reading only this table's
   /// columns compile into one predicate program (precomputed per query
   /// over the table's batch); runs touching earlier tables stay as
-  /// tree-walked cross stages. With compiled_scan off, everything is a
-  /// cross stage — the exact row-at-a-time baseline.
+  /// tree-walked cross stages.
   Status PlanScanStages() {
     stages_.resize(tables_.size());
     for (size_t i = 0; i < tables_.size(); ++i) {
@@ -157,8 +139,7 @@ class ExecutionContext {
       };
       for (const auto& sc : conjuncts_) {
         if (sc.ready_at != i) continue;
-        if (options_.compiled_scan &&
-            PredicateProgram::IsLocal(*sc.expr, offset, width)) {
+        if (PredicateProgram::IsLocal(*sc.expr, offset, width)) {
           run.push_back(sc.expr->Clone());
           continue;
         }
@@ -181,83 +162,10 @@ class ExecutionContext {
       if (!batches_[position]) {
         batches_[position] = tables_[position]->Columnar();
       }
-      ScanOptions opts;
-      opts.compiled = options_.compiled_scan;
-      opts.batch_size = options_.scan_batch_size;
-      filters_[position] = BuildTableFilter(*batches_[position],
-                                            stages_[position], std::nullopt,
-                                            opts);
+      filters_[position] = BuildTableFilter(
+          *batches_[position], stages_[position], std::nullopt);
     }
     return *filters_[position];
-  }
-
-  /// Greedy selectivity-based ordering: cheapest filtered table first,
-  /// then repeatedly the cheapest table connected to the chosen set by an
-  /// equi-join conjunct (falling back to the cheapest remaining).
-  Status ReorderJoins() {
-    // Filtered-cardinality estimate per table: count rows passing the
-    // single-table conjuncts.
-    std::vector<const Expression*> conjuncts;
-    ExprPtr where;
-    if (stmt_.where) {
-      where = stmt_.where->Clone();
-      AUDITDB_RETURN_IF_ERROR(
-          QualifyColumns(where.get(), db_.catalog(), stmt_.from));
-      conjuncts = SplitConjuncts(where.get());
-    }
-
-    std::map<std::string, size_t> estimate;
-    ScanOptions scan_opts;
-    scan_opts.compiled = options_.compiled_scan;
-    scan_opts.batch_size = options_.scan_batch_size;
-    for (const auto& name : stmt_.from) {
-      auto table = db_.GetTable(name);
-      if (!table.ok()) return table.status();
-      auto count =
-          EstimateFilteredCardinality(**table, name, conjuncts, scan_opts);
-      if (!count.ok()) return count.status();
-      estimate[name] = *count;
-    }
-
-    // Equi-join adjacency.
-    std::map<std::string, std::set<std::string>> adjacent;
-    for (const Expression* conjunct : conjuncts) {
-      ColumnRef lhs, rhs;
-      if (IsEquiJoin(*conjunct, &lhs, &rhs)) {
-        adjacent[lhs.table].insert(rhs.table);
-        adjacent[rhs.table].insert(lhs.table);
-      }
-    }
-
-    std::vector<std::string> remaining = stmt_.from;
-    std::vector<std::string> order;
-    std::set<std::string> chosen;
-    while (!remaining.empty()) {
-      size_t best = 0;
-      bool best_connected = false;
-      for (size_t i = 0; i < remaining.size(); ++i) {
-        bool connected = false;
-        for (const auto& t : chosen) {
-          if (adjacent[t].count(remaining[i]) > 0) connected = true;
-        }
-        if (order.empty()) connected = false;  // first pick: pure size
-        bool better;
-        if (connected != best_connected) {
-          better = connected;  // prefer connected tables
-        } else {
-          better = estimate[remaining[i]] < estimate[remaining[best]];
-        }
-        if (i == 0 || better) {
-          best = i;
-          best_connected = connected;
-        }
-      }
-      order.push_back(remaining[best]);
-      chosen.insert(remaining[best]);
-      remaining.erase(remaining.begin() + static_cast<ptrdiff_t>(best));
-    }
-    stmt_.from = std::move(order);
-    return Status::Ok();
   }
 
   Status PlanHashJoin(size_t position) {
@@ -281,6 +189,9 @@ class ExecutionContext {
       auto rt = db_.catalog().TypeOf(rhs);
       if (!lt.ok() || !rt.ok() || *lt != *rt) continue;
 
+      // The conjunct itself stays a cross stage: Value equality puts
+      // every NULL key in one bucket, and only re-evaluating the
+      // conjunct keeps NULL = NULL pairs out.
       HashJoinPlan& plan = hash_plans_[position];
       auto probe_slot = layout_.Slot(lhs);
       if (!probe_slot.ok()) return probe_slot.status();
@@ -310,13 +221,7 @@ class ExecutionContext {
         out.push_back(combined_[static_cast<size_t>(slot)]);
       }
       result_.rows.push_back(std::move(out));
-      // Lineage in the query's original FROM order, independent of any
-      // join reordering.
-      std::vector<Tid> original_tids(tids_.size());
-      for (size_t i = 0; i < tids_.size(); ++i) {
-        original_tids[i] = tids_[lineage_permutation_[i]];
-      }
-      result_.lineage.push_back(std::move(original_tids));
+      result_.lineage.push_back(tids_);
       return Status::Ok();
     }
 
@@ -396,12 +301,9 @@ class ExecutionContext {
   }
 
   const DatabaseView& db_;
-  ExecOptions options_;
   sql::SelectStatement stmt_;
 
   std::vector<const TableVersion*> tables_;
-  std::vector<std::string> original_from_;
-  std::vector<size_t> lineage_permutation_;
   RowLayout layout_;
   std::vector<int> projection_slots_;
   std::vector<ScheduledConjunct> conjuncts_;
@@ -503,18 +405,16 @@ std::string QueryResult::ToString() const {
 }
 
 Result<QueryResult> Execute(const sql::SelectStatement& stmt,
-                            const DatabaseView& db,
-                            const ExecOptions& options) {
-  ExecutionContext ctx(stmt, db, options);
+                            const DatabaseView& db) {
+  ExecutionContext ctx(stmt, db);
   return ctx.Run();
 }
 
 Result<QueryResult> ExecuteSql(const std::string& sql_text,
-                               const DatabaseView& db,
-                               const ExecOptions& options) {
+                               const DatabaseView& db) {
   auto stmt = sql::ParseSelect(sql_text);
   if (!stmt.ok()) return stmt.status();
-  return Execute(*stmt, db, options);
+  return Execute(*stmt, db);
 }
 
 }  // namespace auditdb

@@ -12,25 +12,11 @@
 
 namespace auditdb {
 
-struct ExecOptions {
-  /// Accelerate equality joins with a build-side hash table; when false,
-  /// every join is a pure nested loop (the ablation baseline).
-  bool hash_join = true;
-  /// Greedy selectivity-based join reordering: start from the table with
-  /// the smallest filtered cardinality, then repeatedly add the smallest
-  /// equi-join-connected table. Output rows may come in a different
-  /// order, but rows, lineage and `from` keep the query's original table
-  /// order. Off by default (the ablation measures when it pays off).
-  bool reorder_joins = false;
-  /// Evaluate single-table conjuncts as compiled predicate programs over
-  /// each table's columnar projection (the scan layer). When false, every
-  /// conjunct is tree-interpreted per combined row — the row-at-a-time
-  /// ablation baseline. Results are byte-identical either way.
-  bool compiled_scan = true;
-  /// Rows per predicate-program chunk (bounds the scratch space of the
-  /// general register machine; fused filters are insensitive to it).
-  size_t scan_batch_size = 1024;
-};
+/// Empty: the executor has one plan. Kept only because the frozen
+/// perfbench/driver/offline.cc still reads `AuditOptions::exec` and passes
+/// it to ComputeAccessProfile and ComputeTargetViewOverVersions, which
+/// ignore it; the next benchmark change deletes it.
+struct ExecOptions {};
 
 /// Result of executing an SPJ query, with lineage: every output row carries
 /// the tids of the base rows (one per FROM table) that produced it. The
@@ -75,15 +61,17 @@ struct QueryResult {
 /// Executes `stmt` against `db`. Column references are resolved against the
 /// view's catalog; the WHERE clause is decomposed into conjuncts that are
 /// evaluated as early as possible in the join order (the FROM-clause
-/// order), with optional hash acceleration for equi-join conjuncts.
+/// order). A join position with a same-typed equi-join conjunct probes a
+/// hash of its table; any other position is a nested loop. Conjuncts
+/// reading only one table run as compiled predicate programs over that
+/// table's columnar batch. Output rows come in nested-loop order: FROM
+/// positions outermost first, each table's rows in storage order.
 Result<QueryResult> Execute(const sql::SelectStatement& stmt,
-                            const DatabaseView& db,
-                            const ExecOptions& options = ExecOptions{});
+                            const DatabaseView& db);
 
 /// Parses and executes `sql_text` in one step.
 Result<QueryResult> ExecuteSql(const std::string& sql_text,
-                               const DatabaseView& db,
-                               const ExecOptions& options = ExecOptions{});
+                               const DatabaseView& db);
 
 }  // namespace auditdb
 

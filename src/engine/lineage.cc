@@ -6,10 +6,10 @@ namespace auditdb {
 
 Result<AccessProfile> ComputeAccessProfile(const sql::SelectStatement& stmt,
                                            const DatabaseView& db,
-                                           const ExecOptions& options) {
+                                           const ExecOptions&) {
   AccessProfile profile;
 
-  auto result = Execute(stmt, db, options);
+  auto result = Execute(stmt, db);
   if (!result.ok()) return result.status();
   profile.result = std::move(*result);
 

@@ -33,11 +33,11 @@ struct AccessProfile {
 };
 
 /// Executes `stmt` against `db` and assembles its access profile. All
-/// column references are fully qualified in the profile.
+/// column references are fully qualified in the profile. The ExecOptions
+/// parameter is ignored (see ExecOptions).
 Result<AccessProfile> ComputeAccessProfile(const sql::SelectStatement& stmt,
                                            const DatabaseView& db,
-                                           const ExecOptions& options =
-                                               ExecOptions{});
+                                           const ExecOptions& = ExecOptions{});
 
 }  // namespace auditdb
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "src/expr/analysis.h"
-
 namespace auditdb {
 
 PredicateProgram::Outcome RunChunked(const PredicateProgram& program,
@@ -29,47 +27,9 @@ PredicateProgram::Outcome RunChunked(const PredicateProgram& program,
   return out;
 }
 
-TidBitmap SelectionToBitmap(const std::vector<uint32_t>& sel) {
-  TidBitmap out;
-  for (uint32_t r : sel) out.Add(static_cast<int64_t>(r));
-  return out;
-}
-
-std::vector<uint32_t> BitmapToSelection(const TidBitmap& bitmap) {
-  std::vector<uint32_t> out;
-  out.reserve(static_cast<size_t>(bitmap.Cardinality()));
-  bitmap.ForEach(
-      [&](int64_t row) { out.push_back(static_cast<uint32_t>(row)); });
-  return out;
-}
-
-PredicateProgram::BitmapOutcome RunChunkedToBitmap(
-    const PredicateProgram& program, const Batch& batch, const TidBitmap& sel,
-    size_t batch_size) {
-  PredicateProgram::BitmapOutcome out;
-  std::vector<uint32_t> chunk;
-  auto flush = [&] {
-    if (chunk.empty()) return;
-    auto o = program.RunToBitmap(batch, chunk);
-    // Chunks ascend, so the union is a cheap high-key append merge.
-    out.passed.Or(o.passed);
-    out.errors.insert(out.errors.end(),
-                      std::make_move_iterator(o.errors.begin()),
-                      std::make_move_iterator(o.errors.end()));
-    chunk.clear();
-  };
-  sel.ForEach([&](int64_t row) {
-    chunk.push_back(static_cast<uint32_t>(row));
-    if (batch_size != 0 && chunk.size() >= batch_size) flush();
-  });
-  flush();
-  return out;
-}
-
 TableFilter BuildTableFilter(
     const Batch& batch, const std::vector<ScanStage>& stages,
-    const std::optional<std::vector<uint32_t>>& selection,
-    const ScanOptions& opts) {
+    const std::optional<std::vector<uint32_t>>& selection) {
   TableFilter f;
   std::vector<uint32_t> cur;
   if (selection.has_value()) {
@@ -82,7 +42,7 @@ TableFilter BuildTableFilter(
   f.errors_.resize(stages.size());
   for (size_t s = 0; s < stages.size(); ++s) {
     if (!stages[s].local) continue;  // cross stages run per combined row
-    auto outcome = RunChunked(stages[s].program, batch, cur, opts.batch_size);
+    auto outcome = RunChunked(stages[s].program, batch, cur, kScanBatchRows);
     auto& st = f.states_[s];
     st.assign(batch.num_rows, 0);
     for (uint32_t r : outcome.passed) {
@@ -97,59 +57,6 @@ TableFilter BuildTableFilter(
   }
   f.passing_ = std::move(cur);
   return f;
-}
-
-Result<size_t> EstimateFilteredCardinality(
-    const TableVersion& table, const std::string& name,
-    const std::vector<const Expression*>& conjuncts, const ScanOptions& opts) {
-  RowLayout single;
-  single.AddTable(name, table.schema());
-  std::vector<ExprPtr> bound;
-  for (const Expression* conjunct : conjuncts) {
-    bool local = true;
-    for (const auto& col : CollectColumns(conjunct)) {
-      if (col.table != name) {
-        local = false;
-        break;
-      }
-    }
-    if (!local) continue;
-    ExprPtr clone = conjunct->Clone();
-    AUDITDB_RETURN_IF_ERROR(BindExpression(clone.get(), single));
-    bound.push_back(std::move(clone));
-  }
-  if (bound.empty()) return table.rows().size();
-
-  if (opts.compiled) {
-    std::vector<ExprPtr> clones;
-    clones.reserve(bound.size());
-    for (const auto& b : bound) clones.push_back(b->Clone());
-    ExprPtr conj = Expression::MakeConjunction(std::move(clones));
-    auto program = PredicateProgram::Compile(*conj, 0, single.width());
-    if (program.ok()) {
-      auto batch = table.Columnar();
-      TidBitmap all;
-      all.AddRange(0, static_cast<int64_t>(batch->num_rows));
-      auto out = RunChunkedToBitmap(*program, *batch, all, opts.batch_size);
-      // Errors count as fail (they are excluded from `passed`), matching
-      // the interpreted estimate below.
-      return static_cast<size_t>(out.passed.Cardinality());
-    }
-  }
-
-  size_t count = 0;
-  for (const Row& row : table.rows()) {
-    bool pass = true;
-    for (const auto& conjunct : bound) {
-      auto ok = EvaluatePredicate(conjunct.get(), row.values);
-      if (!ok.ok() || !*ok) {
-        pass = false;
-        break;
-      }
-    }
-    if (pass) ++count;
-  }
-  return count;
 }
 
 }  // namespace auditdb

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "src/common/status.h"
@@ -14,25 +13,16 @@
 
 namespace auditdb {
 
-/// Knobs for batched predicate evaluation over a table's columnar
-/// projection.
-struct ScanOptions {
-  /// Evaluate single-table conjuncts as compiled predicate programs over
-  /// column vectors; when false, fall back to per-row tree interpretation
-  /// (the ablation baseline).
-  bool compiled = true;
-  /// Rows per predicate-program chunk; bounds the register scratch space
-  /// of the general (non-fused) machine.
-  size_t batch_size = 1024;
-};
+/// Rows per predicate-program chunk: bounds the register scratch space of
+/// the general (non-fused) machine; fused filters are insensitive to it.
+inline constexpr size_t kScanBatchRows = 1024;
 
 /// One evaluation stage of the conjuncts that become ready at a join
 /// position, in the query's original conjunct order. A LOCAL stage is a
 /// maximal run of consecutive conjuncts reading only this table's columns,
 /// compiled into one predicate program and precomputed once per query over
 /// the table's batch. A CROSS stage is a run of conjuncts that also read
-/// earlier tables' slots; it is tree-walked per combined row, exactly as
-/// the row-at-a-time executor did.
+/// earlier tables' slots; it is tree-walked per combined row.
 struct ScanStage {
   bool local = false;
   PredicateProgram program;               // local stages
@@ -42,8 +32,8 @@ struct ScanStage {
 /// Precomputed per-row outcomes of a table's local stages. Stage states
 /// are tri-state so that a row whose predicate ERRORS surfaces the
 /// interpreter's exact Status — but only when the row is actually visited
-/// during enumeration, preserving the row-at-a-time executor's behavior
-/// for rows a hash-join bucket or prefilter never reaches.
+/// during enumeration, so a row that a hash-join bucket or prefilter never
+/// reaches never fails the query.
 ///
 /// A later local stage's states are computed only for rows that passed
 /// every earlier LOCAL stage; interleaved cross stages can only narrow
@@ -79,8 +69,7 @@ class TableFilter {
  private:
   friend TableFilter BuildTableFilter(
       const Batch& batch, const std::vector<ScanStage>& stages,
-      const std::optional<std::vector<uint32_t>>& selection,
-      const ScanOptions& opts);
+      const std::optional<std::vector<uint32_t>>& selection);
 
   std::vector<std::vector<uint8_t>> states_;        // per stage, per row
   std::vector<std::map<uint32_t, Status>> errors_;  // per stage: row->status
@@ -96,39 +85,12 @@ PredicateProgram::Outcome RunChunked(const PredicateProgram& program,
                                      const std::vector<uint32_t>& sel,
                                      size_t batch_size);
 
-/// Selection vector -> compressed row bitmap. `sel` must be ascending
-/// (as every selection in this layer is), so the conversion is one
-/// linear append pass.
-TidBitmap SelectionToBitmap(const std::vector<uint32_t>& sel);
-
-/// Compressed row bitmap -> ascending selection vector.
-std::vector<uint32_t> BitmapToSelection(const TidBitmap& bitmap);
-
-/// RunChunked over a bitmap selection: the bitmap is unpacked into
-/// selection-vector chunks of `batch_size` rows at each chunk boundary,
-/// the program runs per chunk, and passing rows are re-packed into the
-/// outcome bitmap. Decisions are identical to RunChunked over
-/// BitmapToSelection(sel).
-PredicateProgram::BitmapOutcome RunChunkedToBitmap(
-    const PredicateProgram& program, const Batch& batch, const TidBitmap& sel,
-    size_t batch_size);
-
 /// Precomputes the local stages of `stages` over `batch`, starting from
 /// `selection` (ascending row ids; all rows when absent) and narrowing
-/// after each local stage.
+/// after each local stage. Programs run in chunks of kScanBatchRows.
 TableFilter BuildTableFilter(
     const Batch& batch, const std::vector<ScanStage>& stages,
-    const std::optional<std::vector<uint32_t>>& selection,
-    const ScanOptions& opts);
-
-/// Filtered-cardinality estimate for join reordering: the number of rows
-/// of `table` passing the conjuncts (qualified, unbound) that read only
-/// `name`'s columns. A row whose evaluation errors counts as failing.
-/// Shared by the executor's reorder planner and callers that want a
-/// standalone selectivity probe.
-Result<size_t> EstimateFilteredCardinality(
-    const TableVersion& table, const std::string& name,
-    const std::vector<const Expression*>& conjuncts, const ScanOptions& opts);
+    const std::optional<std::vector<uint32_t>>& selection);
 
 }  // namespace auditdb
 

@@ -721,17 +721,6 @@ PredicateProgram::Outcome PredicateProgram::Run(
   return out;
 }
 
-PredicateProgram::BitmapOutcome PredicateProgram::RunToBitmap(
-    const Batch& batch, const std::vector<uint32_t>& sel) const {
-  Outcome o = Run(batch, sel);
-  BitmapOutcome out;
-  // `passed` is ascending, so every Add hits the bitmap's append fast
-  // path — the conversion is a single linear pass, no sorting.
-  for (uint32_t r : o.passed) out.passed.Add(static_cast<int64_t>(r));
-  out.errors = std::move(o.errors);
-  return out;
-}
-
 std::string PredicateProgram::ToString() const {
   std::ostringstream os;
   auto reg = [](int r) { return "r" + std::to_string(r); };

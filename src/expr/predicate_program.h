@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "src/common/status.h"
-#include "src/common/tid_bitmap.h"
 #include "src/expr/expression.h"
 #include "src/types/column_vector.h"
 
@@ -38,15 +37,6 @@ class PredicateProgram {
     std::vector<std::pair<uint32_t, Status>> errors;
   };
 
-  /// Selection-bitmap form of Outcome: the passing rows as a compressed
-  /// row bitmap (row index as tid) instead of a selection vector. Rows
-  /// pass/error exactly as in Outcome; the bitmap iterates ascending, so
-  /// the two forms are interconvertible without reordering.
-  struct BitmapOutcome {
-    TidBitmap passed;
-    std::vector<std::pair<uint32_t, Status>> errors;
-  };
-
   /// True iff every column reference in `expr` is bound to a slot in
   /// [slot_offset, slot_offset + width) — i.e. the predicate reads only
   /// this table's columns and can be compiled for its batches.
@@ -62,14 +52,6 @@ class PredicateProgram {
   /// Evaluates the program for the rows in `sel` (ascending indices into
   /// `batch`). Cells outside `sel` are never touched.
   Outcome Run(const Batch& batch, const std::vector<uint32_t>& sel) const;
-
-  /// Same evaluation as Run, emitting the selection bitmap directly:
-  /// the narrowed row set is appended bit-by-bit in ascending order
-  /// (O(1) per row), never materializing a second selection vector for
-  /// the caller. Pairs with engine/table_scan's bitmap<->vector
-  /// conversions at chunk boundaries.
-  BitmapOutcome RunToBitmap(const Batch& batch,
-                            const std::vector<uint32_t>& sel) const;
 
   /// True when the program compiled entirely to fused filter
   /// instructions (the vectorized hot path).

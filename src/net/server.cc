@@ -775,10 +775,9 @@ struct AuditServer::Impl {
 
   std::string CombinedMetricsJson() const {
     std::string json = "{\"server\":" + metrics->ToJson() +
-                       ",\"service\":" + service->MetricsJson();
-    if (service->decision_cache() != nullptr) {
-      json += ",\"index\":" + service->decision_cache()->stats()->ToJson();
-    }
+                       ",\"service\":" + service->MetricsJson() +
+                       ",\"index\":" +
+                       service->decision_cache()->stats()->ToJson();
     if (options.durable_store != nullptr) {
       json += ",\"durability\":" + options.durable_store->MetricsJson();
     }

@@ -17,16 +17,12 @@ AuditService::AuditService(const Database* db, const Backlog* backlog,
                            const QueryLog* log, AuditServiceOptions options)
     : auditor_(db, backlog, log),
       pool_(options.pool, &metrics_),
-      cache_(options.decision_cache_enabled
-                 ? std::make_shared<audit::DecisionCache>(
-                       options.decision_cache)
-                 : nullptr),
-      runs_(metrics_.counter("scheduler.runs")),
-      static_stage_micros_(
-          metrics_.histogram("scheduler.static_stage_micros")),
-      exec_stage_micros_(metrics_.histogram("scheduler.exec_stage_micros")),
-      check_stage_micros_(
-          metrics_.histogram("scheduler.check_stage_micros")) {}
+      cache_(std::make_shared<audit::DecisionCache>(options.decision_cache)),
+      runs_(metrics_.counter("audit.runs")),
+      static_stage_micros_(metrics_.histogram("audit.static_stage_micros")),
+      view_stage_micros_(metrics_.histogram("audit.view_stage_micros")),
+      exec_stage_micros_(metrics_.histogram("audit.exec_stage_micros")),
+      check_stage_micros_(metrics_.histogram("audit.check_stage_micros")) {}
 
 Result<audit::AuditReport> AuditService::Run(
     const audit::AuditExpression& expr, const audit::AuditPin& pin,
@@ -37,6 +33,7 @@ Result<audit::AuditReport> AuditService::Run(
   auto report = auditor_.AuditPinned(expr, effective, pin, pool);
   if (report.ok()) {
     static_stage_micros_->Observe(Micros(report->static_seconds));
+    view_stage_micros_->Observe(Micros(report->view_seconds));
     exec_stage_micros_->Observe(Micros(report->exec_seconds));
     check_stage_micros_->Observe(Micros(report->check_seconds));
   }

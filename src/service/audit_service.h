@@ -14,10 +14,8 @@ namespace service {
 
 struct AuditServiceOptions {
   ThreadPoolOptions pool;
-  /// Memoize static per-(query, expression) decisions across audit runs
-  /// in a service-owned decision cache (audit_index.h). Ablation knob:
-  /// results are byte-identical with it off.
-  bool decision_cache_enabled = true;
+  /// Sizing of the service-owned decision cache (audit_index.h), which
+  /// memoizes static per-(query, expression) decisions across audit runs.
   audit::DecisionCacheOptions decision_cache;
 };
 
@@ -27,9 +25,9 @@ struct AuditServiceOptions {
 /// construct once, serve many audit runs, read metrics, destroy (joins
 /// workers).
 ///
-/// Metrics: the pool's "pool.*" instruments, the "scheduler.runs"
-/// counter (every audit run, library screenings included) and the
-/// "scheduler.{static,exec,check}_stage_micros" histograms, observed
+/// Metrics: the pool's "pool.*" instruments, the "audit.runs" counter
+/// (every audit run, library screenings included) and the
+/// "audit.{static,view,exec,check}_stage_micros" histograms, observed
 /// from each successful report's phase timings.
 class AuditService {
  public:
@@ -93,17 +91,17 @@ class AuditService {
 
   ThreadPool* pool() { return &pool_; }
 
-  /// The service-owned decision cache; null when disabled. Shared_ptr so
-  /// a database change listener can keep invalidating it safely even if
-  /// the service is destroyed first.
+  /// The service-owned decision cache (never null). Shared_ptr so a
+  /// database change listener can keep invalidating it safely even if the
+  /// service is destroyed first.
   const std::shared_ptr<audit::DecisionCache>& decision_cache() const {
     return cache_;
   }
 
  private:
   /// Audits `expr` against `pin` with the service cache injected (unless
-  /// the caller bound its own, or the cache is disabled), fanning out
-  /// over `pool` (null: the calling thread), and meters the run.
+  /// the caller bound its own), fanning out over `pool` (null: the
+  /// calling thread), and meters the run.
   Result<audit::AuditReport> Run(const audit::AuditExpression& expr,
                                  const audit::AuditPin& pin,
                                  const audit::AuditOptions& options,
@@ -116,6 +114,7 @@ class AuditService {
 
   Counter* runs_;
   Histogram* static_stage_micros_;
+  Histogram* view_stage_micros_;
   Histogram* exec_stage_micros_;
   Histogram* check_stage_micros_;
 };

@@ -7,6 +7,7 @@
 #include "src/engine/executor.h"
 #include "src/sql/parser.h"
 #include "src/workload/hospital.h"
+#include "tests/engine/executor_reference.h"
 
 namespace auditdb {
 namespace {
@@ -73,8 +74,7 @@ TEST(TableScanTest, BuildTableFilterStates) {
   stages.push_back(LocalStage(*expr));
 
   auto batch = table->Columnar();
-  ScanOptions opts;
-  TableFilter filter = BuildTableFilter(*batch, stages, std::nullopt, opts);
+  TableFilter filter = BuildTableFilter(*batch, stages, std::nullopt);
   EXPECT_EQ(filter.num_stages(), 1u);
   EXPECT_FALSE(filter.has_errors());
   EXPECT_EQ(filter.passing(), (std::vector<uint32_t>{0}));
@@ -91,8 +91,7 @@ TEST(TableScanTest, LaterStagesOnlyCoverEarlierPassers) {
   stages.push_back(LocalStage(*second));
 
   auto batch = table->Columnar();
-  TableFilter filter =
-      BuildTableFilter(*batch, stages, std::nullopt, ScanOptions{});
+  TableFilter filter = BuildTableFilter(*batch, stages, std::nullopt);
   EXPECT_EQ(filter.passing(), (std::vector<uint32_t>{0}));
   EXPECT_EQ(filter.StageState(0, 2), TableFilter::RowState::kFail);
   EXPECT_EQ(filter.StageState(1, 0), TableFilter::RowState::kPass);
@@ -105,8 +104,7 @@ TEST(TableScanTest, ErrorsAreRecordedPerRow) {
   stages.push_back(LocalStage(*expr));
 
   auto batch = table->Columnar();
-  TableFilter filter =
-      BuildTableFilter(*batch, stages, std::nullopt, ScanOptions{});
+  TableFilter filter = BuildTableFilter(*batch, stages, std::nullopt);
   EXPECT_TRUE(filter.has_errors());
   // Rows 0, 1 pass a < 30 and then hit string arithmetic; rows 2, 3 fail
   // the first conjunct cleanly (interpreter short-circuit).
@@ -124,8 +122,7 @@ TEST(TableScanTest, SelectionLimitsTheFilter) {
 
   auto batch = table->Columnar();
   std::vector<uint32_t> selection = {1, 2};
-  TableFilter filter =
-      BuildTableFilter(*batch, stages, selection, ScanOptions{});
+  TableFilter filter = BuildTableFilter(*batch, stages, selection);
   EXPECT_EQ(filter.passing(), (std::vector<uint32_t>{2}));
 }
 
@@ -145,92 +142,75 @@ TEST(TableScanTest, RunChunkedMatchesSingleShot) {
   }
 }
 
-TEST(TableScanTest, EstimateFilteredCardinality) {
-  auto table = MakeTable();
-  auto pred = sql::ParseExpression("T.a >= 20");
-  ASSERT_TRUE(pred.ok());
-  std::vector<const Expression*> conjuncts = {pred->get()};
-
-  ScanOptions compiled;
-  auto n = EstimateFilteredCardinality(*table->CurrentVersion(), "T",
-                                       conjuncts, compiled);
-  ASSERT_TRUE(n.ok());
-  EXPECT_EQ(*n, 3u);
-
-  ScanOptions interpreted;
-  interpreted.compiled = false;
-  auto m = EstimateFilteredCardinality(*table->CurrentVersion(), "T",
-                                       conjuncts, interpreted);
-  ASSERT_TRUE(m.ok());
-  EXPECT_EQ(*m, *n);
-}
-
-/// End-to-end: the executor must return identical results (rows, lineage,
-/// and error statuses) with the compiled scan on and off.
-class ScanModeEquivalenceTest : public ::testing::Test {
+/// End-to-end: the executor must return exactly the reference's rows,
+/// lineage and row order, and on single-table queries (where both visit
+/// rows in table order) the reference's exact error status.
+class ExecutorReferenceTest : public ::testing::Test {
  protected:
   void SetUp() override {
     ASSERT_TRUE(workload::BuildPaperDatabase(&db_, Ts(1)).ok());
   }
 
-  void CheckBothModes(const std::string& sql) {
-    ExecOptions compiled;
-    compiled.compiled_scan = true;
-    ExecOptions interpreted;
-    interpreted.compiled_scan = false;
-
-    auto a = ExecuteSql(sql, db_.View(), compiled);
-    auto b = ExecuteSql(sql, db_.View(), interpreted);
-    ASSERT_EQ(a.ok(), b.ok()) << sql;
-    if (!a.ok()) {
-      EXPECT_EQ(a.status().ToString(), b.status().ToString()) << sql;
-      return;
+  void CheckAgainstReference(const std::string& sql) {
+    auto stmt = sql::ParseSelect(sql);
+    ASSERT_TRUE(stmt.ok()) << sql;
+    auto actual = Execute(*stmt, db_.View());
+    auto expected = BruteForce(*stmt, db_.View());
+    if (stmt->from.size() == 1) {
+      ASSERT_EQ(actual.ok(), expected.ok()) << sql;
+      if (!actual.ok()) {
+        EXPECT_EQ(actual.status().ToString(), expected.status().ToString())
+            << sql;
+        return;
+      }
     }
-    EXPECT_EQ(a->rows, b->rows) << sql;
-    EXPECT_EQ(a->lineage, b->lineage) << sql;
+    ASSERT_TRUE(actual.ok()) << sql << ": " << actual.status().ToString();
+    ASSERT_TRUE(expected.ok()) << sql << ": " << expected.status().ToString();
+    EXPECT_EQ(actual->columns, expected->columns) << sql;
+    EXPECT_EQ(actual->rows, expected->rows) << sql;
+    EXPECT_EQ(actual->lineage, expected->lineage) << sql;
   }
 
   Database db_;
 };
 
-TEST_F(ScanModeEquivalenceTest, SingleTablePredicates) {
-  CheckBothModes("SELECT name FROM P-Personal WHERE age < 30");
-  CheckBothModes(
+TEST_F(ExecutorReferenceTest, SingleTablePredicates) {
+  CheckAgainstReference("SELECT name FROM P-Personal WHERE age < 30");
+  CheckAgainstReference(
       "SELECT * FROM P-Personal WHERE age >= 25 AND name <> 'Jane'");
-  CheckBothModes("SELECT name FROM P-Personal WHERE name LIKE 'R%'");
-  CheckBothModes("SELECT name FROM P-Personal WHERE age < 25 OR age > 40");
+  CheckAgainstReference("SELECT name FROM P-Personal WHERE name LIKE 'R%'");
+  CheckAgainstReference(
+      "SELECT name FROM P-Personal WHERE age < 25 OR age > 40");
 }
 
-TEST_F(ScanModeEquivalenceTest, Joins) {
-  CheckBothModes(
+TEST_F(ExecutorReferenceTest, Joins) {
+  CheckAgainstReference(
       "SELECT name, disease FROM P-Personal, P-Health "
       "WHERE P-Personal.pid = P-Health.pid AND disease = 'diabetic'");
-  CheckBothModes(
+  CheckAgainstReference(
       "SELECT name FROM P-Personal, P-Health, P-Employ "
       "WHERE P-Personal.pid = P-Health.pid "
       "AND P-Personal.pid = P-Employ.pid AND age < 50");
+  CheckAgainstReference(
+      "SELECT * FROM P-Personal, P-Employ "
+      "WHERE P-Personal.pid = P-Employ.pid AND salary > 10000");
 }
 
-TEST_F(ScanModeEquivalenceTest, ErrorsMatch) {
-  CheckBothModes("SELECT name FROM P-Personal WHERE name + 1 > 0");
-  CheckBothModes("SELECT name FROM P-Personal WHERE age / 0 > 1");
-  CheckBothModes(
+TEST_F(ExecutorReferenceTest, EmptyTables) {
+  ASSERT_TRUE(
+      db_.CreateTable(TableSchema("E", {{"x", ValueType::kInt}})).ok());
+  CheckAgainstReference("SELECT * FROM E");
+  CheckAgainstReference("SELECT x FROM E WHERE x < 3");
+  CheckAgainstReference(
+      "SELECT name, x FROM P-Personal, E WHERE P-Personal.age < E.x");
+  CheckAgainstReference("SELECT * FROM E, P-Employ");
+}
+
+TEST_F(ExecutorReferenceTest, ErrorsMatch) {
+  CheckAgainstReference("SELECT name FROM P-Personal WHERE name + 1 > 0");
+  CheckAgainstReference("SELECT name FROM P-Personal WHERE age / 0 > 1");
+  CheckAgainstReference(
       "SELECT name FROM P-Personal WHERE age < 30 AND name + 1 > 0");
-}
-
-TEST_F(ScanModeEquivalenceTest, SmallBatchSizeIsEquivalent) {
-  ExecOptions tiny;
-  tiny.compiled_scan = true;
-  tiny.scan_batch_size = 2;
-  auto a = ExecuteSql("SELECT name FROM P-Personal WHERE age < 30",
-                      db_.View(), tiny);
-  ExecOptions interpreted;
-  interpreted.compiled_scan = false;
-  auto b = ExecuteSql("SELECT name FROM P-Personal WHERE age < 30",
-                      db_.View(), interpreted);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a->rows, b->rows);
 }
 
 }  // namespace

@@ -174,22 +174,6 @@ TEST_F(EndToEndTest, StaticPruningNeverDropsSuspiciousQueries) {
   EXPECT_LE(pruned->num_candidates, unpruned->num_candidates);
 }
 
-TEST_F(EndToEndTest, HashJoinDoesNotChangeVerdicts) {
-  Auditor auditor(&db_, &backlog_, &log_);
-  const std::string expr =
-      "DURING 1/1/1970 to 2/1/1970 DATA-INTERVAL 1/1/1970 to 2/1/1970 "
-      "AUDIT (name,disease) FROM P-Personal, P-Health "
-      "WHERE P-Personal.pid = P-Health.pid AND disease='diabetic'";
-  AuditOptions hash;
-  AuditOptions loop;
-  loop.exec.hash_join = false;
-  auto a = auditor.Audit(expr, Ts(100000), hash);
-  auto b = auditor.Audit(expr, Ts(100000), loop);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a->SuspiciousQueryIds(), b->SuspiciousQueryIds());
-}
-
 TEST(StressTest, LargeWorkloadWithChurnHoldsInvariants) {
   Database db;
   Backlog backlog;

@@ -206,10 +206,10 @@ TEST_F(AuditPipelineTest, AuditServiceFrontDoorIsDeterministicAndMetered) {
   EXPECT_EQ(report->CanonicalString(), Serial(kAudit));
   EXPECT_EQ(audit_service.num_threads(), 4u);
   std::string json = audit_service.MetricsJson();
-  EXPECT_NE(json.find("\"scheduler.runs\":1"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"audit.runs\":1"), std::string::npos) << json;
   EXPECT_NE(json.find("\"pool.jobs_submitted\""), std::string::npos);
-  for (const char* stage : {"static", "exec", "check"}) {
-    const std::string observed_once = std::string("\"scheduler.") + stage +
+  for (const char* stage : {"static", "view", "exec", "check"}) {
+    const std::string observed_once = std::string("\"audit.") + stage +
                                       "_stage_micros\":{\"count\":1,";
     EXPECT_NE(json.find(observed_once), std::string::npos) << json;
   }
@@ -361,14 +361,6 @@ TEST_F(AuditPipelineTest, ServiceDecisionCacheIsSharedAndInert) {
   EXPECT_GT(audit_service.decision_cache()->stats()->cache_hits.load(), 0u);
   EXPECT_EQ(audit_service.decision_cache()->stats()->cache_misses.load(),
             misses);
-
-  AuditServiceOptions uncached;
-  uncached.decision_cache_enabled = false;
-  AuditService plain(&world_->db, &world_->backlog, &world_->log, uncached);
-  EXPECT_EQ(plain.decision_cache(), nullptr);
-  auto third = plain.Audit(kAudit, Ts(1000000));
-  ASSERT_TRUE(third.ok());
-  EXPECT_EQ(third->CanonicalString(), Serial(kAudit));
 }
 
 TEST_F(AuditPipelineTest, BackpressuredPoolStillProducesIdenticalOutput) {

@@ -130,7 +130,7 @@ TEST_F(ShellTest, AuditJobsRunsConcurrentServiceAndPrintsMetrics) {
   EXPECT_NE(out.find("SUSPICIOUS"), std::string::npos);
   EXPECT_NE(out.find("metrics: {"), std::string::npos);
   EXPECT_NE(out.find("\"pool.jobs_submitted\""), std::string::npos);
-  EXPECT_NE(out.find("\"scheduler.runs\":1"), std::string::npos);
+  EXPECT_NE(out.find("\"audit.runs\":1"), std::string::npos);
 }
 
 TEST_F(ShellTest, SerialAndJobsAuditsAgree) {

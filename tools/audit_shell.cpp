@@ -443,10 +443,8 @@ class Shell {
       if (!report.ok()) return report.status();
       std::printf("%s", report->DetailedReport(log_).c_str());
       std::printf("metrics: %s\n", audit_service.MetricsJson().c_str());
-      if (audit_service.decision_cache() != nullptr) {
-        std::printf("index: %s\n",
-                    audit_service.decision_cache()->stats()->ToJson().c_str());
-      }
+      std::printf("index: %s\n",
+                  audit_service.decision_cache()->stats()->ToJson().c_str());
       return Status::Ok();
     }
     if (cmd == ".granules") {

@@ -13,9 +13,6 @@
 ///   --max-frame BYTES        per-frame body cap (default 4 MiB)
 ///   --max-response BYTES     response body cap; larger replies become
 ///                            OUT_OF_RANGE errors (default 4 MiB)
-///   --no-audit-index         disable the audit decision cache (the
-///                            "index" metrics section disappears;
-///                            ablation knob, results are identical)
 ///   --idle-timeout-ms N      evict idle connections after N ms
 ///   --max-subscriptions N    server-wide cap on live push
 ///                            subscriptions (default 1024)
@@ -124,7 +121,6 @@ struct Flags {
   uint64_t checkpoint_every = 4096;
   std::string port_file;
   bool quiet = false;
-  bool audit_index = true;
   size_t max_subscriptions = 1024;
   size_t push_queue_depth = 64;
   net::SlowSubscriberPolicy slow_subscriber_policy =
@@ -180,8 +176,6 @@ int main(int argc, char** argv) {
     const char* value = nullptr;
     if (arg == "--quiet") {
       flags.quiet = true;
-    } else if (arg == "--no-audit-index") {
-      flags.audit_index = false;
     } else if (arg == "--host" && (value = next())) {
       flags.host = value;
     } else if (arg == "--port" && (value = next())) {
@@ -441,7 +435,6 @@ int main(int argc, char** argv) {
 
   service::AuditServiceOptions service_options;
   service_options.pool.num_threads = flags.service_threads;
-  service_options.decision_cache_enabled = flags.audit_index;
   service::AuditService audit_service(&db, &backlog, &log,
                                       service_options);
 

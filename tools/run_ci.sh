@@ -28,8 +28,7 @@
 # killed primary's quiesced dir, and a promote-on-primary-kill failover
 # that must lose no acked write) — and finally a Release (-O2) build
 # that smoke-runs the scan and expression-index benches, the 10M-row
-# tid-bitmap kernel sweeps (bench_granule set-vs-bitmap, bench_scan
-# selection-bitmap emission), plus the
+# tid-bitmap kernel sweeps (bench_granule set-vs-bitmap), plus the
 # bench_net push-latency sweep, the bench_policy overhead acceptance
 # check (<5% at 0% rule-hit rate), and the bench_mixed MVCC sweep
 # (versioned caching must sustain hot hit rates AND write throughput
@@ -81,16 +80,19 @@ cmake --build "${PREFIX}-asan" -j "${JOBS}" \
       --target net_test subscription_test auditd audit_client \
                subscription_soak common_test suspicion_test \
                suspicion_reference_test minimize_test online_test \
-               cluster_test
+               cluster_test engine_test property_test
 # ASan exits non-zero on any report; halt_on_error makes that immediate.
 # The tid-bitmap and suspicion suites ride along here: the BatchIndex
 # lifetime regression (dangling batch vector) is exactly the kind of bug
 # only this tree can see. The online re-execution-failure cases ride
 # along too: they drive the observe error path, in process and over the
-# wire on a replica.
+# wire on a replica. So do the executor's reference differentials and
+# the scan/predicate-program suites: the hash-join build, the scan
+# chunking and the lineage layout they check are what the next
+# re-execution rewrites change.
 export ASAN_OPTIONS="halt_on_error=1:abort_on_error=0:exitcode=99"
 ctest --test-dir "${PREFIX}-asan" --output-on-failure \
-      -R 'FrameCodecTest|FrameReaderTest|FieldCodecTest|ErrorCodecTest|TypePredicatesTest|AuditServerTest|PushCodecTest|SubscriptionRegistryTest|PushSubscriptionTest|TidBitmapTest|TidBitmapDifferentialTest|SuspicionTest|SuspicionReferenceTest|MinimizeDifferentialTest|OnlineAuditorTest.FailedReexecutionIsAnErrorNotAClear|ClusterTest.ReplicaCountsAFailedObserveReexecution'
+      -R 'FrameCodecTest|FrameReaderTest|FieldCodecTest|ErrorCodecTest|TypePredicatesTest|AuditServerTest|PushCodecTest|SubscriptionRegistryTest|PushSubscriptionTest|TidBitmapTest|TidBitmapDifferentialTest|SuspicionTest|SuspicionReferenceTest|MinimizeDifferentialTest|OnlineAuditorTest.FailedReexecutionIsAnErrorNotAClear|ClusterTest.ReplicaCountsAFailedObserveReexecution|ExecutorDifferential|ExecutorReferenceTest|TableScanTest|PredicateProgramPropertyTest'
 
 echo "-- auditd loopback smoke (ASan build) --"
 PORT_FILE="$(mktemp)"
@@ -208,15 +210,18 @@ echo "== [5/9] tid-bitmap kernels under UndefinedBehaviorSanitizer =="
 # and the suspicion/granule reference-model differentials that exercise
 # them end-to-end, with UB checking hot. The online re-execution-failure
 # cases ride along: their queries fail on integer division by zero and
-# on type errors inside the evaluator.
+# on type errors inside the evaluator. The executor reference
+# differentials and the scan/predicate-program suites ride along too
+# (selection-vector indexing and chunk arithmetic).
 cmake -B "${PREFIX}-ubsan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DAUDITDB_SANITIZE=undefined
 cmake --build "${PREFIX}-ubsan" -j "${JOBS}" \
       --target common_test suspicion_test suspicion_reference_test \
-               minimize_test online_test cluster_test
+               minimize_test online_test cluster_test engine_test \
+               property_test
 export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
 ctest --test-dir "${PREFIX}-ubsan" --output-on-failure \
-      -R 'TidBitmapTest|TidBitmapDifferentialTest|SuspicionTest|SuspicionReferenceTest|MinimizeDifferentialTest|OnlineAuditorTest.FailedReexecutionIsAnErrorNotAClear|ClusterTest.ReplicaCountsAFailedObserveReexecution'
+      -R 'TidBitmapTest|TidBitmapDifferentialTest|SuspicionTest|SuspicionReferenceTest|MinimizeDifferentialTest|OnlineAuditorTest.FailedReexecutionIsAnErrorNotAClear|ClusterTest.ReplicaCountsAFailedObserveReexecution|ExecutorDifferential|ExecutorReferenceTest|TableScanTest|PredicateProgramPropertyTest'
 
 echo "== [6/9] policy gate under AddressSanitizer =="
 cmake --build "${PREFIX}-asan" -j "${JOBS}" \
@@ -527,12 +532,11 @@ echo "== [9/9] Release build + bench smokes =="
 cmake -B "${PREFIX}-release" -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build "${PREFIX}-release" -j "${JOBS}" \
       --target bench_scan bench_index bench_granule
-# A tiny sweep: one fused-filter shape in both scan modes plus the
-# 10M-row selection-bitmap emission pair, just enough to prove the bench
-# runs at scale and emits its JSON artifact.
+# A tiny sweep: one fused-filter shape, just enough to prove the bench
+# runs and emits its JSON artifact.
 ( cd "${PREFIX}-release/bench" && \
   ./bench_scan \
-      --benchmark_filter='BM_Filter/10000/10/3|BM_PredicateEmit/10000000/10' \
+      --benchmark_filter='BM_Filter/10000/10/3' \
       --benchmark_min_time=0.05 )
 [ -s "${PREFIX}-release/bench/BENCH_scan.json" ] || {
   echo "bench_scan did not write BENCH_scan.json"; exit 1; }
