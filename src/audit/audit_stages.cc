@@ -45,7 +45,7 @@ class SupportCounts {
   Status Build(const TargetView& view,
                const std::vector<GranuleScheme>& schemes,
                const AuditExpression& expr,
-               const std::vector<AccessProfile>& profiles,
+               const std::vector<const AccessProfile*>& profiles,
                IndispensabilityMode mode);
 
   /// Whether the kept batch without query `q` still fires some scheme.
@@ -107,7 +107,7 @@ class SupportCounts {
 Status SupportCounts::Build(const TargetView& view,
                             const std::vector<GranuleScheme>& schemes,
                             const AuditExpression& expr,
-                            const std::vector<AccessProfile>& profiles,
+                            const std::vector<const AccessProfile*>& profiles,
                             IndispensabilityMode mode) {
   const bool per_table =
       expr.indispensable && mode == IndispensabilityMode::kPerTable;
@@ -199,7 +199,7 @@ Status SupportCounts::Build(const TargetView& view,
   coverers_.assign(attrs.size(), 0);
   std::vector<size_t> stamp(suppliers_.size(), 0);
   for (size_t q = 0; q < profiles.size(); ++q) {
-    const AccessProfile& profile = profiles[q];
+    const AccessProfile& profile = *profiles[q];
     const QueryResult& result = profile.result;
     auto supply = [&](const auto& components, const auto& key) {
       auto it = components.find(key);
@@ -355,7 +355,7 @@ StaticScreenResult StaticScreenRange(const AuditExpression& expr,
       verdict.error = screen.error;
       if (screen.candidate) {
         verdict.candidate = true;
-        out.candidates.push_back(ScreenedCandidate{i, screen.stmt});
+        out.candidates.push_back(ScreenedCandidate{i, screen.stmt, shape});
       }
     }
     out.verdicts.push_back(verdict);
@@ -402,7 +402,8 @@ void StaticOnlyBatchVerdict(const AuditExpression& expr,
 
 Result<std::vector<int64_t>> MinimizeBatch(
     const TargetView& view, const std::vector<GranuleScheme>& schemes,
-    const AuditExpression& expr, const std::vector<AccessProfile>& profiles,
+    const AuditExpression& expr,
+    const std::vector<const AccessProfile*>& profiles,
     const std::vector<int64_t>& profile_ids, const SuspicionOptions& options) {
   SupportCounts counts;
   AUDITDB_RETURN_IF_ERROR(
@@ -416,6 +417,16 @@ Result<std::vector<int64_t>> MinimizeBatch(
     }
   }
   return out;
+}
+
+Result<std::vector<int64_t>> MinimizeBatch(
+    const TargetView& view, const std::vector<GranuleScheme>& schemes,
+    const AuditExpression& expr, const std::vector<AccessProfile>& profiles,
+    const std::vector<int64_t>& profile_ids, const SuspicionOptions& options) {
+  std::vector<const AccessProfile*> pointers;
+  pointers.reserve(profiles.size());
+  for (const AccessProfile& profile : profiles) pointers.push_back(&profile);
+  return MinimizeBatch(view, schemes, expr, pointers, profile_ids, options);
 }
 
 std::vector<std::string> CommonTables(const sql::SelectStatement& query,

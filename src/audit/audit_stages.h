@@ -6,6 +6,7 @@
 #include "src/audit/auditor.h"
 #include "src/audit/granule.h"
 #include "src/engine/lineage.h"
+#include "src/sql/query_shape.h"
 
 namespace auditdb {
 namespace audit {
@@ -23,6 +24,9 @@ struct ScreenedCandidate {
   /// Parsed statement; shared because structurally-identical log entries
   /// (same shape) are parsed once and reference one immutable AST.
   std::shared_ptr<const sql::SelectStatement> stmt;
+  /// Structural shape of the entry's text: equal shapes parse to equal
+  /// statements, so they re-execute identically on one state.
+  sql::QueryShape shape;
 };
 
 /// Phases 1+2 over one contiguous log range.
@@ -82,6 +86,15 @@ void StaticOnlyBatchVerdict(const AuditExpression& expr,
 /// Only `options.mode` is read.
 /// In kJointPerQuery mode a profile whose lineage cannot be projected
 /// onto a scheme's tables fails the call; it never shortens the list.
+/// Profiles may repeat (queries that share one execution share it by
+/// pointer); each entry still counts as its own query.
+Result<std::vector<int64_t>> MinimizeBatch(
+    const TargetView& view, const std::vector<GranuleScheme>& schemes,
+    const AuditExpression& expr,
+    const std::vector<const AccessProfile*>& profiles,
+    const std::vector<int64_t>& profile_ids, const SuspicionOptions& options);
+
+/// MinimizeBatch over profiles held by value.
 Result<std::vector<int64_t>> MinimizeBatch(
     const TargetView& view, const std::vector<GranuleScheme>& schemes,
     const AuditExpression& expr, const std::vector<AccessProfile>& profiles,

@@ -324,8 +324,8 @@ Result<AuditReport> Auditor::AuditPinned(const AuditExpression& parsed,
   // --- Phase 4: re-execute each candidate against its own historical
   // state (reading only the pinned backlog prefix). Candidates between
   // the same two changes share a state, keyed by event count: each
-  // distinct state is reconstructed once, one task per state, then
-  // candidate ranges re-execute against the shared read-only snapshots.
+  // distinct state is reconstructed once, one task per state, with one
+  // view over it.
   stage_start = Clock::now();
   std::map<size_t, size_t> slot_of_key;
   std::vector<size_t> slot_of(candidates.size());
@@ -338,83 +338,101 @@ Result<AuditReport> Auditor::AuditPinned(const AuditExpression& parsed,
     slot_of[c] = it->second;
   }
   std::vector<std::unique_ptr<Snapshot>> snapshots(slot_time.size());
+  std::vector<DatabaseView> views(slot_time.size());
   tasks.clear();
   for (size_t s = 0; s < slot_time.size(); ++s) {
     tasks.push_back([&, s] {
       auto snapshot = backlog_->SnapshotAt(slot_time[s], pin.backlog_events);
       if (!snapshot.ok()) return snapshot.status();
       snapshots[s] = std::make_unique<Snapshot>(std::move(*snapshot));
+      views[s] = snapshots[s]->View();
       return Status::Ok();
     });
   }
   AUDITDB_RETURN_IF_ERROR(RunStage(pool, std::move(tasks)));
 
-  std::vector<std::optional<AccessProfile>> profile_slots(candidates.size());
+  // One execution per distinct (query shape, state slot): equal shapes
+  // parse to equal statements, so every candidate of a pair would get
+  // the same profile. Keyed by shape and slot, never by the view's
+  // EpochFingerprint: snapshot tables are fresh Tables whose epochs start
+  // at 0, so the fingerprints of different snapshots collide.
+  std::map<std::pair<sql::QueryShape, size_t>, size_t> exec_of_key;
+  std::vector<size_t> exec_of(candidates.size());
+  std::vector<size_t> exec_owner;  // first candidate of each execution
+  for (size_t c = 0; c < candidates.size(); ++c) {
+    auto [it, fresh] = exec_of_key.emplace(
+        std::make_pair(candidates[c].shape, slot_of[c]), exec_owner.size());
+    if (fresh) exec_owner.push_back(c);
+    exec_of[c] = it->second;
+  }
+  std::vector<std::optional<AccessProfile>> executed(exec_owner.size());
   tasks.clear();
-  for (auto [begin, end] : Shards(candidates.size(), kExecShardSize, pool)) {
+  for (auto [begin, end] : Shards(exec_owner.size(), kExecShardSize, pool)) {
     tasks.push_back([&, begin, end] {
-      for (size_t c = begin; c < end; ++c) {
-        auto profile = ComputeAccessProfile(*candidates[c].stmt,
-                                            snapshots[slot_of[c]]->View());
-        if (profile.ok()) {
-          profile_slots[c] = std::move(*profile);
-        } else {
-          // Execution-time failure (e.g. type error): keep auditing the
-          // rest, but flag the query — it was never checked, so it must
-          // not read as clean.
-          report.verdicts[candidates[c].log_index].error = true;
-        }
+      for (size_t e = begin; e < end; ++e) {
+        size_t c = exec_owner[e];
+        auto profile =
+            ComputeAccessProfile(*candidates[c].stmt, views[slot_of[c]]);
+        if (profile.ok()) executed[e] = std::move(*profile);
       }
       return Status::Ok();
     });
   }
   AUDITDB_RETURN_IF_ERROR(RunStage(pool, std::move(tasks)));
 
-  // Merge profiles in candidate (= log) order.
-  std::vector<AccessProfile> profiles;
+  // Share the profiles by pointer, in candidate (= log) order.
+  std::vector<const AccessProfile*> profiles;
   std::vector<int64_t> profile_ids;
-  std::vector<size_t> profile_log_index;
   for (size_t c = 0; c < candidates.size(); ++c) {
-    if (!profile_slots[c].has_value()) continue;
-    profiles.push_back(std::move(*profile_slots[c]));
+    const std::optional<AccessProfile>& profile = executed[exec_of[c]];
+    if (!profile.has_value()) {
+      // Execution-time failure (e.g. type error): keep auditing the
+      // rest, but flag the query — it was never checked, so it must
+      // not read as clean.
+      report.verdicts[candidates[c].log_index].error = true;
+      continue;
+    }
+    profiles.push_back(&*profile);
     profile_ids.push_back(log_->Entry(candidates[c].log_index).id);
-    profile_log_index.push_back(candidates[c].log_index);
   }
   report.num_executed = profiles.size();
   report.exec_seconds = SecondsBetween(stage_start, Clock::now());
 
   // --- Phase 5: granule-access suspicion. The batch verdict is one call;
-  // the per-query singleton checks fan out per candidate range, each
-  // writing its own verdicts; greedy minimization stays one call because
-  // its drop order is part of the output contract.
+  // the singleton checks fan out over execution ranges, one per distinct
+  // profile, and every candidate sharing a profile takes its verdict;
+  // greedy minimization stays one call because its drop order is part of
+  // the output contract.
   stage_start = Clock::now();
-  std::vector<const AccessProfile*> batch;
-  batch.reserve(profiles.size());
-  for (const auto& p : profiles) batch.push_back(&p);
   auto batch_result = CheckBatchSuspicion(view, schemes, expr.threshold,
-                                          expr.indispensable, batch,
+                                          expr.indispensable, profiles,
                                           options.suspicion);
   if (!batch_result.ok()) return batch_result.status();
   report.batch_suspicious = batch_result->suspicious;
   report.evidence = batch_result->Describe(view, schemes);
 
   if (options.per_query_verdicts) {
+    std::vector<char> suspicious_alone(executed.size(), 0);
     tasks.clear();
-    for (auto [begin, end] : Shards(profiles.size(), kExecShardSize, pool)) {
+    for (auto [begin, end] : Shards(executed.size(), kExecShardSize, pool)) {
       tasks.push_back([&, begin, end] {
-        for (size_t p = begin; p < end; ++p) {
-          std::vector<const AccessProfile*> single{&profiles[p]};
+        for (size_t e = begin; e < end; ++e) {
+          if (!executed[e].has_value()) continue;
+          std::vector<const AccessProfile*> single{&*executed[e]};
           auto single_result = CheckBatchSuspicion(
               view, schemes, expr.threshold, expr.indispensable, single,
               options.suspicion);
           if (!single_result.ok()) return single_result.status();
-          report.verdicts[profile_log_index[p]].suspicious_alone =
-              single_result->suspicious;
+          suspicious_alone[e] = single_result->suspicious;
         }
         return Status::Ok();
       });
     }
     AUDITDB_RETURN_IF_ERROR(RunStage(pool, std::move(tasks)));
+    for (size_t c = 0; c < candidates.size(); ++c) {
+      report.verdicts[candidates[c].log_index].suspicious_alone =
+          suspicious_alone[exec_of[c]];
+    }
   }
 
   if (options.minimize_batch && report.batch_suspicious) {

@@ -1,7 +1,6 @@
 #include "src/engine/executor.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "src/engine/table_scan.h"
 #include "src/expr/analysis.h"
@@ -18,12 +17,10 @@ struct ScheduledConjunct {
 };
 
 /// Per-join-position hash acceleration: probe an earlier column's value
-/// against a hash of this table's rows keyed by one of its columns.
+/// against the table version's join-key index on one of its columns.
 struct HashJoinPlan {
-  bool enabled = false;
-  int probe_slot = -1;   // slot (filled earlier) whose value we look up
-  size_t build_column = 0;  // column index within this table's schema
-  std::unordered_map<Value, std::vector<size_t>> build;
+  int probe_slot = -1;  // slot (filled earlier) whose value we look up
+  const JoinKeyIndex* index = nullptr;  // null: no hash join here
 };
 
 class ExecutionContext {
@@ -190,7 +187,7 @@ class ExecutionContext {
       if (!lt.ok() || !rt.ok() || *lt != *rt) continue;
 
       // The conjunct itself stays a cross stage: Value equality puts
-      // every NULL key in one bucket, and only re-evaluating the
+      // every NULL key in one hash run, and only re-evaluating the
       // conjunct keeps NULL = NULL pairs out.
       HashJoinPlan& plan = hash_plans_[position];
       auto probe_slot = layout_.Slot(lhs);
@@ -201,12 +198,7 @@ class ExecutionContext {
         return Status::Internal("hash join column vanished: " +
                                 rhs.ToString());
       }
-      plan.build_column = *col_idx;
-      const auto& rows = tables_[position]->rows();
-      for (size_t r = 0; r < rows.size(); ++r) {
-        plan.build[rows[r].values[plan.build_column]].push_back(r);
-      }
-      plan.enabled = true;
+      plan.index = &tables_[position]->JoinIndex(*col_idx);
       return Status::Ok();
     }
     return Status::Ok();
@@ -276,14 +268,9 @@ class ExecutionContext {
     };
 
     const HashJoinPlan& plan = hash_plans_[position];
-    if (plan.enabled) {
-      const Value& key = combined_[static_cast<size_t>(plan.probe_slot)];
-      auto it = plan.build.find(key);
-      if (it == plan.build.end()) return Status::Ok();
-      for (size_t r : it->second) {
-        AUDITDB_RETURN_IF_ERROR(try_row(r));
-      }
-      return Status::Ok();
+    if (plan.index != nullptr) {
+      return plan.index->ForEachMatch(
+          combined_[static_cast<size_t>(plan.probe_slot)], try_row);
     }
     // Fast path: every ready conjunct was compiled and no row errors, so
     // the passing set IS the visit set (failing rows would only have been

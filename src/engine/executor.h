@@ -61,8 +61,9 @@ struct QueryResult {
 /// Executes `stmt` against `db`. Column references are resolved against the
 /// view's catalog; the WHERE clause is decomposed into conjuncts that are
 /// evaluated as early as possible in the join order (the FROM-clause
-/// order). A join position with a same-typed equi-join conjunct probes a
-/// hash of its table; any other position is a nested loop. Conjuncts
+/// order). A join position with a same-typed equi-join conjunct probes
+/// its table version's join-key index (built once per version and shared
+/// by every query on it); any other position is a nested loop. Conjuncts
 /// reading only one table run as compiled predicate programs over that
 /// table's columnar batch. Output rows come in nested-loop order: FROM
 /// positions outermost first, each table's rows in storage order.

@@ -1012,7 +1012,11 @@ struct AuditServer::Impl {
               ",\"columnar_builds\":" +
               std::to_string(stats.columnar_builds.load()) +
               ",\"columnar_hits\":" +
-              std::to_string(stats.columnar_hits.load()) + "}";
+              std::to_string(stats.columnar_hits.load()) +
+              ",\"join_index_builds\":" +
+              std::to_string(stats.join_index_builds.load()) +
+              ",\"join_index_hits\":" +
+              std::to_string(stats.join_index_hits.load()) + "}";
     }
     const size_t entries = log->size();
     const size_t shapes = log->distinct_shapes();

@@ -1,5 +1,7 @@
 #include "src/storage/table.h"
 
+#include <algorithm>
+
 namespace auditdb {
 
 std::string TidToString(Tid tid) { return "t" + std::to_string(tid); }
@@ -80,6 +82,23 @@ std::shared_ptr<const Batch> BuildColumnar(const TableSchema& schema,
 }
 
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// JoinKeyIndex
+
+JoinKeyIndex::JoinKeyIndex(const RowStore& rows, size_t column)
+    : rows_(&rows), column_(column) {
+  entries_.reserve(rows.size());
+  for (size_t p = 0; p < rows.size(); ++p) {
+    entries_.push_back({rows[p].values[column].Hash(),
+                        static_cast<uint32_t>(p)});
+  }
+  std::sort(entries_.begin(), entries_.end(),
+            [](const Entry& a, const Entry& b) {
+              return a.hash != b.hash ? a.hash < b.hash
+                                      : a.position < b.position;
+            });
+}
 
 // ---------------------------------------------------------------------------
 // Table (write side)
@@ -275,6 +294,21 @@ std::shared_ptr<const Batch> TableVersion::Columnar() const {
     stats_->columnar_hits.fetch_add(1, std::memory_order_relaxed);
   }
   return batch_;
+}
+
+const JoinKeyIndex& TableVersion::JoinIndex(size_t column) const {
+  std::lock_guard<std::mutex> lock(join_index_mu_);
+  if (join_indexes_.empty()) join_indexes_.resize(schema_->num_columns());
+  std::unique_ptr<const JoinKeyIndex>& slot = join_indexes_[column];
+  if (!slot) {
+    slot = std::make_unique<const JoinKeyIndex>(rows_, column);
+    if (stats_) {
+      stats_->join_index_builds.fetch_add(1, std::memory_order_relaxed);
+    }
+  } else if (stats_) {
+    stats_->join_index_hits.fetch_add(1, std::memory_order_relaxed);
+  }
+  return *slot;
 }
 
 }  // namespace auditdb

@@ -1,6 +1,7 @@
 #ifndef AUDITDB_STORAGE_TABLE_H_
 #define AUDITDB_STORAGE_TABLE_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -70,6 +71,10 @@ struct TableStats {
   /// reuses of an already-built per-version batch.
   std::atomic<uint64_t> columnar_builds{0};
   std::atomic<uint64_t> columnar_hits{0};
+  /// Join-key index builds (one per version and join column) and reuses
+  /// of an already-built per-version index.
+  std::atomic<uint64_t> join_index_builds{0};
+  std::atomic<uint64_t> join_index_hits{0};
 };
 
 /// Segmented copy-on-write row storage. Rows live in fixed-size segments
@@ -165,6 +170,48 @@ class RowStore {
   std::vector<std::shared_ptr<Segment>> segments_;
   size_t size_ = 0;
   std::shared_ptr<TableStats> stats_;
+};
+
+/// Equi-join index over one column of an immutable row set: every row's
+/// (Value::Hash() of the key, position), sorted. A probe takes the hash
+/// run of its key by binary search and confirms each entry with Value ==,
+/// so it matches exactly the rows an unordered_map<Value, ...> would:
+/// 0.0 and -0.0 meet (Hash() normalizes the sign), NaN meets nothing, and
+/// every NULL key lands in one run (NULL == NULL under Value ==; the join
+/// conjunct itself is what rejects those pairs). Positions within a key
+/// come back ascending, i.e. in storage order. Flat on purpose: a version
+/// keeps its index alive as long as it lives, and one 16-byte entry per
+/// row costs far less than a node-based map.
+class JoinKeyIndex {
+ public:
+  /// Indexes column `column` of `rows`; `rows` must outlive the index.
+  JoinKeyIndex(const RowStore& rows, size_t column);
+
+  /// Calls `fn(position)` (returning Status) for every row whose key
+  /// equals `key` under Value ==, in ascending position order; stops at
+  /// and returns the first error.
+  template <typename Fn>
+  Status ForEachMatch(const Value& key, Fn&& fn) const {
+    const size_t hash = key.Hash();
+    auto it = std::lower_bound(
+        entries_.begin(), entries_.end(), hash,
+        [](const Entry& e, size_t h) { return e.hash < h; });
+    for (; it != entries_.end() && it->hash == hash; ++it) {
+      if ((*rows_)[it->position].values[column_] != key) continue;
+      AUDITDB_RETURN_IF_ERROR(fn(static_cast<size_t>(it->position)));
+    }
+    return Status::Ok();
+  }
+
+ private:
+  struct Entry {
+    size_t hash;
+    uint32_t position;
+  };
+
+  const RowStore* rows_;
+  size_t column_;
+  std::vector<Entry> entries_;
 };
 
 class TableVersion;
@@ -311,6 +358,11 @@ class TableVersion {
   /// version is immutable.
   std::shared_ptr<const Batch> Columnar() const;
 
+  /// Join-key index over column `column` (< schema().num_columns()),
+  /// built on first use and shared by every probe of the version
+  /// thereafter, like Columnar(). Lives as long as the version.
+  const JoinKeyIndex& JoinIndex(size_t column) const;
+
  private:
   std::shared_ptr<const TableSchema> schema_;
   uint64_t epoch_ = 0;
@@ -320,6 +372,10 @@ class TableVersion {
 
   mutable std::mutex columnar_mu_;
   mutable std::shared_ptr<const Batch> batch_;
+
+  mutable std::mutex join_index_mu_;
+  /// One slot per column, filled on first JoinIndex() of that column.
+  mutable std::vector<std::unique_ptr<const JoinKeyIndex>> join_indexes_;
 };
 
 }  // namespace auditdb

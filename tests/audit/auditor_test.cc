@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/service/thread_pool.h"
 #include "src/workload/hospital.h"
 
 namespace auditdb {
@@ -320,6 +321,78 @@ TEST_F(AuditorTest, DecisionCacheKeepsReportsByteIdentical) {
   EXPECT_EQ(first.CanonicalString(), plain.CanonicalString());
   EXPECT_EQ(second.CanonicalString(), plain.CanonicalString());
   EXPECT_GT(cache.stats()->cache_hits.load(), 0u);
+}
+
+TEST_F(AuditorTest, RepeatedCandidatesShareOneExecutionPerState) {
+  // Reku (zipcode 145568) moves at t=50. The same query text runs before
+  // and after the move, twice on each state, once respelled; a failing
+  // query (division by zero) repeats on one state. The auditor executes
+  // each (shape, state) once and shares the profile, which must never
+  // change a verdict.
+  const std::string reku_zip =
+      "SELECT name, zipcode FROM P-Personal WHERE zipcode='145568'";
+  const std::string failing =
+      "SELECT name, zipcode FROM P-Personal WHERE age / 0 = 1";
+  Log(reku_zip, 10);
+  Log(failing, 11);
+  Log("SELECT  name,zipcode FROM P-Personal\n WHERE zipcode = '145568'",
+      12);
+  Log(reku_zip, 13);
+  Log(failing, 14);
+  ASSERT_TRUE(db_.UpdateColumn("P-Personal", 12, "zipcode",
+                               Value::String("999999"), Ts(50))
+                  .ok());
+  Log(reku_zip, 60);
+  Log(failing, 61);
+  Log(reku_zip, 62);
+  const std::string text =
+      kSpan + "AUDIT (name,zipcode) FROM P-Personal WHERE name='Reku'";
+
+  auto serial = MustAudit(text);
+  ASSERT_EQ(serial.verdicts.size(), 8u);
+  EXPECT_EQ(serial.num_candidates, 8u);
+  // Executed counts candidates, not executions: every non-failing copy.
+  EXPECT_EQ(serial.num_executed, 5u);
+  // Before the move the query disclosed Reku; after it, it did not: the
+  // text on both sides of the update executed against its own state.
+  EXPECT_EQ(serial.SuspiciousQueryIds(),
+            (std::vector<int64_t>{1, 3, 4}));
+  for (int64_t id : {2, 5, 7}) {
+    const QueryVerdict& verdict = serial.verdicts[static_cast<size_t>(id - 1)];
+    EXPECT_TRUE(verdict.candidate) << id;
+    EXPECT_TRUE(verdict.error) << id;
+    EXPECT_FALSE(verdict.suspicious_alone) << id;
+  }
+  EXPECT_EQ(serial.NumErrored(), 3u);
+
+  // A pool shares the same executions and produces the same bytes.
+  auto expr = ParseAudit(text, Ts(1000));
+  ASSERT_TRUE(expr.ok()) << expr.status().ToString();
+  service::ThreadPoolOptions pool_options;
+  pool_options.num_threads = 4;
+  service::ThreadPool pool(pool_options);
+  Auditor auditor(&db_, &backlog_, &log_);
+  auto pooled =
+      auditor.AuditPinned(*expr, AuditOptions{}, auditor.Pin(), &pool);
+  ASSERT_TRUE(pooled.ok()) << pooled.status().ToString();
+  EXPECT_EQ(pooled->CanonicalString(), serial.CanonicalString());
+
+  // Each copy's verdict is the one it gets in a log holding it alone.
+  for (size_t i = 0; i < log_.size(); ++i) {
+    const LoggedQuery& entry = log_.Entry(i);
+    QueryLog alone;
+    alone.Append(entry.sql, entry.timestamp, entry.user, entry.role,
+                 entry.purpose);
+    Auditor single(&db_, &backlog_, &alone);
+    auto report = single.Audit(text, Ts(1000));
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    ASSERT_EQ(report->verdicts.size(), 1u);
+    const QueryVerdict& got = report->verdicts[0];
+    const QueryVerdict& want = serial.verdicts[i];
+    EXPECT_EQ(got.candidate, want.candidate) << entry.sql;
+    EXPECT_EQ(got.suspicious_alone, want.suspicious_alone) << i;
+    EXPECT_EQ(got.error, want.error) << i;
+  }
 }
 
 TEST_F(AuditorTest, ParseErrorsSurface) {

@@ -240,6 +240,17 @@ TEST(AuditServerTest, ExecuteQueryAppendsToServedLog) {
   EXPECT_EQ(entry.user, "mallory");
   EXPECT_EQ(entry.timestamp, Ts(900000));
 
+  // The join probed P-Health's join-key index, built for the version it
+  // read; the versions metrics section reports the build.
+  auto metrics = client.MetricsJson();
+  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+  size_t health = metrics->find("\"P-Health\":{");
+  ASSERT_NE(health, std::string::npos) << *metrics;
+  EXPECT_GE(CounterFromJson(metrics->substr(health), "join_index_builds"),
+            1u)
+      << *metrics;
+  EXPECT_NE(metrics->find("\"join_index_hits\":"), std::string::npos);
+
   // A bad query is an error response, not an appended entry.
   auto bad = client.ExecuteQuery("SELECT nope FROM NoSuchTable", "u", "r",
                                  "p", Ts(900001));

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <string>
 #include <thread>
@@ -15,6 +16,7 @@
 
 #include "src/audit/audit_parser.h"
 #include "src/audit/auditor.h"
+#include "src/engine/executor.h"
 #include "src/service/audit_service.h"
 #include "src/workload/generator.h"
 #include "src/workload/hospital.h"
@@ -182,6 +184,60 @@ TEST_F(MvccConcurrentTest, SnapshotPinsRaceWritersWithoutTearing) {
   }
   for (auto& t : readers) t.join();
   for (auto& t : writers) t.join();
+}
+
+TEST_F(MvccConcurrentTest, JoinIndexBuiltOnceUnderConcurrentExecute) {
+  // A fresh version of each table: no query has probed these yet.
+  ASSERT_TRUE(world_->db
+                  .Insert("P-Health",
+                          {Value::String("fresh"), Value::String("W1"),
+                           Value::String("Doc"), Value::String("flu"),
+                           Value::String("drug1")},
+                          Ts(5000))
+                  .ok());
+  ASSERT_TRUE(world_->db
+                  .Insert("P-Employ",
+                          {Value::String("fresh"), Value::String("E1"),
+                           Value::Int(1000)},
+                          Ts(5000))
+                  .ok());
+  const DatabaseView view = world_->db.Snapshot();
+  const char* const kJoin =
+      "SELECT name, disease, salary FROM P-Personal, P-Health, P-Employ "
+      "WHERE P-Personal.pid = P-Health.pid AND "
+      "P-Health.pid = P-Employ.pid";
+  auto health = world_->db.GetTable("P-Health");
+  auto employ = world_->db.GetTable("P-Employ");
+  ASSERT_TRUE(health.ok() && employ.ok());
+  const TableStats& health_stats = (*health)->stats();
+  const TableStats& employ_stats = (*employ)->stats();
+  const uint64_t health_builds = health_stats.join_index_builds.load();
+  const uint64_t employ_builds = employ_stats.join_index_builds.load();
+
+  constexpr size_t kThreads = 8;
+  std::vector<Result<QueryResult>> results(kThreads,
+                                           Status::Internal("not run"));
+  std::atomic<size_t> ready{0};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Start together, so the first probes of both indexes race.
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      results[t] = ExecuteSql(kJoin, view);
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  EXPECT_EQ(health_stats.join_index_builds.load(), health_builds + 1);
+  EXPECT_EQ(employ_stats.join_index_builds.load(), employ_builds + 1);
+  ASSERT_TRUE(results[0].ok()) << results[0].status().ToString();
+  EXPECT_FALSE(results[0]->rows.empty());
+  for (size_t t = 1; t < kThreads; ++t) {
+    ASSERT_TRUE(results[t].ok()) << results[t].status().ToString();
+    EXPECT_EQ(results[t]->rows, results[0]->rows) << "thread " << t;
+    EXPECT_EQ(results[t]->lineage, results[0]->lineage) << "thread " << t;
+  }
 }
 
 }  // namespace

@@ -120,6 +120,29 @@ TEST(TableVersionTest, ColumnarBatchIsBuiltOncePerVersion) {
   EXPECT_EQ(batch3->num_rows, 2u);
 }
 
+TEST(TableVersionTest, JoinIndexIsBuiltOncePerVersionAndColumn) {
+  Table table(TwoColSchema());
+  ASSERT_TRUE(table.Insert({Value::Int(1), Value::String("x")}).ok());
+  auto version = table.CurrentVersion();
+  const JoinKeyIndex* index = &version->JoinIndex(0);
+  EXPECT_EQ(table.stats().join_index_builds.load(), 1u);
+  EXPECT_EQ(table.stats().join_index_hits.load(), 0u);
+  EXPECT_EQ(&version->JoinIndex(0), index);
+  EXPECT_EQ(&table.CurrentVersion()->JoinIndex(0), index);
+  EXPECT_EQ(table.stats().join_index_builds.load(), 1u);
+  EXPECT_EQ(table.stats().join_index_hits.load(), 2u);
+
+  // Another column is another index of the same version.
+  version->JoinIndex(1);
+  EXPECT_EQ(table.stats().join_index_builds.load(), 2u);
+
+  // A write publishes a new version, which builds its own on first use.
+  ASSERT_TRUE(table.Insert({Value::Int(2), Value::String("y")}).ok());
+  EXPECT_NE(&table.CurrentVersion()->JoinIndex(0), index);
+  EXPECT_EQ(table.stats().join_index_builds.load(), 3u);
+  EXPECT_EQ(table.stats().join_index_hits.load(), 2u);
+}
+
 TEST(TableVersionTest, GetPositionResolvesTidsWithinTheVersion) {
   Table table(TwoColSchema());
   ASSERT_TRUE(table.InsertWithTid(11, {Value::Int(1), Value::String("x")})

@@ -63,7 +63,10 @@ cmake -B "${PREFIX}-tsan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 # byte-identical to a quiesced serial run), the subscription registry
 # (publishers vs drainers vs churn), the end-to-end push fan-out
 # (Subscribe/Unsubscribe racing Observe), and the policy engine's
-# Decide/Emit-vs-reload race.
+# Decide/Emit-vs-reload race. service_test also carries
+# MvccConcurrentTest.JoinIndexBuiltOnceUnderConcurrentExecute: eight
+# threads racing the first probes of one version's lazily built join-key
+# indexes.
 cmake --build "${PREFIX}-tsan" -j "${JOBS}" \
       --target service_test subscription_test net_test policy_test \
                common_test
@@ -80,7 +83,8 @@ cmake --build "${PREFIX}-asan" -j "${JOBS}" \
       --target net_test subscription_test auditd audit_client \
                subscription_soak common_test suspicion_test \
                suspicion_reference_test minimize_test online_test \
-               cluster_test engine_test property_test
+               cluster_test engine_test property_test storage_test \
+               auditor_test
 # ASan exits non-zero on any report; halt_on_error makes that immediate.
 # The tid-bitmap and suspicion suites ride along here: the BatchIndex
 # lifetime regression (dangling batch vector) is exactly the kind of bug
@@ -89,10 +93,13 @@ cmake --build "${PREFIX}-asan" -j "${JOBS}" \
 # wire on a replica. So do the executor's reference differentials and
 # the scan/predicate-program suites: the hash-join build, the scan
 # chunking and the lineage layout they check are what the next
-# re-execution rewrites change.
+# re-execution rewrites change. The join-key index suites and the
+# auditor's shared-execution case ride along for the same reason: probes
+# read rows through a version-owned index, and candidates share one
+# profile by pointer.
 export ASAN_OPTIONS="halt_on_error=1:abort_on_error=0:exitcode=99"
 ctest --test-dir "${PREFIX}-asan" --output-on-failure \
-      -R 'FrameCodecTest|FrameReaderTest|FieldCodecTest|ErrorCodecTest|TypePredicatesTest|AuditServerTest|PushCodecTest|SubscriptionRegistryTest|PushSubscriptionTest|TidBitmapTest|TidBitmapDifferentialTest|SuspicionTest|SuspicionReferenceTest|MinimizeDifferentialTest|OnlineAuditorTest.FailedReexecutionIsAnErrorNotAClear|ClusterTest.ReplicaCountsAFailedObserveReexecution|ExecutorDifferential|ExecutorReferenceTest|TableScanTest|PredicateProgramPropertyTest'
+      -R 'FrameCodecTest|FrameReaderTest|FieldCodecTest|ErrorCodecTest|TypePredicatesTest|AuditServerTest|PushCodecTest|SubscriptionRegistryTest|PushSubscriptionTest|TidBitmapTest|TidBitmapDifferentialTest|SuspicionTest|SuspicionReferenceTest|MinimizeDifferentialTest|OnlineAuditorTest.FailedReexecutionIsAnErrorNotAClear|ClusterTest.ReplicaCountsAFailedObserveReexecution|ExecutorDifferential|ExecutorReferenceTest|TableScanTest|PredicateProgramPropertyTest|JoinKeyIndexTest|TableVersionTest.JoinIndexIsBuiltOncePerVersionAndColumn|AuditorTest.RepeatedCandidatesShareOneExecutionPerState'
 
 echo "-- auditd loopback smoke (ASan build) --"
 PORT_FILE="$(mktemp)"
@@ -218,10 +225,10 @@ cmake -B "${PREFIX}-ubsan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build "${PREFIX}-ubsan" -j "${JOBS}" \
       --target common_test suspicion_test suspicion_reference_test \
                minimize_test online_test cluster_test engine_test \
-               property_test
+               property_test storage_test auditor_test
 export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
 ctest --test-dir "${PREFIX}-ubsan" --output-on-failure \
-      -R 'TidBitmapTest|TidBitmapDifferentialTest|SuspicionTest|SuspicionReferenceTest|MinimizeDifferentialTest|OnlineAuditorTest.FailedReexecutionIsAnErrorNotAClear|ClusterTest.ReplicaCountsAFailedObserveReexecution|ExecutorDifferential|ExecutorReferenceTest|TableScanTest|PredicateProgramPropertyTest'
+      -R 'TidBitmapTest|TidBitmapDifferentialTest|SuspicionTest|SuspicionReferenceTest|MinimizeDifferentialTest|OnlineAuditorTest.FailedReexecutionIsAnErrorNotAClear|ClusterTest.ReplicaCountsAFailedObserveReexecution|ExecutorDifferential|ExecutorReferenceTest|TableScanTest|PredicateProgramPropertyTest|JoinKeyIndexTest|TableVersionTest.JoinIndexIsBuiltOncePerVersionAndColumn|AuditorTest.RepeatedCandidatesShareOneExecutionPerState'
 
 echo "== [6/9] policy gate under AddressSanitizer =="
 cmake --build "${PREFIX}-asan" -j "${JOBS}" \
