@@ -6,12 +6,11 @@
 #include <functional>
 #include <iterator>
 #include <map>
-#include <memory>
 #include <optional>
 #include <utility>
 
 #include "src/audit/audit_stages.h"
-#include "src/backlog/snapshot.h"
+#include "src/backlog/backlog.h"
 #include "src/service/thread_pool.h"
 
 namespace auditdb {
@@ -324,8 +323,7 @@ Result<AuditReport> Auditor::AuditPinned(const AuditExpression& parsed,
   // --- Phase 4: re-execute each candidate against its own historical
   // state (reading only the pinned backlog prefix). Candidates between
   // the same two changes share a state, keyed by event count: each
-  // distinct state is reconstructed once, one task per state, with one
-  // view over it.
+  // distinct state gets one slot and one view over it.
   stage_start = Clock::now();
   std::map<size_t, size_t> slot_of_key;
   std::vector<size_t> slot_of(candidates.size());
@@ -337,25 +335,26 @@ Result<AuditReport> Auditor::AuditPinned(const AuditExpression& parsed,
     if (fresh) slot_time.push_back(at);
     slot_of[c] = it->second;
   }
-  std::vector<std::unique_ptr<Snapshot>> snapshots(slot_time.size());
+  // The count of events <= t never decreases in t, so key order is time
+  // order: one cursor pins every slot's view in a single forward sweep.
+  // The views outlive the cursor (their TableVersions are shared).
   std::vector<DatabaseView> views(slot_time.size());
-  tasks.clear();
-  for (size_t s = 0; s < slot_time.size(); ++s) {
-    tasks.push_back([&, s] {
-      auto snapshot = backlog_->SnapshotAt(slot_time[s], pin.backlog_events);
-      if (!snapshot.ok()) return snapshot.status();
-      snapshots[s] = std::make_unique<Snapshot>(std::move(*snapshot));
-      views[s] = snapshots[s]->View();
-      return Status::Ok();
-    });
+  {
+    BacklogCursor cursor(*backlog_, pin.backlog_events);
+    for (const auto& [key, s] : slot_of_key) {
+      auto view = cursor.ViewAt(slot_time[s]);
+      if (!view.ok()) return view.status();
+      views[s] = std::move(*view);
+    }
   }
-  AUDITDB_RETURN_IF_ERROR(RunStage(pool, std::move(tasks)));
 
   // One execution per distinct (query shape, state slot): equal shapes
   // parse to equal statements, so every candidate of a pair would get
-  // the same profile. Keyed by shape and slot, never by the view's
-  // EpochFingerprint: snapshot tables are fresh Tables whose epochs start
-  // at 0, so the fingerprints of different snapshots collide.
+  // the same profile. Keyed by shape and slot because the slot is the
+  // identity of a state (its event count). The views' EpochFingerprint
+  // is not: cursor tables count only the events applied to them, and on
+  // a non-monotone backlog each view is a fresh replay whose epochs
+  // start at 0, so two different states can share a fingerprint.
   std::map<std::pair<sql::QueryShape, size_t>, size_t> exec_of_key;
   std::vector<size_t> exec_of(candidates.size());
   std::vector<size_t> exec_owner;  // first candidate of each execution

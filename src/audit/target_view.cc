@@ -1,6 +1,7 @@
 #include "src/audit/target_view.h"
 
 #include <algorithm>
+#include <optional>
 #include <unordered_set>
 #include <utility>
 
@@ -98,6 +99,35 @@ std::vector<ColumnRef> ViewColumns(const AuditExpression& expr) {
   return columns;
 }
 
+/// True when the view SPJ, which reads only `columns` (the view's value
+/// columns) and tids, must give over `now` the facts it gave over
+/// `then`, two versions of one FROM table: both hold the same tids in
+/// the same order, with == values in every column of the table that the
+/// view reads. Value == is the equality the fact dedup uses and no
+/// predicate tells ==-equal values apart, so a change it cannot see
+/// could add no fact.
+bool SameViewInput(const TableVersion& now, const TableVersion& then,
+                   const std::vector<ColumnRef>& columns) {
+  if (&now == &then) return true;
+  if (now.size() != then.size()) return false;
+  std::vector<size_t> read;
+  for (const ColumnRef& col : columns) {
+    if (col.table != now.name()) continue;
+    auto index = now.schema().FindColumn(col.column);
+    if (!index.has_value()) return false;
+    read.push_back(*index);
+  }
+  for (size_t i = 0; i < now.size(); ++i) {
+    const Row& a = now.rows()[i];
+    const Row& b = then.rows()[i];
+    if (a.tid != b.tid) return false;
+    for (size_t c : read) {
+      if (a.values[c] != b.values[c]) return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 Result<TargetView> ComputeTargetView(const AuditExpression& expr,
@@ -133,13 +163,31 @@ Result<TargetView> ComputeTargetViewOverVersions(const AuditExpression& expr,
   merged.tables = expr.from;
   merged.columns = ViewColumns(expr);
 
+  // One forward sweep. A version whose FROM tables match the last
+  // evaluated version's in everything the view reads would yield the
+  // same facts, all already merged under that earlier label: skip it.
+  // Untouched tables are the very same TableVersion objects; `evaluated`
+  // keeps those pinned, so pointer equality is identity.
+  BacklogCursor cursor(backlog, event_limit);
+  std::optional<DatabaseView> evaluated;
   FactSet seen;
   for (Timestamp version :
        backlog.VersionTimestamps(expr.data_interval, event_limit)) {
-    auto snapshot = backlog.SnapshotAt(version, event_limit);
-    if (!snapshot.ok()) return snapshot.status();
-    auto view = ComputeTargetView(expr, snapshot->View(), version);
+    auto db = cursor.ViewAt(version);
+    if (!db.ok()) return db.status();
+    if (evaluated.has_value() &&
+        std::all_of(expr.from.begin(), expr.from.end(),
+                    [&](const std::string& table) {
+                      auto now = db->GetTable(table);
+                      auto then = evaluated->GetTable(table);
+                      return now.ok() && then.ok() &&
+                             SameViewInput(**now, **then, merged.columns);
+                    })) {
+      continue;
+    }
+    auto view = ComputeTargetView(expr, *db, version);
     if (!view.ok()) return view.status();
+    evaluated = std::move(*db);
     for (auto& fact : view->facts) {
       if (!seen.emplace(fact.tids, fact.values).second) continue;
       merged.facts.push_back(std::move(fact));

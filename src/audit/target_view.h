@@ -76,7 +76,10 @@ Result<TargetView> ComputeTargetView(const AuditExpression& expr,
 /// reconstructed from the backlog, and unions the facts (deduplicated by
 /// tids + values). `event_limit` bounds the backlog prefix read (a pinned
 /// audit passes its captured event count so concurrent appends are
-/// invisible). The ExecOptions parameter is ignored (see ExecOptions).
+/// invisible). One BacklogCursor sweeps the versions in time order, and a
+/// version whose FROM tables are unchanged since the last evaluated one,
+/// in every tid and every column the view reads, is skipped (it could
+/// add no fact). The ExecOptions parameter is ignored (see ExecOptions).
 Result<TargetView> ComputeTargetViewOverVersions(
     const AuditExpression& expr, const Backlog& backlog,
     const ExecOptions& = ExecOptions{},

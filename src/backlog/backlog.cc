@@ -21,6 +21,26 @@ std::vector<ChangeEvent> Backlog::EventsForTable(const std::string& table,
   return out;
 }
 
+namespace {
+
+/// Applies one captured event to `snapshot` (the event's table must
+/// exist there).
+Status ApplyEvent(const ChangeEvent& event, Snapshot* snapshot) {
+  auto table = snapshot->GetTable(event.table);
+  if (!table.ok()) return table.status();
+  switch (event.op) {
+    case ChangeEvent::Op::kInsert:
+      return (*table)->InsertWithTid(event.row.tid, event.row.values);
+    case ChangeEvent::Op::kUpdate:
+      return (*table)->Update(event.row.tid, event.row.values);
+    case ChangeEvent::Op::kDelete:
+      return (*table)->Delete(event.row.tid).status();
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
 Result<Snapshot> Backlog::SnapshotAt(Timestamp t, size_t limit) const {
   if (db_ == nullptr) {
     return Status::Internal("backlog not attached to a database");
@@ -41,23 +61,7 @@ Result<Snapshot> Backlog::SnapshotAt(Timestamp t, size_t limit) const {
   for (size_t i = 0; i < n; ++i) {
     const ChangeEvent& event = events_.At(i);
     if (event.timestamp > t) continue;
-    auto table = snapshot.GetTable(event.table);
-    if (!table.ok()) return table.status();
-    switch (event.op) {
-      case ChangeEvent::Op::kInsert:
-        AUDITDB_RETURN_IF_ERROR(
-            (*table)->InsertWithTid(event.row.tid, event.row.values));
-        break;
-      case ChangeEvent::Op::kUpdate:
-        AUDITDB_RETURN_IF_ERROR(
-            (*table)->Update(event.row.tid, event.row.values));
-        break;
-      case ChangeEvent::Op::kDelete: {
-        auto removed = (*table)->Delete(event.row.tid);
-        if (!removed.ok()) return removed.status();
-        break;
-      }
-    }
+    AUDITDB_RETURN_IF_ERROR(ApplyEvent(event, &snapshot));
   }
   return snapshot;
 }
@@ -118,6 +122,38 @@ std::vector<Timestamp> Backlog::VersionTimestamps(const TimeInterval& interval,
   std::sort(stamps.begin(), stamps.end());
   stamps.erase(std::unique(stamps.begin(), stamps.end()), stamps.end());
   return stamps;
+}
+
+BacklogCursor::BacklogCursor(const Backlog& backlog, size_t limit)
+    : backlog_(&backlog), limit_(std::min(limit, backlog.event_count())) {
+  for (size_t i = 1; i < limit_ && monotone_; ++i) {
+    monotone_ =
+        backlog.EventAt(i - 1).timestamp <= backlog.EventAt(i).timestamp;
+  }
+}
+
+Result<DatabaseView> BacklogCursor::ViewAt(Timestamp t) {
+  if (!monotone_) {
+    auto snapshot = backlog_->SnapshotAt(t, limit_);
+    if (!snapshot.ok()) return snapshot.status();
+    return snapshot->View();
+  }
+  if (snapshot_.has_value() && t < time_) snapshot_.reset();
+  if (!snapshot_.has_value()) {
+    // A zero-event replay: every table, empty (or the attach error).
+    auto empty = backlog_->SnapshotAt(t, 0);
+    if (!empty.ok()) return empty.status();
+    snapshot_.emplace(std::move(*empty));
+    next_ = 0;
+  }
+  // Monotone timestamps make {events <= t} a prefix of capture order.
+  for (; next_ < limit_; ++next_) {
+    const ChangeEvent& event = backlog_->EventAt(next_);
+    if (event.timestamp > t) break;
+    AUDITDB_RETURN_IF_ERROR(ApplyEvent(event, &*snapshot_));
+  }
+  time_ = t;
+  return snapshot_->View();
 }
 
 }  // namespace auditdb

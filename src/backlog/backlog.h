@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -88,6 +89,44 @@ class Backlog {
 
   Database* db_ = nullptr;
   AppendOnlyLog<ChangeEvent> events_;
+};
+
+/// One forward sweep over a pinned backlog prefix: the states SnapshotAt
+/// would rebuild one by one, produced by applying each event once.
+/// ViewAt(t) equals SnapshotAt(t, limit).View() row for row and tid for
+/// tid. The cursor owns one Snapshot and pins a DatabaseView of it per
+/// call; copy-on-write TableVersions make each pin cheap, and a table no
+/// event touched since the previous pin comes back as the same
+/// TableVersion object (with its columnar batch and join-key indexes
+/// already built). Pinned views stay valid after the cursor advances or
+/// dies.
+///
+/// SnapshotAt applies {events with timestamp <= t} in capture order; a
+/// sweep equals that only if the prefix's timestamps never decrease. The
+/// constructor checks that once. On a non-monotone prefix (a dump
+/// loaded with client-supplied times can produce one) every ViewAt
+/// falls back to a full SnapshotAt replay.
+class BacklogCursor {
+ public:
+  /// Sweeps the first min(limit, backlog.event_count()) events of
+  /// `backlog`, which must outlive the cursor.
+  explicit BacklogCursor(const Backlog& backlog,
+                         size_t limit = Backlog::kNoLimit);
+
+  /// The state at `t`. Times should be non-decreasing across calls: an
+  /// earlier time than the previous call restarts the sweep from the
+  /// first event. Fails as SnapshotAt does (e.g. unattached backlog).
+  Result<DatabaseView> ViewAt(Timestamp t);
+
+ private:
+  const Backlog* backlog_;
+  size_t limit_;
+  bool monotone_ = true;
+  /// The swept state; empty until the first ViewAt (or after a restart).
+  std::optional<Snapshot> snapshot_;
+  /// Next event to apply, and the time of the last ViewAt.
+  size_t next_ = 0;
+  Timestamp time_;
 };
 
 }  // namespace auditdb

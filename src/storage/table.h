@@ -363,6 +363,9 @@ class TableVersion {
   /// thereafter, like Columnar(). Lives as long as the version.
   const JoinKeyIndex& JoinIndex(size_t column) const;
 
+  /// Counters shared with the publishing table and its other versions.
+  const TableStats& stats() const { return *stats_; }
+
  private:
   std::shared_ptr<const TableSchema> schema_;
   uint64_t epoch_ = 0;

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include "src/engine/lineage.h"
 #include "src/service/thread_pool.h"
+#include "src/sql/parser.h"
+#include "src/workload/generator.h"
 #include "src/workload/hospital.h"
+#include "tests/audit/versioned_reference.h"
 
 namespace auditdb {
 namespace audit {
@@ -400,6 +404,140 @@ TEST_F(AuditorTest, ParseErrorsSurface) {
   EXPECT_FALSE(auditor.Audit("AUDIT FROM nothing", Ts(1000)).ok());
   EXPECT_FALSE(
       auditor.Audit("AUDIT x FROM NoSuchTable", Ts(1000)).ok());
+}
+
+// ---------------------------------------------------------------------
+// Generated hospital worlds whose logged queries run on many states.
+
+class ChurnedAuditorTest : public ::testing::Test {
+ protected:
+  void SetUp() override { backlog_.Attach(&db_); }
+
+  /// 60 patients and a 120-query log from t = 100 s, with 60 churn steps
+  /// stamped between the queries (out of capture order if asked).
+  void Build(bool inserts_and_deletes, bool shuffle_stamps) {
+    workload::HospitalConfig hospital;
+    hospital.num_patients = 60;
+    hospital.seed = 2008;
+    hospital.diabetic_fraction = 0.3;
+    ASSERT_TRUE(workload::PopulateHospital(&db_, hospital, Ts(1)).ok());
+    workload::WorkloadConfig config;
+    config.num_queries = 120;
+    config.seed = 42;
+    config.start = Ts(100);
+    config.join_fraction = 0.5;
+    config.sensitive_fraction = 0.5;
+    ASSERT_TRUE(workload::GenerateWorkload(&log_, config, hospital).ok());
+    versioned_reference::ChurnSpec churn;
+    churn.tables = {"P-Personal", "P-Health", "P-Employ"};
+    churn.seed = 7;
+    churn.start = Timestamp(Ts(100).micros() + 500000);
+    churn.spacing_micros = 2000000;
+    churn.inserts_and_deletes = inserts_and_deletes;
+    churn.shuffle_stamps = shuffle_stamps;
+    ASSERT_TRUE(versioned_reference::ApplyChurn(&db_, churn).ok());
+  }
+
+  const std::string kText =
+      "DURING 1/1/1970 to 2/1/1970 DATA-INTERVAL 1/1/1970 to 2/1/1970 "
+      "AUDIT (name, disease) FROM P-Personal, P-Health "
+      "WHERE P-Personal.pid = P-Health.pid AND disease = 'diabetic'";
+
+  Database db_;
+  Backlog backlog_;
+  QueryLog log_;
+};
+
+TEST_F(ChurnedAuditorTest, PoolMatchesSerial) {
+  // Pool workers share the TableVersions that one cursor pinned into
+  // several states, and race the first join-index build of each.
+  Build(/*inserts_and_deletes=*/true, /*shuffle_stamps=*/false);
+  Auditor auditor(&db_, &backlog_, &log_);
+  auto serial = auditor.Audit(kText, Ts(1000));
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  EXPECT_GT(serial->num_executed, 10u);
+  EXPECT_FALSE(serial->SuspiciousQueryIds().empty());
+
+  auto expr = ParseAudit(kText, Ts(1000));
+  ASSERT_TRUE(expr.ok()) << expr.status().ToString();
+  service::ThreadPoolOptions pool_options;
+  pool_options.num_threads = 4;
+  service::ThreadPool pool(pool_options);
+  auto pooled =
+      auditor.AuditPinned(*expr, AuditOptions{}, auditor.Pin(), &pool);
+  ASSERT_TRUE(pooled.ok()) << pooled.status().ToString();
+  EXPECT_EQ(pooled->CanonicalString(), serial->CanonicalString());
+}
+
+TEST_F(ChurnedAuditorTest, NonMonotoneBacklogVerdictsMatchAlone) {
+  Build(/*inserts_and_deletes=*/false, /*shuffle_stamps=*/true);
+  Auditor auditor(&db_, &backlog_, &log_);
+  auto report = auditor.Audit(kText, Ts(1000));
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_FALSE(report->SuspiciousQueryIds().empty());
+
+  // The oracle rebuilds every state with SnapshotAt.
+  auto expr = ParseAudit(kText, Ts(1000));
+  ASSERT_TRUE(expr.ok());
+  ASSERT_TRUE(expr->Qualify(db_.catalog()).ok());
+  auto view = versioned_reference::ReplayEveryVersion(*expr, backlog_);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  auto schemes = BuildSchemes(*expr);
+
+  for (size_t i = 0; i < log_.size(); ++i) {
+    const LoggedQuery& entry = log_.Entry(i);
+    const QueryVerdict& want = report->verdicts[i];
+    QueryLog alone;
+    alone.Append(entry.sql, entry.timestamp, entry.user, entry.role,
+                 entry.purpose);
+    Auditor single(&db_, &backlog_, &alone);
+    auto got = single.Audit(kText, Ts(1000));
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_EQ(got->verdicts.size(), 1u);
+    EXPECT_EQ(got->verdicts[0].candidate, want.candidate) << entry.sql;
+    EXPECT_EQ(got->verdicts[0].suspicious_alone, want.suspicious_alone)
+        << entry.sql;
+    EXPECT_EQ(got->verdicts[0].error, want.error) << entry.sql;
+    if (!want.candidate) continue;
+
+    auto stmt = sql::ParseSelect(entry.sql);
+    ASSERT_TRUE(stmt.ok()) << entry.sql;
+    auto snapshot = backlog_.SnapshotAt(entry.timestamp);
+    ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+    auto profile = ComputeAccessProfile(*stmt, snapshot->View());
+    EXPECT_EQ(want.error, !profile.ok()) << entry.sql;
+    if (!profile.ok()) continue;
+    auto alone_check = CheckBatchSuspicion(*view, schemes, expr->threshold,
+                                           expr->indispensable, {&*profile});
+    ASSERT_TRUE(alone_check.ok()) << alone_check.status().ToString();
+    EXPECT_EQ(want.suspicious_alone, alone_check->suspicious) << entry.sql;
+  }
+}
+
+TEST_F(ChurnedAuditorTest, NonMonotoneBacklogReplaysCaptureOrder) {
+  // Reku leaves zipcode 145568 at t = 50, but that update is captured
+  // after a salary change stamped 60. The state at 55 holds the move
+  // (every event stamped <= 55, in capture order); a sweep that stopped
+  // at the first later stamp would miss it and flag query 2.
+  ASSERT_TRUE(workload::BuildPaperDatabase(&db_, Ts(1)).ok());
+  ASSERT_TRUE(db_.UpdateColumn("P-Employ", 31, "salary", Value::Int(1),
+                               Ts(60))
+                  .ok());
+  ASSERT_TRUE(db_.UpdateColumn("P-Personal", 12, "zipcode",
+                               Value::String("999999"), Ts(50))
+                  .ok());
+  const std::string reku_zip =
+      "SELECT name, zipcode FROM P-Personal WHERE zipcode='145568'";
+  log_.Append(reku_zip, Ts(40), "alice", "doctor", "treatment");
+  log_.Append(reku_zip, Ts(55), "alice", "doctor", "treatment");
+  log_.Append(reku_zip, Ts(70), "alice", "doctor", "treatment");
+  Auditor auditor(&db_, &backlog_, &log_);
+  auto report = auditor.Audit(
+      "DURING 1/1/1970 to 2/1/1970 DATA-INTERVAL 1/1/1970 to 2/1/1970 "
+      "AUDIT (name,zipcode) FROM P-Personal WHERE name='Reku'",
+      Ts(1000));
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->SuspiciousQueryIds(), (std::vector<int64_t>{1}));
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "src/engine/executor.h"
 
 namespace auditdb {
@@ -164,6 +167,125 @@ TEST_F(BacklogTest, MaterializeUnknownTableFails) {
 TEST(UnattachedBacklogTest, SnapshotFails) {
   Backlog backlog;
   EXPECT_FALSE(backlog.SnapshotAt(Ts(1)).ok());
+}
+
+/// Rows of `table` in `view`, in storage order.
+std::vector<Row> RowsOf(const DatabaseView& view, const std::string& table) {
+  auto version = view.GetTable(table);
+  EXPECT_TRUE(version.ok()) << version.status().ToString();
+  if (!version.ok()) return {};
+  return {(*version)->rows().begin(), (*version)->rows().end()};
+}
+
+TEST(BacklogCursorTest, NonMonotoneCaptureOrderMatchesSnapshotAt) {
+  Database db;
+  Backlog backlog;
+  backlog.Attach(&db);
+  ASSERT_TRUE(db.CreateTable(TSchema()).ok());
+  auto a = db.Insert("T", {Value::Int(1), Value::String("a")}, Ts(10));
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(db.Insert("T", {Value::Int(2), Value::String("b")}, Ts(30))
+                  .ok());
+  // Captured after the insert at 30 but stamped 20: a sweep that stops at
+  // the first later event would miss it at t = 25.
+  ASSERT_TRUE(
+      db.Update("T", *a, {Value::Int(3), Value::String("a")}, Ts(20)).ok());
+  // An update stamped earlier than the insert before it: replay fails
+  // for every t in [40, 50), and the cursor must fail the same way.
+  auto c = db.Insert("T", {Value::Int(4), Value::String("c")}, Ts(50));
+  ASSERT_TRUE(c.ok());
+  ASSERT_TRUE(
+      db.Update("T", *c, {Value::Int(5), Value::String("c")}, Ts(40)).ok());
+
+  BacklogCursor cursor(backlog);
+  for (int64_t s = 0; s <= 60; s += 5) {
+    auto want = backlog.SnapshotAt(Ts(s));
+    auto got = cursor.ViewAt(Ts(s));
+    ASSERT_EQ(got.ok(), want.ok()) << "at " << s;
+    if (!want.ok()) {
+      EXPECT_EQ(got.status().ToString(), want.status().ToString());
+      continue;
+    }
+    EXPECT_EQ(RowsOf(*got, "T"), RowsOf(want->View(), "T")) << "at " << s;
+  }
+}
+
+TEST(BacklogCursorTest, PinnedViewIsUnchangedByLaterAdvances) {
+  Database db;
+  Backlog backlog;
+  backlog.Attach(&db);
+  ASSERT_TRUE(db.CreateTable(TSchema()).ok());
+  auto a = db.Insert("T", {Value::Int(1), Value::String("a")}, Ts(10));
+  auto b = db.Insert("T", {Value::Int(2), Value::String("b")}, Ts(10));
+  ASSERT_TRUE(a.ok() && b.ok());
+  ASSERT_TRUE(
+      db.Update("T", *a, {Value::Int(7), Value::String("a")}, Ts(20)).ok());
+  ASSERT_TRUE(db.Delete("T", *b, Ts(20)).ok());
+  ASSERT_TRUE(db.Insert("T", {Value::Int(3), Value::String("c")}, Ts(30))
+                  .ok());
+
+  auto replayed = backlog.SnapshotAt(Ts(10));
+  ASSERT_TRUE(replayed.ok());
+  const std::vector<Row> at_10 = RowsOf(replayed->View(), "T");
+  ASSERT_EQ(at_10.size(), 2u);
+
+  std::optional<DatabaseView> pinned;
+  {
+    BacklogCursor cursor(backlog);
+    auto early = cursor.ViewAt(Ts(10));
+    ASSERT_TRUE(early.ok());
+    pinned = std::move(*early);
+    auto late = cursor.ViewAt(Ts(30));
+    ASSERT_TRUE(late.ok());
+    EXPECT_EQ(RowsOf(*pinned, "T"), at_10);
+    EXPECT_EQ(RowsOf(*late, "T").size(), 2u);
+    // Going back in time restarts the sweep and finds the same state.
+    auto again = cursor.ViewAt(Ts(10));
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(RowsOf(*again, "T"), at_10);
+  }
+  // The view outlives its cursor.
+  EXPECT_EQ(RowsOf(*pinned, "T"), at_10);
+}
+
+TEST(BacklogCursorTest, UntouchedTableKeepsItsVersionAndJoinIndex) {
+  Database db;
+  Backlog backlog;
+  backlog.Attach(&db);
+  ASSERT_TRUE(db.CreateTable(TSchema()).ok());
+  ASSERT_TRUE(
+      db.CreateTable(TableSchema("U", {{"x", ValueType::kInt}})).ok());
+  ASSERT_TRUE(db.Insert("T", {Value::Int(1), Value::String("a")}, Ts(10))
+                  .ok());
+  ASSERT_TRUE(db.Insert("U", {Value::Int(1)}, Ts(10)).ok());
+  ASSERT_TRUE(db.Insert("T", {Value::Int(2), Value::String("b")}, Ts(20))
+                  .ok());
+
+  BacklogCursor cursor(backlog);
+  auto first = cursor.ViewAt(Ts(10));
+  ASSERT_TRUE(first.ok());
+  auto u_first = first->GetTable("U");
+  ASSERT_TRUE(u_first.ok());
+  (*u_first)->JoinIndex(0);
+
+  auto second = cursor.ViewAt(Ts(20));
+  ASSERT_TRUE(second.ok());
+  auto u_second = second->GetTable("U");
+  ASSERT_TRUE(u_second.ok());
+  EXPECT_EQ(*u_second, *u_first);
+  EXPECT_NE(*second->GetTable("T"), *first->GetTable("T"));
+  (*u_second)->JoinIndex(0);
+  EXPECT_EQ((*u_second)->stats().join_index_builds.load(), 1u);
+  EXPECT_EQ((*u_second)->stats().join_index_hits.load(), 1u);
+}
+
+TEST(BacklogCursorTest, UnattachedBacklogFailsAsSnapshotAt) {
+  Backlog backlog;
+  BacklogCursor cursor(backlog);
+  auto view = cursor.ViewAt(Ts(1));
+  ASSERT_FALSE(view.ok());
+  EXPECT_EQ(view.status().ToString(),
+            backlog.SnapshotAt(Ts(1)).status().ToString());
 }
 
 TEST(MultiTableBacklogTest, SnapshotCoversAllTables) {

@@ -194,6 +194,32 @@ TEST_P(BacklogDifferential, SnapshotsMatchModel) {
       EXPECT_EQ(actual, expected) << "at " << t.ToString();
     }
   }
+
+  // One cursor advanced through the same times: the model's rows, and
+  // SnapshotAt's tids in SnapshotAt's row order.
+  BacklogCursor cursor(backlog);
+  for (const auto& [at, expected] : history) {
+    for (Timestamp t : {at, at.AddMicros(500000)}) {
+      auto view = cursor.ViewAt(t);
+      ASSERT_TRUE(view.ok()) << view.status().ToString();
+      auto swept = view->GetTable("T");
+      ASSERT_TRUE(swept.ok());
+      std::vector<Row> swept_rows((*swept)->rows().begin(),
+                                  (*swept)->rows().end());
+      auto snapshot = backlog.SnapshotAt(t);
+      ASSERT_TRUE(snapshot.ok());
+      auto replayed = snapshot->GetTable("T");
+      ASSERT_TRUE(replayed.ok());
+      std::vector<Row> replayed_rows((*replayed)->rows().begin(),
+                                     (*replayed)->rows().end());
+      EXPECT_EQ(swept_rows, replayed_rows) << "at " << t.ToString();
+      std::map<Tid, int64_t> actual;
+      for (const Row& row : swept_rows) {
+        actual[row.tid] = row.values[0].int_value();
+      }
+      EXPECT_EQ(actual, expected) << "at " << t.ToString();
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BacklogDifferential,

@@ -66,15 +66,17 @@ cmake -B "${PREFIX}-tsan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 # Decide/Emit-vs-reload race. service_test also carries
 # MvccConcurrentTest.JoinIndexBuiltOnceUnderConcurrentExecute: eight
 # threads racing the first probes of one version's lazily built join-key
-# indexes.
+# indexes. auditor_test carries ChurnedAuditorTest.PoolMatchesSerial:
+# pool workers share the TableVersions one backlog cursor pinned into
+# several states and race each one's first join-index build.
 cmake --build "${PREFIX}-tsan" -j "${JOBS}" \
       --target service_test subscription_test net_test policy_test \
-               common_test
+               common_test auditor_test
 # TidBitmap rides along: the audit-pipeline suite audits with bitmaps on
 # by default (caller thread vs 1/2/3/8-worker pools), so the kernels also
 # run under the parallel checkers above.
 ctest --test-dir "${PREFIX}-tsan" --output-on-failure \
-      -R 'AuditPipelineTest|OnlineConcurrentTest|MvccConcurrentTest|ThreadPoolTest|RunBatchTest|BoundedQueueTest|CounterTest|GaugeTest|HistogramTest|MetricsRegistryTest|PushCodecTest|SubscriptionRegistryTest|SubscriptionConcurrentTest|PushSubscriptionTest|PolicyEngineConcurrentTest|TidBitmapTest|TidBitmapDifferentialTest'
+      -R 'AuditPipelineTest|OnlineConcurrentTest|MvccConcurrentTest|ThreadPoolTest|RunBatchTest|BoundedQueueTest|CounterTest|GaugeTest|HistogramTest|MetricsRegistryTest|PushCodecTest|SubscriptionRegistryTest|SubscriptionConcurrentTest|PushSubscriptionTest|PolicyEngineConcurrentTest|TidBitmapTest|TidBitmapDifferentialTest|ChurnedAuditorTest.PoolMatchesSerial'
 
 echo "== [4/9] network layer under AddressSanitizer =="
 cmake -B "${PREFIX}-asan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -84,7 +86,7 @@ cmake --build "${PREFIX}-asan" -j "${JOBS}" \
                subscription_soak common_test suspicion_test \
                suspicion_reference_test minimize_test online_test \
                cluster_test engine_test property_test storage_test \
-               auditor_test
+               auditor_test backlog_test target_view_test
 # ASan exits non-zero on any report; halt_on_error makes that immediate.
 # The tid-bitmap and suspicion suites ride along here: the BatchIndex
 # lifetime regression (dangling batch vector) is exactly the kind of bug
@@ -96,10 +98,13 @@ cmake --build "${PREFIX}-asan" -j "${JOBS}" \
 # re-execution rewrites change. The join-key index suites and the
 # auditor's shared-execution case ride along for the same reason: probes
 # read rows through a version-owned index, and candidates share one
-# profile by pointer.
+# profile by pointer. The backlog cursor suites, the sweep-vs-replay
+# target-view differential and the churned auditor cases ride along
+# too: pinned views outlive the cursor and its tables, so a version's
+# shared segments are what keeps them valid.
 export ASAN_OPTIONS="halt_on_error=1:abort_on_error=0:exitcode=99"
 ctest --test-dir "${PREFIX}-asan" --output-on-failure \
-      -R 'FrameCodecTest|FrameReaderTest|FieldCodecTest|ErrorCodecTest|TypePredicatesTest|AuditServerTest|PushCodecTest|SubscriptionRegistryTest|PushSubscriptionTest|TidBitmapTest|TidBitmapDifferentialTest|SuspicionTest|SuspicionReferenceTest|MinimizeDifferentialTest|OnlineAuditorTest.FailedReexecutionIsAnErrorNotAClear|ClusterTest.ReplicaCountsAFailedObserveReexecution|ExecutorDifferential|ExecutorReferenceTest|TableScanTest|PredicateProgramPropertyTest|JoinKeyIndexTest|TableVersionTest.JoinIndexIsBuiltOncePerVersionAndColumn|AuditorTest.RepeatedCandidatesShareOneExecutionPerState'
+      -R 'FrameCodecTest|FrameReaderTest|FieldCodecTest|ErrorCodecTest|TypePredicatesTest|AuditServerTest|PushCodecTest|SubscriptionRegistryTest|PushSubscriptionTest|TidBitmapTest|TidBitmapDifferentialTest|SuspicionTest|SuspicionReferenceTest|MinimizeDifferentialTest|OnlineAuditorTest.FailedReexecutionIsAnErrorNotAClear|ClusterTest.ReplicaCountsAFailedObserveReexecution|ExecutorDifferential|ExecutorReferenceTest|TableScanTest|PredicateProgramPropertyTest|JoinKeyIndexTest|TableVersionTest.JoinIndexIsBuiltOncePerVersionAndColumn|AuditorTest.RepeatedCandidatesShareOneExecutionPerState|BacklogDifferential|BacklogCursorTest|TargetViewSweepDifferential|ChurnedAuditorTest'
 
 echo "-- auditd loopback smoke (ASan build) --"
 PORT_FILE="$(mktemp)"
@@ -219,16 +224,19 @@ echo "== [5/9] tid-bitmap kernels under UndefinedBehaviorSanitizer =="
 # cases ride along: their queries fail on integer division by zero and
 # on type errors inside the evaluator. The executor reference
 # differentials and the scan/predicate-program suites ride along too
-# (selection-vector indexing and chunk arithmetic).
+# (selection-vector indexing and chunk arithmetic), and so do the
+# backlog cursor and sweep-vs-replay suites (prefix and restart
+# arithmetic over the event log).
 cmake -B "${PREFIX}-ubsan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DAUDITDB_SANITIZE=undefined
 cmake --build "${PREFIX}-ubsan" -j "${JOBS}" \
       --target common_test suspicion_test suspicion_reference_test \
                minimize_test online_test cluster_test engine_test \
-               property_test storage_test auditor_test
+               property_test storage_test auditor_test backlog_test \
+               target_view_test
 export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
 ctest --test-dir "${PREFIX}-ubsan" --output-on-failure \
-      -R 'TidBitmapTest|TidBitmapDifferentialTest|SuspicionTest|SuspicionReferenceTest|MinimizeDifferentialTest|OnlineAuditorTest.FailedReexecutionIsAnErrorNotAClear|ClusterTest.ReplicaCountsAFailedObserveReexecution|ExecutorDifferential|ExecutorReferenceTest|TableScanTest|PredicateProgramPropertyTest|JoinKeyIndexTest|TableVersionTest.JoinIndexIsBuiltOncePerVersionAndColumn|AuditorTest.RepeatedCandidatesShareOneExecutionPerState'
+      -R 'TidBitmapTest|TidBitmapDifferentialTest|SuspicionTest|SuspicionReferenceTest|MinimizeDifferentialTest|OnlineAuditorTest.FailedReexecutionIsAnErrorNotAClear|ClusterTest.ReplicaCountsAFailedObserveReexecution|ExecutorDifferential|ExecutorReferenceTest|TableScanTest|PredicateProgramPropertyTest|JoinKeyIndexTest|TableVersionTest.JoinIndexIsBuiltOncePerVersionAndColumn|AuditorTest.RepeatedCandidatesShareOneExecutionPerState|BacklogDifferential|BacklogCursorTest|TargetViewSweepDifferential|ChurnedAuditorTest'
 
 echo "== [6/9] policy gate under AddressSanitizer =="
 cmake --build "${PREFIX}-asan" -j "${JOBS}" \
