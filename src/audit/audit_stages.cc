@@ -39,9 +39,10 @@ struct ShapeScreen {
 class SupportCounts {
  public:
   /// Resolves the schemes, collects every component of every valid fact
-  /// and every query's supports. In joint mode each query whose FROM
-  /// covers a scheme's tables has its lineage projected here, so an
-  /// unprojectable lineage fails the whole call before any drop.
+  /// and every query's supports. In per-table and joint mode each query
+  /// whose FROM holds a scheme table (covers a scheme's tables, in joint
+  /// mode) has its lineage projected here, so an unprojectable lineage
+  /// fails the whole call before any drop.
   Status Build(const TargetView& view,
                const std::vector<GranuleScheme>& schemes,
                const AuditExpression& expr,
@@ -210,11 +211,12 @@ Status SupportCounts::Build(const TargetView& view,
     if (per_table) {
       // The tids of IndispensableTidBitmap(table), for every scheme table.
       for (size_t t = 0; t < tables.size(); ++t) {
-        for (size_t j = 0; j < result.from.size(); ++j) {
-          if (result.from[j] != tables[t]) continue;
-          for (const auto& row : result.lineage) {
-            if (j < row.size()) supply(by_tid[t], row[j]);
-          }
+        auto it = std::find(result.from.begin(), result.from.end(), tables[t]);
+        if (it == result.from.end()) continue;
+        const auto j = static_cast<size_t>(it - result.from.begin());
+        for (const auto& row : result.lineage) {
+          if (row.size() != result.from.size()) return result.CheckLineage();
+          supply(by_tid[t], row[j]);
         }
       }
     } else if (joint) {

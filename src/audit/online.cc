@@ -212,8 +212,9 @@ Status OnlineAuditor::ObserveEntry(Entry* entry, const LoggedQuery& query,
     }
   }
   for (const auto& table : entry->expr.from) {
-    entry->batch_tids[table].Or(
-        ctx.profile->result.IndispensableTidBitmap(table));
+    auto tids = ctx.profile->result.IndispensableTidBitmap(table);
+    if (!tids.ok()) return tids.status();
+    entry->batch_tids[table].Or(*tids);
   }
   RecomputeAccessCounts(entry);
   return Status::Ok();

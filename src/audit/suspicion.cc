@@ -41,14 +41,17 @@ bool BatchIndex::Accesses(const ColumnRef& col) const {
   return false;
 }
 
-const TidBitmap& BatchIndex::IndispensableTidBitmap(const std::string& table) {
+Result<const TidBitmap*> BatchIndex::IndispensableTidBitmap(
+    const std::string& table) {
   auto it = tid_bitmap_union_.find(table);
-  if (it != tid_bitmap_union_.end()) return it->second;
+  if (it != tid_bitmap_union_.end()) return &it->second;
   TidBitmap tids;
   for (const auto* profile : batch_) {
-    tids.Or(profile->result.IndispensableTidBitmap(table));
+    auto query_tids = profile->result.IndispensableTidBitmap(table);
+    if (!query_tids.ok()) return query_tids.status();
+    tids.Or(*query_tids);
   }
-  return tid_bitmap_union_.emplace(table, std::move(tids)).first->second;
+  return &tid_bitmap_union_.emplace(table, std::move(tids)).first->second;
 }
 
 Result<bool> BatchIndex::JointlyWitnessed(
@@ -182,15 +185,25 @@ Result<SuspicionResult> CheckBatchSuspicion(
       std::vector<size_t> valid_rows = NonNullRows(view_batch, attr_cols);
       valid_count = valid_rows.size();
 
+      // Per-table mode: the batch's indispensable union per scheme table.
+      const bool per_table =
+          indispensable && options.mode == IndispensabilityMode::kPerTable;
+      std::vector<const TidBitmap*> unions;
+      if (per_table) {
+        for (const auto& table : scheme.tid_tables) {
+          auto tids = index.IndispensableTidBitmap(table);
+          if (!tids.ok()) return tids.status();
+          unions.push_back(*tids);
+        }
+      }
+
       // Word-wide prescreen (per-table mode): if the view's tids for some
       // scheme table never intersect the batch's indispensable union, the
       // per-fact probes below would reject every fact — skip them.
       bool can_access = true;
-      if (indispensable && options.mode == IndispensabilityMode::kPerTable &&
-          view.table_tids.size() == view.tables.size()) {
+      if (per_table && view.table_tids.size() == view.tables.size()) {
         for (size_t i = 0; i < tid_positions.size(); ++i) {
-          if (!view.table_tids[tid_positions[i]].Intersects(
-                  index.IndispensableTidBitmap(scheme.tid_tables[i]))) {
+          if (!view.table_tids[tid_positions[i]].Intersects(*unions[i])) {
             can_access = false;
             break;
           }
@@ -202,10 +215,9 @@ Result<SuspicionResult> CheckBatchSuspicion(
           const TargetView::Fact& fact = view.facts[f];
           bool accessed = true;
           if (indispensable) {
-            if (options.mode == IndispensabilityMode::kPerTable) {
+            if (per_table) {
               for (size_t i = 0; i < tid_positions.size(); ++i) {
-                if (!index.IndispensableTidBitmap(scheme.tid_tables[i])
-                         .Contains(fact.tids[tid_positions[i]])) {
+                if (!unions[i]->Contains(fact.tids[tid_positions[i]])) {
                   accessed = false;
                   break;
                 }

@@ -69,8 +69,9 @@ class BatchIndex {
   bool Accesses(const ColumnRef& col) const;
 
   /// Union of per-query indispensable tids for `table` (cached): built
-  /// with word-wide Or over per-query bitmaps.
-  const TidBitmap& IndispensableTidBitmap(const std::string& table);
+  /// with word-wide Or over per-query bitmaps. Errors: a query's ragged
+  /// lineage (see QueryResult::IndispensableTidBitmap) propagates.
+  Result<const TidBitmap*> IndispensableTidBitmap(const std::string& table);
 
   /// Whether some single query's lineage contains the tid tuple `tids`
   /// over `tables` (joint witness). Single-table tuples probe a cached

@@ -21,6 +21,16 @@ struct ScheduledConjunct {
 struct HashJoinPlan {
   int probe_slot = -1;  // slot (filled earlier) whose value we look up
   const JoinKeyIndex* index = nullptr;  // null: no hash join here
+  const Expression* conjunct = nullptr;  // the equi-join it implements
+  size_t column = 0;          // this position's indexed key column
+  size_t probe_position = 0;  // FROM position owning probe_slot
+  size_t probe_column = 0;    // its column, within that table's schema
+};
+
+/// Rows of one position that a semijoin reduction kept (see Reduce()).
+struct AllowedRows {
+  std::vector<uint32_t> rows;  // ascending
+  std::vector<uint8_t> mask;   // per row; filled at hash-join positions
 };
 
 class ExecutionContext {
@@ -33,6 +43,7 @@ class ExecutionContext {
     if (!tables_.empty()) {
       combined_.assign(layout_.width(), Value());
       tids_.assign(tables_.size(), 0);
+      Reduce();
       AUDITDB_RETURN_IF_ERROR(Enumerate(0));
     }
     return std::move(result_);
@@ -108,6 +119,7 @@ class ExecutionContext {
     AUDITDB_RETURN_IF_ERROR(PlanScanStages());
     batches_.resize(tables_.size());
     filters_.resize(tables_.size());
+    allowed_.resize(tables_.size());
     return Status::Ok();
   }
 
@@ -156,13 +168,130 @@ class ExecutionContext {
   /// visit.
   const TableFilter& Filter(size_t position) {
     if (!filters_[position].has_value()) {
-      if (!batches_[position]) {
-        batches_[position] = tables_[position]->Columnar();
-      }
-      filters_[position] = BuildTableFilter(
-          *batches_[position], stages_[position], std::nullopt);
+      filters_[position] = BuildTableFilter(BatchOf(position),
+                                            stages_[position], std::nullopt);
     }
     return *filters_[position];
+  }
+
+  const Batch& BatchOf(size_t position) {
+    if (!batches_[position]) batches_[position] = tables_[position]->Columnar();
+    return *batches_[position];
+  }
+
+  bool HasLocalStage(size_t position) const {
+    for (const ScanStage& stage : stages_[position]) {
+      if (stage.local) return true;
+    }
+    return false;
+  }
+
+  /// Semijoin reduction, run once before enumeration. Walking the
+  /// hash-join positions from last to first, position j's allowed rows
+  /// (its local filter's passing rows, narrowed by reductions from later
+  /// positions) probe the key index of the earlier position p that j
+  /// joins to; only the rows of p they hit stay allowed. Value == is
+  /// symmetric, so those are exactly the rows of p whose enumeration
+  /// probe would meet an allowed row of j: every other row reaches no
+  /// output. NULL keys meet each other here and are kept, a superset the
+  /// join conjunct still rejects.
+  ///
+  /// Cost rule: p is reduced from j only when j has fewer allowed rows
+  /// than p. The probes cost about count(j) and can only save visits of
+  /// p, so a query whose outer side is already selective pays nothing.
+  void Reduce() {
+    bool exact_checked = false;
+    for (size_t j = tables_.size(); j-- > 1;) {
+      const HashJoinPlan& plan = hash_plans_[j];
+      if (plan.index == nullptr) continue;
+      const size_t p = plan.probe_position;
+      const size_t probe_count = AllowedCount(p);
+      if (probe_count == 0 || AllowedCount(j) >= probe_count) continue;
+      if (!exact_checked) {
+        if (!ReductionIsExact()) return;
+        exact_checked = true;
+      }
+      const JoinKeyIndex& index = tables_[p]->JoinIndex(plan.probe_column);
+      const RowStore& rows = tables_[j]->rows();
+      std::vector<uint8_t> hit(tables_[p]->size(), 0);
+      ForEachAllowed(j, [&](uint32_t r) {
+        (void)index.ForEachMatch(rows[r].values[plan.column], [&](size_t m) {
+          hit[m] = 1;
+          return Status::Ok();
+        });
+      });
+      AllowedRows kept;
+      ForEachAllowed(p, [&](uint32_t r) {
+        if (hit[r]) kept.rows.push_back(r);
+      });
+      if (hash_plans_[p].index != nullptr) {
+        kept.mask.assign(hit.size(), 0);
+        for (uint32_t r : kept.rows) kept.mask[r] = 1;
+      }
+      allowed_[p] = std::move(kept);
+    }
+  }
+
+  /// Whether skipping rows that reach no output leaves the result and
+  /// its error Status unchanged: true when no visit can fail at all. No
+  /// local filter may hold an error row, and every other cross conjunct
+  /// must compare two columns whose non-NULL cells share one type, where
+  /// Value::Compare cannot fail. Storage does not enforce declared
+  /// column types, so this reads the columnar layouts, not the schema.
+  /// A hash join's own conjunct is exempt: it only ever sees keys equal
+  /// under Value ==, hence of one type.
+  bool ReductionIsExact() {
+    for (size_t i = 0; i < tables_.size(); ++i) {
+      for (const ScanStage& stage : stages_[i]) {
+        if (stage.local && Filter(i).has_errors()) return false;
+        for (const Expression* conjunct : stage.cross) {
+          if (conjunct == hash_plans_[i].conjunct) continue;
+          if (conjunct->kind != ExprKind::kBinary ||
+              !IsComparison(conjunct->bop) ||
+              conjunct->left->kind != ExprKind::kColumn ||
+              conjunct->right->kind != ExprKind::kColumn) {
+            return false;
+          }
+          auto left = SlotLayout(conjunct->left->slot);
+          if (left == ColumnVector::Layout::kGeneric ||
+              left != SlotLayout(conjunct->right->slot)) {
+            return false;
+          }
+        }
+      }
+    }
+    return true;
+  }
+
+  /// Columnar layout of the base column behind combined-row slot `slot`.
+  ColumnVector::Layout SlotLayout(int slot) {
+    const auto& offsets = layout_.table_offsets();
+    size_t position = 0;
+    while (position + 1 < offsets.size() &&
+           offsets[position + 1].second <= static_cast<size_t>(slot)) {
+      ++position;
+    }
+    return BatchOf(position)
+        .column(static_cast<size_t>(slot) - offsets[position].second)
+        .layout();
+  }
+
+  size_t AllowedCount(size_t position) {
+    if (allowed_[position]) return allowed_[position]->rows.size();
+    if (HasLocalStage(position)) return Filter(position).passing().size();
+    return tables_[position]->size();
+  }
+
+  template <typename Fn>
+  void ForEachAllowed(size_t position, Fn&& fn) {
+    if (allowed_[position]) {
+      for (uint32_t r : allowed_[position]->rows) fn(r);
+    } else if (HasLocalStage(position)) {
+      for (uint32_t r : Filter(position).passing()) fn(r);
+    } else {
+      const auto n = static_cast<uint32_t>(tables_[position]->size());
+      for (uint32_t r = 0; r < n; ++r) fn(r);
+    }
   }
 
   Status PlanHashJoin(size_t position) {
@@ -175,11 +304,11 @@ class ExecutionContext {
       if (lhs.table == this_table) std::swap(lhs, rhs);
       if (rhs.table != this_table) continue;
       // Probe side must be available earlier.
-      bool lhs_earlier = false;
+      size_t probe_position = position;
       for (size_t j = 0; j < position; ++j) {
-        if (stmt_.from[j] == lhs.table) lhs_earlier = true;
+        if (stmt_.from[j] == lhs.table) probe_position = j;
       }
-      if (!lhs_earlier) continue;
+      if (probe_position == position) continue;
       // Only same-typed keys: hashing must agree with Compare()-equality,
       // which coerces across types; restrict to identical column types.
       auto lt = db_.catalog().TypeOf(lhs);
@@ -194,11 +323,17 @@ class ExecutionContext {
       if (!probe_slot.ok()) return probe_slot.status();
       plan.probe_slot = *probe_slot;
       auto col_idx = tables_[position]->schema().FindColumn(rhs.column);
-      if (!col_idx.has_value()) {
+      auto probe_idx =
+          tables_[probe_position]->schema().FindColumn(lhs.column);
+      if (!col_idx.has_value() || !probe_idx.has_value()) {
         return Status::Internal("hash join column vanished: " +
-                                rhs.ToString());
+                                lhs.ToString() + " = " + rhs.ToString());
       }
       plan.index = &tables_[position]->JoinIndex(*col_idx);
+      plan.conjunct = sc.expr.get();
+      plan.column = *col_idx;
+      plan.probe_position = probe_position;
+      plan.probe_column = *probe_idx;
       return Status::Ok();
     }
     return Status::Ok();
@@ -267,10 +402,20 @@ class ExecutionContext {
       return Enumerate(position + 1);
     };
 
+    // Rows a semijoin reduction dropped reach no output and, since it
+    // only runs when no visit can fail, no error: skip them.
+    const std::optional<AllowedRows>& allowed = allowed_[position];
     const HashJoinPlan& plan = hash_plans_[position];
     if (plan.index != nullptr) {
-      return plan.index->ForEachMatch(
-          combined_[static_cast<size_t>(plan.probe_slot)], try_row);
+      const Value& key = combined_[static_cast<size_t>(plan.probe_slot)];
+      if (!allowed) return plan.index->ForEachMatch(key, try_row);
+      return plan.index->ForEachMatch(key, [&](size_t r) -> Status {
+        return allowed->mask[r] ? try_row(r) : Status::Ok();
+      });
+    }
+    if (allowed) {
+      for (uint32_t r : allowed->rows) AUDITDB_RETURN_IF_ERROR(try_row(r));
+      return Status::Ok();
     }
     // Fast path: every ready conjunct was compiled and no row errors, so
     // the passing set IS the visit set (failing rows would only have been
@@ -298,6 +443,7 @@ class ExecutionContext {
   std::vector<std::vector<ScanStage>> stages_;
   std::vector<std::shared_ptr<const Batch>> batches_;
   std::vector<std::optional<TableFilter>> filters_;
+  std::vector<std::optional<AllowedRows>> allowed_;  // set by Reduce()
 
   std::vector<Value> combined_;
   std::vector<Tid> tids_;
@@ -306,15 +452,24 @@ class ExecutionContext {
 
 }  // namespace
 
-TidBitmap QueryResult::IndispensableTidBitmap(const std::string& table) const {
-  TidBitmap out;
-  for (size_t j = 0; j < from.size(); ++j) {
-    if (from[j] != table) continue;
-    for (const auto& tuple : lineage) {
-      if (j < tuple.size()) out.Add(tuple[j]);
+Result<TidBitmap> QueryResult::IndispensableTidBitmap(
+    const std::string& table) const {
+  if (std::find(from.begin(), from.end(), table) == from.end()) {
+    return TidBitmap();
+  }
+  return ProjectLineageBitmap(table);
+}
+
+Status QueryResult::CheckLineage() const {
+  for (size_t i = 0; i < lineage.size(); ++i) {
+    if (lineage[i].size() != from.size()) {
+      return Status::Internal(
+          "ragged lineage row " + std::to_string(i) + ": " +
+          std::to_string(lineage[i].size()) + " entries for " +
+          std::to_string(from.size()) + " FROM tables");
     }
   }
-  return out;
+  return Status::Ok();
 }
 
 Result<std::set<std::vector<Tid>>> QueryResult::ProjectLineage(
@@ -328,14 +483,8 @@ Result<std::set<std::vector<Tid>>> QueryResult::ProjectLineage(
     positions.push_back(static_cast<size_t>(it - from.begin()));
   }
   std::set<std::vector<Tid>> out;
-  for (size_t i = 0; i < lineage.size(); ++i) {
-    const auto& tuple = lineage[i];
-    if (tuple.size() != from.size()) {
-      return Status::Internal(
-          "ragged lineage row " + std::to_string(i) + ": " +
-          std::to_string(tuple.size()) + " entries for " +
-          std::to_string(from.size()) + " FROM tables");
-    }
+  for (const auto& tuple : lineage) {
+    if (tuple.size() != from.size()) return CheckLineage();
     std::vector<Tid> projected;
     projected.reserve(positions.size());
     for (size_t p : positions) projected.push_back(tuple[p]);
@@ -352,14 +501,8 @@ Result<TidBitmap> QueryResult::ProjectLineageBitmap(
   }
   size_t position = static_cast<size_t>(it - from.begin());
   TidBitmap out;
-  for (size_t i = 0; i < lineage.size(); ++i) {
-    const auto& tuple = lineage[i];
-    if (tuple.size() != from.size()) {
-      return Status::Internal(
-          "ragged lineage row " + std::to_string(i) + ": " +
-          std::to_string(tuple.size()) + " entries for " +
-          std::to_string(from.size()) + " FROM tables");
-    }
+  for (const auto& tuple : lineage) {
+    if (tuple.size() != from.size()) return CheckLineage();
     out.Add(tuple[position]);
   }
   return out;

@@ -33,10 +33,15 @@ struct QueryResult {
   /// lineage[i][j] = tid of the row of table from[j] behind output row i.
   std::vector<std::vector<Tid>> lineage;
 
+  /// Internal error naming the first ragged lineage row (one whose entry
+  /// count differs from the number of FROM tables), else Ok. Readers that
+  /// walk the lineage anyway call it on their first ragged row.
+  Status CheckLineage() const;
+
   /// Tids of `table` that are indispensable to the query (empty if the
   /// table is not in FROM), as a compressed bitmap iterating in ascending
-  /// tid order.
-  TidBitmap IndispensableTidBitmap(const std::string& table) const;
+  /// tid order. Errors: CheckLineage's, when the table is in FROM.
+  Result<TidBitmap> IndispensableTidBitmap(const std::string& table) const;
 
   /// Distinct lineage tuples projected onto `tables` (each must be in
   /// FROM), in the order given. Used for joint-indispensability checks.
@@ -65,8 +70,14 @@ struct QueryResult {
 /// its table version's join-key index (built once per version and shared
 /// by every query on it); any other position is a nested loop. Conjuncts
 /// reading only one table run as compiled predicate programs over that
-/// table's columnar batch. Output rows come in nested-loop order: FROM
-/// positions outermost first, each table's rows in storage order.
+/// table's columnar batch. Before enumerating, a semijoin reduction drops
+/// the rows of each hash-joined table that have no partner among the
+/// allowed rows of the later table probing it, when that table has fewer
+/// allowed rows; it runs only when no visit can fail (no local predicate
+/// errors on any row, every cross conjunct compares two same-typed
+/// columns), so rows, lineage, order and errors are unchanged. Output
+/// rows come in nested-loop order: FROM positions outermost first, each
+/// table's rows in storage order.
 Result<QueryResult> Execute(const sql::SelectStatement& stmt,
                             const DatabaseView& db);
 

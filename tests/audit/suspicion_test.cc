@@ -323,6 +323,35 @@ TEST_F(SuspicionTest, RaggedLineagePropagatesErrorInJointMode) {
   }
 }
 
+// Per-table mode reads the same lineage: a ragged row used to be skipped
+// there, so the query's other tids still counted and a malformed profile
+// could pass unnoticed. It must fail like joint mode.
+TEST_F(SuspicionTest, RaggedLineagePropagatesErrorInPerTableMode) {
+  auto q3 = Profile(
+      "SELECT name, disease, address FROM P-Personal, P-Health "
+      "WHERE P-Personal.pid=P-Health.pid AND zipcode='145568' "
+      "AND disease='diabetic'");
+  auto expr = Parse(kSemanticAudit);
+  auto schemes = BuildSchemes(expr);
+  auto view = ComputeTargetView(expr, db_.View(), Ts(1));
+  ASSERT_TRUE(view.ok());
+  SuspicionOptions per_table;
+  per_table.mode = IndispensabilityMode::kPerTable;
+  auto intact = CheckBatchSuspicion(*view, schemes, expr.threshold,
+                                    expr.indispensable, {&q3}, per_table);
+  ASSERT_TRUE(intact.ok()) << intact.status().ToString();
+
+  ASSERT_FALSE(q3.result.lineage.empty());
+  q3.result.lineage[0].pop_back();  // now shorter than FROM
+  auto result = CheckBatchSuspicion(*view, schemes, expr.threshold,
+                                    expr.indispensable, {&q3}, per_table);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInternal);
+  EXPECT_NE(result.status().message().find("ragged lineage row"),
+            std::string::npos)
+      << result.status().ToString();
+}
+
 // A query whose FROM list does not cover the scheme's tables is a legitimate
 // "cannot witness jointly", not an error — only genuinely malformed lineage
 // should propagate a status.
@@ -348,10 +377,11 @@ TEST_F(SuspicionTest, BatchIndexOutlivesTemporaryBatchVector) {
   BatchIndex index(std::vector<const AccessProfile*>{&profile});
   // The temporary vector is dead here; every probe below reads batch_.
   EXPECT_TRUE(index.Accesses(ColumnRef{"P-Health", "disease"}));
-  const TidBitmap& tids = index.IndispensableTidBitmap("P-Health");
-  EXPECT_FALSE(tids.Empty());
+  auto tids = index.IndispensableTidBitmap("P-Health");
+  ASSERT_TRUE(tids.ok());
+  EXPECT_FALSE((*tids)->Empty());
   std::set<Tid> want = reference::LineageTids(profile.result, "P-Health");
-  EXPECT_EQ(tids.ToVector(), std::vector<Tid>(want.begin(), want.end()));
+  EXPECT_EQ((*tids)->ToVector(), std::vector<Tid>(want.begin(), want.end()));
 }
 
 // Differential: the compressed-bitmap kernels must reproduce the std::set

@@ -40,9 +40,11 @@ TEST_F(ExecutorTest, LineageIdentifiesBaseTuples) {
   EXPECT_EQ(result->lineage[0], (std::vector<Tid>{11}));
   EXPECT_EQ(result->lineage[1], (std::vector<Tid>{13}));
   EXPECT_EQ(result->lineage[2], (std::vector<Tid>{14}));
-  EXPECT_EQ(result->IndispensableTidBitmap("P-Personal").ToVector(),
-            (std::vector<Tid>{11, 13, 14}));
-  EXPECT_TRUE(result->IndispensableTidBitmap("P-Health").Empty());
+  auto personal = result->IndispensableTidBitmap("P-Personal");
+  auto health = result->IndispensableTidBitmap("P-Health");
+  ASSERT_TRUE(personal.ok() && health.ok());
+  EXPECT_EQ(personal->ToVector(), (std::vector<Tid>{11, 13, 14}));
+  EXPECT_TRUE(health->Empty());
 }
 
 TEST_F(ExecutorTest, SelectStar) {
@@ -189,6 +191,121 @@ TEST_F(ExecutorTest, BagSemanticsKeepDuplicates) {
   auto result = Run("SELECT sex FROM P-Personal");
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->rows.size(), 4u);  // two F, two M — no dedup
+}
+
+// Semijoin-reduction edge cases over O(k, x) and N(k, flag, v): O is the
+// outer table (eight rows, k = 1..8, x = 10k); N's local predicates keep
+// few rows, so the cost rule would shrink O to N's partners. N.v holds a
+// STRING on one row, and `N.v + 1 > 0` errors there.
+class ExecutorSemijoinTest : public ExecutorTest {
+ protected:
+  void SetUp() override {
+    ExecutorTest::SetUp();
+    ASSERT_TRUE(db_.CreateTable(TableSchema("O", {{"k", ValueType::kInt},
+                                                  {"x", ValueType::kInt}}))
+                    .ok());
+    ASSERT_TRUE(db_.CreateTable(TableSchema("N", {{"k", ValueType::kInt},
+                                                  {"flag", ValueType::kInt},
+                                                  {"v", ValueType::kInt}}))
+                    .ok());
+    for (int64_t k = 1; k <= 8; ++k) {
+      ASSERT_TRUE(
+          db_.Insert("O", {Value::Int(k), Value::Int(10 * k)}, Ts(2)).ok());
+    }
+  }
+
+  void InsertN(Value k, int64_t flag, Value v) {
+    ASSERT_TRUE(db_.Insert("N", {k, Value::Int(flag), v}, Ts(2)).ok());
+  }
+
+  uint64_t OuterKeyIndexBuilds() {
+    auto table = db_.GetTable("O");
+    EXPECT_TRUE(table.ok());
+    return (*table)->stats().join_index_builds.load();
+  }
+};
+
+TEST_F(ExecutorSemijoinTest, ReachableInnerErrorKeepsStatus) {
+  InsertN(Value::Int(1), 1, Value::Int(1));
+  InsertN(Value::Int(2), 0, Value::String("bad"));  // O's k = 2 reaches it
+  InsertN(Value::Int(3), 1, Value::Int(1));
+  auto result = Run(
+      "SELECT x, v FROM O, N WHERE O.k = N.k AND N.v + 1 > 0 AND N.flag = 1");
+  ASSERT_FALSE(result.ok());
+  // Recorded from the executor before semijoin reduction existed.
+  EXPECT_EQ(result.status().ToString(), "TypeError: arithmetic on non-numeric values: 'bad' + 1");
+}
+
+// A cross conjunct that can fail also disables the reduction: one that is
+// not a column comparison, and a column comparison whose cells mix types.
+// Both run before N's flag filter, so O's k = 2 reaches the 'bad' row.
+TEST_F(ExecutorSemijoinTest, ReachableCrossConjunctErrorKeepsStatus) {
+  InsertN(Value::Int(1), 1, Value::Int(1));
+  InsertN(Value::Int(2), 0, Value::String("bad"));
+  InsertN(Value::Int(3), 1, Value::Int(1));
+  // Recorded from the executor before semijoin reduction existed.
+  const std::pair<const char*, const char*> kCases[] = {
+      {"SELECT x, v FROM O, N WHERE O.k = N.k AND O.x + N.v > 0 "
+       "AND N.flag = 1",
+       "TypeError: arithmetic on non-numeric values: 20 + 'bad'"},
+      {"SELECT x, v FROM O, N WHERE O.k = N.k AND O.x < N.v AND N.flag = 1",
+       "TypeError: cannot compare INT with STRING"},
+  };
+  for (const auto& [sql, status] : kCases) {
+    auto result = Run(sql);
+    ASSERT_FALSE(result.ok()) << sql;
+    EXPECT_EQ(result.status().ToString(), status) << sql;
+  }
+}
+
+TEST_F(ExecutorSemijoinTest, UnreachableInnerErrorSucceeds) {
+  InsertN(Value::Int(1), 1, Value::Int(1));
+  InsertN(Value::Int(99), 0, Value::String("bad"));  // no O row has k = 99
+  InsertN(Value::Int(3), 1, Value::Int(1));
+  auto result = Run(
+      "SELECT x, v FROM O, N WHERE O.k = N.k AND N.v + 1 > 0 AND N.flag = 1");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  // Recorded from the executor before semijoin reduction existed.
+  EXPECT_EQ(result->rows,
+            (std::vector<std::vector<Value>>{{Value::Int(10), Value::Int(1)},
+                                             {Value::Int(30), Value::Int(1)}}));
+  EXPECT_EQ(result->lineage, (std::vector<std::vector<Tid>>{{1, 1}, {3, 3}}));
+}
+
+TEST_F(ExecutorSemijoinTest, NullKeysOnBothSidesNeverJoin) {
+  ASSERT_TRUE(db_.Insert("O", {Value::Null(), Value::Int(0)}, Ts(2)).ok());
+  InsertN(Value::Null(), 1, Value::Int(1));
+  InsertN(Value::Int(4), 1, Value::Int(1));
+  const char* sql = "SELECT x, v FROM O, N WHERE O.k = N.k AND N.flag = 1";
+  auto stmt = sql::ParseSelect(sql);
+  ASSERT_TRUE(stmt.ok());
+  auto result = Execute(*stmt, db_.View());
+  auto reference = BruteForce(*stmt, db_.View());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_TRUE(reference.ok());
+  EXPECT_EQ(result->rows,
+            (std::vector<std::vector<Value>>{{Value::Int(40), Value::Int(1)}}));
+  EXPECT_EQ(result->rows, reference->rows);
+  EXPECT_EQ(result->lineage, reference->lineage);
+}
+
+TEST_F(ExecutorSemijoinTest, CostRuleSkipsSelectiveOuterQueries) {
+  for (int64_t k = 1; k <= 8; ++k) InsertN(Value::Int(k), k % 2, Value::Int(k));
+  const uint64_t before = OuterKeyIndexBuilds();
+  // The outer side keeps one row: reducing it cannot pay, so O's key
+  // index is never built.
+  auto outer = Run("SELECT x, v FROM O, N WHERE O.k = N.k AND O.x = 30");
+  ASSERT_TRUE(outer.ok()) << outer.status().ToString();
+  EXPECT_EQ(outer->rows.size(), 1u);
+  EXPECT_EQ(OuterKeyIndexBuilds(), before);
+  // The inner side keeps four of eight: O is reduced through its key
+  // index, built once for the version and reused by the second run.
+  for (int run = 0; run < 2; ++run) {
+    auto inner = Run("SELECT x, v FROM O, N WHERE O.k = N.k AND N.flag = 1");
+    ASSERT_TRUE(inner.ok()) << inner.status().ToString();
+    EXPECT_EQ(inner->rows.size(), 4u);
+  }
+  EXPECT_EQ(OuterKeyIndexBuilds(), before + 1);
 }
 
 }  // namespace

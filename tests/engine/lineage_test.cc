@@ -52,10 +52,11 @@ TEST_F(LineageTest, JoinProfileSpansTables) {
   EXPECT_TRUE(profile.Accesses(ColumnRef{"P-Health", "disease"}));
   EXPECT_TRUE(profile.Accesses(ColumnRef{"P-Health", "pid"}));
   EXPECT_TRUE(profile.Accesses(ColumnRef{"P-Personal", "pid"}));
-  EXPECT_EQ(profile.result.IndispensableTidBitmap("P-Personal").ToVector(),
-            (std::vector<Tid>{12, 14}));
-  EXPECT_EQ(profile.result.IndispensableTidBitmap("P-Health").ToVector(),
-            (std::vector<Tid>{22, 24}));
+  auto personal = profile.result.IndispensableTidBitmap("P-Personal");
+  auto health = profile.result.IndispensableTidBitmap("P-Health");
+  ASSERT_TRUE(personal.ok() && health.ok());
+  EXPECT_EQ(personal->ToVector(), (std::vector<Tid>{12, 14}));
+  EXPECT_EQ(health->ToVector(), (std::vector<Tid>{22, 24}));
 }
 
 TEST_F(LineageTest, PaperSuspicionExample) {
@@ -67,7 +68,9 @@ TEST_F(LineageTest, PaperSuspicionExample) {
       "SELECT zipcode FROM P-Personal, P-Health "
       "WHERE P-Personal.pid = P-Health.pid AND disease = 'cancer'");
   EXPECT_TRUE(profile.result.rows.empty());
-  EXPECT_TRUE(profile.result.IndispensableTidBitmap("P-Personal").Empty());
+  auto personal = profile.result.IndispensableTidBitmap("P-Personal");
+  ASSERT_TRUE(personal.ok());
+  EXPECT_TRUE(personal->Empty());
 }
 
 }  // namespace

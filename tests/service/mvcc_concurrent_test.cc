@@ -240,6 +240,64 @@ TEST_F(MvccConcurrentTest, JoinIndexBuiltOnceUnderConcurrentExecute) {
   }
 }
 
+TEST_F(MvccConcurrentTest, ProbeSideIndexBuiltOnceUnderConcurrentReduction) {
+  // Fresh versions of both tables: no query has probed them yet. The
+  // diabetic filter keeps few P-Health rows, so each query's semijoin
+  // reduction probes P-Personal's pid index, the probe side that plain
+  // hash joins never build.
+  ASSERT_TRUE(world_->db
+                  .Insert("P-Health",
+                          {Value::String("fresh"), Value::String("W1"),
+                           Value::String("Doc"), Value::String("diabetic"),
+                           Value::String("drug1")},
+                          Ts(5000))
+                  .ok());
+  ASSERT_TRUE(world_->db
+                  .Insert("P-Personal",
+                          {Value::String("fresh"), Value::String("Fresh"),
+                           Value::Int(40), Value::String("F"),
+                           Value::String("145568"), Value::String("A1")},
+                          Ts(5000))
+                  .ok());
+  const DatabaseView view = world_->db.Snapshot();
+  const char* const kReduced =
+      "SELECT name, disease FROM P-Personal, P-Health "
+      "WHERE P-Personal.pid = P-Health.pid AND disease = 'diabetic'";
+  auto personal = world_->db.GetTable("P-Personal");
+  auto health = world_->db.GetTable("P-Health");
+  ASSERT_TRUE(personal.ok() && health.ok());
+  const TableStats& personal_stats = (*personal)->stats();
+  const TableStats& health_stats = (*health)->stats();
+  const uint64_t personal_builds = personal_stats.join_index_builds.load();
+  const uint64_t health_builds = health_stats.join_index_builds.load();
+
+  constexpr size_t kThreads = 8;
+  std::vector<Result<QueryResult>> results(kThreads,
+                                           Status::Internal("not run"));
+  std::atomic<size_t> ready{0};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      results[t] = ExecuteSql(kReduced, view);
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  // One build per (table, column): P-Personal.pid by the reduction,
+  // P-Health.pid by the hash join.
+  EXPECT_EQ(personal_stats.join_index_builds.load(), personal_builds + 1);
+  EXPECT_EQ(health_stats.join_index_builds.load(), health_builds + 1);
+  ASSERT_TRUE(results[0].ok()) << results[0].status().ToString();
+  EXPECT_FALSE(results[0]->rows.empty());
+  for (size_t t = 1; t < kThreads; ++t) {
+    ASSERT_TRUE(results[t].ok()) << results[t].status().ToString();
+    EXPECT_EQ(results[t]->rows, results[0]->rows) << "thread " << t;
+    EXPECT_EQ(results[t]->lineage, results[0]->lineage) << "thread " << t;
+  }
+}
+
 }  // namespace
 }  // namespace service
 }  // namespace auditdb
