@@ -40,9 +40,6 @@ std::string AuditIndexStats::ToJson() const {
          "," + field("cache_hits", cache_hits.load(std::memory_order_relaxed)) +
          "," +
          field("cache_misses", cache_misses.load(std::memory_order_relaxed)) +
-         "," +
-         field("cache_invalidations",
-               cache_invalidations.load(std::memory_order_relaxed)) +
          "}";
 }
 
@@ -100,9 +97,6 @@ std::string ProfileKey(const sql::QueryShape& shape, uint64_t state_key) {
 
 }  // namespace
 
-DecisionCache::DecisionCache(DecisionCacheOptions options)
-    : options_(options) {}
-
 Result<DecisionCache::ColumnsEntry> DecisionCache::AccessedColumns(
     const sql::QueryShape& shape, bool outputs_only, uint64_t state_key,
     const sql::SelectStatement& stmt, const Catalog& catalog) {
@@ -127,7 +121,7 @@ Result<DecisionCache::ColumnsEntry> DecisionCache::AccessedColumns(
   }
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (columns_.size() >= options_.max_column_entries) columns_.clear();
+    if (columns_.size() >= kMaxColumnEntries) columns_.clear();
     columns_.emplace(std::move(key), entry);
   }
   return entry;
@@ -160,7 +154,7 @@ Result<bool> DecisionCache::BatchCandidate(const sql::QueryShape& shape,
   }
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (decisions_.size() >= options_.max_decision_entries) {
+    if (decisions_.size() >= kMaxDecisionEntries) {
       decisions_.clear();
     }
     decisions_.emplace(std::move(key), std::move(decision));
@@ -186,16 +180,8 @@ void DecisionCache::StoreProfile(const sql::QueryShape& shape,
                                  std::shared_ptr<const AccessProfile> profile) {
   std::string key = ProfileKey(shape, state_key);
   std::lock_guard<std::mutex> lock(mutex_);
-  if (profiles_.size() >= options_.max_profile_entries) profiles_.clear();
+  if (profiles_.size() >= kMaxProfileEntries) profiles_.clear();
   profiles_.emplace(std::move(key), std::move(profile));
-}
-
-void DecisionCache::Invalidate() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  columns_.clear();
-  decisions_.clear();
-  profiles_.clear();
-  stats_.cache_invalidations.fetch_add(1, std::memory_order_relaxed);
 }
 
 size_t DecisionCache::column_entries() const {

@@ -44,17 +44,15 @@ struct AuditIndexStats {
   std::atomic<uint64_t> index_visited{0};
   /// Expressions skipped without any per-expression work.
   std::atomic<uint64_t> index_skipped{0};
-  /// Queries that bypassed the index (parse/resolution failure, or the
-  /// index disabled) and visited every expression.
+  /// Queries that bypassed the index (parse or column-resolution
+  /// failure) and visited every expression.
   std::atomic<uint64_t> index_fallbacks{0};
   /// Decision-cache traffic (accessed-columns + candidacy + profiles).
   std::atomic<uint64_t> cache_hits{0};
   std::atomic<uint64_t> cache_misses{0};
-  /// Times the cache was dropped wholesale by the change listener.
-  std::atomic<uint64_t> cache_invalidations{0};
 
   /// {"lookups":..,"visited":..,"skipped":..,"fallbacks":..,
-  ///  "cache_hits":..,"cache_misses":..,"cache_invalidations":..}
+  ///  "cache_hits":..,"cache_misses":..}
   std::string ToJson() const;
 };
 
@@ -88,17 +86,6 @@ class ExpressionIndex {
   std::map<int, std::vector<ColumnRef>> attrs_by_id_;
 };
 
-struct DecisionCacheOptions {
-  /// Entry cap per section; at the cap the section is dropped wholesale
-  /// (cheap, rare, and correctness never depends on retention — every
-  /// key carries the mutation count it was computed at).
-  size_t max_column_entries = 4096;
-  size_t max_decision_entries = 8192;
-  /// Executed access profiles are the heavyweight entries (they hold the
-  /// query's full lineage-bearing result), so their cap is much smaller.
-  size_t max_profile_entries = 256;
-};
-
 /// Memoizes the static per-query / per-(query, expression) decisions and
 /// the executed access profiles, keyed on (query shape [, expression
 /// hash], state key). The state key is chosen by the caller for what the
@@ -112,12 +99,19 @@ struct DecisionCacheOptions {
 ///     profile.
 /// Thread-safe: screenings of distinct expressions share one cache across
 /// worker threads. Stale hits are impossible by construction (the state
-/// key is part of every entry's key), so nothing needs to invalidate the
-/// cache on writes; Invalidate() remains for tests and the wholesale-
-/// invalidation ablation.
+/// key is part of every entry's key), so nothing invalidates the cache on
+/// writes. Each section holds at most its cap of entries; at the cap the
+/// section is dropped whole (cheap, rare, and correctness never depends
+/// on retention).
 class DecisionCache {
  public:
-  explicit DecisionCache(DecisionCacheOptions options = DecisionCacheOptions{});
+  static constexpr size_t kMaxColumnEntries = 4096;
+  static constexpr size_t kMaxDecisionEntries = 8192;
+  /// Executed access profiles are the heavyweight entries (they hold the
+  /// query's full lineage-bearing result), so their cap is much smaller.
+  static constexpr size_t kMaxProfileEntries = 256;
+
+  DecisionCache() = default;
 
   DecisionCache(const DecisionCache&) = delete;
   DecisionCache& operator=(const DecisionCache&) = delete;
@@ -157,11 +151,6 @@ class DecisionCache {
   void StoreProfile(const sql::QueryShape& shape, uint64_t state_key,
                     std::shared_ptr<const AccessProfile> profile);
 
-  /// Drops every entry. Not needed for correctness anymore (keys carry
-  /// their state); kept for tests and the ablation mode that emulates
-  /// the old wholesale change-listener invalidation.
-  void Invalidate();
-
   AuditIndexStats* stats() { return &stats_; }
   const AuditIndexStats& stats() const { return stats_; }
 
@@ -176,7 +165,6 @@ class DecisionCache {
     bool candidate = false;
   };
 
-  DecisionCacheOptions options_;
   mutable AuditIndexStats stats_;
 
   mutable std::mutex mutex_;
@@ -187,8 +175,8 @@ class DecisionCache {
 };
 
 /// IsBatchCandidate through an optional cache: with `cache` null this is
-/// exactly IsBatchCandidate. The shared helper keeps the online and
-/// offline screeners byte-identical with and without memoization.
+/// exactly IsBatchCandidate (the offline Auditor with default
+/// AuditOptions runs uncached). Cached or not, the outcome is the same.
 Result<bool> CachedBatchCandidate(DecisionCache* cache,
                                   const sql::QueryShape& shape,
                                   uint64_t expr_hash,

@@ -46,8 +46,8 @@ struct CandidateCacheContext {
   DecisionCache* cache = nullptr;
   /// Structural hash of the qualified expression being audited.
   uint64_t expr_hash = 0;
-  /// State key the static decisions are valid for (the catalog epoch of
-  /// the pinned view; the global mutation count in ablation mode).
+  /// State key the static decisions are valid for: the catalog epoch of
+  /// the pinned view.
   uint64_t state_key = 0;
 };
 

@@ -67,13 +67,12 @@ Result<std::vector<OnlineSchemeState>> BuildOnlineSchemeStates(
 
 OnlineAuditor::OnlineAuditor(Database* db, OnlineAuditorOptions options)
     : db_(db),
-      options_(std::move(options)),
-      cache_(options_.cache != nullptr ? options_.cache
-                                       : std::make_shared<DecisionCache>()) {
+      cache_(options.cache != nullptr ? std::move(options.cache)
+                                      : std::make_shared<DecisionCache>()) {
   // No change listener: staleness is detected per expression by
   // comparing the epoch fingerprint of its FROM tables, and cached
   // decisions carry their state keys (catalog epoch / fingerprints), so
-  // stale hits are impossible without wholesale eviction.
+  // a write can never produce a stale hit.
 }
 
 Result<int> OnlineAuditor::AddExpression(const AuditExpression& expr) {
@@ -189,9 +188,9 @@ Status OnlineAuditor::ObserveEntry(Entry* entry, const LoggedQuery& query,
   // non-suspicious and must not help complete a granule — Definition 1).
   bool contributes = false;
   if (ctx.stmt != nullptr && entry->expr.filter.Admits(query)) {
-    auto candidate = CachedBatchCandidate(
-        decision_cache(), ctx.shape, entry->expr_hash, ctx.catalog_epoch,
-        *ctx.stmt, entry->expr, ctx.view.catalog(), CandidateOptions{});
+    auto candidate = cache_->BatchCandidate(
+        ctx.shape, entry->expr_hash, ctx.catalog_epoch, *ctx.stmt,
+        entry->expr, ctx.view.catalog(), CandidateOptions{});
     // A failed candidacy check (unknown table or column) or a failed
     // execution of a candidate is an error, not a cleared query:
     // propagate it like the offline per-query error verdicts instead of
@@ -227,7 +226,7 @@ std::vector<OnlineAuditor::Entry*> OnlineAuditor::EntriesToVisit(
   for (auto& entry : entries_) all.push_back(entry.get());
 
   AuditIndexStats* stats = cache_->stats();
-  if (!options_.index_enabled || ctx.stmt == nullptr || all.empty()) {
+  if (ctx.stmt == nullptr || all.empty()) {
     stats->index_fallbacks.fetch_add(1, std::memory_order_relaxed);
     return all;
   }
@@ -236,29 +235,12 @@ std::vector<OnlineAuditor::Entry*> OnlineAuditor::EntriesToVisit(
   // The query's statically accessed columns, outputs_only = false:
   // online expressions are all INDISPENSABLE, so this matches exactly
   // what IsBatchCandidate would compute per entry.
-  const std::set<ColumnRef>* accessed = nullptr;
-  std::set<ColumnRef> local;
-  std::shared_ptr<const std::set<ColumnRef>> shared;
-  if (DecisionCache* cache = decision_cache()) {
-    auto columns = cache->AccessedColumns(ctx.shape, /*outputs_only=*/false,
-                                          ctx.catalog_epoch, *ctx.stmt,
-                                          ctx.view.catalog());
-    if (columns.ok() && columns->status.ok()) {
-      shared = columns->columns;
-      accessed = shared.get();
-    }
-  } else {
-    auto computed = StaticAccessedColumns(*ctx.stmt, ctx.view.catalog(),
-                                          /*outputs_only=*/false);
-    if (computed.ok()) {
-      local = std::move(*computed);
-      accessed = &local;
-    }
-  }
-  if (accessed == nullptr) {
-    // Resolution failed: every per-entry candidacy check would fail the
-    // same way, and those errors must surface identically with the
-    // index on and off — so visit everything.
+  auto columns = cache_->AccessedColumns(ctx.shape, /*outputs_only=*/false,
+                                         ctx.catalog_epoch, *ctx.stmt,
+                                         ctx.view.catalog());
+  if (!columns.ok() || !columns->status.ok()) {
+    // Resolution failed: every per-entry candidacy check fails the same
+    // way, so visit everything and let each entry surface the error.
     stats->index_fallbacks.fetch_add(1, std::memory_order_relaxed);
     return all;
   }
@@ -267,7 +249,7 @@ std::vector<OnlineAuditor::Entry*> OnlineAuditor::EntriesToVisit(
   // attribute-touch test (its accessed-columns step succeeds — we just
   // computed it at query level) and leave its state untouched, so
   // skipping it is byte-identical to visiting it.
-  std::vector<int> ids = index_.Candidates(*accessed);
+  std::vector<int> ids = index_.Candidates(*columns->columns);
   std::vector<Entry*> visit;
   visit.reserve(ids.size());
   size_t next = 0;
@@ -281,7 +263,7 @@ std::vector<OnlineAuditor::Entry*> OnlineAuditor::EntriesToVisit(
   return visit;
 }
 
-Result<std::vector<OnlineAuditor::Screening>> OnlineAuditor::ObserveImpl(
+Result<std::vector<OnlineAuditor::Screening>> OnlineAuditor::Observe(
     const LoggedQuery& query, service::ThreadPool* pool) {
   // Pin one snapshot, then parse and execute once against it; reuse the
   // profile for every standing expression. Executed profiles are keyed
@@ -297,19 +279,13 @@ Result<std::vector<OnlineAuditor::Screening>> OnlineAuditor::ObserveImpl(
   std::shared_ptr<const AccessProfile> profile;
   if (stmt.ok()) {
     ctx.stmt = &*stmt;
-    DecisionCache* cache = decision_cache();
-    uint64_t fingerprint = 0;
-    if (cache != nullptr) {
-      fingerprint = ctx.view.EpochFingerprint(stmt->from);
-      profile = cache->LookupProfile(ctx.shape, fingerprint);
-    }
+    const uint64_t fingerprint = ctx.view.EpochFingerprint(stmt->from);
+    profile = cache_->LookupProfile(ctx.shape, fingerprint);
     if (profile == nullptr) {
       auto computed = ComputeAccessProfile(*stmt, ctx.view);
       if (computed.ok()) {
         profile = std::make_shared<const AccessProfile>(std::move(*computed));
-        if (cache != nullptr) {
-          cache->StoreProfile(ctx.shape, fingerprint, profile);
-        }
+        cache_->StoreProfile(ctx.shape, fingerprint, profile);
       } else {
         ctx.profile_status = computed.status();
       }
@@ -343,17 +319,6 @@ Result<std::vector<OnlineAuditor::Screening>> OnlineAuditor::ObserveImpl(
   for (const auto& entry : entries_) out.push_back(ScreeningOf(*entry));
   if (listener_) listener_(query, out);
   return out;
-}
-
-Result<std::vector<OnlineAuditor::Screening>> OnlineAuditor::Observe(
-    const LoggedQuery& query) {
-  return ObserveImpl(query, nullptr);
-}
-
-Result<std::vector<OnlineAuditor::Screening>> OnlineAuditor::Observe(
-    const LoggedQuery& query, service::ThreadPool* pool) {
-  if (pool == nullptr || entries_.size() <= 1) return ObserveImpl(query, nullptr);
-  return ObserveImpl(query, pool);
 }
 
 std::vector<OnlineAuditor::Screening> OnlineAuditor::Current() const {

@@ -49,16 +49,8 @@ Result<std::vector<OnlineSchemeState>> BuildOnlineSchemeStates(
     const AuditExpression& expr, const TargetView& view,
     const std::vector<OnlineSchemeState>& previous);
 
-/// Ablation and sharing knobs for the online monitor (defaults give the
-/// fast path; tests and benches flip them off).
+/// Sharing knob for the online monitor.
 struct OnlineAuditorOptions {
-  /// Consult the inverted expression index before any per-entry work, so
-  /// a query only visits expressions whose audited attributes it can
-  /// statically touch. Screenings are byte-identical with the index off.
-  bool index_enabled = true;
-  /// Memoize per-(query, expression) static decisions and executed
-  /// access profiles in the decision cache.
-  bool cache_enabled = true;
   /// Cache to share with other audit components (e.g. the serving
   /// stack's); a private one is created when null.
   std::shared_ptr<DecisionCache> cache;
@@ -123,7 +115,7 @@ class OnlineAuditor {
     size_t best_scheme = 0;
   };
 
-  /// Feeds one query. The query is parsed and executed against the
+  /// Feeds one query. The query is parsed and executed once against the
   /// current database state; expressions whose limiting parameters
   /// reject the access are skipped (their previous state is reported
   /// unchanged). Candidacy-check failures (e.g. the query references a
@@ -131,17 +123,15 @@ class OnlineAuditor {
   /// (e.g. a type error) propagate as errors rather than silently
   /// clearing the query; unparseable queries are ignored, as in the
   /// offline pipeline's parse_failed verdicts. Returns one Screening
-  /// per registered expression.
-  Result<std::vector<Screening>> Observe(const LoggedQuery& query);
-
-  /// Parallel screening: the query is parsed and executed once, then the
+  /// per registered expression, in registration order.
+  ///
+  /// With a non-null `pool` and more than one expression to visit, the
   /// per-expression coverage updates (independent state per standing
-  /// expression) fan out over `pool`. Same results as the serial
-  /// Observe, in the same registration order. Falls back to the serial
-  /// path when `pool` is null or there is at most one expression. The
-  /// database must not be mutated concurrently with a screening.
+  /// expression) fan out over it; the screenings are the same as the
+  /// serial path's. The database must not be mutated concurrently with
+  /// a screening.
   Result<std::vector<Screening>> Observe(const LoggedQuery& query,
-                                         service::ThreadPool* pool);
+                                         service::ThreadPool* pool = nullptr);
 
   /// Current screening state of every expression (without observing).
   std::vector<Screening> Current() const;
@@ -164,9 +154,6 @@ class OnlineAuditor {
   /// Index / decision-cache effectiveness counters (shared with the
   /// cache passed in via options, if any).
   const AuditIndexStats& stats() const { return *cache_->stats(); }
-
-  /// The decision cache (for serving-stack metrics wiring).
-  const std::shared_ptr<DecisionCache>& cache() const { return cache_; }
 
  private:
   struct Entry {
@@ -216,22 +203,15 @@ class OnlineAuditor {
   /// may be observed concurrently.
   Status ObserveEntry(Entry* entry, const LoggedQuery& query,
                       const ObserveContext& ctx);
-  /// Entries the observation must visit, in registration order. With the
-  /// index enabled and the query's accessed columns statically resolved,
-  /// this is the subset whose audited attributes the query can touch;
-  /// otherwise (index off, parse failure, resolution failure) every
-  /// entry — so errors surface identically with the index on and off.
+  /// Entries the observation must visit, in registration order. With
+  /// the query's accessed columns statically resolved, this is the
+  /// subset whose audited attributes the query can touch; otherwise
+  /// (parse or resolution failure) every entry, so each entry's
+  /// candidacy check surfaces the failure.
   std::vector<Entry*> EntriesToVisit(const ObserveContext& ctx);
-  Result<std::vector<Screening>> ObserveImpl(const LoggedQuery& query,
-                                             service::ThreadPool* pool);
-  DecisionCache* decision_cache() {
-    return options_.cache_enabled ? cache_.get() : nullptr;
-  }
 
   Database* db_;
-  OnlineAuditorOptions options_;
-  /// Never null (created when options.cache is); holds the stats even
-  /// when memoization is disabled.
+  /// Never null: a private cache when options.cache is null.
   std::shared_ptr<DecisionCache> cache_;
   ExpressionIndex index_;
   std::vector<std::unique_ptr<Entry>> entries_;

@@ -14,6 +14,7 @@
 #include <random>
 
 #include "src/querylog/wal.h"
+#include "src/service/metrics.h"
 
 namespace auditdb {
 namespace net {
@@ -499,7 +500,7 @@ std::string ReplicaSession::upstream() const {
 
 std::string ReplicaSession::MetricsJson() const {
   std::string json = "{";
-  json += "\"upstream\":\"" + upstream() + "\"";
+  json += "\"upstream\":" + service::JsonQuote(upstream());
   json += ",\"connected\":" + std::string(connected() ? "true" : "false");
   json += ",\"reconnects\":" + std::to_string(reconnects_.value());
   json += ",\"resyncs\":" + std::to_string(resyncs_.value());

@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <array>
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
@@ -28,6 +29,7 @@
 #include "src/engine/executor.h"
 #include "src/io/dump.h"
 #include "src/policy/policy_engine.h"
+#include "src/service/metrics.h"
 #include "src/sql/parser.h"
 #include "src/io/store.h"
 
@@ -198,6 +200,16 @@ struct AuditServer::Impl {
   service::Counter* evicted_slow;
   service::Counter* admission_rejected;
   service::Counter* drain_cancelled;
+  service::Counter* push_observe_errors;
+  service::Counter* push_verdict_errors;
+  /// Per-endpoint request instruments, indexed by the request's
+  /// MessageType byte; null for types that never reach a handler.
+  struct EndpointMetrics {
+    service::Counter* requests = nullptr;
+    service::Histogram* micros = nullptr;
+    service::Counter* errors = nullptr;
+  };
+  std::array<EndpointMetrics, 256> endpoints{};
 
   Impl(service::AuditService* service_in, Database* db_in,
        Backlog* backlog_in, QueryLog* log_in, AuditServerOptions options_in,
@@ -241,6 +253,19 @@ struct AuditServer::Impl {
     evicted_slow = metrics->counter("net.evicted_slow");
     admission_rejected = metrics->counter("net.admission_rejected");
     drain_cancelled = metrics->counter("net.drain_cancelled");
+    push_observe_errors = metrics->counter("net.push_observe_errors");
+    push_verdict_errors = metrics->counter("net.push_verdict_errors");
+    for (size_t byte = 0; byte < endpoints.size(); ++byte) {
+      auto type = static_cast<MessageType>(byte);
+      // Replication acks are applied on the loop thread, never handled.
+      if (!IsRequestType(type) || type == MessageType::kReplicateAckRequest) {
+        continue;
+      }
+      const std::string name = MessageTypeName(type);
+      endpoints[byte] = {metrics->counter("net.requests." + name),
+                         metrics->histogram("net.request_micros." + name),
+                         metrics->counter("net.request_errors." + name)};
+    }
     // No cache-invalidation change listener: decision-cache entries are
     // keyed on per-table version epochs (catalog epoch for schema-only
     // decisions, FROM-table epoch fingerprints for executed profiles), so
@@ -451,14 +476,12 @@ struct AuditServer::Impl {
           std::chrono::duration_cast<std::chrono::microseconds>(
               Clock::now() - start)
               .count());
-      const char* endpoint = MessageTypeName(request.type);
-      metrics->counter(std::string("net.requests.") + endpoint)
-          ->Increment();
-      metrics->histogram(std::string("net.request_micros.") + endpoint)
-          ->Observe(micros);
+      const EndpointMetrics& endpoint =
+          endpoints[static_cast<uint8_t>(request.type)];
+      endpoint.requests->Increment();
+      endpoint.micros->Observe(micros);
       if (response.type == MessageType::kErrorResponse) {
-        metrics->counter(std::string("net.request_errors.") + endpoint)
-            ->Increment();
+        endpoint.errors->Increment();
       }
       {
         std::lock_guard<std::mutex> lock(done_mutex);
@@ -805,7 +828,7 @@ struct AuditServer::Impl {
     json += is_replica.load() ? "replica" : "primary";
     json += "\",\"ack_policy\":\"";
     json += ReplAckPolicyName(options.repl_ack);
-    json += "\",\"advertise\":\"" + advertise + "\"";
+    json += "\",\"advertise\":" + service::JsonQuote(advertise);
     json += ",\"applied_log_id\":" + std::to_string(AppliedLogId());
     json += ",\"load_generation\":" +
             std::to_string(load_generation.load());
@@ -911,7 +934,7 @@ struct AuditServer::Impl {
         GcOrphans();
         auto observed = online->Observe(entry, service->pool());
         if (!observed.ok()) {
-          metrics->counter("net.push_observe_errors")->Increment();
+          push_observe_errors->Increment();
         }
       }
       return Status::Ok();
@@ -1001,7 +1024,7 @@ struct AuditServer::Impl {
       const TableStats& stats = (*table)->stats();
       if (!first) json += ",";
       first = false;
-      json += "\"" + name + "\":{\"epoch\":" +
+      json += service::JsonQuote(name) + ":{\"epoch\":" +
               std::to_string((*table)->epoch()) +
               ",\"live_versions\":" +
               std::to_string(stats.live_versions.load()) +
@@ -1115,7 +1138,7 @@ struct AuditServer::Impl {
         if (report.ok()) {
           verdict = report->CanonicalString();
         } else {
-          metrics->counter("net.push_verdict_errors")->Increment();
+          push_verdict_errors->Increment();
           verdict = "verdict-error: " + report.status().message();
         }
       }
@@ -1402,7 +1425,7 @@ Message AuditServer::Impl::HandleExecuteQuery(const Message& request,
     GcOrphans();
     auto observed = online->Observe(entry, service->pool());
     if (!observed.ok()) {
-      metrics->counter("net.push_observe_errors")->Increment();
+      push_observe_errors->Increment();
     } else {
       screenings = std::move(*observed);
       observed_ok = true;

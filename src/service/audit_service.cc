@@ -17,7 +17,7 @@ AuditService::AuditService(const Database* db, const Backlog* backlog,
                            const QueryLog* log, AuditServiceOptions options)
     : auditor_(db, backlog, log),
       pool_(options.pool, &metrics_),
-      cache_(std::make_shared<audit::DecisionCache>(options.decision_cache)),
+      cache_(std::make_shared<audit::DecisionCache>()),
       runs_(metrics_.counter("audit.runs")),
       static_stage_micros_(metrics_.histogram("audit.static_stage_micros")),
       view_stage_micros_(metrics_.histogram("audit.view_stage_micros")),

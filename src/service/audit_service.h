@@ -14,9 +14,6 @@ namespace service {
 
 struct AuditServiceOptions {
   ThreadPoolOptions pool;
-  /// Sizing of the service-owned decision cache (audit_index.h), which
-  /// memoizes static per-(query, expression) decisions across audit runs.
-  audit::DecisionCacheOptions decision_cache;
 };
 
 /// The deployable front door of concurrent auditing: pins the bound

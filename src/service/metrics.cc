@@ -71,6 +71,26 @@ Histogram* MetricsRegistry::histogram(const std::string& name) {
   return slot.get();
 }
 
+std::string JsonQuote(const std::string& text) {
+  std::string out = "\"";
+  out.reserve(text.size() + 2);
+  for (char c : text) {
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      char escaped[8];
+      std::snprintf(escaped, sizeof(escaped), "\\u%04x",
+                    static_cast<unsigned>(c));
+      out += escaped;
+    } else {
+      out += c;
+    }
+  }
+  out += '"';
+  return out;
+}
+
 std::string MetricsRegistry::ToJson() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::string out = "{";
@@ -79,7 +99,7 @@ std::string MetricsRegistry::ToJson() const {
                                const std::string& value) {
     if (!first) out += ",";
     first = false;
-    out += "\"" + key + "\":" + value;
+    out += JsonQuote(key) + ":" + value;
   };
   for (const auto& [name, c] : counters_) {
     append(name, std::to_string(c->value()));

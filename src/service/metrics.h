@@ -11,6 +11,12 @@
 namespace auditdb {
 namespace service {
 
+/// `text` as a JSON string literal, quotes included: `"` and `\` are
+/// backslash-escaped and control bytes become \u00XX.
+/// Every metrics emitter that interpolates a string (table names, peer
+/// addresses, metric names) goes through it.
+std::string JsonQuote(const std::string& text);
+
 /// Monotonically increasing event count (jobs submitted, completed,
 /// rejected, ...). Lock-free; safe to bump from any worker.
 class Counter {

@@ -62,9 +62,8 @@ Status Database::CreateTable(TableSchema schema) {
   AUDITDB_RETURN_IF_ERROR(catalog_.AddTable(schema));
   std::string name = schema.name();
   tables_.emplace(name, std::make_unique<Table>(std::move(schema)));
-  // Schema changes invalidate catalog-dependent cached decisions just
-  // like row changes do, even though no row trigger fires.
-  mutation_count_.fetch_add(1, std::memory_order_acq_rel);
+  // Schema changes move the state key of catalog-dependent cached
+  // decisions, even though no row trigger fires.
   catalog_epoch_.fetch_add(1, std::memory_order_acq_rel);
   return Status::Ok();
 }
@@ -104,7 +103,6 @@ void Database::AddChangeListener(ChangeListener listener) {
 }
 
 void Database::Emit(const ChangeEvent& event) {
-  mutation_count_.fetch_add(1, std::memory_order_acq_rel);
   for (const auto& listener : listeners_) listener(event);
 }
 

@@ -121,14 +121,6 @@ class Database {
   /// immutable view.
   DatabaseView View() const { return Snapshot(); }
 
-  /// Number of mutations applied so far (bumped on every trigger-firing
-  /// change, before listeners run). Retained for the wholesale-
-  /// invalidation ablation and coarse staleness checks; the audit layers
-  /// now key cached decisions on per-table version epochs instead.
-  uint64_t mutation_count() const {
-    return mutation_count_.load(std::memory_order_acquire);
-  }
-
   /// Schema-generation counter: bumped by CreateTable only.
   uint64_t catalog_epoch() const {
     return catalog_epoch_.load(std::memory_order_acquire);
@@ -145,7 +137,6 @@ class Database {
   std::map<std::string, std::unique_ptr<Table>> tables_;
   Catalog catalog_;
   std::vector<ChangeListener> listeners_;
-  std::atomic<uint64_t> mutation_count_{0};
   std::atomic<uint64_t> catalog_epoch_{0};
 };
 

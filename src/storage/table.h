@@ -282,12 +282,8 @@ class Table {
   /// Monotonic version counter: bumped by every mutation with
   /// release ordering, so a reader that observed epoch E (acquire) sees
   /// all storage effects of the first E mutations. This is the per-table
-  /// cache key the audit layers use in place of the old global mutation
-  /// count.
+  /// cache key the audit layers use.
   uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
-
-  /// Legacy alias for epoch() (the pre-MVCC per-table staleness counter).
-  uint64_t mutation_count() const { return epoch(); }
 
   /// --- Columnar projection cache ------------------------------------
   /// The columnar batch of the current version (built once per version,

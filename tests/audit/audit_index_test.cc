@@ -209,7 +209,7 @@ TEST_F(AuditIndexTest, CachedBatchCandidateMatchesDirectWithAndWithoutCache) {
   }
 }
 
-TEST_F(AuditIndexTest, ProfileRoundTripAndInvalidate) {
+TEST_F(AuditIndexTest, ProfileRoundTrip) {
   DecisionCache cache;
   EXPECT_EQ(cache.LookupProfile(Shape("q"), 0), nullptr);
   auto profile = std::make_shared<const AccessProfile>();
@@ -218,28 +218,37 @@ TEST_F(AuditIndexTest, ProfileRoundTripAndInvalidate) {
   // A different mutation count is a different state: miss.
   EXPECT_EQ(cache.LookupProfile(Shape("q"), 1), nullptr);
   EXPECT_EQ(cache.profile_entries(), 1u);
-
-  cache.Invalidate();
-  EXPECT_EQ(cache.LookupProfile(Shape("q"), 0), nullptr);
   EXPECT_EQ(cache.column_entries(), 0u);
   EXPECT_EQ(cache.decision_entries(), 0u);
-  EXPECT_EQ(cache.profile_entries(), 0u);
-  EXPECT_EQ(cache.stats()->cache_invalidations.load(), 1u);
 }
 
 TEST_F(AuditIndexTest, CapsDropSectionsWholesaleWithoutLosingCorrectness) {
-  DecisionCacheOptions options;
-  options.max_column_entries = 2;
-  DecisionCache cache(options);
+  DecisionCache cache;
   auto stmt = Select("SELECT disease FROM P-Health");
-  for (uint64_t m = 0; m < 5; ++m) {
-    auto entry = cache.AccessedColumns(Shape("k"), false, m, stmt, db_.catalog());
+  const std::set<ColumnRef> expected = {{"P-Health", "disease"}};
+  const uint64_t cap = DecisionCache::kMaxColumnEntries;
+  // Fill the section to its cap, then one more: the section drops whole
+  // and the overflow entry starts it afresh.
+  for (uint64_t m = 0; m <= cap; ++m) {
+    auto entry =
+        cache.AccessedColumns(Shape("k"), false, m, stmt, db_.catalog());
     ASSERT_TRUE(entry.ok());
     ASSERT_TRUE(entry->status.ok());
+    ASSERT_EQ(*entry->columns, expected);
+    ASSERT_LE(cache.column_entries(), cap);
   }
-  // Never above the cap; every lookup still answered correctly.
-  EXPECT_LE(cache.column_entries(), 2u);
-  EXPECT_EQ(cache.stats()->cache_misses.load(), 5u);
+  EXPECT_EQ(cache.column_entries(), 1u);
+  EXPECT_EQ(cache.stats()->cache_misses.load(), cap + 1);
+  // A dropped key is recomputed, with the same answer; the survivor hits.
+  auto dropped = cache.AccessedColumns(Shape("k"), false, 0, stmt,
+                                       db_.catalog());
+  ASSERT_TRUE(dropped.ok());
+  EXPECT_EQ(*dropped->columns, expected);
+  EXPECT_EQ(cache.stats()->cache_misses.load(), cap + 2);
+  auto kept = cache.AccessedColumns(Shape("k"), false, cap, stmt,
+                                    db_.catalog());
+  ASSERT_TRUE(kept.ok());
+  EXPECT_EQ(cache.stats()->cache_hits.load(), 1u);
 }
 
 TEST_F(AuditIndexTest, StatsRenderAsJson) {
@@ -249,19 +258,33 @@ TEST_F(AuditIndexTest, StatsRenderAsJson) {
   stats.cache_hits.store(11);
   EXPECT_EQ(stats.ToJson(),
             "{\"lookups\":3,\"visited\":0,\"skipped\":7,\"fallbacks\":0,"
-            "\"cache_hits\":11,\"cache_misses\":0,"
-            "\"cache_invalidations\":0}");
+            "\"cache_hits\":11,\"cache_misses\":0}");
 }
 
 TEST_F(AuditIndexTest, MutationCountAdvancesOnWritesAndSchemaChanges) {
-  uint64_t before = db_.mutation_count();
+  // The decision cache's state keys: the catalog epoch moves on schema
+  // changes, a table's epoch on writes to it (and nowhere else).
+  const uint64_t catalog_before = db_.catalog_epoch();
+  ASSERT_TRUE(
+      db_.CreateTable(TableSchema("Extra", {{"x", ValueType::kInt}})).ok());
+  EXPECT_GT(db_.catalog_epoch(), catalog_before);
+
+  auto health = db_.GetTable("P-Health");
+  auto personal = db_.GetTable("P-Personal");
+  ASSERT_TRUE(health.ok());
+  ASSERT_TRUE(personal.ok());
+  const uint64_t health_before = (*health)->epoch();
+  const uint64_t personal_before = (*personal)->epoch();
+  const uint64_t catalog_after_create = db_.catalog_epoch();
   ASSERT_TRUE(db_.Insert("P-Health",
                          {Value::String("p77"), Value::String("W9"),
                           Value::String("Smith"), Value::String("flu"),
                           Value::String("drug9")},
                          Ts(10))
                   .ok());
-  EXPECT_GT(db_.mutation_count(), before);
+  EXPECT_GT((*health)->epoch(), health_before);
+  EXPECT_EQ((*personal)->epoch(), personal_before);
+  EXPECT_EQ(db_.catalog_epoch(), catalog_after_create);
 }
 
 }  // namespace

@@ -289,6 +289,23 @@ TEST(AuditServerTest, LoadDumpThenRemoteAuditMatchesOrigin) {
   EXPECT_EQ(remote->canonical, serial->CanonicalString());
 }
 
+TEST(AuditServerTest, MetricsQuoteTableNamesFromADump) {
+  // A table name is client data: a dump may call a table a"b\c. The
+  // versions section must render it as an escaped JSON key, not paste
+  // it in raw (which made the whole metrics reply invalid JSON).
+  ServedWorld world(AuditServerOptions{}, /*patients=*/0, /*queries=*/0);
+  AuditClient client(world.server->host(), world.server->port());
+  ASSERT_TRUE(client
+                  .LoadDatabaseDump("TABLE a\"b\\c\nCOLUMNS x:INT\nEND\n",
+                                    Ts(1))
+                  .ok());
+  auto metrics = client.MetricsJson();
+  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+  EXPECT_NE(metrics->find("\"a\\\"b\\\\c\":{\"epoch\":"), std::string::npos)
+      << *metrics;
+  EXPECT_EQ(metrics->find("\"a\"b\\c\""), std::string::npos) << *metrics;
+}
+
 TEST(AuditServerTest, PipelinedRequestsAnswerInOrder) {
   ServedWorld world(AuditServerOptions{}, /*patients=*/0, /*queries=*/0);
   int fd = DialRaw(*world.server);

@@ -105,6 +105,12 @@ TEST(MetricsRegistryTest, ToJsonRendersEveryInstrumentKind) {
   EXPECT_EQ(json.back(), '}');
 }
 
+TEST(MetricsRegistryTest, JsonQuoteEscapesQuotesBackslashesAndControlBytes) {
+  EXPECT_EQ(JsonQuote("net.frames_sent"), "\"net.frames_sent\"");
+  EXPECT_EQ(JsonQuote("a\"b\\c"), "\"a\\\"b\\\\c\"");
+  EXPECT_EQ(JsonQuote(std::string("x\ny\x01", 4)), "\"x\\u000ay\\u0001\"");
+}
+
 TEST(MetricsRegistryTest, EmptyRegistrySerializesToEmptyObject) {
   MetricsRegistry registry;
   EXPECT_EQ(registry.ToJson(), "{}");

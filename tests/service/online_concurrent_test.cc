@@ -1,8 +1,8 @@
 /// Concurrency contract of the indexed online monitor: Observe(query,
 /// pool) fans per-expression coverage updates across worker threads that
-/// share one DecisionCache, and the screenings must match the serial,
-/// index-off monitor byte for byte. Runs under ThreadSanitizer in CI
-/// (tools/run_ci.sh stage 3).
+/// share one DecisionCache, and the screenings must match the
+/// from-scratch reference (tests/audit/online_reference.h) byte for
+/// byte. Runs under ThreadSanitizer in CI (tools/run_ci.sh stage 3).
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include "src/service/thread_pool.h"
 #include "src/workload/generator.h"
 #include "src/workload/hospital.h"
+#include "tests/audit/online_reference.h"
 
 namespace auditdb {
 namespace service {
@@ -61,7 +62,8 @@ class OnlineConcurrentTest : public ::testing::Test {
   };
   static World* world_;
 
-  static void AddAll(audit::OnlineAuditor* monitor) {
+  template <typename Monitor>
+  static void AddAll(Monitor* monitor) {
     for (const char* text : kStandingExpressions) {
       auto expr = audit::ParseAudit(text, Ts(1000000));
       ASSERT_TRUE(expr.ok()) << expr.status().ToString();
@@ -78,19 +80,16 @@ class OnlineConcurrentTest : public ::testing::Test {
 
 OnlineConcurrentTest::World* OnlineConcurrentTest::world_ = nullptr;
 
-TEST_F(OnlineConcurrentTest, IndexedParallelObserveMatchesIndexOffSerial) {
-  audit::OnlineAuditorOptions plain_options;
-  plain_options.index_enabled = false;
-  plain_options.cache_enabled = false;
-  audit::OnlineAuditor serial(&world_->db, plain_options);
-  audit::OnlineAuditor indexed(&world_->db);  // index + cache on
-  AddAll(&serial);
+TEST_F(OnlineConcurrentTest, ParallelObserveMatchesReference) {
+  audit::OnlineReference reference(&world_->db);
+  audit::OnlineAuditor indexed(&world_->db);
+  AddAll(&reference);
   AddAll(&indexed);
 
   ThreadPool pool(PoolOptions(4));
   const QueryLog& entries = world_->log;
   for (size_t i = 0; i < std::min<size_t>(entries.size(), 120); ++i) {
-    auto expected = serial.Observe(entries.Entry(i));
+    auto expected = reference.Observe(entries.Entry(i));
     auto actual = indexed.Observe(entries.Entry(i), &pool);
     ASSERT_EQ(expected.ok(), actual.ok()) << "query " << i;
     if (!expected.ok()) continue;

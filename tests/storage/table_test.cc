@@ -117,9 +117,9 @@ TEST(TableTest, ColumnarIsCachedUntilMutation) {
   // Same shared batch on a second read, no rebuild.
   EXPECT_EQ(table.Columnar().get(), first.get());
 
-  const uint64_t before = table.mutation_count();
+  const uint64_t before = table.epoch();
   ASSERT_TRUE(table.Insert(Row2()).ok());
-  EXPECT_GT(table.mutation_count(), before);
+  EXPECT_GT(table.epoch(), before);
   auto second = table.Columnar();
   EXPECT_NE(second.get(), first.get());
   EXPECT_EQ(second->num_rows, 2u);
