@@ -1,28 +1,9 @@
 #include "src/audit/audit_index.h"
 
 #include <algorithm>
-#include <cctype>
 
 namespace auditdb {
 namespace audit {
-
-std::string NormalizedSqlKey(const std::string& sql) {
-  std::string out;
-  out.reserve(sql.size());
-  bool pending_space = false;
-  for (char c : sql) {
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      if (!out.empty()) pending_space = true;
-      continue;
-    }
-    if (pending_space) {
-      out += ' ';
-      pending_space = false;
-    }
-    out += c;
-  }
-  return out;
-}
 
 std::string AuditIndexStats::ToJson() const {
   auto field = [](const char* name, uint64_t v) {

@@ -27,13 +27,6 @@ namespace audit {
 /// otherwise re-derive on every observation. Shared by the offline
 /// Auditor, the OnlineAuditor and the AuditService.
 
-/// Cache key component for a logged query: the SQL text with runs of
-/// whitespace collapsed to single spaces (and trimmed). Literal case is
-/// preserved — normalization only folds formatting differences, never
-/// semantics, so two queries sharing a key are byte-equivalent to the
-/// parser.
-std::string NormalizedSqlKey(const std::string& sql);
-
 /// Monotonic counters of index and cache effectiveness. Readable while
 /// screenings run (relaxed atomics); rendered as the "index" metrics
 /// section of auditd / the shell.

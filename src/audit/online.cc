@@ -293,7 +293,11 @@ Result<std::vector<OnlineAuditor::Screening>> OnlineAuditor::Observe(
     ctx.profile = profile.get();
   }
 
+  // Every visited entry observes the query, even after another entry
+  // failed, and the first error in entry order is returned: serial and
+  // pooled monitors are left in the same state.
   std::vector<Entry*> visit = EntriesToVisit(ctx);
+  std::vector<Status> statuses;
   if (pool != nullptr && visit.size() > 1) {
     // Each standing expression owns disjoint state, so the coverage
     // updates fan out one job per visited entry.
@@ -304,15 +308,12 @@ Result<std::vector<OnlineAuditor::Screening>> OnlineAuditor::Observe(
         return ObserveEntry(raw, query, ctx);
       });
     }
-    auto statuses = service::RunBatch(pool, std::move(tasks));
-    for (const auto& status : statuses) {
-      AUDITDB_RETURN_IF_ERROR(Status(status));
-    }
+    statuses = service::RunBatch(pool, std::move(tasks));
   } else {
-    for (Entry* raw : visit) {
-      AUDITDB_RETURN_IF_ERROR(ObserveEntry(raw, query, ctx));
-    }
+    statuses.reserve(visit.size());
+    for (Entry* raw : visit) statuses.push_back(ObserveEntry(raw, query, ctx));
   }
+  for (const Status& status : statuses) AUDITDB_RETURN_IF_ERROR(status);
 
   std::vector<Screening> out;
   out.reserve(entries_.size());

@@ -123,13 +123,15 @@ class OnlineAuditor {
   /// (e.g. a type error) propagate as errors rather than silently
   /// clearing the query; unparseable queries are ignored, as in the
   /// offline pipeline's parse_failed verdicts. Returns one Screening
-  /// per registered expression, in registration order.
+  /// per registered expression, in registration order. When an
+  /// expression fails, every other expression still observes the query
+  /// and the first failure in registration order is returned.
   ///
   /// With a non-null `pool` and more than one expression to visit, the
   /// per-expression coverage updates (independent state per standing
-  /// expression) fan out over it; the screenings are the same as the
-  /// serial path's. The database must not be mutated concurrently with
-  /// a screening.
+  /// expression) fan out over it; the screenings, the error and the
+  /// state left behind are the same as the serial path's. The database
+  /// must not be mutated concurrently with a screening.
   Result<std::vector<Screening>> Observe(const LoggedQuery& query,
                                          service::ThreadPool* pool = nullptr);
 

@@ -13,16 +13,14 @@
 
 namespace auditdb {
 
-/// Rows per predicate-program chunk: bounds the register scratch space of
-/// the general (non-fused) machine; fused filters are insensitive to it.
-inline constexpr size_t kScanBatchRows = 1024;
-
 /// One evaluation stage of the conjuncts that become ready at a join
 /// position, in the query's original conjunct order. A LOCAL stage is a
 /// maximal run of consecutive conjuncts reading only this table's columns,
-/// compiled into one predicate program and precomputed once per query over
-/// the table's batch. A CROSS stage is a run of conjuncts that also read
-/// earlier tables' slots; it is tree-walked per combined row.
+/// compiled into one predicate program (fused filter loops, or the
+/// interpreter per row when the run does not fuse) and precomputed once
+/// per query over the table's batch. A CROSS stage is a run of conjuncts
+/// that also read earlier tables' slots; it is tree-walked per combined
+/// row.
 struct ScanStage {
   bool local = false;
   PredicateProgram program;               // local stages
@@ -77,17 +75,9 @@ class TableFilter {
   size_t total_errors_ = 0;
 };
 
-/// Runs `program` over `sel` in chunks of `batch_size` rows and
-/// concatenates the outcomes (the program is stateless across rows, so
-/// chunking cannot change results).
-PredicateProgram::Outcome RunChunked(const PredicateProgram& program,
-                                     const Batch& batch,
-                                     const std::vector<uint32_t>& sel,
-                                     size_t batch_size);
-
 /// Precomputes the local stages of `stages` over `batch`, starting from
 /// `selection` (ascending row ids; all rows when absent) and narrowing
-/// after each local stage. Programs run in chunks of kScanBatchRows.
+/// after each local stage.
 TableFilter BuildTableFilter(
     const Batch& batch, const std::vector<ScanStage>& stages,
     const std::optional<std::vector<uint32_t>>& selection);

@@ -58,9 +58,10 @@ Result<bool> EvaluatePredicate(const Expression* expr,
 
 /// --- Scalar kernels ---------------------------------------------------
 /// The single source of truth for operator semantics and error statuses,
-/// shared by the tree-walking evaluator above and the compiled predicate
-/// programs (src/expr/predicate_program.h). The batch path stays
-/// byte-identical to the interpreter because both call exactly these.
+/// shared by the tree-walking evaluator above and the fused filter loops
+/// of predicate programs (src/expr/predicate_program.h). A fused loop
+/// hands every cell it cannot compare natively to these kernels, so it
+/// stays byte-identical to the interpreter.
 
 /// SQL LIKE: `%` matches any run (including empty), `_` any one char.
 bool LikeMatches(const std::string& text, const std::string& pattern);

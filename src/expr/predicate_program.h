@@ -2,7 +2,6 @@
 #define AUDITDB_EXPR_PREDICATE_PROGRAM_H_
 
 #include <cstdint>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -12,20 +11,21 @@
 
 namespace auditdb {
 
-/// A bound predicate flattened into a linear register program evaluated
-/// batch-at-a-time over a columnar Batch with a selection vector, instead
-/// of recursively interpreting the expression tree per row.
+/// A bound local predicate evaluated batch-at-a-time over a columnar
+/// Batch with a selection vector.
 ///
-/// Semantics are byte-identical to the tree-walking evaluator
-/// (EvaluatePredicate): both call the same scalar kernels, AND/OR
-/// short-circuiting is reproduced by narrowing the selection before the
-/// right operand runs (so a cell the interpreter would never evaluate is
-/// never evaluated here either), and a row whose evaluation errors
-/// reports the interpreter's exact Status for that row. Conjunctions of
-/// `col op literal` / `col op col` comparisons compile to fused filter
-/// instructions that run tight typed loops over the column arrays — the
-/// scan hot path; everything else lowers to a general register form that
-/// is still batch-amortized.
+/// Conjunctions of `col op literal`, `literal op col`, `col op col` and
+/// `col LIKE literal` compile to fused filter instructions that run tight
+/// typed loops over the column arrays: the scan hot path. Every other
+/// local predicate is kept as an expression and run on the tree-walking
+/// interpreter (EvaluatePredicate) one selected row at a time.
+///
+/// Both forms are byte-identical to the interpreter. A fused loop hands
+/// every cell it cannot compare natively to the interpreter's own scalar
+/// kernels, and a conjunction narrows the selection before its next
+/// comparison runs, so a row the interpreter would short-circuit is never
+/// evaluated further. A row whose evaluation errors reports the
+/// interpreter's exact Status for that row.
 class PredicateProgram {
  public:
   /// Per-row outcome of running the program over a selection: rows that
@@ -54,40 +54,25 @@ class PredicateProgram {
   Outcome Run(const Batch& batch, const std::vector<uint32_t>& sel) const;
 
   /// True when the program compiled entirely to fused filter
-  /// instructions (the vectorized hot path).
-  bool pure_filter() const { return pure_filter_; }
+  /// instructions (the vectorized hot path); false when it runs on the
+  /// interpreter.
+  bool pure_filter() const { return interpreted_ == nullptr; }
   size_t num_instructions() const { return instrs_.size(); }
 
-  /// Readable disassembly (tests / debugging).
-  std::string ToString() const;
-
  private:
+  /// Fused filters: each narrows the selection directly from column
+  /// arrays.
   enum class OpCode : uint8_t {
-    // Fused filters: narrow the selection directly from column arrays.
     kFilterCmpColConst,  // col(a) bop literal
     kFilterCmpColCol,    // col(a) bop col(b)
     kFilterLikeColConst, // col(a) LIKE literal
-    // General register form.
-    kLoadColumn,   // reg[dst] = column a
-    kLoadConst,    // reg[dst] = literal (scalar)
-    kCompare,      // reg[dst] = cmp(reg[a], reg[b])
-    kLike,         // reg[dst] = reg[a] LIKE reg[b]
-    kArith,        // reg[dst] = reg[a] bop reg[b]
-    kUnary,        // reg[dst] = uop reg[a]
-    kAndProbe,     // push sel narrowed to rows where reg[a] is TRUE
-    kOrProbe,      // push sel narrowed to rows where reg[a] is FALSE
-    kPopMergeAnd,  // reg[dst] = reg[a] ? reg[b] : FALSE; pop
-    kPopMergeOr,   // reg[dst] = reg[a] ? TRUE : reg[b]; pop
-    kFilterResult, // narrow sel to rows where reg[a] is TRUE
   };
 
   struct Instr {
     OpCode op;
-    int a = -1;    // register, or column index for fused/load ops
-    int b = -1;    // register, or second column for kFilterCmpColCol
-    int dst = -1;  // destination register
+    int a = -1;  // column index
+    int b = -1;  // second column for kFilterCmpColCol
     BinaryOp bop = BinaryOp::kAnd;
-    UnaryOp uop = UnaryOp::kNot;
     /// kFilterCmpColConst compiled from `literal op col`: the comparison
     /// was flipped to put the column on the left, so the scalar fallback
     /// must restore the source operand order (error statuses name the
@@ -97,11 +82,14 @@ class PredicateProgram {
   };
 
   struct Compiler;
-  struct Machine;
 
   std::vector<Instr> instrs_;
-  int num_regs_ = 0;
-  bool pure_filter_ = false;
+  /// A clone of the predicate when it does not fuse (null when it does);
+  /// Run evaluates it per row over a combined row of
+  /// `slot_offset_ + width_` values.
+  ExprPtr interpreted_;
+  size_t slot_offset_ = 0;
+  size_t width_ = 0;
 };
 
 }  // namespace auditdb

@@ -1,6 +1,6 @@
-/// The standing-expression audit index and its decision cache: key
-/// normalization, inverted-index lookups, memoization (including error
-/// outcomes), wholesale invalidation, and null-cache equivalence.
+/// The standing-expression audit index and its decision cache:
+/// inverted-index lookups, memoization (including error outcomes),
+/// wholesale invalidation, and null-cache equivalence.
 
 #include "src/audit/audit_index.h"
 
@@ -22,22 +22,6 @@ Timestamp Ts(int64_t s) { return Timestamp(s * 1000000); }
 /// Distinct deterministic cache keys from short tags.
 sql::QueryShape Shape(const std::string& tag) {
   return sql::ComputeQueryShape(tag);
-}
-
-TEST(NormalizedSqlKeyTest, CollapsesWhitespaceAndTrims) {
-  EXPECT_EQ(NormalizedSqlKey("SELECT  name\tFROM\n  P-Personal "),
-            "SELECT name FROM P-Personal");
-  EXPECT_EQ(NormalizedSqlKey("  \t\n  "), "");
-  EXPECT_EQ(NormalizedSqlKey("SELECT 1"), "SELECT 1");
-}
-
-TEST(NormalizedSqlKeyTest, PreservesLiteralCase) {
-  // Only formatting is folded, never semantics: 'Ward' and 'ward' are
-  // different string literals.
-  EXPECT_EQ(NormalizedSqlKey("SELECT x WHERE w =  'Ward'"),
-            "SELECT x WHERE w = 'Ward'");
-  EXPECT_NE(NormalizedSqlKey("SELECT x WHERE w='Ward'"),
-            NormalizedSqlKey("SELECT x WHERE w='ward'"));
 }
 
 class AuditIndexTest : public ::testing::Test {

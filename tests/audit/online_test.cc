@@ -351,6 +351,54 @@ TEST_F(OnlineAuditorTest, FailedReexecutionIsAnErrorNotAClear) {
   }
 }
 
+TEST_F(OnlineAuditorTest, OneFailingExpressionDoesNotStopTheOthers) {
+  // Expressions A, B, C; only B's target-view rebuild fails, because its
+  // WHERE divides by an age that a write set to 0 (`age >= 0` keeps
+  // Reku's NULL age out of the division). Serial and pooled Observe both
+  // let A and C observe the query, return B's error, and leave the same
+  // screenings behind.
+  const std::string kFailing =
+      "AUDIT (name,disease) FROM P-Personal, P-Health "
+      "WHERE P-Personal.pid = P-Health.pid AND age >= 0 AND 100 / age > 1";
+  const std::string query =
+      "SELECT name, disease FROM P-Personal, P-Health "
+      "WHERE P-Personal.pid=P-Health.pid AND disease='diabetic'";
+  service::ThreadPoolOptions pool_options;
+  pool_options.num_threads = 2;
+  service::ThreadPool pool(pool_options);
+  std::vector<std::vector<OnlineAuditor::Screening>> states;
+  for (service::ThreadPool* on : {static_cast<service::ThreadPool*>(nullptr),
+                                  &pool}) {
+    const char* mode = on ? " (pooled)" : " (serial)";
+    Database db;
+    ASSERT_TRUE(workload::BuildPaperDatabase(&db, Ts(1)).ok());
+    OnlineAuditor online(&db);
+    ASSERT_TRUE(online.AddExpression(Parse(kSemantic)).ok());  // A
+    auto b = online.AddExpression(Parse(kFailing));  // B
+    ASSERT_TRUE(b.ok()) << b.status().ToString();
+    ASSERT_TRUE(online.AddExpression(Parse(kSemantic)).ok());  // C
+    ASSERT_TRUE(
+        db.UpdateColumn("P-Personal", 13, "age", Value::Int(0), Ts(50)).ok());
+
+    auto s = online.Observe(Q(1, query), on);
+    ASSERT_FALSE(s.ok()) << mode;
+    EXPECT_EQ(s.status().ToString(),
+              Status::InvalidArgument("division by zero").ToString())
+        << mode;
+    auto current = online.Current();
+    ASSERT_EQ(current.size(), 3u);
+    EXPECT_TRUE(current[0].fired) << mode;
+    EXPECT_FALSE(current[1].fired) << mode;
+    EXPECT_TRUE(current[2].fired) << mode;
+    states.push_back(std::move(current));
+  }
+  for (size_t e = 0; e < 3; ++e) {
+    EXPECT_EQ(states[0][e].fired, states[1][e].fired) << e;
+    EXPECT_EQ(states[0][e].rank, states[1][e].rank) << e;
+    EXPECT_EQ(states[0][e].best_scheme, states[1][e].best_scheme) << e;
+  }
+}
+
 // --- Expression index + decision cache --------------------------------
 
 TEST_F(OnlineAuditorTest, IndexSkipsUntouchedExpressions) {

@@ -126,22 +126,6 @@ TEST(TableScanTest, SelectionLimitsTheFilter) {
   EXPECT_EQ(filter.passing(), (std::vector<uint32_t>{2}));
 }
 
-TEST(TableScanTest, RunChunkedMatchesSingleShot) {
-  auto table = MakeTable();
-  ExprPtr expr = BoundPredicate("a >= 20 AND b <> 'y'");
-  auto program = PredicateProgram::Compile(*expr, 0, 2);
-  ASSERT_TRUE(program.ok());
-
-  auto batch = table->Columnar();
-  std::vector<uint32_t> sel = {0, 1, 2, 3};
-  auto whole = program->Run(*batch, sel);
-  for (size_t chunk = 1; chunk <= 5; ++chunk) {
-    auto chunked = RunChunked(*program, *batch, sel, chunk);
-    EXPECT_EQ(chunked.passed, whole.passed) << "chunk=" << chunk;
-    EXPECT_EQ(chunked.errors.size(), whole.errors.size());
-  }
-}
-
 /// End-to-end: the executor must return exactly the reference's rows,
 /// lineage and row order, and on single-table queries (where both visit
 /// rows in table order) the reference's exact error status.

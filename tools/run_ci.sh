@@ -89,16 +89,16 @@ cmake --build "${PREFIX}-asan" -j "${JOBS}" \
                suspicion_reference_test minimize_test online_test \
                cluster_test engine_test property_test storage_test \
                auditor_test backlog_test target_view_test \
-               online_reference_test
+               online_reference_test expr_test
 # ASan exits non-zero on any report; halt_on_error makes that immediate.
 # The tid-bitmap and suspicion suites ride along here: the BatchIndex
 # lifetime regression (dangling batch vector) is exactly the kind of bug
 # only this tree can see. The online re-execution-failure cases ride
 # along too: they drive the observe error path, in process and over the
 # wire on a replica. So do the executor's reference differentials and
-# the scan/predicate-program suites: the hash-join build, the scan
-# chunking and the lineage layout they check are what the next
-# re-execution rewrites change. The join-key index suites and the
+# the scan/predicate-program suites: the hash-join build, the
+# interpreter fallback of predicate programs and the lineage layout they
+# check are what the next re-execution rewrites change. The join-key index suites and the
 # auditor's shared-execution case ride along for the same reason: probes
 # read rows through a version-owned index, and candidates share one
 # profile by pointer. The backlog cursor suites, the sweep-vs-replay
@@ -110,7 +110,7 @@ cmake --build "${PREFIX}-asan" -j "${JOBS}" \
 # screenings share cached profiles by pointer across a churning world.
 export ASAN_OPTIONS="halt_on_error=1:abort_on_error=0:exitcode=99"
 ctest --test-dir "${PREFIX}-asan" --output-on-failure \
-      -R 'FrameCodecTest|FrameReaderTest|FieldCodecTest|ErrorCodecTest|TypePredicatesTest|AuditServerTest|PushCodecTest|SubscriptionRegistryTest|PushSubscriptionTest|TidBitmapTest|TidBitmapDifferentialTest|SuspicionTest|SuspicionReferenceTest|MinimizeDifferentialTest|OnlineAuditorTest.FailedReexecutionIsAnErrorNotAClear|ClusterTest.ReplicaCountsAFailedObserveReexecution|ExecutorDifferential|ExecutorReferenceTest|TableScanTest|PredicateProgramPropertyTest|JoinKeyIndexTest|TableVersionTest.JoinIndexIsBuiltOncePerVersionAndColumn|AuditorTest.RepeatedCandidatesShareOneExecutionPerState|BacklogDifferential|BacklogCursorTest|TargetViewSweepDifferential|ChurnedAuditorTest|SemijoinDifferential|ExecutorSemijoinTest|OnlineReferenceDifferential'
+      -R 'FrameCodecTest|FrameReaderTest|FieldCodecTest|ErrorCodecTest|TypePredicatesTest|AuditServerTest|PushCodecTest|SubscriptionRegistryTest|PushSubscriptionTest|TidBitmapTest|TidBitmapDifferentialTest|SuspicionTest|SuspicionReferenceTest|MinimizeDifferentialTest|OnlineAuditorTest.FailedReexecutionIsAnErrorNotAClear|OnlineAuditorTest.OneFailingExpressionDoesNotStopTheOthers|ClusterTest.ReplicaCountsAFailedObserveReexecution|ExecutorDifferential|ExecutorReferenceTest|TableScanTest|PredicateProgramTest|PredicateProgramPropertyTest|JoinKeyIndexTest|TableVersionTest.JoinIndexIsBuiltOncePerVersionAndColumn|AuditorTest.RepeatedCandidatesShareOneExecutionPerState|BacklogDifferential|BacklogCursorTest|TargetViewSweepDifferential|ChurnedAuditorTest|SemijoinDifferential|ExecutorSemijoinTest|OnlineReferenceDifferential'
 
 echo "-- auditd loopback smoke (ASan build) --"
 PORT_FILE="$(mktemp)"
@@ -230,7 +230,8 @@ echo "== [5/9] tid-bitmap kernels under UndefinedBehaviorSanitizer =="
 # cases ride along: their queries fail on integer division by zero and
 # on type errors inside the evaluator. The executor reference
 # differentials and the scan/predicate-program suites ride along too
-# (selection-vector indexing and chunk arithmetic), and so do the
+# (selection-vector indexing, and the interpreter fallback's row
+# filling), and so do the
 # backlog cursor and sweep-vs-replay suites (prefix and restart
 # arithmetic over the event log), the semijoin suites (row-id
 # casts between index positions, masks and allowed-row lists), and the
@@ -242,10 +243,10 @@ cmake --build "${PREFIX}-ubsan" -j "${JOBS}" \
       --target common_test suspicion_test suspicion_reference_test \
                minimize_test online_test cluster_test engine_test \
                property_test storage_test auditor_test backlog_test \
-               target_view_test online_reference_test
+               target_view_test online_reference_test expr_test
 export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
 ctest --test-dir "${PREFIX}-ubsan" --output-on-failure \
-      -R 'TidBitmapTest|TidBitmapDifferentialTest|SuspicionTest|SuspicionReferenceTest|MinimizeDifferentialTest|OnlineAuditorTest.FailedReexecutionIsAnErrorNotAClear|ClusterTest.ReplicaCountsAFailedObserveReexecution|ExecutorDifferential|ExecutorReferenceTest|TableScanTest|PredicateProgramPropertyTest|JoinKeyIndexTest|TableVersionTest.JoinIndexIsBuiltOncePerVersionAndColumn|AuditorTest.RepeatedCandidatesShareOneExecutionPerState|BacklogDifferential|BacklogCursorTest|TargetViewSweepDifferential|ChurnedAuditorTest|SemijoinDifferential|ExecutorSemijoinTest|OnlineReferenceDifferential'
+      -R 'TidBitmapTest|TidBitmapDifferentialTest|SuspicionTest|SuspicionReferenceTest|MinimizeDifferentialTest|OnlineAuditorTest.FailedReexecutionIsAnErrorNotAClear|OnlineAuditorTest.OneFailingExpressionDoesNotStopTheOthers|ClusterTest.ReplicaCountsAFailedObserveReexecution|ExecutorDifferential|ExecutorReferenceTest|TableScanTest|PredicateProgramTest|PredicateProgramPropertyTest|JoinKeyIndexTest|TableVersionTest.JoinIndexIsBuiltOncePerVersionAndColumn|AuditorTest.RepeatedCandidatesShareOneExecutionPerState|BacklogDifferential|BacklogCursorTest|TargetViewSweepDifferential|ChurnedAuditorTest|SemijoinDifferential|ExecutorSemijoinTest|OnlineReferenceDifferential'
 
 echo "== [6/9] policy gate under AddressSanitizer =="
 cmake --build "${PREFIX}-asan" -j "${JOBS}" \
