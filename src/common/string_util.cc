@@ -1,6 +1,9 @@
 #include "src/common/string_util.h"
 
 #include <cctype>
+#include <cerrno>
+#include <charconv>
+#include <cstdlib>
 
 namespace auditdb {
 
@@ -62,6 +65,39 @@ bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
 bool StartsWith(std::string_view text, std::string_view prefix) {
   return text.size() >= prefix.size() &&
          text.substr(0, prefix.size()) == prefix;
+}
+
+namespace {
+
+template <typename Int>
+bool ParseDecimal(std::string_view text, Int* out) {
+  Int v = 0;
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end) return false;
+  *out = v;
+  return true;
+}
+
+}  // namespace
+
+bool ParseInt64(std::string_view text, int64_t* out) {
+  return ParseDecimal(text, out);
+}
+
+bool ParseUint64(std::string_view text, uint64_t* out) {
+  return ParseDecimal(text, out);
+}
+
+bool ParseDouble(std::string_view text, double* out) {
+  if (text.empty()) return false;
+  const std::string copy(text);  // strtod needs a terminated string
+  errno = 0;
+  char* end = nullptr;
+  double v = std::strtod(copy.c_str(), &end);
+  if (errno != 0 || end != copy.c_str() + copy.size()) return false;
+  *out = v;
+  return true;
 }
 
 }  // namespace auditdb

@@ -1,6 +1,7 @@
 #ifndef AUDITDB_COMMON_STRING_UTIL_H_
 #define AUDITDB_COMMON_STRING_UTIL_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -28,6 +29,17 @@ bool EqualsIgnoreCase(std::string_view a, std::string_view b);
 
 /// Whether `text` starts with `prefix`.
 bool StartsWith(std::string_view text, std::string_view prefix);
+
+/// Strict decimal parsers for the numbers in wire fields, files and
+/// flags. Each parses the whole of `text`. Integers are `-?[0-9]+`
+/// (unsigned: `[0-9]+`): no whitespace, no `+`, and out-of-range values
+/// fail. On failure `*out` is left untouched.
+bool ParseInt64(std::string_view text, int64_t* out);
+bool ParseUint64(std::string_view text, uint64_t* out);
+
+/// Parses the whole of `text` as a double, in any form strtod accepts;
+/// out-of-range values fail.
+bool ParseDouble(std::string_view text, double* out);
 
 }  // namespace auditdb
 

@@ -1,7 +1,5 @@
 #include "src/io/dump.h"
 
-#include <cerrno>
-#include <cstdlib>
 #include <sstream>
 
 #include "src/common/string_util.h"
@@ -27,29 +25,6 @@ std::string_view PayloadLine(const std::string& line) {
     view.remove_prefix(1);
   }
   return view;
-}
-
-
-/// Parses an entire string as a signed 64-bit integer (no exceptions).
-bool ParseInt64(const std::string& text, int64_t* out) {
-  if (text.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  long long v = std::strtoll(text.c_str(), &end, 10);
-  if (errno != 0 || end != text.c_str() + text.size()) return false;
-  *out = v;
-  return true;
-}
-
-/// Parses an entire string as a double (no exceptions).
-bool ParseDouble(const std::string& text, double* out) {
-  if (text.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  double v = std::strtod(text.c_str(), &end);
-  if (errno != 0 || end != text.c_str() + text.size()) return false;
-  *out = v;
-  return true;
 }
 
 Result<ValueType> ParseTypeName(const std::string& name) {

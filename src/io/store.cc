@@ -1,9 +1,8 @@
 #include "src/io/store.h"
 
-#include <cerrno>
-#include <cstdlib>
 #include <sstream>
 
+#include "src/common/string_util.h"
 #include "src/io/dump.h"
 
 namespace auditdb {
@@ -12,16 +11,6 @@ namespace io {
 namespace {
 
 constexpr char kManifestName[] = "MANIFEST";
-
-bool ParseUint64Text(const std::string& text, uint64_t* out) {
-  if (text.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (errno != 0 || end != text.c_str() + text.size()) return false;
-  *out = v;
-  return true;
-}
 
 /// Parses "snapshot <seq>" (trailing newline tolerated).
 Result<uint64_t> ParseManifest(const std::string& text) {
@@ -33,7 +22,7 @@ Result<uint64_t> ParseManifest(const std::string& text) {
     return Status::ParseError("malformed MANIFEST: " + line);
   }
   uint64_t seq = 0;
-  if (!ParseUint64Text(line.substr(9), &seq) || seq == 0) {
+  if (!ParseUint64(line.substr(9), &seq) || seq == 0) {
     return Status::ParseError("bad MANIFEST sequence: " + line);
   }
   return seq;
@@ -59,7 +48,7 @@ bool IsStaleStoreFile(const std::string& name, uint64_t keep_seq) {
     return false;
   }
   uint64_t seq = 0;
-  if (!ParseUint64Text(digits, &seq)) return false;
+  if (!ParseUint64(digits, &seq)) return false;
   return seq != keep_seq;
 }
 
@@ -160,7 +149,7 @@ Result<std::unique_ptr<DurableStore>> DurableStore::Open(
           auto bar = payload.find('|');
           uint64_t rec_seq = 0;
           if (bar == std::string::npos ||
-              !ParseUint64Text(payload.substr(0, bar), &rec_seq)) {
+              !ParseUint64(payload.substr(0, bar), &rec_seq)) {
             return Status::Internal("malformed WAL checkpoint record");
           }
           if (rec_seq != seq) {

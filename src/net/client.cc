@@ -1,10 +1,6 @@
 #include "src/net/client.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -13,7 +9,9 @@
 #include <random>
 #include <thread>
 
+#include "src/common/string_util.h"
 #include "src/net/replication.h"
+#include "src/net/socket.h"
 
 namespace auditdb {
 namespace net {
@@ -31,39 +29,6 @@ constexpr int kReceiverPollMillis = 50;
 /// keeps legitimate traffic far below this; crossing it means a
 /// misbehaving peer.
 constexpr size_t kMaxStashedPushes = 1u << 16;
-
-int RemainingMillis(Clock::time_point deadline) {
-  auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-      deadline - Clock::now());
-  if (left.count() <= 0) return 0;
-  if (left.count() > 60 * 60 * 1000) return 60 * 60 * 1000;
-  return static_cast<int>(left.count());
-}
-
-/// Waits for `events` readiness until the deadline. OK, or
-/// DeadlineExceeded / Internal.
-Status Await(int fd, short events, Clock::time_point deadline) {
-  while (true) {
-    int timeout = RemainingMillis(deadline);
-    if (timeout <= 0) {
-      return Status::DeadlineExceeded("request deadline expired");
-    }
-    pollfd pfd{fd, events, 0};
-    int n = ::poll(&pfd, 1, timeout);
-    if (n > 0) {
-      if (pfd.revents & (POLLERR | POLLNVAL)) {
-        return Status::Internal("socket error");
-      }
-      return Status::Ok();
-    }
-    if (n == 0) {
-      return Status::DeadlineExceeded("request deadline expired");
-    }
-    if (errno != EINTR) {
-      return Status::Internal(std::string("poll: ") + strerror(errno));
-    }
-  }
-}
 
 }  // namespace
 
@@ -157,71 +122,9 @@ void AuditClient::Close() {
 
 Status AuditClient::Connect() {
   Close();
-  int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
-                    0);
-  if (fd < 0) {
-    return Status::Internal(std::string("socket: ") + strerror(errno));
-  }
-  if (options_.so_rcvbuf > 0) {
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &options_.so_rcvbuf,
-                 sizeof(options_.so_rcvbuf));
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port_);
-  if (::inet_pton(AF_INET, host_.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    return Status::InvalidArgument("bad IPv4 host: " + host_);
-  }
-  auto deadline = Clock::now() + options_.connect_timeout;
-  int rc = ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
-  if (rc != 0 && errno != EINPROGRESS) {
-    Status status = Status::Internal("connect " + host_ + ":" +
-                                     std::to_string(port_) + ": " +
-                                     strerror(errno));
-    ::close(fd);
-    return status;
-  }
-  if (rc != 0) {
-    Status ready = Await(fd, POLLOUT, deadline);
-    if (!ready.ok()) {
-      ::close(fd);
-      return ready;
-    }
-    int error = 0;
-    socklen_t len = sizeof(error);
-    if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &error, &len) != 0 ||
-        error != 0) {
-      ::close(fd);
-      return Status::Internal("connect " + host_ + ":" +
-                              std::to_string(port_) + ": " +
-                              strerror(error != 0 ? error : errno));
-    }
-  }
-  int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  fd_ = fd;
+  AUDITDB_ASSIGN_OR_RETURN(fd_, Dial(host_, port_, options_.connect_timeout,
+                                     options_.so_rcvbuf));
   reader_ = FrameReader(options_.max_frame_bytes);
-  return Status::Ok();
-}
-
-Status AuditClient::SendAll(const std::string& bytes,
-                            Clock::time_point deadline) {
-  size_t offset = 0;
-  while (offset < bytes.size()) {
-    ssize_t n = ::send(fd_, bytes.data() + offset, bytes.size() - offset,
-                       MSG_NOSIGNAL);
-    if (n > 0) {
-      offset += static_cast<size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      AUDITDB_RETURN_IF_ERROR(Await(fd_, POLLOUT, deadline));
-      continue;
-    }
-    return Status::Internal(std::string("send: ") + strerror(errno));
-  }
   return Status::Ok();
 }
 
@@ -261,7 +164,7 @@ Result<Message> AuditClient::TryOnce(const Message& request,
                                      Status* transport_error,
                                      Clock::time_point deadline) {
   *transport_error = Status::Ok();
-  Status sent = SendAll(EncodeFrame(request), deadline);
+  Status sent = SendAll(fd_, EncodeFrame(request), deadline);
   if (!sent.ok()) {
     *transport_error = sent;
     return sent;
@@ -372,7 +275,7 @@ Result<Message> AuditClient::StreamingRoundTrip(const Message& request) {
   }
   // The receiver owns reads; writes stay on the calling thread — the
   // socket is full-duplex, so the two never collide.
-  Status sent = SendAll(EncodeFrame(versioned), deadline);
+  Status sent = SendAll(fd_, EncodeFrame(versioned), deadline);
   if (!sent.ok()) {
     FailStream(sent);
     Close();
@@ -391,7 +294,7 @@ Result<Message> AuditClient::StreamingRoundTrip(const Message& request) {
     {
       std::lock_guard<std::mutex> slock(stream_mutex_);
       error = stream_ok_
-                  ? Status::DeadlineExceeded("request deadline expired")
+                  ? Status::DeadlineExceeded("deadline expired")
                   : stream_error_;
     }
     // A timed-out streaming session cannot resynchronize (the response
@@ -578,15 +481,15 @@ Result<AuditClient::Subscription> AuditClient::SubscribeInternal(
     subscribe_pending_.store(false);
     return fields.status();
   }
-  if (fields->size() != 4) {
+  Subscription sub;
+  int64_t expression_id = 0;
+  if (fields->size() != 4 || !ParseInt64((*fields)[0], &sub.id) ||
+      !ParseInt64((*fields)[1], &expression_id) ||
+      !ParseDouble((*fields)[2], &sub.rank)) {
     subscribe_pending_.store(false);
     return Status::Internal("malformed subscribe response");
   }
-  Subscription sub;
-  sub.id = std::strtoll((*fields)[0].c_str(), nullptr, 10);
-  sub.expression_id =
-      static_cast<int>(std::strtol((*fields)[1].c_str(), nullptr, 10));
-  sub.rank = std::strtod((*fields)[2].c_str(), nullptr);
+  sub.expression_id = static_cast<int>(expression_id);
   sub.fired = (*fields)[3] == "1";
   {
     std::lock_guard<std::mutex> lock(stream_mutex_);
@@ -658,9 +561,10 @@ AuditClient::ScreenLibrary(const std::vector<std::string>& expressions,
   std::vector<RemoteScreening> out;
   for (size_t i = 0; i + 3 < decoded->size(); i += 4) {
     RemoteScreening screening;
-    if (!(*decoded)[i].empty()) {
-      screening.expression_id = std::strtoll((*decoded)[i].c_str(),
-                                             nullptr, 10);
+    // An empty id field is accepted and reads as 0.
+    if (!(*decoded)[i].empty() &&
+        !ParseInt64((*decoded)[i], &screening.expression_id)) {
+      return Status::Internal("malformed screening response");
     }
     StatusCode code = StatusCodeFromName((*decoded)[i + 1]);
     screening.status = code == StatusCode::kOk
@@ -683,14 +587,14 @@ Result<AuditClient::RemoteQueryResult> AuditClient::ExecuteQuery(
   if (!response.ok()) return response.status();
   auto fields = DecodeFields(response->payload);
   if (!fields.ok()) return fields.status();
-  if (fields->size() != 3) {
+  RemoteQueryResult result;
+  uint64_t num_rows = 0;
+  if (fields->size() != 3 || !ParseUint64((*fields)[1], &num_rows) ||
+      !ParseInt64((*fields)[2], &result.log_id)) {
     return Status::Internal("malformed execute response");
   }
-  RemoteQueryResult result;
   result.rendered = std::move((*fields)[0]);
-  result.num_rows =
-      static_cast<size_t>(std::strtoull((*fields)[1].c_str(), nullptr, 10));
-  result.log_id = std::strtoll((*fields)[2].c_str(), nullptr, 10);
+  result.num_rows = static_cast<size_t>(num_rows);
   return result;
 }
 

@@ -187,8 +187,6 @@ class AuditClient {
   Result<Message> RoundTrip(const Message& request);
 
  private:
-  Status SendAll(const std::string& bytes,
-                 std::chrono::steady_clock::time_point deadline);
   Result<Message> ReadResponse(
       std::chrono::steady_clock::time_point deadline);
   Result<Message> TryOnce(const Message& request, Status* transport_error,

@@ -1,18 +1,14 @@
 #include "src/net/replication.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdlib>
-#include <cstring>
 #include <random>
 
+#include "src/common/string_util.h"
+#include "src/net/socket.h"
 #include "src/querylog/wal.h"
 #include "src/service/metrics.h"
 
@@ -29,120 +25,6 @@ constexpr int kSessionPollMillis = 50;
 constexpr int kBackoffSliceMillis = 20;
 /// Cap on ship-time entries kept for ack-latency metrics.
 constexpr size_t kMaxShipTimes = 1u << 16;
-
-int RemainingMillis(Clock::time_point deadline) {
-  auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-      deadline - Clock::now());
-  if (left.count() <= 0) return 0;
-  if (left.count() > 60 * 60 * 1000) return 60 * 60 * 1000;
-  return static_cast<int>(left.count());
-}
-
-Status Await(int fd, short events, Clock::time_point deadline) {
-  while (true) {
-    int timeout = RemainingMillis(deadline);
-    if (timeout <= 0) {
-      return Status::DeadlineExceeded("replication deadline expired");
-    }
-    pollfd pfd{fd, events, 0};
-    int n = ::poll(&pfd, 1, timeout);
-    if (n > 0) {
-      if (pfd.revents & (POLLERR | POLLNVAL)) {
-        return Status::Internal("socket error");
-      }
-      return Status::Ok();
-    }
-    if (n == 0) {
-      return Status::DeadlineExceeded("replication deadline expired");
-    }
-    if (errno != EINTR) {
-      return Status::Internal(std::string("poll: ") + strerror(errno));
-    }
-  }
-}
-
-Status SendAllFd(int fd, const std::string& bytes,
-                 Clock::time_point deadline) {
-  size_t offset = 0;
-  while (offset < bytes.size()) {
-    ssize_t n = ::send(fd, bytes.data() + offset, bytes.size() - offset,
-                       MSG_NOSIGNAL);
-    if (n > 0) {
-      offset += static_cast<size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      AUDITDB_RETURN_IF_ERROR(Await(fd, POLLOUT, deadline));
-      continue;
-    }
-    return Status::Internal(std::string("send: ") + strerror(errno));
-  }
-  return Status::Ok();
-}
-
-Result<int> DialBlocking(const std::string& host, uint16_t port,
-                         std::chrono::milliseconds connect_timeout) {
-  int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (fd < 0) {
-    return Status::Internal(std::string("socket: ") + strerror(errno));
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    return Status::InvalidArgument("bad IPv4 host: " + host);
-  }
-  auto deadline = Clock::now() + connect_timeout;
-  int rc = ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
-  if (rc != 0 && errno != EINPROGRESS) {
-    Status status = Status::Internal("connect " + host + ":" +
-                                     std::to_string(port) + ": " +
-                                     strerror(errno));
-    ::close(fd);
-    return status;
-  }
-  if (rc != 0) {
-    Status ready = Await(fd, POLLOUT, deadline);
-    if (!ready.ok()) {
-      ::close(fd);
-      return ready;
-    }
-    int error = 0;
-    socklen_t len = sizeof(error);
-    if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &error, &len) != 0 ||
-        error != 0) {
-      ::close(fd);
-      return Status::Internal("connect " + host + ":" +
-                              std::to_string(port) + ": " +
-                              strerror(error != 0 ? error : errno));
-    }
-  }
-  int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return fd;
-}
-
-bool ParseInt64Text(const std::string& text, int64_t* out) {
-  if (text.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  long long v = std::strtoll(text.c_str(), &end, 10);
-  if (errno != 0 || end != text.c_str() + text.size()) return false;
-  *out = v;
-  return true;
-}
-
-bool ParseUint64Text(const std::string& text, uint64_t* out) {
-  if (text.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (errno != 0 || end != text.c_str() + text.size()) return false;
-  *out = v;
-  return true;
-}
 
 }  // namespace
 
@@ -174,10 +56,9 @@ Result<std::pair<std::string, uint16_t>> ParseHostPort(
     return Status::InvalidArgument("address must be host:port, got: " +
                                    address);
   }
-  errno = 0;
-  char* end = nullptr;
-  unsigned long port = std::strtoul(address.c_str() + colon + 1, &end, 10);
-  if (errno != 0 || *end != '\0' || port == 0 || port > 65535) {
+  uint64_t port = 0;
+  if (!ParseUint64(std::string_view(address).substr(colon + 1), &port) ||
+      port == 0 || port > 65535) {
     return Status::InvalidArgument("bad port in address: " + address);
   }
   return std::make_pair(address.substr(0, colon),
@@ -222,8 +103,8 @@ Result<ReplicateEvent> DecodeReplicateEvent(const std::string& payload) {
   }
   if (fields[0] == "ckpt") {
     if (fields.size() != 5 ||
-        !ParseUint64Text(fields[3], &event.load_generation) ||
-        !ParseInt64Text(fields[4], &event.stamp_micros)) {
+        !ParseUint64(fields[3], &event.load_generation) ||
+        !ParseInt64(fields[4], &event.stamp_micros)) {
       return Status::ParseError("ckpt replicate event needs 5 fields");
     }
     event.kind = ReplicateEvent::Kind::kCheckpoint;
@@ -233,8 +114,8 @@ Result<ReplicateEvent> DecodeReplicateEvent(const std::string& payload) {
   }
   if (fields[0] == "load") {
     if (fields.size() != 5 ||
-        !ParseUint64Text(fields[3], &event.load_generation) ||
-        !ParseInt64Text(fields[4], &event.stamp_micros)) {
+        !ParseUint64(fields[3], &event.load_generation) ||
+        !ParseInt64(fields[4], &event.stamp_micros)) {
       return Status::ParseError("load replicate event needs 5 fields");
     }
     if (fields[1] != "db" && fields[1] != "log") {
@@ -262,7 +143,7 @@ Result<ReplicateHandshake> DecodeReplicateHandshake(
                               std::to_string(fields.size()));
   }
   ReplicateHandshake handshake;
-  if (!ParseInt64Text(fields[0], &handshake.applied_log_id) ||
+  if (!ParseInt64(fields[0], &handshake.applied_log_id) ||
       handshake.applied_log_id < 0) {
     return Status::ParseError("bad applied log id: " + fields[0]);
   }
@@ -270,7 +151,7 @@ Result<ReplicateHandshake> DecodeReplicateHandshake(
     return Status::ParseError("bad have_state flag: " + fields[1]);
   }
   handshake.have_state = fields[1] == "1";
-  if (!ParseUint64Text(fields[2], &handshake.load_generation)) {
+  if (!ParseUint64(fields[2], &handshake.load_generation)) {
     return Status::ParseError("bad load generation: " + fields[2]);
   }
   return handshake;
@@ -530,7 +411,7 @@ bool ReplicaSession::SendAck(int fd, int64_t applied) {
   Message ack{MessageType::kReplicateAckRequest,
               EncodeFields({std::to_string(applied)}), WireVersion::kV2};
   auto deadline = Clock::now() + options_.connect_timeout;
-  return SendAllFd(fd, EncodeFrame(ack), deadline).ok();
+  return SendAll(fd, EncodeFrame(ack), deadline).ok();
 }
 
 void ReplicaSession::ApplyEvent(const ReplicateEvent& event, int fd,
@@ -625,8 +506,8 @@ void ReplicaSession::Run() {
       if (!SleepReconnectBackoff(&budget)) return;
       continue;
     }
-    auto fd = DialBlocking(endpoint->first, endpoint->second,
-                           options_.connect_timeout);
+    auto fd = Dial(endpoint->first, endpoint->second,
+                   options_.connect_timeout, /*so_rcvbuf=*/0);
     if (!fd.ok()) {
       if (!SleepReconnectBackoff(&budget)) return;
       continue;
@@ -638,8 +519,8 @@ void ReplicaSession::Run() {
     handshake.load_generation = applier_.load_generation();
     Message hello{MessageType::kReplicateRequest,
                   EncodeReplicateHandshake(handshake), WireVersion::kV2};
-    if (!SendAllFd(*fd, EncodeFrame(hello),
-                   Clock::now() + options_.connect_timeout)
+    if (!SendAll(*fd, EncodeFrame(hello),
+                 Clock::now() + options_.connect_timeout)
              .ok()) {
       ::close(*fd);
       if (!SleepReconnectBackoff(&budget)) return;

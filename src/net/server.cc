@@ -12,7 +12,6 @@
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <map>
@@ -26,6 +25,7 @@
 #include "src/audit/candidate.h"
 #include "src/audit/expression_library.h"
 #include "src/audit/online.h"
+#include "src/common/string_util.h"
 #include "src/engine/executor.h"
 #include "src/io/dump.h"
 #include "src/policy/policy_engine.h"
@@ -40,24 +40,14 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-bool ParseInt64Field(const std::string& text, int64_t* out) {
-  if (text.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  long long v = std::strtoll(text.c_str(), &end, 10);
-  if (errno != 0 || end != text.c_str() + text.size()) return false;
-  *out = v;
-  return true;
-}
-
-Message MakeOk(std::string payload) {
-  return Message{MessageType::kOkResponse, std::move(payload)};
-}
-
-std::string FormatRankField(double rank) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6f", rank);
-  return buf;
+/// The REPLICATE event frame that ships one logged query to a follower.
+std::string QueryShipFrame(const LoggedQuery& entry) {
+  return EncodeFrame(Message{
+      MessageType::kReplicateEvent,
+      EncodeReplicateWal(querylog::EncodeWalRecord(
+          querylog::WalRecordType::kQuery,
+          querylog::EncodeQueryWalPayload(entry))),
+      WireVersion::kV2});
 }
 
 /// Per-refill byte budget when topping a drained write buffer up from
@@ -541,7 +531,7 @@ struct AuditServer::Impl {
         auto ack_fields = DecodeFields(message.payload);
         int64_t acked = 0;
         if (!ack_fields.ok() || ack_fields->size() != 1 ||
-            !ParseInt64Field((*ack_fields)[0], &acked)) {
+            !ParseInt64((*ack_fields)[0], &acked)) {
           frame_errors->Increment();
           PoisonConn(conn, Status::InvalidArgument(
                                "malformed replication ack"));
@@ -896,10 +886,21 @@ struct AuditServer::Impl {
     if (store == nullptr) return;
     auto data = store->env()->ReadFileToString(store->dir() + "/REPLGEN");
     if (!data.ok()) return;
-    errno = 0;
-    char* end = nullptr;
-    unsigned long long gen = std::strtoull(data->c_str(), &end, 10);
-    if (errno == 0 && end != data->c_str()) load_generation.store(gen);
+    std::string_view text = *data;
+    if (!text.empty() && text.back() == '\n') text.remove_suffix(1);
+    uint64_t gen = 0;
+    if (ParseUint64(text, &gen)) load_generation.store(gen);
+  }
+
+  /// Applies a LoadDump (`kind` db or log) to the live state. Caller
+  /// holds the writer lock.
+  Status LoadDump(const std::string& kind, const std::string& dump,
+                  Timestamp stamp) {
+    std::istringstream in(dump);
+    if (kind == "db") return io::ReadDatabaseDump(in, db, stamp);
+    if (kind == "log") return io::ReadQueryLogDump(in, log);
+    return Status::InvalidArgument(
+        "load kind must be 'db' or 'log', got: " + kind);
   }
 
   /// Builds the replica-side apply callbacks and starts the streaming
@@ -943,17 +944,7 @@ struct AuditServer::Impl {
                                 const std::string& dump, uint64_t gen,
                                 int64_t stamp) -> Status {
       std::unique_lock<std::shared_mutex> lock(state_mutex);
-      std::istringstream in(dump);
-      Status loaded;
-      if (kind == "db") {
-        loaded = io::ReadDatabaseDump(in, db, Timestamp(stamp));
-      } else if (kind == "log") {
-        loaded = io::ReadQueryLogDump(in, log);
-      } else {
-        loaded = Status::InvalidArgument(
-            "shipped load kind must be db|log, got: " + kind);
-      }
-      AUDITDB_RETURN_IF_ERROR(loaded);
+      AUDITDB_RETURN_IF_ERROR(LoadDump(kind, dump, Timestamp(stamp)));
       load_generation.store(gen);
       PersistReplGeneration(gen);
       if (options.durable_store != nullptr) {
@@ -1003,10 +994,10 @@ struct AuditServer::Impl {
 
   /// The NOT_PRIMARY rejection every mutating endpoint returns on a
   /// replica; carries the upstream so clients can fail over.
-  Message RejectNotPrimary() {
+  Status RejectNotPrimary() {
     std::lock_guard<std::mutex> lock(repl_mutex);
-    return MakeErrorMessage(MakeNotPrimaryStatus(
-        replica != nullptr ? replica->upstream() : std::string()));
+    return MakeNotPrimaryStatus(
+        replica != nullptr ? replica->upstream() : std::string());
   }
 
   /// MVCC observability: per-table version/COW/columnar counters plus the
@@ -1065,22 +1056,30 @@ struct AuditServer::Impl {
     (void)ignored;
   }
 
+  /// The one place a handler's result becomes a frame: its payload in
+  /// an OK frame, or its Status in an error frame.
   Message HandleRequest(const Message& request, uint64_t conn_id,
                         const std::string& peer);
-  Message HandleAudit(const Message& request, bool static_only);
-  Message HandleScreenLibrary(const Message& request);
-  Message HandleExecuteQuery(const Message& request,
-                             const std::string& peer);
-  Message HandleLoadDump(const Message& request);
+  Result<std::string> Dispatch(const Message& request, uint64_t conn_id,
+                               const std::string& peer);
+  std::string HandleHealth();
+  Result<std::string> HandleAudit(const Message& request, bool static_only);
+  Result<std::string> HandleScreenLibrary(const Message& request);
+  Result<std::string> HandleExecuteQuery(const Message& request,
+                                         const std::string& peer);
+  Result<std::string> HandleLoadDump(const Message& request);
   std::string PolicyNote(
       const policy::PolicyEngine::Decision& decision,
       const policy::QueryContext& ctx,
       const std::vector<audit::OnlineAuditor::Screening>& screenings,
       bool observed_ok);
-  Message HandleSubscribe(const Message& request, uint64_t conn_id);
-  Message HandleUnsubscribe(const Message& request, uint64_t conn_id);
-  Message HandleReplicate(const Message& request, uint64_t conn_id);
-  Message HandlePromote(const Message& request);
+  Result<std::string> HandleSubscribe(const Message& request,
+                                      uint64_t conn_id);
+  Result<std::string> HandleUnsubscribe(const Message& request,
+                                        uint64_t conn_id);
+  Result<std::string> HandleReplicate(const Message& request,
+                                      uint64_t conn_id);
+  Result<std::string> HandlePromote(const Message& request);
 
   /// Collects standing expressions released by closed connections.
   /// Caller must hold the writer side of state_mutex.
@@ -1164,38 +1163,27 @@ struct AuditServer::Impl {
 Message AuditServer::Impl::HandleRequest(const Message& request,
                                          uint64_t conn_id,
                                          const std::string& peer) {
+  Result<std::string> payload = Dispatch(request, conn_id, peer);
+  if (!payload.ok()) return MakeErrorMessage(payload.status());
+  return Message{MessageType::kOkResponse, std::move(*payload)};
+}
+
+Result<std::string> AuditServer::Impl::Dispatch(const Message& request,
+                                                uint64_t conn_id,
+                                                const std::string& peer) {
+  if (request.version != WireVersion::kV2 &&
+      (request.type == MessageType::kSubscribeRequest ||
+       request.type == MessageType::kUnsubscribeRequest ||
+       request.type == MessageType::kReplicateRequest)) {
+    return Status::InvalidArgument(
+        "subscriptions and replication require protocol ADB2 (this "
+        "connection speaks ADB1)");
+  }
   switch (request.type) {
-    case MessageType::kHealthRequest: {
-      // The payload is ignored (load generators pad it to probe frame
-      // sizes); a response proves loop + handler pool are alive. With a
-      // durable store attached the response carries its vitals so a
-      // probe can see recovery results and a wedged store without
-      // parsing the full metrics JSON.
-      io::DurableStore* store = options.durable_store;
-      std::string payload;
-      if (store == nullptr) {
-        payload = "ok";
-      } else {
-        const io::RecoveryInfo& recovery = store->recovery();
-        payload =
-            std::string(store->broken() ? "wedged" : "ok") +
-            "|durable|wal_records=" +
-            std::to_string(store->wal_records()) +
-            "|wal_bytes=" + std::to_string(store->wal_bytes()) +
-            "|recovered_records=" +
-            std::to_string(recovery.recovered_records) +
-            "|torn_tail_dropped=" +
-            std::to_string(recovery.torn_tail_dropped) +
-            "|last_checkpoint_seq=" +
-            std::to_string(store->last_checkpoint_seq());
-      }
-      // Appended only when replication is configured, so probes of a
-      // standalone node keep their exact historical payload.
-      if (ReplicationOn()) payload += ReplicationHealthSuffix();
-      return MakeOk(payload);
-    }
+    case MessageType::kHealthRequest:
+      return HandleHealth();
     case MessageType::kMetricsRequest:
-      return MakeOk(CombinedMetricsJson());
+      return CombinedMetricsJson();
     case MessageType::kAuditRequest:
       return HandleAudit(request, /*static_only=*/false);
     case MessageType::kAuditStaticRequest:
@@ -1215,19 +1203,45 @@ Message AuditServer::Impl::HandleRequest(const Message& request,
     case MessageType::kPromoteRequest:
       return HandlePromote(request);
     default:
-      return MakeErrorMessage(
-          Status::InvalidArgument("not a request frame"));
+      return Status::InvalidArgument("not a request frame");
   }
 }
 
-Message AuditServer::Impl::HandleAudit(const Message& request,
-                                       bool static_only) {
-  auto fields = DecodeFields(request.payload);
-  if (!fields.ok()) return MakeErrorMessage(fields.status());
+std::string AuditServer::Impl::HandleHealth() {
+  // The payload is ignored (load generators pad it to probe frame
+  // sizes); a response proves loop + handler pool are alive. With a
+  // durable store attached the response carries its vitals so a probe
+  // can see recovery results and a wedged store without parsing the
+  // full metrics JSON.
+  io::DurableStore* store = options.durable_store;
+  std::string payload;
+  if (store == nullptr) {
+    payload = "ok";
+  } else {
+    const io::RecoveryInfo& recovery = store->recovery();
+    payload = std::string(store->broken() ? "wedged" : "ok") +
+              "|durable|wal_records=" + std::to_string(store->wal_records()) +
+              "|wal_bytes=" + std::to_string(store->wal_bytes()) +
+              "|recovered_records=" +
+              std::to_string(recovery.recovered_records) +
+              "|torn_tail_dropped=" +
+              std::to_string(recovery.torn_tail_dropped) +
+              "|last_checkpoint_seq=" +
+              std::to_string(store->last_checkpoint_seq());
+  }
+  // Appended only when replication is configured, so probes of a
+  // standalone node keep their exact historical payload.
+  if (ReplicationOn()) payload += ReplicationHealthSuffix();
+  return payload;
+}
+
+Result<std::string> AuditServer::Impl::HandleAudit(const Message& request,
+                                                   bool static_only) {
+  AUDITDB_ASSIGN_OR_RETURN(auto fields, DecodeFields(request.payload));
   int64_t now_micros = 0;
-  if (fields->size() != 2 || !ParseInt64Field((*fields)[1], &now_micros)) {
-    return MakeErrorMessage(Status::InvalidArgument(
-        "audit request wants fields: expression|now_micros"));
+  if (fields.size() != 2 || !ParseInt64(fields[1], &now_micros)) {
+    return Status::InvalidArgument(
+        "audit request wants fields: expression|now_micros");
   }
   audit::AuditOptions options;
   options.static_only = static_only;
@@ -1241,20 +1255,19 @@ Message AuditServer::Impl::HandleAudit(const Message& request,
     std::shared_lock<std::shared_mutex> lock(state_mutex);
     pin = service->Pin();
   }
-  auto report =
-      service->AuditPinned((*fields)[0], Timestamp(now_micros), pin, options);
-  if (!report.ok()) return MakeErrorMessage(report.status());
-  return MakeOk(EncodeFields(
-      {report->CanonicalString(), report->DetailedReport(*log)}));
+  AUDITDB_ASSIGN_OR_RETURN(
+      auto report,
+      service->AuditPinned(fields[0], Timestamp(now_micros), pin, options));
+  return EncodeFields({report.CanonicalString(), report.DetailedReport(*log)});
 }
 
-Message AuditServer::Impl::HandleScreenLibrary(const Message& request) {
-  auto fields = DecodeFields(request.payload);
-  if (!fields.ok()) return MakeErrorMessage(fields.status());
+Result<std::string> AuditServer::Impl::HandleScreenLibrary(
+    const Message& request) {
+  AUDITDB_ASSIGN_OR_RETURN(auto fields, DecodeFields(request.payload));
   int64_t now_micros = 0;
-  if (fields->size() < 2 || !ParseInt64Field((*fields)[0], &now_micros)) {
-    return MakeErrorMessage(Status::InvalidArgument(
-        "screen request wants fields: now_micros|expr[|expr...]"));
+  if (fields.size() < 2 || !ParseInt64(fields[0], &now_micros)) {
+    return Status::InvalidArgument(
+        "screen request wants fields: now_micros|expr[|expr...]");
   }
   // Same discipline as HandleAudit: lock only the pin capture; the whole
   // library screens one consistent cut (the pinned view's catalog
@@ -1265,13 +1278,12 @@ Message AuditServer::Impl::HandleScreenLibrary(const Message& request) {
     pin = service->Pin();
   }
   audit::ExpressionLibrary library(&pin.db.catalog());
-  for (size_t i = 1; i < fields->size(); ++i) {
-    auto expr = audit::ParseAudit((*fields)[i], Timestamp(now_micros));
-    if (!expr.ok()) return MakeErrorMessage(expr.status());
-    auto added = library.Add(*expr);
-    if (!added.ok()) return MakeErrorMessage(added.status());
+  for (size_t i = 1; i < fields.size(); ++i) {
+    AUDITDB_ASSIGN_OR_RETURN(
+        auto expr, audit::ParseAudit(fields[i], Timestamp(now_micros)));
     // Expressions subsumed by an existing member simply don't add a new
     // member; their coverage is implied by the subsuming screening.
+    AUDITDB_RETURN_IF_ERROR(library.Add(expr).status());
   }
   auto screenings = service->ScreenLibraryPinned(library, pin);
   std::vector<std::string> out;
@@ -1284,27 +1296,26 @@ Message AuditServer::Impl::HandleScreenLibrary(const Message& request) {
                       ? screening.report.CanonicalString()
                       : std::string());
   }
-  return MakeOk(EncodeFields(out));
+  return EncodeFields(out);
 }
 
-Message AuditServer::Impl::HandleExecuteQuery(const Message& request,
-                                              const std::string& peer) {
+Result<std::string> AuditServer::Impl::HandleExecuteQuery(
+    const Message& request, const std::string& peer) {
   // A replica's log is the primary's log: local writes would fork it.
   if (is_replica.load()) return RejectNotPrimary();
-  auto fields = DecodeFields(request.payload);
-  if (!fields.ok()) return MakeErrorMessage(fields.status());
+  AUDITDB_ASSIGN_OR_RETURN(auto fields, DecodeFields(request.payload));
   int64_t now_micros = 0;
-  if (fields->size() != 5 || !ParseInt64Field((*fields)[4], &now_micros)) {
-    return MakeErrorMessage(Status::InvalidArgument(
-        "execute request wants fields: sql|user|role|purpose|now_micros"));
+  if (fields.size() != 5 || !ParseInt64(fields[4], &now_micros)) {
+    return Status::InvalidArgument(
+        "execute request wants fields: sql|user|role|purpose|now_micros");
   }
   policy::PolicyEngine* engine = options.policy;
   auto make_ctx = [&](bool execute_failed) {
     policy::QueryContext ctx;
-    ctx.sql = (*fields)[0];
-    ctx.user = (*fields)[1];
-    ctx.role = (*fields)[2];
-    ctx.purpose = (*fields)[3];
+    ctx.sql = fields[0];
+    ctx.user = fields[1];
+    ctx.role = fields[2];
+    ctx.purpose = fields[3];
     ctx.timestamp = Timestamp(now_micros);
     ctx.remote = peer;
     ctx.query_class = policy::ClassifySql(ctx.sql, execute_failed);
@@ -1332,7 +1343,7 @@ Message AuditServer::Impl::HandleExecuteQuery(const Message& request,
     std::shared_lock<std::shared_mutex> read_lock(state_mutex);
     exec_view = db->Snapshot();
   }
-  auto result = ExecuteSql((*fields)[0], exec_view);
+  auto result = ExecuteSql(fields[0], exec_view);
   if (!result.ok()) {
     // Rejected statements still face the policy (pgaudit's ERROR
     // class); they are never logged, so the record carries log_id 0.
@@ -1345,7 +1356,7 @@ Message AuditServer::Impl::HandleExecuteQuery(const Message& request,
                                     "error: " + result.status().message());
       (void)emitted;  // sink failures are counted, never fail the reply
     }
-    return MakeErrorMessage(result.status());
+    return result.status();
   }
   // The log append is not idempotent, so an oversized response must be
   // refused *before* it — otherwise the client can never read the
@@ -1357,10 +1368,9 @@ Message AuditServer::Impl::HandleExecuteQuery(const Message& request,
   constexpr size_t kMaxInt64Digits = 19;
   if (options.max_response_bytes > 0 &&
       1 + prefix.size() + 1 + kMaxInt64Digits > options.max_response_bytes) {
-    return MakeErrorMessage(Status::OutOfRange(
+    return Status::OutOfRange(
         "rendered query result would exceed max_response_bytes " +
-        std::to_string(options.max_response_bytes) +
-        "; query not logged"));
+        std::to_string(options.max_response_bytes) + "; query not logged");
   }
   // The writer critical section starts here and covers only the commit:
   // WAL append (reads log->next_id()), in-memory log append, checkpoint
@@ -1374,14 +1384,13 @@ Message AuditServer::Impl::HandleExecuteQuery(const Message& request,
   // contract is acked ⊆ recovered.
   LoggedQuery entry;
   entry.id = log->next_id();
-  entry.sql = (*fields)[0];
+  entry.sql = fields[0];
   entry.timestamp = Timestamp(now_micros);
-  entry.user = (*fields)[1];
-  entry.role = (*fields)[2];
-  entry.purpose = (*fields)[3];
+  entry.user = fields[1];
+  entry.role = fields[2];
+  entry.purpose = fields[3];
   if (options.durable_store != nullptr) {
-    Status appended = options.durable_store->AppendQuery(entry);
-    if (!appended.ok()) return MakeErrorMessage(appended);
+    AUDITDB_RETURN_IF_ERROR(options.durable_store->AppendQuery(entry));
   }
   // Consult the policy before logging/observing: the decision pins a
   // config snapshot, so a concurrent SIGHUP reload cannot change the
@@ -1392,8 +1401,8 @@ Message AuditServer::Impl::HandleExecuteQuery(const Message& request,
     ctx = make_ctx(/*execute_failed=*/false);
     decision = engine->Decide(ctx);
   }
-  int64_t id = log->Append((*fields)[0], Timestamp(now_micros),
-                           (*fields)[1], (*fields)[2], (*fields)[3]);
+  int64_t id = log->Append(fields[0], Timestamp(now_micros), fields[1],
+                           fields[2], fields[3]);
   MaybeCheckpoint();
   // Ship the committed record to followers while still inside the
   // writer section: ship order equals commit order, and a follower
@@ -1401,12 +1410,7 @@ Message AuditServer::Impl::HandleExecuteQuery(const Message& request,
   // same lock, so it sees each record exactly once.
   bool shipped = false;
   if (hub.follower_count() > 0) {
-    Message event{MessageType::kReplicateEvent,
-                  EncodeReplicateWal(querylog::EncodeWalRecord(
-                      querylog::WalRecordType::kQuery,
-                      querylog::EncodeQueryWalPayload(entry))),
-                  WireVersion::kV2};
-    QueueShip(id, EncodeFrame(event));
+    QueueShip(id, QueryShipFrame(entry));
     shipped = true;
   }
   // Screen the freshly logged query against the standing expressions
@@ -1443,13 +1447,12 @@ Message AuditServer::Impl::HandleExecuteQuery(const Message& request,
   // only delays this one response, not the whole commit path.
   lock.unlock();
   if (shipped && options.repl_ack != ReplAckPolicy::kNone) {
-    Status acked =
-        hub.WaitForAcks(id, options.repl_ack, options.repl_ack_timeout);
     // The write is committed locally either way; a timeout surfaces
     // the under-replication instead of silently narrowing durability.
-    if (!acked.ok()) return MakeErrorMessage(acked);
+    AUDITDB_RETURN_IF_ERROR(
+        hub.WaitForAcks(id, options.repl_ack, options.repl_ack_timeout));
   }
-  return MakeOk(prefix + '|' + std::to_string(id));
+  return prefix + '|' + std::to_string(id);
 }
 
 /// Detail-level payload for a policy sink record: the statically
@@ -1497,47 +1500,38 @@ std::string AuditServer::Impl::PolicyNote(
   return note;
 }
 
-Message AuditServer::Impl::HandleSubscribe(const Message& request,
-                                           uint64_t conn_id) {
-  if (request.version != WireVersion::kV2) {
-    return MakeErrorMessage(Status::InvalidArgument(
-        "subscriptions require protocol ADB2 (this connection speaks "
-        "ADB1)"));
-  }
-  auto fields = DecodeFields(request.payload);
-  if (!fields.ok()) return MakeErrorMessage(fields.status());
+Result<std::string> AuditServer::Impl::HandleSubscribe(
+    const Message& request, uint64_t conn_id) {
+  AUDITDB_ASSIGN_OR_RETURN(auto fields, DecodeFields(request.payload));
   int64_t now_micros = 0;
-  if (fields->size() != 3 || !ParseInt64Field((*fields)[2], &now_micros)) {
-    return MakeErrorMessage(Status::InvalidArgument(
-        "subscribe request wants fields: expr-or-id|value|now_micros"));
+  if (fields.size() != 3 || !ParseInt64(fields[2], &now_micros)) {
+    return Status::InvalidArgument(
+        "subscribe request wants fields: expr-or-id|value|now_micros");
   }
   std::unique_lock<std::shared_mutex> lock(state_mutex);
   GcOrphans();
   int online_id = 0;
   bool created = false;
-  if ((*fields)[0] == "id") {
+  if (fields[0] == "id") {
     int64_t id = 0;
-    if (!ParseInt64Field((*fields)[1], &id) ||
+    if (!ParseInt64(fields[1], &id) ||
         standing.count(static_cast<int>(id)) == 0) {
-      return MakeErrorMessage(Status::NotFound(
-          "no standing expression with id " + (*fields)[1] +
-          "; subscribe by inline source to register one"));
+      return Status::NotFound(
+          "no standing expression with id " + fields[1] +
+          "; subscribe by inline source to register one");
     }
     online_id = static_cast<int>(id);
-  } else if ((*fields)[0] == "expr") {
-    auto expr = audit::ParseAudit((*fields)[1], Timestamp(now_micros));
-    if (!expr.ok()) return MakeErrorMessage(expr.status());
-    audit::AuditExpression qualified = expr->Clone();
-    Status status = qualified.Qualify(db->catalog());
-    if (!status.ok()) return MakeErrorMessage(status);
+  } else if (fields[0] == "expr") {
+    AUDITDB_ASSIGN_OR_RETURN(
+        auto expr, audit::ParseAudit(fields[1], Timestamp(now_micros)));
+    audit::AuditExpression qualified = expr.Clone();
+    AUDITDB_RETURN_IF_ERROR(qualified.Qualify(db->catalog()));
     std::string key = qualified.ToString();
     auto existing = standing_by_key.find(key);
     if (existing != standing_by_key.end()) {
       online_id = existing->second;
     } else {
-      auto added = online->AddExpression(*expr);
-      if (!added.ok()) return MakeErrorMessage(added.status());
-      online_id = *added;
+      AUDITDB_ASSIGN_OR_RETURN(online_id, online->AddExpression(expr));
       created = true;
       StandingExpr se;
       se.expr = std::move(qualified);
@@ -1552,8 +1546,8 @@ Message AuditServer::Impl::HandleSubscribe(const Message& request,
       standing_by_key.emplace(std::move(key), online_id);
     }
   } else {
-    return MakeErrorMessage(Status::InvalidArgument(
-        "subscribe kind must be 'expr' or 'id', got: " + (*fields)[0]));
+    return Status::InvalidArgument(
+        "subscribe kind must be 'expr' or 'id', got: " + fields[0]);
   }
   auto sub = subscriptions.Subscribe(conn_id, online_id);
   if (!sub.ok()) {
@@ -1565,59 +1559,43 @@ Message AuditServer::Impl::HandleSubscribe(const Message& request,
       Status removed = online->RemoveExpression(online_id);
       (void)removed;
     }
-    return MakeErrorMessage(sub.status());
+    return sub.status();
   }
   StandingExpr& se = standing[online_id];
   ++se.refs;
-  return MakeOk(EncodeFields(
-      {std::to_string(*sub), std::to_string(online_id),
-       FormatRankField(se.last.rank), se.last.fired ? "1" : "0"}));
+  return EncodeFields({std::to_string(*sub), std::to_string(online_id),
+                       FormatRank(se.last.rank), se.last.fired ? "1" : "0"});
 }
 
-Message AuditServer::Impl::HandleUnsubscribe(const Message& request,
-                                             uint64_t conn_id) {
-  if (request.version != WireVersion::kV2) {
-    return MakeErrorMessage(Status::InvalidArgument(
-        "subscriptions require protocol ADB2 (this connection speaks "
-        "ADB1)"));
-  }
-  auto fields = DecodeFields(request.payload);
-  if (!fields.ok()) return MakeErrorMessage(fields.status());
+Result<std::string> AuditServer::Impl::HandleUnsubscribe(
+    const Message& request, uint64_t conn_id) {
+  AUDITDB_ASSIGN_OR_RETURN(auto fields, DecodeFields(request.payload));
   int64_t sub_id = 0;
-  if (fields->size() != 1 || !ParseInt64Field((*fields)[0], &sub_id)) {
-    return MakeErrorMessage(Status::InvalidArgument(
-        "unsubscribe request wants fields: subscription_id"));
+  if (fields.size() != 1 || !ParseInt64(fields[0], &sub_id)) {
+    return Status::InvalidArgument(
+        "unsubscribe request wants fields: subscription_id");
   }
   std::unique_lock<std::shared_mutex> lock(state_mutex);
   GcOrphans();
-  auto released = subscriptions.Unsubscribe(conn_id, sub_id);
-  if (!released.ok()) return MakeErrorMessage(released.status());
-  ReleaseStanding(*released);
-  return MakeOk("ok");
+  AUDITDB_ASSIGN_OR_RETURN(int released,
+                           subscriptions.Unsubscribe(conn_id, sub_id));
+  ReleaseStanding(released);
+  return std::string("ok");
 }
 
-Message AuditServer::Impl::HandleLoadDump(const Message& request) {
+Result<std::string> AuditServer::Impl::HandleLoadDump(
+    const Message& request) {
   // Dump loads mutate replicated state; only the primary takes them.
   if (is_replica.load()) return RejectNotPrimary();
-  auto fields = DecodeFields(request.payload);
-  if (!fields.ok()) return MakeErrorMessage(fields.status());
+  AUDITDB_ASSIGN_OR_RETURN(auto fields, DecodeFields(request.payload));
   int64_t now_micros = 0;
-  if (fields->size() != 3 || !ParseInt64Field((*fields)[2], &now_micros)) {
-    return MakeErrorMessage(Status::InvalidArgument(
-        "load request wants fields: db-or-log|dump-text|now_micros"));
+  if (fields.size() != 3 || !ParseInt64(fields[2], &now_micros)) {
+    return Status::InvalidArgument(
+        "load request wants fields: db-or-log|dump-text|now_micros");
   }
   std::unique_lock<std::shared_mutex> lock(state_mutex);
-  std::istringstream in((*fields)[1]);
-  Status loaded;
-  if ((*fields)[0] == "db") {
-    loaded = io::ReadDatabaseDump(in, db, Timestamp(now_micros));
-  } else if ((*fields)[0] == "log") {
-    loaded = io::ReadQueryLogDump(in, log);
-  } else {
-    return MakeErrorMessage(Status::InvalidArgument(
-        "load kind must be 'db' or 'log', got: " + (*fields)[0]));
-  }
-  if (!loaded.ok()) return MakeErrorMessage(loaded);
+  AUDITDB_RETURN_IF_ERROR(
+      LoadDump(fields[0], fields[1], Timestamp(now_micros)));
   // A dump load mutates state the WAL does not cover, so it must be
   // made durable by a snapshot right away or a crash silently undoes
   // it. The load already applied in memory; surface a checkpoint
@@ -1625,9 +1603,9 @@ Message AuditServer::Impl::HandleLoadDump(const Message& request) {
   if (options.durable_store != nullptr) {
     Status persisted = options.durable_store->Checkpoint(*db, *log);
     if (!persisted.ok()) {
-      return MakeErrorMessage(Status::Internal(
+      return Status::Internal(
           "dump loaded in memory but checkpointing it failed: " +
-          persisted.message()));
+          persisted.message());
     }
   }
   // Every dump load opens a new replication generation: connected
@@ -1639,25 +1617,19 @@ Message AuditServer::Impl::HandleLoadDump(const Message& request) {
   PersistReplGeneration(gen);
   if (hub.follower_count() > 0) {
     Message event{MessageType::kReplicateEvent,
-                  EncodeReplicateLoad((*fields)[0], (*fields)[1], gen,
-                                      now_micros),
+                  EncodeReplicateLoad(fields[0], fields[1], gen, now_micros),
                   WireVersion::kV2};
     QueueShip(0, EncodeFrame(event));
   }
-  return MakeOk("ok");
+  return std::string("ok");
 }
 
-Message AuditServer::Impl::HandleReplicate(const Message& request,
-                                           uint64_t conn_id) {
-  if (request.version != WireVersion::kV2) {
-    return MakeErrorMessage(Status::InvalidArgument(
-        "replication requires protocol ADB2 (this connection speaks "
-        "ADB1)"));
-  }
+Result<std::string> AuditServer::Impl::HandleReplicate(
+    const Message& request, uint64_t conn_id) {
   // No chaining: a replica redirects would-be followers upstream.
   if (is_replica.load()) return RejectNotPrimary();
-  auto handshake = DecodeReplicateHandshake(request.payload);
-  if (!handshake.ok()) return MakeErrorMessage(handshake.status());
+  AUDITDB_ASSIGN_OR_RETURN(auto handshake,
+                           DecodeReplicateHandshake(request.payload));
   // The backlog is built under the writer lock so it composes exactly
   // with the live Ship stream: everything committed before this point
   // is in the backlog, everything after arrives as a shipped frame.
@@ -1665,16 +1637,15 @@ Message AuditServer::Impl::HandleReplicate(const Message& request,
   const int64_t size = static_cast<int64_t>(log->size());
   const uint64_t gen = load_generation.load();
   std::vector<std::string> backlog_frames;
-  int64_t acked_from = handshake->applied_log_id;
-  if (!handshake->have_state) {
+  int64_t acked_from = handshake.applied_log_id;
+  if (!handshake.have_state) {
     // Empty replica: bootstrap with a full checkpoint manifest. It is
     // registered as acked-through-0 — quorum cannot count it until it
     // durably applies and acks for itself.
     std::ostringstream db_out;
     std::ostringstream log_out;
-    Status wrote = io::WriteDatabaseDump(*db, db_out);
-    if (wrote.ok()) wrote = io::WriteQueryLogDump(*log, log_out);
-    if (!wrote.ok()) return MakeErrorMessage(wrote);
+    AUDITDB_RETURN_IF_ERROR(io::WriteDatabaseDump(*db, db_out));
+    AUDITDB_RETURN_IF_ERROR(io::WriteQueryLogDump(*log, log_out));
     Message event{MessageType::kReplicateEvent,
                   EncodeReplicateCheckpoint(
                       db_out.str(), log_out.str(), gen,
@@ -1682,28 +1653,23 @@ Message AuditServer::Impl::HandleReplicate(const Message& request,
                   WireVersion::kV2};
     backlog_frames.push_back(EncodeFrame(event));
     acked_from = 0;
-  } else if (handshake->load_generation != gen ||
-             handshake->applied_log_id > size) {
+  } else if (handshake.load_generation != gen ||
+             handshake.applied_log_id > size) {
     // A non-empty follower whose history diverged — it missed a
     // LoadDump generation, or applied past this primary's log (an old
     // primary rejoining after failover). Incremental catch-up would
     // skip state and a bootstrap would double-apply onto what it has;
     // the operator restarts it with a fresh data dir.
-    return MakeErrorMessage(Status::InvalidArgument(
+    return Status::InvalidArgument(
         "replica state diverged: generation " +
-        std::to_string(handshake->load_generation) + " vs " +
+        std::to_string(handshake.load_generation) + " vs " +
         std::to_string(gen) + ", applied " +
-        std::to_string(handshake->applied_log_id) + " vs log size " +
-        std::to_string(size) + "; wipe the replica's data dir"));
+        std::to_string(handshake.applied_log_id) + " vs log size " +
+        std::to_string(size) + "; wipe the replica's data dir");
   } else {
-    for (int64_t id = handshake->applied_log_id + 1; id <= size; ++id) {
-      const LoggedQuery& entry = log->Entry(static_cast<size_t>(id - 1));
-      Message event{MessageType::kReplicateEvent,
-                    EncodeReplicateWal(querylog::EncodeWalRecord(
-                        querylog::WalRecordType::kQuery,
-                        querylog::EncodeQueryWalPayload(entry))),
-                    WireVersion::kV2};
-      backlog_frames.push_back(EncodeFrame(event));
+    for (int64_t id = handshake.applied_log_id + 1; id <= size; ++id) {
+      backlog_frames.push_back(
+          QueryShipFrame(log->Entry(static_cast<size_t>(id - 1))));
     }
   }
   hub.RegisterFollower(conn_id, acked_from, std::move(backlog_frames));
@@ -1713,14 +1679,12 @@ Message AuditServer::Impl::HandleReplicate(const Message& request,
     push_ready.push_back(conn_id);
   }
   Wake();
-  return MakeOk(EncodeFields(
-      {advertise, std::to_string(size), std::to_string(gen)}));
+  return EncodeFields({advertise, std::to_string(size), std::to_string(gen)});
 }
 
-Message AuditServer::Impl::HandlePromote(const Message& request) {
-  auto fields = DecodeFields(request.payload);
-  if (!fields.ok()) return MakeErrorMessage(fields.status());
-  if (fields->size() == 1 && (*fields)[0] == "primary") {
+Result<std::string> AuditServer::Impl::HandlePromote(const Message& request) {
+  AUDITDB_ASSIGN_OR_RETURN(auto fields, DecodeFields(request.payload));
+  if (fields.size() == 1 && fields[0] == "primary") {
     // Idempotent by design: a supervisor that lost the response can
     // retry, and promoting a primary is a no-op.
     std::unique_ptr<ReplicaSession> stopped;
@@ -1733,22 +1697,21 @@ Message AuditServer::Impl::HandlePromote(const Message& request) {
     // server lock could deadlock against an in-flight apply.
     if (stopped != nullptr) stopped->Stop();
     is_replica.store(false);
-    return MakeOk("primary");
+    return std::string("primary");
   }
-  if (fields->size() == 2 && (*fields)[0] == "follow") {
-    auto endpoint = ParseHostPort((*fields)[1]);
-    if (!endpoint.ok()) return MakeErrorMessage(endpoint.status());
+  if (fields.size() == 2 && fields[0] == "follow") {
+    AUDITDB_RETURN_IF_ERROR(ParseHostPort(fields[1]).status());
     std::lock_guard<std::mutex> repl_lock(repl_mutex);
     if (!is_replica.load() || replica == nullptr) {
-      return MakeErrorMessage(Status::InvalidArgument(
+      return Status::InvalidArgument(
           "cannot demote a primary to a replica in place; restart it "
-          "with --replicate-from"));
+          "with --replicate-from");
     }
-    replica->Repoint((*fields)[1]);
-    return MakeOk("following " + (*fields)[1]);
+    replica->Repoint(fields[1]);
+    return "following " + fields[1];
   }
-  return MakeErrorMessage(Status::InvalidArgument(
-      "promote request wants fields: primary | follow|host:port"));
+  return Status::InvalidArgument(
+      "promote request wants fields: primary | follow|host:port");
 }
 
 AuditServer::AuditServer(service::AuditService* service, Database* db,

@@ -1,42 +1,18 @@
 #include "src/net/subscription.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
+
+#include "src/common/string_util.h"
 
 namespace auditdb {
 namespace net {
-
-namespace {
 
 std::string FormatRank(double rank) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.6f", rank);
   return buf;
 }
-
-bool ParseU64(const std::string& s, uint64_t* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (errno != 0 || end != s.c_str() + s.size()) return false;
-  *out = static_cast<uint64_t>(v);
-  return true;
-}
-
-bool ParseI64(const std::string& s, int64_t* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  long long v = std::strtoll(s.c_str(), &end, 10);
-  if (errno != 0 || end != s.c_str() + s.size()) return false;
-  *out = static_cast<int64_t>(v);
-  return true;
-}
-
-}  // namespace
 
 const char* SlowSubscriberPolicyName(SlowSubscriberPolicy policy) {
   switch (policy) {
@@ -93,20 +69,18 @@ Result<PushEvent> DecodePushPayload(const std::string& payload) {
   }
   PushEvent event;
   int64_t expr_id = 0;
-  if (!ParseI64((*fields)[0], &event.subscription_id) ||
-      !ParseU64((*fields)[1], &event.seq) ||
-      !ParseI64((*fields)[3], &event.log_id) ||
-      !ParseI64((*fields)[4], &expr_id) ||
-      !ParseU64((*fields)[7], &event.dropped)) {
+  if (!ParseInt64((*fields)[0], &event.subscription_id) ||
+      !ParseUint64((*fields)[1], &event.seq) ||
+      !ParseInt64((*fields)[3], &event.log_id) ||
+      !ParseInt64((*fields)[4], &expr_id) ||
+      !ParseUint64((*fields)[7], &event.dropped)) {
     return Status::ParseError("malformed numeric field in push payload");
   }
   event.expression_id = static_cast<int>(expr_id);
   auto kind = ParsePushKind((*fields)[2]);
   if (!kind.ok()) return kind.status();
   event.kind = *kind;
-  char* end = nullptr;
-  event.rank = std::strtod((*fields)[5].c_str(), &end);
-  if (end != (*fields)[5].c_str() + (*fields)[5].size()) {
+  if (!ParseDouble((*fields)[5], &event.rank)) {
     return Status::ParseError("malformed rank in push payload");
   }
   const std::string& fired = (*fields)[6];

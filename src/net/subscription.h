@@ -80,6 +80,10 @@ struct PushEvent {
   std::string verdict;
 };
 
+/// The wire form of a suspicion rank ("%.6f"), shared by PUSH frames
+/// and the SUBSCRIBE reply.
+std::string FormatRank(double rank);
+
 std::string EncodePushPayload(const PushEvent& event);
 Result<PushEvent> DecodePushPayload(const std::string& payload);
 

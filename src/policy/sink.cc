@@ -1,7 +1,6 @@
 #include "src/policy/sink.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <mutex>
 
 #include "src/common/string_util.h"
@@ -14,15 +13,6 @@ namespace {
 
 constexpr char kLinePrefix[] = "AUDIT ";
 constexpr size_t kNumFields = 12;
-
-bool ParseInt64(const std::string& text, int64_t* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  long long v = std::strtoll(text.c_str(), &end, 10);
-  if (end != text.c_str() + text.size()) return false;
-  *out = v;
-  return true;
-}
 
 }  // namespace
 

@@ -1,9 +1,8 @@
 #include "src/querylog/wal.h"
 
-#include <cerrno>
-#include <cstdlib>
 #include <cstring>
 
+#include "src/common/string_util.h"
 #include "src/io/checksum.h"
 #include "src/io/dump.h"
 
@@ -34,16 +33,6 @@ uint32_t GetFixed32(const char* p) {
          static_cast<uint32_t>(static_cast<unsigned char>(p[3])) << 24;
 }
 
-bool ParseInt64Text(const std::string& text, int64_t* out) {
-  if (text.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  long long v = std::strtoll(text.c_str(), &end, 10);
-  if (errno != 0 || end != text.c_str() + text.size()) return false;
-  *out = v;
-  return true;
-}
-
 }  // namespace
 
 bool IsKnownWalRecordType(uint8_t byte) {
@@ -55,18 +44,12 @@ Result<FsyncPolicy> ParseFsyncPolicy(const std::string& text,
                                      size_t* every_n) {
   if (text == "always") return FsyncPolicy::kAlways;
   if (text == "never") return FsyncPolicy::kNever;
-  if (text.rfind("every_n", 0) == 0) {
-    if (text.size() > 8 && text[7] == ':') {
-      errno = 0;
-      char* end = nullptr;
-      unsigned long long n = std::strtoull(text.c_str() + 8, &end, 10);
-      if (errno == 0 && *end == '\0' && n > 0) {
-        *every_n = static_cast<size_t>(n);
-        return FsyncPolicy::kEveryN;
-      }
-    } else if (text.size() == 7) {
-      return FsyncPolicy::kEveryN;  // keep the default cadence
-    }
+  if (text == "every_n") return FsyncPolicy::kEveryN;  // default cadence
+  uint64_t n = 0;
+  if (StartsWith(text, "every_n:") &&
+      ParseUint64(std::string_view(text).substr(8), &n) && n > 0) {
+    *every_n = static_cast<size_t>(n);
+    return FsyncPolicy::kEveryN;
   }
   return Status::InvalidArgument(
       "fsync policy must be always | every_n[:N] | never, got: " + text);
@@ -138,10 +121,10 @@ Result<LoggedQuery> DecodeQueryWalPayload(const std::string& payload) {
   }
   LoggedQuery entry;
   int64_t micros;
-  if (!ParseInt64Text(fields[0], &entry.id)) {
+  if (!ParseInt64(fields[0], &entry.id)) {
     return Status::ParseError("bad WAL query id: " + fields[0]);
   }
-  if (!ParseInt64Text(fields[1], &micros)) {
+  if (!ParseInt64(fields[1], &micros)) {
     return Status::ParseError("bad WAL query timestamp: " + fields[1]);
   }
   entry.timestamp = Timestamp(micros);

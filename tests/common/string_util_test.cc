@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+
 namespace auditdb {
 namespace {
 
@@ -40,6 +44,73 @@ TEST(StringUtilTest, EqualsIgnoreCase) {
 TEST(StringUtilTest, StartsWith) {
   EXPECT_TRUE(StartsWith("P-Personal", "P-"));
   EXPECT_FALSE(StartsWith("P", "P-"));
+}
+
+// The one numeric grammar for wire fields, files and flags: whole-string
+// decimal `-?[0-9]+` (unsigned `[0-9]+`), range-checked.
+TEST(StringUtilTest, IntegerParsersAcceptOnlyWholeDecimals) {
+  const std::string int64_min =
+      std::to_string(std::numeric_limits<int64_t>::min());
+  const std::string int64_max =
+      std::to_string(std::numeric_limits<int64_t>::max());
+  const std::string uint64_max =
+      std::to_string(std::numeric_limits<uint64_t>::max());
+
+  int64_t i = 7;
+  EXPECT_TRUE(ParseInt64("0", &i));
+  EXPECT_EQ(i, 0);
+  EXPECT_TRUE(ParseInt64("-42", &i));
+  EXPECT_EQ(i, -42);
+  EXPECT_TRUE(ParseInt64(int64_min, &i));
+  EXPECT_EQ(i, std::numeric_limits<int64_t>::min());
+  EXPECT_TRUE(ParseInt64(int64_max, &i));
+  EXPECT_EQ(i, std::numeric_limits<int64_t>::max());
+
+  uint64_t u = 7;
+  EXPECT_TRUE(ParseUint64("0", &u));
+  EXPECT_EQ(u, 0u);
+  EXPECT_TRUE(ParseUint64(uint64_max, &u));
+  EXPECT_EQ(u, std::numeric_limits<uint64_t>::max());
+
+  const std::string rejected_by_both[] = {
+      "", "-", "+1", " 1", "1 ", "0x10", "1e3", "1.5", "abc",
+      "-9223372036854775809",   // INT64_MIN - 1
+      "18446744073709551616",   // UINT64_MAX + 1
+  };
+  for (const std::string& text : rejected_by_both) {
+    i = 7;
+    EXPECT_FALSE(ParseInt64(text, &i)) << "'" << text << "'";
+    EXPECT_EQ(i, 7) << "failure must leave the output untouched";
+    u = 7;
+    EXPECT_FALSE(ParseUint64(text, &u)) << "'" << text << "'";
+    EXPECT_EQ(u, 7u) << "failure must leave the output untouched";
+  }
+  // INT64_MAX + 1 is out of the signed range but inside the unsigned one.
+  EXPECT_FALSE(ParseInt64("9223372036854775808", &i));
+  EXPECT_TRUE(ParseUint64("9223372036854775808", &u));
+  EXPECT_EQ(u, 9223372036854775808ull);
+  // The unsigned parser refuses a sign instead of wrapping it.
+  u = 7;
+  EXPECT_FALSE(ParseUint64("-1", &u));
+  EXPECT_FALSE(ParseUint64("-0", &u));
+  EXPECT_FALSE(ParseUint64(int64_min, &u));
+  EXPECT_EQ(u, 7u);
+}
+
+TEST(StringUtilTest, ParseDoubleTakesTheWholeString) {
+  double d = 0;
+  EXPECT_TRUE(ParseDouble("0.250000", &d));
+  EXPECT_DOUBLE_EQ(d, 0.25);
+  EXPECT_TRUE(ParseDouble("-3", &d));
+  EXPECT_DOUBLE_EQ(d, -3.0);
+  EXPECT_TRUE(ParseDouble("1e3", &d));
+  EXPECT_DOUBLE_EQ(d, 1000.0);
+  d = 7;
+  EXPECT_FALSE(ParseDouble("", &d));
+  EXPECT_FALSE(ParseDouble("0.5x", &d));
+  EXPECT_FALSE(ParseDouble("abc", &d));
+  EXPECT_FALSE(ParseDouble("1e999", &d));  // out of range
+  EXPECT_EQ(d, 7);
 }
 
 }  // namespace

@@ -22,11 +22,12 @@ using std::chrono::milliseconds;
 
 /// A loopback server that accepts-and-slams the first `fail_first`
 /// connections (the client sees the transport die mid-request), then
-/// serves every request with an "ok" response. Single-threaded: the
-/// retry tests drive one client at a time.
+/// answers every request with an OK frame carrying `reply`.
+/// Single-threaded: the tests drive one client at a time.
 class FlakyServer {
  public:
-  explicit FlakyServer(int fail_first) : fail_first_(fail_first) {
+  explicit FlakyServer(int fail_first, std::string reply = "ok")
+      : fail_first_(fail_first), reply_(std::move(reply)) {
     listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
     EXPECT_GE(listen_fd_, 0);
     int one = 1;
@@ -84,8 +85,8 @@ class FlakyServer {
       auto next = reader.Next();
       if (!next.ok()) return;
       if (next->has_value()) {
-        std::string frame =
-            EncodeFrame(Message{MessageType::kOkResponse, "ok"});
+        std::string frame = EncodeFrame(
+            Message{MessageType::kOkResponse, reply_, (*next)->version});
         if (::send(conn, frame.data(), frame.size(), MSG_NOSIGNAL) !=
             static_cast<ssize_t>(frame.size())) {
           return;
@@ -99,6 +100,7 @@ class FlakyServer {
   }
 
   int fail_first_;
+  std::string reply_;
   int listen_fd_ = -1;
   uint16_t port_ = 0;
   std::atomic<int> connections_{0};
@@ -198,6 +200,47 @@ TEST(ClientRetryTest, RefusedConnectsRetryUntilAServerAppears) {
   // an exception or a hang) with the connect error surfaced.
   ASSERT_FALSE(health.ok());
   EXPECT_EQ(health.status().code(), StatusCode::kInternal);
+}
+
+// A reply whose numeric field does not parse is a broken server, not a
+// zero: each decoder refuses it instead of inventing id 0.
+TEST(ClientDecodeTest, MalformedNumericFieldsAreErrors) {
+  auto expect_malformed = [](const Status& status) {
+    EXPECT_EQ(status.code(), StatusCode::kInternal) << status.ToString();
+    EXPECT_NE(status.message().find("malformed"), std::string::npos)
+        << status.ToString();
+  };
+  for (const char* reply : {"r|1|abc", "r|-1|5", "r|x|5"}) {
+    FlakyServer server(/*fail_first=*/0, reply);
+    AuditClient client("127.0.0.1", server.port());
+    auto executed =
+        client.ExecuteQuery("SELECT 1", "u", "r", "p", Timestamp(1));
+    ASSERT_FALSE(executed.ok()) << reply;
+    expect_malformed(executed.status());
+  }
+  for (const char* reply : {"x|1|0.5|1", "1|1|abc|1", "1|1||1"}) {
+    FlakyServer server(/*fail_first=*/0, reply);
+    AuditClient client("127.0.0.1", server.port());
+    auto sub = client.Subscribe("AUDIT x FROM T", Timestamp(1),
+                                [](const PushEvent&) {});
+    ASSERT_FALSE(sub.ok()) << reply;
+    expect_malformed(sub.status());
+  }
+  {
+    FlakyServer server(/*fail_first=*/0, "abc|OK||");
+    AuditClient client("127.0.0.1", server.port());
+    auto screened = client.ScreenLibrary({"AUDIT x FROM T"}, Timestamp(1));
+    ASSERT_FALSE(screened.ok());
+    expect_malformed(screened.status());
+  }
+  // An empty screening id is accepted and reads as 0.
+  FlakyServer server(/*fail_first=*/0, "|OK||");
+  AuditClient client("127.0.0.1", server.port());
+  auto screened = client.ScreenLibrary({"AUDIT x FROM T"}, Timestamp(1));
+  ASSERT_TRUE(screened.ok()) << screened.status().ToString();
+  ASSERT_EQ(screened->size(), 1u);
+  EXPECT_EQ((*screened)[0].expression_id, 0);
+  EXPECT_TRUE((*screened)[0].status.ok());
 }
 
 }  // namespace

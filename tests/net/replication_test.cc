@@ -140,6 +140,8 @@ TEST(ReplicateHandshakeTest, RoundTrips) {
   EXPECT_FALSE(DecodeReplicateHandshake("").ok());
   EXPECT_FALSE(DecodeReplicateHandshake("1|2").ok());
   EXPECT_FALSE(DecodeReplicateHandshake("x|0|0").ok());
+  // A negative generation must not wrap to 2^64-1.
+  EXPECT_FALSE(DecodeReplicateHandshake("0|1|-1").ok());
 }
 
 // The satellite contract: a CRC-valid record whose id skips ahead means

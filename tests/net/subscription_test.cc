@@ -76,6 +76,8 @@ TEST(PushCodecTest, RejectsMalformedPayloads) {
   bad_kind.replace(pos, 5, "nosuch");
   EXPECT_FALSE(DecodePushPayload(bad_kind).ok());
   EXPECT_FALSE(DecodePushPayload("x|2|alert|3|4|0.5|1|0|v").ok());
+  // A negative sequence number must not wrap to 2^64-1.
+  EXPECT_FALSE(DecodePushPayload("1|-1|alert|3|4|0.5|1|0|v").ok());
 }
 
 TEST(PushCodecTest, NamesAndParsersRoundTrip) {

@@ -85,6 +85,9 @@ TEST(SinkLineTest, RejectsMalformedLines) {
   std::string line = FormatSinkLine(SampleRecord());
   EXPECT_FALSE(ParseSinkLine(line + "|extra").ok());
   EXPECT_FALSE(ParseSinkLine("AUDIT x|0|a|b|c|d|e|f|g|h|i|j").ok());
+  // A timestamp past int64 is an error, not a clamp to its maximum.
+  EXPECT_FALSE(
+      ParseSinkLine("AUDIT 99999999999999999999|0|a|b|c|d|e|f|g|h|i|j").ok());
 }
 
 TEST(FileSinkTest, AppendsParseableLines) {

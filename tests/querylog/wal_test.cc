@@ -491,6 +491,9 @@ TEST(FsyncPolicyTest, ParseForms) {
   EXPECT_FALSE(ParseFsyncPolicy("sometimes", &every_n).ok());
   EXPECT_FALSE(ParseFsyncPolicy("every_n:", &every_n).ok());
   EXPECT_FALSE(ParseFsyncPolicy("every_n:0", &every_n).ok());
+  // A negative cadence must not wrap to 2^64-1.
+  EXPECT_FALSE(ParseFsyncPolicy("every_n:-1", &every_n).ok());
+  EXPECT_EQ(every_n, 64u);
   EXPECT_EQ(std::string(FsyncPolicyName(FsyncPolicy::kAlways)), "always");
   EXPECT_EQ(std::string(FsyncPolicyName(FsyncPolicy::kEveryN)), "every_n");
   EXPECT_EQ(std::string(FsyncPolicyName(FsyncPolicy::kNever)), "never");

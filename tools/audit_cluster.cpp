@@ -33,7 +33,6 @@
 /// so `audit_cluster verdict ... > a && diff a b` means what it says.
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <chrono>
 #include <string>
@@ -41,6 +40,7 @@
 #include <vector>
 
 #include "src/audit/auditor.h"
+#include "src/common/string_util.h"
 #include "src/io/file.h"
 #include "src/io/store.h"
 #include "src/net/client.h"
@@ -65,18 +65,18 @@ struct NodeHealth {
   bool connected = false;
 };
 
-int64_t FieldValue(const std::string& health, const std::string& key) {
-  size_t pos = health.find("|" + key + "=");
-  if (pos == std::string::npos) return -1;
-  return std::strtoll(health.c_str() + pos + key.size() + 2, nullptr, 10);
-}
-
 std::string FieldText(const std::string& health, const std::string& key) {
   size_t pos = health.find("|" + key + "=");
   if (pos == std::string::npos) return "";
   size_t start = pos + key.size() + 2;
   size_t end = health.find('|', start);
   return health.substr(start, end == std::string::npos ? end : end - start);
+}
+
+/// A numeric Health field; -1 when absent or malformed.
+int64_t FieldValue(const std::string& health, const std::string& key) {
+  int64_t value = -1;
+  return ParseInt64(FieldText(health, key), &value) ? value : -1;
 }
 
 NodeHealth Probe(const std::string& endpoint) {
@@ -275,23 +275,25 @@ int main(int argc, char** argv) {
   }
   if (command == "verdict") {
     if (rest.size() < 2 || rest.size() > 3) return Usage();
-    int64_t at = rest.size() == 3 ? std::strtoll(rest[2].c_str(), nullptr, 10)
-                                  : kDefaultAtMicros;
+    int64_t at = kDefaultAtMicros;
+    if (rest.size() == 3 && !ParseInt64(rest[2], &at)) return Usage();
     return RunVerdict(rest[0], rest[1], at);
   }
   if (command == "verdict-offline") {
     if (rest.size() < 2 || rest.size() > 3) return Usage();
-    int64_t at = rest.size() == 3 ? std::strtoll(rest[2].c_str(), nullptr, 10)
-                                  : kDefaultAtMicros;
+    int64_t at = kDefaultAtMicros;
+    if (rest.size() == 3 && !ParseInt64(rest[2], &at)) return Usage();
     return RunVerdictOffline(rest[0], rest[1], at);
   }
   if (command == "wait-applied") {
     if (rest.size() < 2 || rest.size() > 3) return Usage();
-    int64_t seq = std::strtoll(rest[1].c_str(), nullptr, 10);
-    milliseconds timeout(rest.size() == 3
-                             ? std::strtoll(rest[2].c_str(), nullptr, 10)
-                             : 10000);
-    return WaitApplied(rest[0], seq, timeout);
+    int64_t seq = 0;
+    int64_t timeout_ms = 10000;
+    if (!ParseInt64(rest[1], &seq) ||
+        (rest.size() == 3 && !ParseInt64(rest[2], &timeout_ms))) {
+      return Usage();
+    }
+    return WaitApplied(rest[0], seq, milliseconds(timeout_ms));
   }
   return Usage();
 }

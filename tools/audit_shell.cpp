@@ -504,10 +504,8 @@ class Shell {
   }
 
   static bool ParseCount(const std::string& text, int64_t* out) {
-    if (text.empty()) return false;
-    char* end = nullptr;
-    long long v = std::strtoll(text.c_str(), &end, 10);
-    if (end != text.c_str() + text.size() || v < 0) return false;
+    int64_t v = 0;
+    if (!ParseInt64(text, &v) || v < 0) return false;
     *out = v;
     return true;
   }

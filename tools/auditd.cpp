@@ -87,6 +87,7 @@
 #include <memory>
 #include <string>
 
+#include "src/common/string_util.h"
 #include "src/io/dump.h"
 #include "src/io/file.h"
 #include "src/io/store.h"
@@ -137,26 +138,14 @@ struct Flags {
   bool replication = false;  // any --repl* / --advertise flag given
 };
 
-bool ParseSize(const char* text, size_t* out) {
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0') return false;
-  *out = static_cast<size_t>(v);
-  return true;
-}
-
 /// Parses "N" or "N:SEED".
 bool ParseCountSeed(const std::string& text, size_t* count,
                     uint64_t* seed) {
-  auto colon = text.find(':');
-  std::string head = text.substr(0, colon);
-  if (!ParseSize(head.c_str(), count)) return false;
-  if (colon != std::string::npos) {
-    size_t s;
-    if (!ParseSize(text.c_str() + colon + 1, &s)) return false;
-    *seed = s;
-  }
-  return true;
+  std::string_view view = text;
+  auto colon = view.find(':');
+  if (!ParseUint64(view.substr(0, colon), count)) return false;
+  return colon == std::string_view::npos ||
+         ParseUint64(view.substr(colon + 1), seed);
 }
 
 int Usage(const char* argv0) {
@@ -181,11 +170,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--port" && (value = next())) {
       flags.port = std::atoi(value);
     } else if (arg == "--service-threads" && (value = next())) {
-      if (!ParseSize(value, &flags.service_threads)) return Usage(argv[0]);
+      if (!ParseUint64(value, &flags.service_threads)) return Usage(argv[0]);
     } else if (arg == "--handler-threads" && (value = next())) {
-      if (!ParseSize(value, &flags.handler_threads)) return Usage(argv[0]);
+      if (!ParseUint64(value, &flags.handler_threads)) return Usage(argv[0]);
     } else if (arg == "--handler-queue" && (value = next())) {
-      if (!ParseSize(value, &flags.handler_queue)) return Usage(argv[0]);
+      if (!ParseUint64(value, &flags.handler_queue)) return Usage(argv[0]);
     } else if (arg == "--admission" && (value = next())) {
       if (std::strcmp(value, "block") == 0) {
         flags.admission = service::AdmissionPolicy::kBlock;
@@ -195,21 +184,21 @@ int main(int argc, char** argv) {
         return Usage(argv[0]);
       }
     } else if (arg == "--max-frame" && (value = next())) {
-      if (!ParseSize(value, &flags.max_frame)) return Usage(argv[0]);
+      if (!ParseUint64(value, &flags.max_frame)) return Usage(argv[0]);
     } else if (arg == "--max-response" && (value = next())) {
-      if (!ParseSize(value, &flags.max_response)) return Usage(argv[0]);
+      if (!ParseUint64(value, &flags.max_response)) return Usage(argv[0]);
     } else if (arg == "--idle-timeout-ms" && (value = next())) {
       flags.idle_timeout_ms = std::atoi(value);
     } else if (arg == "--max-subscriptions" && (value = next())) {
-      if (!ParseSize(value, &flags.max_subscriptions)) return Usage(argv[0]);
+      if (!ParseUint64(value, &flags.max_subscriptions)) return Usage(argv[0]);
     } else if (arg == "--push-queue-depth" && (value = next())) {
-      if (!ParseSize(value, &flags.push_queue_depth)) return Usage(argv[0]);
+      if (!ParseUint64(value, &flags.push_queue_depth)) return Usage(argv[0]);
     } else if (arg == "--slow-subscriber-policy" && (value = next())) {
       auto policy = net::ParseSlowSubscriberPolicy(value);
       if (!policy.ok()) return Usage(argv[0]);
       flags.slow_subscriber_policy = *policy;
     } else if (arg == "--so-sndbuf" && (value = next())) {
-      if (!ParseSize(value, &flags.so_sndbuf)) return Usage(argv[0]);
+      if (!ParseUint64(value, &flags.so_sndbuf)) return Usage(argv[0]);
     } else if (arg == "--fixture" && (value = next())) {
       std::string spec = value;
       if (spec.rfind("hospital:", 0) != 0 ||
@@ -234,7 +223,7 @@ int main(int argc, char** argv) {
       flags.fsync = *policy;
     } else if (arg == "--checkpoint-every" && (value = next())) {
       size_t n = 0;
-      if (!ParseSize(value, &n)) return Usage(argv[0]);
+      if (!ParseUint64(value, &n)) return Usage(argv[0]);
       flags.checkpoint_every = n;
     } else if (arg == "--audit-rules" && (value = next())) {
       flags.audit_rules = value;

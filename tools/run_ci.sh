@@ -236,7 +236,8 @@ echo "== [5/9] tid-bitmap kernels under UndefinedBehaviorSanitizer =="
 # arithmetic over the event log), the semijoin suites (row-id
 # casts between index positions, masks and allowed-row lists), and the
 # online reference differential (rank arithmetic over failing and
-# churned streams).
+# churned streams), and the strict integer parsers (their int64 and
+# uint64 range edges).
 cmake -B "${PREFIX}-ubsan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DAUDITDB_SANITIZE=undefined
 cmake --build "${PREFIX}-ubsan" -j "${JOBS}" \
@@ -246,7 +247,7 @@ cmake --build "${PREFIX}-ubsan" -j "${JOBS}" \
                target_view_test online_reference_test expr_test
 export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
 ctest --test-dir "${PREFIX}-ubsan" --output-on-failure \
-      -R 'TidBitmapTest|TidBitmapDifferentialTest|SuspicionTest|SuspicionReferenceTest|MinimizeDifferentialTest|OnlineAuditorTest.FailedReexecutionIsAnErrorNotAClear|OnlineAuditorTest.OneFailingExpressionDoesNotStopTheOthers|ClusterTest.ReplicaCountsAFailedObserveReexecution|ExecutorDifferential|ExecutorReferenceTest|TableScanTest|PredicateProgramTest|PredicateProgramPropertyTest|JoinKeyIndexTest|TableVersionTest.JoinIndexIsBuiltOncePerVersionAndColumn|AuditorTest.RepeatedCandidatesShareOneExecutionPerState|BacklogDifferential|BacklogCursorTest|TargetViewSweepDifferential|ChurnedAuditorTest|SemijoinDifferential|ExecutorSemijoinTest|OnlineReferenceDifferential'
+      -R 'StringUtilTest|TidBitmapTest|TidBitmapDifferentialTest|SuspicionTest|SuspicionReferenceTest|MinimizeDifferentialTest|OnlineAuditorTest.FailedReexecutionIsAnErrorNotAClear|OnlineAuditorTest.OneFailingExpressionDoesNotStopTheOthers|ClusterTest.ReplicaCountsAFailedObserveReexecution|ExecutorDifferential|ExecutorReferenceTest|TableScanTest|PredicateProgramTest|PredicateProgramPropertyTest|JoinKeyIndexTest|TableVersionTest.JoinIndexIsBuiltOncePerVersionAndColumn|AuditorTest.RepeatedCandidatesShareOneExecutionPerState|BacklogDifferential|BacklogCursorTest|TargetViewSweepDifferential|ChurnedAuditorTest|SemijoinDifferential|ExecutorSemijoinTest|OnlineReferenceDifferential'
 
 echo "== [6/9] policy gate under AddressSanitizer =="
 cmake --build "${PREFIX}-asan" -j "${JOBS}" \
@@ -343,7 +344,7 @@ cmake --build "${PREFIX}-asan" -j "${JOBS}" \
 # The crash-fault-injection harness: every injected IO failure and every
 # crash point must recover a consistent prefix of the acked appends.
 ctest --test-dir "${PREFIX}-asan" --output-on-failure \
-      -R 'Crc32cTest|PosixEnvTest|AtomicWriteFileTest|FaultInjectingEnvTest|WalTest|WalPayloadTest|FsyncPolicyTest|DurableStoreTest|DurableStoreFaultTest|DurableStoreCrashTest|DurableServerTest|ClientRetryTest'
+      -R 'Crc32cTest|PosixEnvTest|AtomicWriteFileTest|FaultInjectingEnvTest|WalTest|WalPayloadTest|FsyncPolicyTest|DurableStoreTest|DurableStoreFaultTest|DurableStoreCrashTest|DurableServerTest|ClientRetryTest|ClientDecodeTest'
 
 echo "-- kill -9 crash smoke (ASan build) --"
 DATA_DIR="$(mktemp -d)"

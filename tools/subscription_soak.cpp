@@ -48,6 +48,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/common/string_util.h"
 #include "src/net/client.h"
 
 using namespace auditdb;
@@ -81,14 +82,6 @@ struct SubscriberState {
 int Usage(const char* argv0) {
   std::fprintf(stderr, "usage: %s --port P [flags] (see header)\n", argv0);
   return 2;
-}
-
-bool ParseSize(const char* text, size_t* out) {
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0') return false;
-  *out = static_cast<size_t>(v);
-  return true;
 }
 
 /// True when delivered ∪ gap ranges covers 1..max_seq with no holes.
@@ -135,11 +128,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--port" && (value = next())) {
       flags.port = std::atoi(value);
     } else if (arg == "--subscribers" && (value = next())) {
-      if (!ParseSize(value, &flags.subscribers)) return Usage(argv[0]);
+      if (!ParseUint64(value, &flags.subscribers)) return Usage(argv[0]);
     } else if (arg == "--queries" && (value = next())) {
-      if (!ParseSize(value, &flags.queries)) return Usage(argv[0]);
+      if (!ParseUint64(value, &flags.queries)) return Usage(argv[0]);
     } else if (arg == "--slow" && (value = next())) {
-      if (!ParseSize(value, &flags.slow)) return Usage(argv[0]);
+      if (!ParseUint64(value, &flags.slow)) return Usage(argv[0]);
     } else if (arg == "--slow-sleep-ms" && (value = next())) {
       flags.slow_sleep_ms = std::atoi(value);
     } else if (arg == "--slow-rcvbuf" && (value = next())) {
