@@ -39,15 +39,14 @@ struct ShapeScreen {
 class SupportCounts {
  public:
   /// Resolves the schemes, collects every component of every valid fact
-  /// and every query's supports. In per-table and joint mode each query
-  /// whose FROM holds a scheme table (covers a scheme's tables, in joint
-  /// mode) has its lineage projected here, so an unprojectable lineage
-  /// fails the whole call before any drop.
-  Status Build(const TargetView& view,
-               const std::vector<GranuleScheme>& schemes,
-               const AuditExpression& expr,
-               const std::vector<const AccessProfile*>& profiles,
-               IndispensabilityMode mode);
+  /// and every query's supports: in per-table mode the profiles' per-table
+  /// tid bitmaps, in joint mode each covering query's lineage projected
+  /// onto the scheme tables.
+  void Build(const TargetView& view,
+             const std::vector<GranuleScheme>& schemes,
+             const AuditExpression& expr,
+             const std::vector<const AccessProfile*>& profiles,
+             IndispensabilityMode mode);
 
   /// Whether the kept batch without query `q` still fires some scheme.
   /// O(|supports of q|) plus one pass over the live schemes.
@@ -105,11 +104,11 @@ class SupportCounts {
   std::vector<std::vector<uint32_t>> covers_;
 };
 
-Status SupportCounts::Build(const TargetView& view,
-                            const std::vector<GranuleScheme>& schemes,
-                            const AuditExpression& expr,
-                            const std::vector<const AccessProfile*>& profiles,
-                            IndispensabilityMode mode) {
+void SupportCounts::Build(const TargetView& view,
+                          const std::vector<GranuleScheme>& schemes,
+                          const AuditExpression& expr,
+                          const std::vector<const AccessProfile*>& profiles,
+                          IndispensabilityMode mode) {
   const bool per_table =
       expr.indispensable && mode == IndispensabilityMode::kPerTable;
   const bool joint =
@@ -209,20 +208,14 @@ Status SupportCounts::Build(const TargetView& view,
       supplies_[q].push_back(it->second);
     };
     if (per_table) {
-      // The tids of IndispensableTidBitmap(table), for every scheme table.
       for (size_t t = 0; t < tables.size(); ++t) {
-        auto it = std::find(result.from.begin(), result.from.end(), tables[t]);
-        if (it == result.from.end()) continue;
-        const auto j = static_cast<size_t>(it - result.from.begin());
-        for (const auto& row : result.lineage) {
-          if (row.size() != result.from.size()) return result.CheckLineage();
-          supply(by_tid[t], row[j]);
-        }
+        profile.IndispensableTids(tables[t]).ForEach(
+            [&](Tid tid) { supply(by_tid[t], tid); });
       }
     } else if (joint) {
       for (size_t g = 0; g < groups.size(); ++g) {
         // A query whose FROM lacks a scheme table witnesses nothing over
-        // it; any other projection failure is an error.
+        // it.
         bool covers = true;
         for (const auto& table : groups[g]) {
           if (std::find(result.from.begin(), result.from.end(), table) ==
@@ -233,7 +226,6 @@ Status SupportCounts::Build(const TargetView& view,
         }
         if (!covers) continue;
         auto projected = result.ProjectLineage(groups[g]);
-        if (!projected.ok()) return projected.status();
         for (const auto& tuple : *projected) supply(by_tuple[g], tuple);
       }
     } else {
@@ -264,7 +256,6 @@ Status SupportCounts::Build(const TargetView& view,
   for (size_t slot = 0; slot < slot_scheme_.size(); ++slot) {
     if (slot_accessed_[slot]) ++schemes_[slot_scheme_[slot]].accessed;
   }
-  return Status::Ok();
 }
 
 bool SupportCounts::SuspiciousWithout(size_t q) {
@@ -408,8 +399,7 @@ Result<std::vector<int64_t>> MinimizeBatch(
     const std::vector<const AccessProfile*>& profiles,
     const std::vector<int64_t>& profile_ids, const SuspicionOptions& options) {
   SupportCounts counts;
-  AUDITDB_RETURN_IF_ERROR(
-      counts.Build(view, schemes, expr, profiles, options.mode));
+  counts.Build(view, schemes, expr, profiles, options.mode);
   std::vector<int64_t> out;
   for (size_t i = 0; i < profiles.size(); ++i) {
     if (counts.SuspiciousWithout(i)) {
@@ -458,14 +448,12 @@ Result<bool> SharesIndispensableTuple(const QueryResult& query_result,
   if (common.size() == 1) {
     // Single common table: both projections are plain tid sets, so the
     // intersection test is one word-wide bitmap Intersects.
-    auto query_tids = query_result.ProjectLineageBitmap(common[0]);
-    if (!query_tids.ok()) return query_tids.status();
-    if (query_tids->Empty()) return false;
+    TidBitmap query_tids = query_result.IndispensableTidBitmap(common[0]);
+    if (query_tids.Empty()) return false;
     auto audit_result = run_audit_query();
     if (!audit_result.ok()) return audit_result.status();
-    auto audit_tids = audit_result->ProjectLineageBitmap(common[0]);
-    if (!audit_tids.ok()) return audit_tids.status();
-    return query_tids->Intersects(*audit_tids);
+    return query_tids.Intersects(
+        audit_result->IndispensableTidBitmap(common[0]));
   }
 
   // A tid tuple over several tables has no bitmap form: intersect the

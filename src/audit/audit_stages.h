@@ -83,9 +83,8 @@ void StaticOnlyBatchVerdict(const AuditExpression& expr,
 /// shrinking batch would give, but the cost is one pass over all supports
 /// (every valid fact's components and every query's lineage, once) plus
 /// O(|supports of i|) per drop test, instead of n full batch checks.
-/// Only `options.mode` is read.
-/// In kJointPerQuery mode a profile whose lineage cannot be projected
-/// onto a scheme's tables fails the call; it never shortens the list.
+/// Only `options.mode` is read. Value containment (INDISPENSABLE false)
+/// needs profiles computed with ExecOutput::kLineageAndValues.
 /// Profiles may repeat (queries that share one execution share it by
 /// pointer); each entry still counts as its own query.
 Result<std::vector<int64_t>> MinimizeBatch(

@@ -323,14 +323,20 @@ Result<AuditReport> Auditor::AuditPinned(const AuditExpression& parsed,
   // --- Phase 4: re-execute each candidate against its own historical
   // state (reading only the pinned backlog prefix). Candidates between
   // the same two changes share a state, keyed by event count: each
-  // distinct state gets one slot and one view over it.
+  // distinct state gets one slot and one view over it. The count of
+  // events <= t is one binary search in the sorted pinned timestamps,
+  // exact whatever order the events were appended in.
   stage_start = Clock::now();
+  const std::vector<Timestamp> event_times =
+      backlog_->SortedEventTimestamps(pin.backlog_events);
   std::map<size_t, size_t> slot_of_key;
   std::vector<size_t> slot_of(candidates.size());
   std::vector<Timestamp> slot_time;
   for (size_t c = 0; c < candidates.size(); ++c) {
     Timestamp at = log_->Entry(candidates[c].log_index).timestamp;
-    size_t key = backlog_->EventCountAt(at, pin.backlog_events);
+    auto key = static_cast<size_t>(
+        std::upper_bound(event_times.begin(), event_times.end(), at) -
+        event_times.begin());
     auto [it, fresh] = slot_of_key.emplace(key, slot_time.size());
     if (fresh) slot_time.push_back(at);
     slot_of[c] = it->second;
@@ -364,14 +370,19 @@ Result<AuditReport> Auditor::AuditPinned(const AuditExpression& parsed,
     if (fresh) exec_owner.push_back(c);
     exec_of[c] = it->second;
   }
+  // The indispensability test reads only lineage: values are copied out
+  // only for value containment.
+  const ExecOutput output = expr.indispensable
+                                ? ExecOutput::kLineage
+                                : ExecOutput::kLineageAndValues;
   std::vector<std::optional<AccessProfile>> executed(exec_owner.size());
   tasks.clear();
   for (auto [begin, end] : Shards(exec_owner.size(), kExecShardSize, pool)) {
     tasks.push_back([&, begin, end] {
       for (size_t e = begin; e < end; ++e) {
         size_t c = exec_owner[e];
-        auto profile =
-            ComputeAccessProfile(*candidates[c].stmt, views[slot_of[c]]);
+        auto profile = ComputeAccessProfile(*candidates[c].stmt,
+                                            views[slot_of[c]], output);
         if (profile.ok()) executed[e] = std::move(*profile);
       }
       return Status::Ok();

@@ -211,9 +211,7 @@ Status OnlineAuditor::ObserveEntry(Entry* entry, const LoggedQuery& query,
     }
   }
   for (const auto& table : entry->expr.from) {
-    auto tids = ctx.profile->result.IndispensableTidBitmap(table);
-    if (!tids.ok()) return tids.status();
-    entry->batch_tids[table].Or(*tids);
+    entry->batch_tids[table].Or(ctx.profile->IndispensableTids(table));
   }
   RecomputeAccessCounts(entry);
   return Status::Ok();

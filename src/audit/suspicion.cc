@@ -41,20 +41,17 @@ bool BatchIndex::Accesses(const ColumnRef& col) const {
   return false;
 }
 
-Result<const TidBitmap*> BatchIndex::IndispensableTidBitmap(
+const TidBitmap& BatchIndex::IndispensableTidBitmap(
     const std::string& table) {
+  if (batch_.size() == 1) return batch_[0]->IndispensableTids(table);
   auto it = tid_bitmap_union_.find(table);
-  if (it != tid_bitmap_union_.end()) return &it->second;
+  if (it != tid_bitmap_union_.end()) return it->second;
   TidBitmap tids;
-  for (const auto* profile : batch_) {
-    auto query_tids = profile->result.IndispensableTidBitmap(table);
-    if (!query_tids.ok()) return query_tids.status();
-    tids.Or(*query_tids);
-  }
-  return &tid_bitmap_union_.emplace(table, std::move(tids)).first->second;
+  for (const auto* profile : batch_) tids.Or(profile->IndispensableTids(table));
+  return tid_bitmap_union_.emplace(table, std::move(tids)).first->second;
 }
 
-Result<bool> BatchIndex::JointlyWitnessed(
+bool BatchIndex::JointlyWitnessed(
     const std::vector<std::string>& tables, const std::vector<Tid>& tids) {
   for (size_t q = 0; q < batch_.size(); ++q) {
     const auto& from = batch_[q]->result.from;
@@ -70,23 +67,17 @@ Result<bool> BatchIndex::JointlyWitnessed(
     if (!covers) continue;
 
     if (tables.size() == 1) {
-      auto key = std::make_pair(q, tables[0]);
-      auto it = joint_single_.find(key);
-      if (it == joint_single_.end()) {
-        auto projected = batch_[q]->result.ProjectLineageBitmap(tables[0]);
-        if (!projected.ok()) return projected.status();
-        it = joint_single_.emplace(std::move(key), std::move(*projected))
-                 .first;
+      if (batch_[q]->IndispensableTids(tables[0]).Contains(tids[0])) {
+        return true;
       }
-      if (it->second.Contains(tids[0])) return true;
       continue;
     }
 
     auto key = std::make_pair(q, tables);
     auto it = joint_.find(key);
     if (it == joint_.end()) {
+      // Every table is in FROM (checked above), so this cannot fail.
       auto projected = batch_[q]->result.ProjectLineage(tables);
-      if (!projected.ok()) return projected.status();
       std::unordered_set<std::vector<Tid>, VectorHash<Tid>> tuples(
           projected->begin(), projected->end());
       it = joint_.emplace(std::move(key), std::move(tuples)).first;
@@ -191,9 +182,7 @@ Result<SuspicionResult> CheckBatchSuspicion(
       std::vector<const TidBitmap*> unions;
       if (per_table) {
         for (const auto& table : scheme.tid_tables) {
-          auto tids = index.IndispensableTidBitmap(table);
-          if (!tids.ok()) return tids.status();
-          unions.push_back(*tids);
+          unions.push_back(&index.IndispensableTidBitmap(table));
         }
       }
 
@@ -226,10 +215,7 @@ Result<SuspicionResult> CheckBatchSuspicion(
               std::vector<Tid> tuple;
               tuple.reserve(tid_positions.size());
               for (size_t p : tid_positions) tuple.push_back(fact.tids[p]);
-              auto witnessed =
-                  index.JointlyWitnessed(scheme.tid_tables, tuple);
-              if (!witnessed.ok()) return witnessed.status();
-              accessed = *witnessed;
+              accessed = index.JointlyWitnessed(scheme.tid_tables, tuple);
             }
           } else {
             for (const auto& attr : scheme.attrs) {

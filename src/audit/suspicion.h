@@ -68,20 +68,17 @@ class BatchIndex {
   /// Whether any query in the batch references `col`.
   bool Accesses(const ColumnRef& col) const;
 
-  /// Union of per-query indispensable tids for `table` (cached): built
-  /// with word-wide Or over per-query bitmaps. Errors: a query's ragged
-  /// lineage (see QueryResult::IndispensableTidBitmap) propagates.
-  Result<const TidBitmap*> IndispensableTidBitmap(const std::string& table);
+  /// Union of per-query indispensable tids for `table`: a single query's
+  /// own bitmap, else a cached word-wide Or over the profiles' bitmaps.
+  const TidBitmap& IndispensableTidBitmap(const std::string& table);
 
   /// Whether some single query's lineage contains the tid tuple `tids`
-  /// over `tables` (joint witness). Single-table tuples probe a cached
-  /// per-query bitmap; wider tuples probe the query's projected lineage,
-  /// since a tid tuple has no bitmap form. A query whose FROM clause
-  /// lacks one of the tables legitimately has no joint witness; any other
-  /// lineage projection failure (e.g. ragged lineage rows) is a real
-  /// error and propagates.
-  Result<bool> JointlyWitnessed(const std::vector<std::string>& tables,
-                                const std::vector<Tid>& tids);
+  /// over `tables` (joint witness). Single-table tuples probe the
+  /// profile's per-table bitmap; wider tuples probe the query's projected
+  /// lineage (cached), since a tid tuple has no bitmap form. A query whose
+  /// FROM clause lacks one of the tables has no joint witness.
+  bool JointlyWitnessed(const std::vector<std::string>& tables,
+                        const std::vector<Tid>& tids);
 
   /// Whether some query outputs `col` with `value` among its results.
   bool OutputsValue(const ColumnRef& col, const Value& value);
@@ -97,11 +94,6 @@ class BatchIndex {
       PairHash<size_t, std::vector<std::string>, std::hash<size_t>,
                VectorHash<std::string>>>
       joint_;
-  /// Single-table joint witnesses as per-query bitmaps.
-  std::unordered_map<std::pair<size_t, std::string>, TidBitmap,
-                     PairHash<size_t, std::string, std::hash<size_t>,
-                              std::hash<std::string>>>
-      joint_single_;
   std::unordered_map<std::pair<size_t, ColumnRef>, std::unordered_set<Value>,
                      PairHash<size_t, ColumnRef, std::hash<size_t>,
                               ColumnRefHash>>
@@ -124,8 +116,8 @@ class BatchIndex {
 /// fact, and at least one) are accessed; the batch is suspicious when any
 /// scheme fires.
 ///
-/// Errors (rather than silently under-reporting) when a query's lineage
-/// cannot be projected for a joint-witness check.
+/// INDISPENSABLE = false reads the profiles' rows: they must have been
+/// computed with ExecOutput::kLineageAndValues.
 Result<SuspicionResult> CheckBatchSuspicion(
     const TargetView& view, const std::vector<GranuleScheme>& schemes,
     Threshold threshold, bool indispensable,

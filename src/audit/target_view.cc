@@ -147,9 +147,11 @@ Result<TargetView> ComputeTargetView(const AuditExpression& expr,
 
   FactSet seen;
   for (size_t i = 0; i < result->rows.size(); ++i) {
-    if (!seen.emplace(result->lineage[i], result->rows[i]).second) continue;
-    view.facts.push_back(TargetView::Fact{result->lineage[i],
-                                          result->rows[i], version});
+    std::vector<Tid> tids(result->lineage[i].begin(),
+                          result->lineage[i].end());
+    if (!seen.emplace(tids, result->rows[i]).second) continue;
+    view.facts.push_back(
+        TargetView::Fact{std::move(tids), result->rows[i], version});
   }
   view.RebuildTidIndex();
   return view;

@@ -108,6 +108,15 @@ size_t Backlog::EventCountAt(Timestamp t, size_t limit) const {
   return count;
 }
 
+std::vector<Timestamp> Backlog::SortedEventTimestamps(size_t limit) const {
+  size_t n = ClampLimit(limit);
+  std::vector<Timestamp> stamps;
+  stamps.reserve(n);
+  for (size_t i = 0; i < n; ++i) stamps.push_back(events_.At(i).timestamp);
+  std::sort(stamps.begin(), stamps.end());
+  return stamps;
+}
+
 std::vector<Timestamp> Backlog::VersionTimestamps(const TimeInterval& interval,
                                                   size_t limit) const {
   size_t n = ClampLimit(limit);

@@ -74,6 +74,11 @@ class Backlog {
   /// the auditor.
   size_t EventCountAt(Timestamp t, size_t limit = kNoLimit) const;
 
+  /// Timestamps of the first `limit` events, sorted ascending: the
+  /// upper_bound of t in them is EventCountAt(t, limit), one binary
+  /// search per lookup instead of a scan.
+  std::vector<Timestamp> SortedEventTimestamps(size_t limit = kNoLimit) const;
+
   /// The timestamps at which a distinct database version exists within the
   /// closed interval: the state at `interval.start` plus the state after
   /// each captured change in (start, end]. This is the version set the

@@ -89,6 +89,13 @@ bool ParseUint64(std::string_view text, uint64_t* out) {
   return ParseDecimal(text, out);
 }
 
+bool ParseIntInRange(std::string_view text, int lo, int hi, int* out) {
+  int64_t value = 0;
+  if (!ParseInt64(text, &value) || value < lo || value > hi) return false;
+  *out = static_cast<int>(value);
+  return true;
+}
+
 bool ParseDouble(std::string_view text, double* out) {
   if (text.empty()) return false;
   const std::string copy(text);  // strtod needs a terminated string

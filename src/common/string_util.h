@@ -37,6 +37,10 @@ bool StartsWith(std::string_view text, std::string_view prefix);
 bool ParseInt64(std::string_view text, int64_t* out);
 bool ParseUint64(std::string_view text, uint64_t* out);
 
+/// ParseInt64 into an int that must lie in [lo, hi]: for flags such as
+/// ports and millisecond timeouts.
+bool ParseIntInRange(std::string_view text, int lo, int hi, int* out);
+
 /// Parses the whole of `text` as a double, in any form strtod accepts;
 /// out-of-range values fail.
 bool ParseDouble(std::string_view text, double* out);

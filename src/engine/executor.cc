@@ -35,8 +35,9 @@ struct AllowedRows {
 
 class ExecutionContext {
  public:
-  ExecutionContext(const sql::SelectStatement& stmt, const DatabaseView& db)
-      : db_(db), stmt_(stmt.Clone()) {}
+  ExecutionContext(const sql::SelectStatement& stmt, const DatabaseView& db,
+                   ExecOutput output)
+      : db_(db), stmt_(stmt.Clone()), output_(output) {}
 
   Result<QueryResult> Run() {
     AUDITDB_RETURN_IF_ERROR(Setup());
@@ -88,6 +89,7 @@ class ExecutionContext {
       }
     }
     result_.from = stmt_.from;
+    result_.lineage = Lineage(stmt_.from.size());
 
     // Qualify, bind and schedule WHERE conjuncts.
     if (stmt_.where) {
@@ -117,6 +119,7 @@ class ExecutionContext {
     }
 
     AUDITDB_RETURN_IF_ERROR(PlanScanStages());
+    AUDITDB_RETURN_IF_ERROR(PlanCopies());
     batches_.resize(tables_.size());
     filters_.resize(tables_.size());
     allowed_.resize(tables_.size());
@@ -159,6 +162,42 @@ class ExecutionContext {
         stages_[i].back().cross.push_back(sc.expr.get());
       }
       AUDITDB_RETURN_IF_ERROR(flush());
+    }
+    return Status::Ok();
+  }
+
+  /// Per FROM position, the columns a visit copies into the combined
+  /// row: those read by a cross conjunct, by a later position's hash
+  /// probe, or by the projection when values are wanted. Local stages
+  /// read the columnar batch, not the combined row. A hash join's own
+  /// conjunct does not count (see ProvenConjunct): a visit that must
+  /// evaluate it copies the whole row.
+  Status PlanCopies() {
+    std::vector<char> read(layout_.width(), 0);
+    for (size_t i = 0; i < tables_.size(); ++i) {
+      for (const ScanStage& stage : stages_[i]) {
+        for (const Expression* conjunct : stage.cross) {
+          if (conjunct == hash_plans_[i].conjunct) continue;
+          for (const ColumnRef& col : CollectColumns(conjunct)) {
+            auto slot = layout_.Slot(col);
+            if (!slot.ok()) return slot.status();
+            read[static_cast<size_t>(*slot)] = 1;
+          }
+        }
+      }
+      if (hash_plans_[i].index != nullptr) {
+        read[static_cast<size_t>(hash_plans_[i].probe_slot)] = 1;
+      }
+    }
+    if (output_ == ExecOutput::kLineageAndValues) {
+      for (int slot : projection_slots_) read[static_cast<size_t>(slot)] = 1;
+    }
+    copies_.resize(tables_.size());
+    for (size_t i = 0; i < tables_.size(); ++i) {
+      const size_t offset = layout_.table_offsets()[i].second;
+      for (size_t c = 0; c < tables_[i]->schema().num_columns(); ++c) {
+        if (read[offset + c]) copies_[i].push_back(c);
+      }
     }
     return Status::Ok();
   }
@@ -263,6 +302,21 @@ class ExecutionContext {
     return true;
   }
 
+  /// The conjunct a visit of `position` may skip: its hash join's own
+  /// conjunct when the probe key `key` is non-NULL, else null.
+  /// ForEachMatch yields only rows whose key is Value == to the probe
+  /// key: the same variant alternative holding an equal value. Compare
+  /// of two such non-NULL values is 0 and cannot fail, whatever the
+  /// columns' declared types (storage does not enforce them, but both
+  /// cells hold one alternative), so `probe = key` is true on every row
+  /// the probe visits. Skipping it changes no row, no lineage entry and,
+  /// wherever it sits among the cross conjuncts, no Status. A NULL probe
+  /// key meets the NULL keys, where the conjunct is false: it stays, and
+  /// is evaluated on a fully copied row.
+  const Expression* ProvenConjunct(size_t position, const Value& key) const {
+    return key.is_null() ? nullptr : hash_plans_[position].conjunct;
+  }
+
   /// Columnar layout of the base column behind combined-row slot `slot`.
   ColumnVector::Layout SlotLayout(int slot) {
     const auto& offsets = layout_.table_offsets();
@@ -342,13 +396,15 @@ class ExecutionContext {
   /// Depth-first join enumeration over FROM positions.
   Status Enumerate(size_t position) {
     if (position == tables_.size()) {
-      std::vector<Value> out;
-      out.reserve(projection_slots_.size());
-      for (int slot : projection_slots_) {
-        out.push_back(combined_[static_cast<size_t>(slot)]);
+      if (output_ == ExecOutput::kLineageAndValues) {
+        std::vector<Value> out;
+        out.reserve(projection_slots_.size());
+        for (int slot : projection_slots_) {
+          out.push_back(combined_[static_cast<size_t>(slot)]);
+        }
+        result_.rows.push_back(std::move(out));
       }
-      result_.rows.push_back(std::move(out));
-      result_.lineage.push_back(tids_);
+      result_.lineage.Append(tids_);
       return Status::Ok();
     }
 
@@ -365,13 +421,27 @@ class ExecutionContext {
     // tri-state per row. Cross stages still run per combined row.
     const TableFilter* filter = any_local ? &Filter(position) : nullptr;
 
+    const HashJoinPlan& plan = hash_plans_[position];
+    const Value* key =
+        plan.index != nullptr
+            ? &combined_[static_cast<size_t>(plan.probe_slot)]
+            : nullptr;
+    const Expression* proven =
+        key != nullptr ? ProvenConjunct(position, *key) : nullptr;
+    const bool copy_all = key != nullptr && proven == nullptr;
+    const std::vector<size_t>& copies = copies_[position];
+
     auto try_row = [&](size_t r) -> Status {
       const Row& row = table.rows()[r];
       bool copied = false;
       auto materialize = [&]() {
         if (copied) return;
-        for (size_t c = 0; c < row.values.size(); ++c) {
-          combined_[offset + c] = row.values[c];
+        if (copy_all) {
+          for (size_t c = 0; c < row.values.size(); ++c) {
+            combined_[offset + c] = row.values[c];
+          }
+        } else {
+          for (size_t c : copies) combined_[offset + c] = row.values[c];
         }
         tids_[position] = row.tid;
         copied = true;
@@ -393,6 +463,7 @@ class ExecutionContext {
         }
         materialize();
         for (const Expression* conjunct : stage.cross) {
+          if (conjunct == proven) continue;
           auto pass = EvaluatePredicate(conjunct, combined_);
           if (!pass.ok()) return pass.status();
           if (!*pass) return Status::Ok();  // prune this branch
@@ -405,11 +476,9 @@ class ExecutionContext {
     // Rows a semijoin reduction dropped reach no output and, since it
     // only runs when no visit can fail, no error: skip them.
     const std::optional<AllowedRows>& allowed = allowed_[position];
-    const HashJoinPlan& plan = hash_plans_[position];
-    if (plan.index != nullptr) {
-      const Value& key = combined_[static_cast<size_t>(plan.probe_slot)];
-      if (!allowed) return plan.index->ForEachMatch(key, try_row);
-      return plan.index->ForEachMatch(key, [&](size_t r) -> Status {
+    if (key != nullptr) {
+      if (!allowed) return plan.index->ForEachMatch(*key, try_row);
+      return plan.index->ForEachMatch(*key, [&](size_t r) -> Status {
         return allowed->mask[r] ? try_row(r) : Status::Ok();
       });
     }
@@ -434,12 +503,14 @@ class ExecutionContext {
 
   const DatabaseView& db_;
   sql::SelectStatement stmt_;
+  ExecOutput output_;
 
   std::vector<const TableVersion*> tables_;
   RowLayout layout_;
   std::vector<int> projection_slots_;
   std::vector<ScheduledConjunct> conjuncts_;
   std::vector<HashJoinPlan> hash_plans_;
+  std::vector<std::vector<size_t>> copies_;  // set by PlanCopies()
   std::vector<std::vector<ScanStage>> stages_;
   std::vector<std::shared_ptr<const Batch>> batches_;
   std::vector<std::optional<TableFilter>> filters_;
@@ -452,24 +523,28 @@ class ExecutionContext {
 
 }  // namespace
 
-Result<TidBitmap> QueryResult::IndispensableTidBitmap(
-    const std::string& table) const {
-  if (std::find(from.begin(), from.end(), table) == from.end()) {
-    return TidBitmap();
+Result<Lineage> Lineage::FromRows(
+    size_t width, const std::vector<std::vector<Tid>>& rows) {
+  Lineage out(width);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (rows[i].size() != width) {
+      return Status::InvalidArgument(
+          "ragged lineage row " + std::to_string(i) + ": " +
+          std::to_string(rows[i].size()) + " entries for width " +
+          std::to_string(width));
+    }
+    out.Append(rows[i]);
   }
-  return ProjectLineageBitmap(table);
+  return out;
 }
 
-Status QueryResult::CheckLineage() const {
-  for (size_t i = 0; i < lineage.size(); ++i) {
-    if (lineage[i].size() != from.size()) {
-      return Status::Internal(
-          "ragged lineage row " + std::to_string(i) + ": " +
-          std::to_string(lineage[i].size()) + " entries for " +
-          std::to_string(from.size()) + " FROM tables");
-    }
-  }
-  return Status::Ok();
+TidBitmap QueryResult::IndispensableTidBitmap(const std::string& table) const {
+  TidBitmap out;
+  auto it = std::find(from.begin(), from.end(), table);
+  if (it == from.end()) return out;
+  const auto position = static_cast<size_t>(it - from.begin());
+  for (std::span<const Tid> row : lineage) out.Add(row[position]);
+  return out;
 }
 
 Result<std::set<std::vector<Tid>>> QueryResult::ProjectLineage(
@@ -483,27 +558,11 @@ Result<std::set<std::vector<Tid>>> QueryResult::ProjectLineage(
     positions.push_back(static_cast<size_t>(it - from.begin()));
   }
   std::set<std::vector<Tid>> out;
-  for (const auto& tuple : lineage) {
-    if (tuple.size() != from.size()) return CheckLineage();
+  for (std::span<const Tid> row : lineage) {
     std::vector<Tid> projected;
     projected.reserve(positions.size());
-    for (size_t p : positions) projected.push_back(tuple[p]);
+    for (size_t p : positions) projected.push_back(row[p]);
     out.insert(std::move(projected));
-  }
-  return out;
-}
-
-Result<TidBitmap> QueryResult::ProjectLineageBitmap(
-    const std::string& table) const {
-  auto it = std::find(from.begin(), from.end(), table);
-  if (it == from.end()) {
-    return Status::NotFound("table not in query lineage: " + table);
-  }
-  size_t position = static_cast<size_t>(it - from.begin());
-  TidBitmap out;
-  for (const auto& tuple : lineage) {
-    if (tuple.size() != from.size()) return CheckLineage();
-    out.Add(tuple[position]);
   }
   return out;
 }
@@ -535,8 +594,8 @@ std::string QueryResult::ToString() const {
 }
 
 Result<QueryResult> Execute(const sql::SelectStatement& stmt,
-                            const DatabaseView& db) {
-  ExecutionContext ctx(stmt, db);
+                            const DatabaseView& db, ExecOutput output) {
+  ExecutionContext ctx(stmt, db, output);
   return ctx.Run();
 }
 

@@ -1,7 +1,10 @@
 #ifndef AUDITDB_ENGINE_EXECUTOR_H_
 #define AUDITDB_ENGINE_EXECUTOR_H_
 
+#include <cassert>
+#include <cstddef>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -18,6 +21,79 @@ namespace auditdb {
 /// ignore it; the next benchmark change deletes it.
 struct ExecOptions {};
 
+/// Row-major tid lineage of a query result: row i holds, for each FROM
+/// table j, the tid of the base row of table j behind output row i. The
+/// rows live in one flat vector of width() entries each, appended a whole
+/// row at a time, so a ragged row cannot be represented.
+class Lineage {
+ public:
+  /// Iterates the rows, each a span of width() tids.
+  class const_iterator {
+   public:
+    using value_type = std::span<const Tid>;
+    using difference_type = std::ptrdiff_t;
+
+    const_iterator() = default;
+    const_iterator(const Tid* at, size_t width) : at_(at), width_(width) {}
+    std::span<const Tid> operator*() const { return {at_, width_}; }
+    const_iterator& operator++() {
+      at_ += width_;
+      return *this;
+    }
+    bool operator==(const const_iterator& other) const {
+      return at_ == other.at_;
+    }
+
+   private:
+    const Tid* at_ = nullptr;
+    size_t width_ = 0;
+  };
+  using iterator = const_iterator;
+  using value_type = std::span<const Tid>;
+
+  Lineage() = default;
+  explicit Lineage(size_t width) : width_(width) {}
+
+  /// A lineage of `width` tids per row holding `rows`. InvalidArgument,
+  /// naming the first row whose entry count is not `width`.
+  static Result<Lineage> FromRows(size_t width,
+                                  const std::vector<std::vector<Tid>>& rows);
+
+  /// Tids per row: the number of FROM tables.
+  size_t width() const { return width_; }
+  /// Number of rows (= output rows of the query).
+  size_t size() const { return width_ == 0 ? 0 : tids_.size() / width_; }
+  bool empty() const { return tids_.empty(); }
+
+  /// Row `row`: tid of the base row of each FROM table, in FROM order.
+  std::span<const Tid> operator[](size_t row) const {
+    return {tids_.data() + row * width_, width_};
+  }
+  const_iterator begin() const { return {tids_.data(), width_}; }
+  const_iterator end() const { return {tids_.data() + tids_.size(), width_}; }
+
+  /// Appends one row; `row` must hold exactly width() tids.
+  void Append(std::span<const Tid> row) {
+    assert(row.size() == width_);
+    tids_.insert(tids_.end(), row.begin(), row.end());
+  }
+
+  bool operator==(const Lineage& other) const = default;
+
+ private:
+  size_t width_ = 0;
+  std::vector<Tid> tids_;
+};
+
+/// What an execution returns besides lineage. The indispensability test
+/// (Definition 2) needs only lineage; projected values matter only for
+/// value containment (INDISPENSABLE = false), the target view and
+/// callers that show the rows.
+enum class ExecOutput {
+  kLineage,          // QueryResult::rows stays empty
+  kLineageAndValues  // rows holds the projected values too
+};
+
 /// Result of executing an SPJ query, with lineage: every output row carries
 /// the tids of the base rows (one per FROM table) that produced it. The
 /// lineage is exactly the witness set for indispensability (Definition 2 in
@@ -28,35 +104,26 @@ struct QueryResult {
   std::vector<ColumnRef> columns;
   /// FROM-clause tables, in the order lineage tuples are laid out.
   std::vector<std::string> from;
-  /// Output rows (bag semantics; no duplicate elimination).
+  /// Output rows (bag semantics; no duplicate elimination). Empty when
+  /// the query ran with ExecOutput::kLineage.
   std::vector<std::vector<Value>> rows;
-  /// lineage[i][j] = tid of the row of table from[j] behind output row i.
-  std::vector<std::vector<Tid>> lineage;
-
-  /// Internal error naming the first ragged lineage row (one whose entry
-  /// count differs from the number of FROM tables), else Ok. Readers that
-  /// walk the lineage anyway call it on their first ragged row.
-  Status CheckLineage() const;
+  /// lineage[i][j] = tid of the row of table from[j] behind output row i;
+  /// lineage.size() is the number of output rows in either output mode.
+  Lineage lineage;
 
   /// Tids of `table` that are indispensable to the query (empty if the
   /// table is not in FROM), as a compressed bitmap iterating in ascending
-  /// tid order. Errors: CheckLineage's, when the table is in FROM.
-  Result<TidBitmap> IndispensableTidBitmap(const std::string& table) const;
+  /// tid order.
+  TidBitmap IndispensableTidBitmap(const std::string& table) const;
 
   /// Distinct lineage tuples projected onto `tables` (each must be in
   /// FROM), in the order given. Used for joint-indispensability checks.
-  /// Errors: NotFound if a table is not in FROM; Internal if a lineage row
-  /// is ragged (fewer entries than FROM tables).
+  /// Errors: NotFound if a table is not in FROM.
   Result<std::set<std::vector<Tid>>> ProjectLineage(
       const std::vector<std::string>& tables) const;
 
-  /// Single-table ProjectLineage as a compressed bitmap, with the same
-  /// error behavior. The word-wide kernel behind joint-witness and
-  /// shared-tuple intersection tests.
-  Result<TidBitmap> ProjectLineageBitmap(const std::string& table) const;
-
   /// Values appearing in output column `col` (for value-containment access
-  /// checks when INDISPENSABLE = false).
+  /// checks when INDISPENSABLE = false). Needs ExecOutput::kLineageAndValues.
   std::set<Value> ColumnValues(const ColumnRef& col) const;
 
   /// Pretty-printed result table (for examples and debugging).
@@ -78,8 +145,14 @@ struct QueryResult {
 /// columns), so rows, lineage, order and errors are unchanged. Output
 /// rows come in nested-loop order: FROM positions outermost first, each
 /// table's rows in storage order.
-Result<QueryResult> Execute(const sql::SelectStatement& stmt,
-                            const DatabaseView& db);
+///
+/// A combined row gets only the columns something later reads: a cross
+/// conjunct, a hash probe, or the projection when `output` asks for
+/// values. With ExecOutput::kLineage no output row is materialized, only
+/// its lineage.
+Result<QueryResult> Execute(
+    const sql::SelectStatement& stmt, const DatabaseView& db,
+    ExecOutput output = ExecOutput::kLineageAndValues);
 
 /// Parses and executes `sql_text` in one step.
 Result<QueryResult> ExecuteSql(const std::string& sql_text,

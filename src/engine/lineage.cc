@@ -1,17 +1,31 @@
 #include "src/engine/lineage.h"
 
+#include <algorithm>
+
 #include "src/expr/analysis.h"
 
 namespace auditdb {
 
+const TidBitmap& AccessProfile::IndispensableTids(
+    const std::string& table) const {
+  static const TidBitmap kEmpty;
+  const auto& from = result.from;
+  auto it = std::find(from.begin(), from.end(), table);
+  if (it == from.end()) return kEmpty;
+  return table_tids[static_cast<size_t>(it - from.begin())];
+}
+
 Result<AccessProfile> ComputeAccessProfile(const sql::SelectStatement& stmt,
                                            const DatabaseView& db,
-                                           const ExecOptions&) {
+                                           ExecOutput output) {
   AccessProfile profile;
 
-  auto result = Execute(stmt, db);
+  auto result = Execute(stmt, db, output);
   if (!result.ok()) return result.status();
   profile.result = std::move(*result);
+  for (const auto& table : profile.result.from) {
+    profile.table_tids.push_back(profile.result.IndispensableTidBitmap(table));
+  }
 
   // Output columns: the executor already resolved them.
   for (const auto& col : profile.result.columns) {
@@ -29,6 +43,12 @@ Result<AccessProfile> ComputeAccessProfile(const sql::SelectStatement& stmt,
     }
   }
   return profile;
+}
+
+Result<AccessProfile> ComputeAccessProfile(const sql::SelectStatement& stmt,
+                                           const DatabaseView& db,
+                                           const ExecOptions&) {
+  return ComputeAccessProfile(stmt, db, ExecOutput::kLineageAndValues);
 }
 
 }  // namespace auditdb

@@ -3,6 +3,7 @@
 
 #include <set>
 #include <string>
+#include <vector>
 
 #include "src/engine/executor.h"
 
@@ -21,6 +22,10 @@ struct AccessProfile {
   std::set<ColumnRef> output_columns;
   std::set<ColumnRef> accessed_columns;
   QueryResult result;
+  /// The indispensable tids of each FROM table, index-aligned with
+  /// result.from. ComputeAccessProfile builds them once, so the
+  /// suspicion checks never walk the lineage again.
+  std::vector<TidBitmap> table_tids;
 
   /// Whether the query references `col` anywhere (projection or predicate).
   bool Accesses(const ColumnRef& col) const {
@@ -30,14 +35,23 @@ struct AccessProfile {
   bool Outputs(const ColumnRef& col) const {
     return output_columns.count(col) > 0;
   }
+  /// Indispensable tids of `table`; empty when the table is not in FROM.
+  const TidBitmap& IndispensableTids(const std::string& table) const;
 };
 
 /// Executes `stmt` against `db` and assembles its access profile. All
-/// column references are fully qualified in the profile. The ExecOptions
-/// parameter is ignored (see ExecOptions).
+/// column references are fully qualified in the profile. `output` says
+/// whether result.rows is filled: an INDISPENSABLE = true check reads
+/// only lineage and column sets, value containment reads the rows too.
+Result<AccessProfile> ComputeAccessProfile(
+    const sql::SelectStatement& stmt, const DatabaseView& db,
+    ExecOutput output = ExecOutput::kLineageAndValues);
+
+/// ComputeAccessProfile with values. The ExecOptions parameter is
+/// ignored (see ExecOptions).
 Result<AccessProfile> ComputeAccessProfile(const sql::SelectStatement& stmt,
                                            const DatabaseView& db,
-                                           const ExecOptions& = ExecOptions{});
+                                           const ExecOptions&);
 
 }  // namespace auditdb
 

@@ -1174,10 +1174,11 @@ Result<std::string> AuditServer::Impl::Dispatch(const Message& request,
   if (request.version != WireVersion::kV2 &&
       (request.type == MessageType::kSubscribeRequest ||
        request.type == MessageType::kUnsubscribeRequest ||
-       request.type == MessageType::kReplicateRequest)) {
+       request.type == MessageType::kReplicateRequest ||
+       request.type == MessageType::kPromoteRequest)) {
     return Status::InvalidArgument(
-        "subscriptions and replication require protocol ADB2 (this "
-        "connection speaks ADB1)");
+        "subscriptions, replication and promotion require protocol ADB2 "
+        "(this connection speaks ADB1)");
   }
   switch (request.type) {
     case MessageType::kHealthRequest:

@@ -91,7 +91,7 @@ Result<bool> DecodeWalRecord(std::string_view data, WalRecordType* type,
   }
   if (data.size() - kWalHeaderBytes < payload_len) return false;
   const char* body = data.data() + 8;  // type byte + payload
-  if (io::Crc32c(body, 1 + payload_len) != stored_crc) {
+  if (io::Crc32c(std::string_view(body, 1 + payload_len)) != stored_crc) {
     return Status::ParseError("WAL record CRC mismatch");
   }
   uint8_t type_byte = static_cast<uint8_t>(body[0]);
@@ -211,7 +211,9 @@ Status ReplayWal(
       break;  // corrupt length or torn payload
     }
     const char* body = data.data() + offset + 8;  // type byte + payload
-    if (io::Crc32c(body, 1 + payload_len) != stored_crc) break;
+    if (io::Crc32c(std::string_view(body, 1 + payload_len)) != stored_crc) {
+      break;
+    }
     uint8_t type_byte = static_cast<uint8_t>(body[0]);
     if (!IsKnownWalRecordType(type_byte)) break;
     std::string payload(body + 1, payload_len);

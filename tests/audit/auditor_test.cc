@@ -72,6 +72,26 @@ TEST_F(AuditorTest, FlagsDisclosingQuery) {
             std::string::npos);
 }
 
+// Value containment (INDISPENSABLE false) reads the values a query
+// outputs, so its candidates must run with values; the default
+// indispensability test reads only their lineage.
+TEST_F(AuditorTest, ValueContainmentReadsOutputValues) {
+  int64_t outputs =
+      Log("SELECT disease FROM P-Health WHERE disease='diabetic'", 10);
+  int64_t filters = Log(
+      "SELECT name FROM P-Personal, P-Health "
+      "WHERE P-Personal.pid=P-Health.pid AND disease='diabetic'",
+      20);
+  const std::string audit =
+      "AUDIT disease FROM P-Health WHERE P-Health.disease='diabetic'";
+  auto by_value = MustAudit(kSpan + "INDISPENSABLE false " + audit);
+  EXPECT_TRUE(by_value.batch_suspicious);
+  EXPECT_EQ(by_value.SuspiciousQueryIds(), (std::vector<int64_t>{outputs}));
+  auto by_lineage = MustAudit(kSpan + audit);
+  EXPECT_EQ(by_lineage.SuspiciousQueryIds(),
+            (std::vector<int64_t>{outputs, filters}));
+}
+
 TEST_F(AuditorTest, PaperIntroExample) {
   // Section 2.1: "SELECT zipcode FROM Patients WHERE disease='cancer'" is
   // suspicious for the disease audit iff a cancer patient lives in the

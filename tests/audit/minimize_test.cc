@@ -254,97 +254,6 @@ TEST_F(MinimizeDifferentialTest, HospitalChurned) {
   EXPECT_GT(suspicious, 20u);
 }
 
-// A lineage that cannot be projected must fail the minimization in joint
-// mode, whatever its position in the batch. The greedy loop over
-// CheckBatchSuspicion could drop such a profile unchecked: with the
-// malformed profile first, the batch without it is still witnessed by the
-// good one.
-TEST_F(MinimizeDifferentialTest, RaggedLineageFailsInJointMode) {
-  ASSERT_TRUE(workload::BuildPaperDatabase(&db_, Ts(1)).ok());
-  auto parsed = ParseAudit(
-      "AUDIT (name,disease,address) FROM P-Personal, P-Health, P-Employ "
-      "WHERE P-Personal.pid=P-Health.pid and P-Health.pid=P-Employ.pid "
-      "and P-Personal.zipcode='145568' and P-Employ.salary > 10000 "
-      "and P-Health.disease='diabetic'",
-      Ts(1000));
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  AuditExpression expr = std::move(*parsed);
-  ASSERT_TRUE(expr.Qualify(db_.catalog()).ok());
-  auto view = ComputeTargetView(expr, db_.View(), Ts(1));
-  ASSERT_TRUE(view.ok());
-  auto schemes = BuildSchemes(expr);
-
-  auto profile = [&](const std::string& sql) {
-    auto stmt = sql::ParseSelect(sql);
-    EXPECT_TRUE(stmt.ok());
-    auto result = ComputeAccessProfile(*stmt, db_.View());
-    EXPECT_TRUE(result.ok());
-    return std::move(*result);
-  };
-  const std::string q3 =
-      "SELECT name, disease, address FROM P-Personal, P-Health "
-      "WHERE P-Personal.pid=P-Health.pid AND zipcode='145568' "
-      "AND disease='diabetic'";
-  AccessProfile ragged = profile(q3);
-  ASSERT_FALSE(ragged.result.lineage.empty());
-  ragged.result.lineage[0].pop_back();  // now shorter than FROM
-  AccessProfile good = profile(q3);
-
-  for (bool ragged_first : {true, false}) {
-    std::vector<AccessProfile> profiles;
-    profiles.push_back(ragged_first ? ragged : good);
-    profiles.push_back(ragged_first ? good : ragged);
-    SuspicionOptions joint;
-    joint.mode = IndispensabilityMode::kJointPerQuery;
-    auto kept = MinimizeBatch(*view, schemes, expr, profiles, {1, 2}, joint);
-    EXPECT_FALSE(kept.ok()) << "ragged_first=" << ragged_first;
-  }
-}
-
-// Per-table mode reads the same lineage and must fail the same way: a
-// ragged row used to be skipped there, silently dropping its tids.
-TEST_F(MinimizeDifferentialTest, RaggedLineageFailsInPerTableMode) {
-  ASSERT_TRUE(workload::BuildPaperDatabase(&db_, Ts(1)).ok());
-  auto parsed = ParseAudit(
-      "AUDIT (name,disease) FROM P-Personal, P-Health "
-      "WHERE P-Personal.pid=P-Health.pid and P-Health.disease='diabetic'",
-      Ts(1000));
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  AuditExpression expr = std::move(*parsed);
-  ASSERT_TRUE(expr.Qualify(db_.catalog()).ok());
-  auto view = ComputeTargetView(expr, db_.View(), Ts(1));
-  ASSERT_TRUE(view.ok());
-  auto schemes = BuildSchemes(expr);
-
-  auto stmt = sql::ParseSelect(
-      "SELECT name, disease FROM P-Personal, P-Health "
-      "WHERE P-Personal.pid=P-Health.pid AND disease='diabetic'");
-  ASSERT_TRUE(stmt.ok());
-  auto good = ComputeAccessProfile(*stmt, db_.View());
-  ASSERT_TRUE(good.ok());
-  AccessProfile ragged = *good;
-  ASSERT_FALSE(ragged.result.lineage.empty());
-  ragged.result.lineage[0].pop_back();  // now shorter than FROM
-
-  SuspicionOptions per_table;
-  per_table.mode = IndispensabilityMode::kPerTable;
-  auto intact =
-      MinimizeBatch(*view, schemes, expr, {*good, *good}, {1, 2}, per_table);
-  ASSERT_TRUE(intact.ok()) << intact.status().ToString();
-  for (bool ragged_first : {true, false}) {
-    std::vector<AccessProfile> profiles;
-    profiles.push_back(ragged_first ? ragged : *good);
-    profiles.push_back(ragged_first ? *good : ragged);
-    auto kept =
-        MinimizeBatch(*view, schemes, expr, profiles, {1, 2}, per_table);
-    ASSERT_FALSE(kept.ok()) << "ragged_first=" << ragged_first;
-    EXPECT_EQ(kept.status().code(), StatusCode::kInternal);
-    EXPECT_NE(kept.status().message().find("ragged lineage row"),
-              std::string::npos)
-        << kept.status().ToString();
-  }
-}
-
 }  // namespace
 }  // namespace audit
 }  // namespace auditdb

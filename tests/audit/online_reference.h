@@ -130,9 +130,8 @@ class OnlineReference {
           }
         }
         for (const std::string& table : expr.from) {
-          auto bitmap = profile->result.IndispensableTidBitmap(table);
-          if (!bitmap.ok()) return bitmap.status();
-          for (int64_t tid : bitmap->ToVector()) tids[table].insert(tid);
+          TidBitmap bitmap = profile->result.IndispensableTidBitmap(table);
+          for (int64_t tid : bitmap.ToVector()) tids[table].insert(tid);
         }
         view_at = &observed.at;
         if (!fired) {

@@ -97,6 +97,20 @@ TEST(StringUtilTest, IntegerParsersAcceptOnlyWholeDecimals) {
   EXPECT_EQ(u, 7u);
 }
 
+TEST(StringUtilTest, ParseIntInRangeChecksBothBounds) {
+  int n = 7;
+  EXPECT_TRUE(ParseIntInRange("0", 0, 65535, &n));
+  EXPECT_EQ(n, 0);
+  EXPECT_TRUE(ParseIntInRange("65535", 0, 65535, &n));
+  EXPECT_EQ(n, 65535);
+  n = 7;
+  for (const char* text : {"65536", "-1", "abc", "", "12abc",
+                           "99999999999999999999"}) {
+    EXPECT_FALSE(ParseIntInRange(text, 0, 65535, &n)) << "'" << text << "'";
+  }
+  EXPECT_EQ(n, 7) << "failure must leave the output untouched";
+}
+
 TEST(StringUtilTest, ParseDoubleTakesTheWholeString) {
   double d = 0;
   EXPECT_TRUE(ParseDouble("0.250000", &d));

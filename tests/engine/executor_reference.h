@@ -23,6 +23,7 @@ inline Result<QueryResult> BruteForce(const sql::SelectStatement& stmt,
                                       const DatabaseView& db) {
   QueryResult result;
   result.from = stmt.from;
+  result.lineage = Lineage(stmt.from.size());
   RowLayout layout;
   std::vector<const TableVersion*> tables;
   for (const auto& name : stmt.from) {
@@ -64,7 +65,7 @@ inline Result<QueryResult> BruteForce(const sql::SelectStatement& stmt,
       std::vector<Value> projected;
       for (size_t slot : slots) projected.push_back(combined[slot]);
       result.rows.push_back(std::move(projected));
-      result.lineage.push_back(tids);
+      result.lineage.Append(tids);
       return Status::Ok();
     }
     for (const Row& row : tables[t]->rows()) {

@@ -10,6 +10,13 @@ namespace {
 
 Timestamp Ts(int64_t s) { return Timestamp(s * 1000000); }
 
+/// The lineage holding `rows`, each `width` tids wide.
+Lineage Rows(size_t width, const std::vector<std::vector<Tid>>& rows) {
+  auto lineage = Lineage::FromRows(width, rows);
+  EXPECT_TRUE(lineage.ok()) << lineage.status().ToString();
+  return lineage.ok() ? std::move(*lineage) : Lineage(width);
+}
+
 class ExecutorTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -37,14 +44,10 @@ TEST_F(ExecutorTest, LineageIdentifiesBaseTuples) {
   auto result = Run("SELECT name FROM P-Personal WHERE age < 30");
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->lineage.size(), 3u);
-  EXPECT_EQ(result->lineage[0], (std::vector<Tid>{11}));
-  EXPECT_EQ(result->lineage[1], (std::vector<Tid>{13}));
-  EXPECT_EQ(result->lineage[2], (std::vector<Tid>{14}));
-  auto personal = result->IndispensableTidBitmap("P-Personal");
-  auto health = result->IndispensableTidBitmap("P-Health");
-  ASSERT_TRUE(personal.ok() && health.ok());
-  EXPECT_EQ(personal->ToVector(), (std::vector<Tid>{11, 13, 14}));
-  EXPECT_TRUE(health->Empty());
+  EXPECT_EQ(result->lineage, Rows(1, {{11}, {13}, {14}}));
+  EXPECT_EQ(result->IndispensableTidBitmap("P-Personal").ToVector(),
+            (std::vector<Tid>{11, 13, 14}));
+  EXPECT_TRUE(result->IndispensableTidBitmap("P-Health").Empty());
 }
 
 TEST_F(ExecutorTest, SelectStar) {
@@ -64,8 +67,7 @@ TEST_F(ExecutorTest, TwoWayJoin) {
   EXPECT_EQ(result->rows[0][0], Value::String("Reku"));
   EXPECT_EQ(result->rows[1][0], Value::String("Lucy"));
   // Joint lineage: (t12,t22) and (t14,t24).
-  EXPECT_EQ(result->lineage[0], (std::vector<Tid>{12, 22}));
-  EXPECT_EQ(result->lineage[1], (std::vector<Tid>{14, 24}));
+  EXPECT_EQ(result->lineage, Rows(2, {{12, 22}, {14, 24}}));
 }
 
 TEST_F(ExecutorTest, ThreeWayJoinPaperExpression2) {
@@ -79,8 +81,7 @@ TEST_F(ExecutorTest, ThreeWayJoinPaperExpression2) {
   ASSERT_EQ(result->rows.size(), 2u);
   EXPECT_EQ(result->rows[0][0], Value::String("Reku"));
   EXPECT_EQ(result->rows[1][0], Value::String("Lucy"));
-  EXPECT_EQ(result->lineage[0], (std::vector<Tid>{12, 22, 32}));
-  EXPECT_EQ(result->lineage[1], (std::vector<Tid>{14, 24, 34}));
+  EXPECT_EQ(result->lineage, Rows(3, {{12, 22, 32}, {14, 24, 34}}));
 }
 
 TEST_F(ExecutorTest, CrossProductWithoutPredicate) {
@@ -269,7 +270,7 @@ TEST_F(ExecutorSemijoinTest, UnreachableInnerErrorSucceeds) {
   EXPECT_EQ(result->rows,
             (std::vector<std::vector<Value>>{{Value::Int(10), Value::Int(1)},
                                              {Value::Int(30), Value::Int(1)}}));
-  EXPECT_EQ(result->lineage, (std::vector<std::vector<Tid>>{{1, 1}, {3, 3}}));
+  EXPECT_EQ(result->lineage, Rows(2, {{1, 1}, {3, 3}}));
 }
 
 TEST_F(ExecutorSemijoinTest, NullKeysOnBothSidesNeverJoin) {
@@ -287,6 +288,121 @@ TEST_F(ExecutorSemijoinTest, NullKeysOnBothSidesNeverJoin) {
             (std::vector<std::vector<Value>>{{Value::Int(40), Value::Int(1)}}));
   EXPECT_EQ(result->rows, reference->rows);
   EXPECT_EQ(result->lineage, reference->lineage);
+}
+
+// A visit skips the hash join's own conjunct when the probe key is
+// non-NULL: every row the key index yields is Value == to the key, so
+// the conjunct is true there. Each case below runs with and without
+// values and must match brute force in rows, lineage and Status.
+class ExecutorHashSkipTest : public ExecutorSemijoinTest {
+ protected:
+  void ExpectMatchesBruteForce(const std::string& sql) {
+    auto stmt = sql::ParseSelect(sql);
+    ASSERT_TRUE(stmt.ok()) << sql;
+    auto reference = BruteForce(*stmt, db_.View());
+    auto full = Execute(*stmt, db_.View());
+    auto lean = Execute(*stmt, db_.View(), ExecOutput::kLineage);
+    ASSERT_EQ(full.status().ToString(), reference.status().ToString()) << sql;
+    ASSERT_EQ(lean.status().ToString(), reference.status().ToString()) << sql;
+    if (!reference.ok()) return;
+    EXPECT_EQ(full->rows, reference->rows) << sql;
+    EXPECT_EQ(full->lineage, reference->lineage) << sql;
+    EXPECT_TRUE(lean->rows.empty()) << sql;
+    EXPECT_EQ(lean->lineage, reference->lineage) << sql;
+  }
+};
+
+// NULL probe keys meet the NULL keys of the build side; the conjunct is
+// evaluated there (on a fully copied row) and rejects every such pair.
+TEST_F(ExecutorHashSkipTest, NullProbeKeysStillEvaluateTheConjunct) {
+  ASSERT_TRUE(db_.Insert("O", {Value::Null(), Value::Int(0)}, Ts(2)).ok());
+  ASSERT_TRUE(db_.Insert("O", {Value::Null(), Value::Int(-1)}, Ts(2)).ok());
+  InsertN(Value::Null(), 1, Value::Int(1));
+  InsertN(Value::Int(4), 1, Value::Int(2));
+  InsertN(Value::Null(), 0, Value::Int(3));
+  ExpectMatchesBruteForce("SELECT x, v FROM O, N WHERE O.k = N.k");
+  ExpectMatchesBruteForce("SELECT v FROM O, N WHERE O.k = N.k AND O.x < N.v");
+  ExpectMatchesBruteForce("SELECT x FROM N, O WHERE N.k = O.k AND N.flag = 1");
+}
+
+// Storage does not enforce declared types: STRING or DOUBLE keys in INT
+// columns still hash-join, and the pairs the index yields hold one
+// alternative, so skipping the conjunct keeps the result. (Each world
+// keeps one stored type per key column: a STRING key meeting an INT one
+// is a type error under the conjunct, which only brute force visits.)
+TEST_F(ExecutorHashSkipTest, StoredKeyTypesDifferFromDeclared) {
+  for (const auto& [keys_a, keys_b] :
+       {std::pair<std::vector<Value>, std::vector<Value>>{
+            {Value::String("a"), Value::String("b"), Value::String("c")},
+            {Value::String("b"), Value::String("x"), Value::String("a"),
+             Value::String("b")}},
+        {{Value::Double(1.5), Value::Double(2.0), Value::Double(-3.25)},
+         {Value::Double(2.0), Value::Double(7.0), Value::Double(1.5)}}}) {
+    Database db;
+    ASSERT_TRUE(db.CreateTable(TableSchema("A", {{"k", ValueType::kInt},
+                                                 {"x", ValueType::kInt}}))
+                    .ok());
+    ASSERT_TRUE(db.CreateTable(TableSchema("B", {{"k", ValueType::kInt},
+                                                 {"v", ValueType::kInt}}))
+                    .ok());
+    int64_t n = 0;
+    for (const Value& k : keys_a) {
+      ASSERT_TRUE(db.Insert("A", {k, Value::Int(++n)}, Ts(2)).ok());
+    }
+    for (const Value& k : keys_b) {
+      ASSERT_TRUE(db.Insert("B", {k, Value::Int(++n)}, Ts(2)).ok());
+    }
+    for (const char* sql :
+         {"SELECT x, v FROM A, B WHERE A.k = B.k",
+          "SELECT x FROM B, A WHERE B.k = A.k AND A.x > 1",
+          "SELECT v FROM A, B WHERE A.k = B.k AND A.x < B.v"}) {
+      auto stmt = sql::ParseSelect(sql);
+      ASSERT_TRUE(stmt.ok()) << sql;
+      auto reference = BruteForce(*stmt, db.View());
+      ASSERT_TRUE(reference.ok()) << sql;
+      EXPECT_FALSE(reference->lineage.empty()) << sql;
+      for (ExecOutput output :
+           {ExecOutput::kLineageAndValues, ExecOutput::kLineage}) {
+        auto result = Execute(*stmt, db.View(), output);
+        ASSERT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
+        EXPECT_EQ(result->lineage, reference->lineage) << sql;
+        if (output == ExecOutput::kLineageAndValues) {
+          EXPECT_EQ(result->rows, reference->rows) << sql;
+        }
+      }
+    }
+  }
+}
+
+// A cross conjunct next to the hash conjunct still runs on every visited
+// row and may read columns nothing projects: its error is unchanged, in
+// either output mode. Brute force errs on an earlier, unjoined pair, so
+// the expected statuses are recorded from the executor before visits
+// skipped the hash conjunct or copied only read columns.
+TEST_F(ExecutorHashSkipTest, ErroringConjunctNextToTheHashConjunct) {
+  InsertN(Value::Int(1), 1, Value::Int(1));
+  InsertN(Value::Int(2), 0, Value::String("bad"));
+  InsertN(Value::Int(3), 1, Value::Int(1));
+  const std::pair<const char*, const char*> kCases[] = {
+      {"SELECT x FROM O, N WHERE O.k = N.k AND O.x + N.v > 0",
+       "TypeError: arithmetic on non-numeric values: 20 + 'bad'"},
+      {"SELECT flag FROM O, N WHERE O.k = N.k AND O.x < N.v",
+       "TypeError: cannot compare INT with STRING"},
+      {"SELECT x FROM O, N WHERE O.x + N.v > 0 AND O.k = N.k",
+       "TypeError: arithmetic on non-numeric values: 20 + 'bad'"},
+      {"SELECT x FROM N, O WHERE N.k = O.k AND N.v * 2 > O.x",
+       "TypeError: arithmetic on non-numeric values: 'bad' * 2"},
+  };
+  for (const auto& [sql, status] : kCases) {
+    auto stmt = sql::ParseSelect(sql);
+    ASSERT_TRUE(stmt.ok()) << sql;
+    for (ExecOutput output :
+         {ExecOutput::kLineageAndValues, ExecOutput::kLineage}) {
+      auto result = Execute(*stmt, db_.View(), output);
+      ASSERT_FALSE(result.ok()) << sql;
+      EXPECT_EQ(result.status().ToString(), status) << sql;
+    }
+  }
 }
 
 TEST_F(ExecutorSemijoinTest, CostRuleSkipsSelectiveOuterQueries) {

@@ -52,11 +52,10 @@ TEST_F(LineageTest, JoinProfileSpansTables) {
   EXPECT_TRUE(profile.Accesses(ColumnRef{"P-Health", "disease"}));
   EXPECT_TRUE(profile.Accesses(ColumnRef{"P-Health", "pid"}));
   EXPECT_TRUE(profile.Accesses(ColumnRef{"P-Personal", "pid"}));
-  auto personal = profile.result.IndispensableTidBitmap("P-Personal");
-  auto health = profile.result.IndispensableTidBitmap("P-Health");
-  ASSERT_TRUE(personal.ok() && health.ok());
-  EXPECT_EQ(personal->ToVector(), (std::vector<Tid>{12, 14}));
-  EXPECT_EQ(health->ToVector(), (std::vector<Tid>{22, 24}));
+  EXPECT_EQ(profile.IndispensableTids("P-Personal").ToVector(),
+            (std::vector<Tid>{12, 14}));
+  EXPECT_EQ(profile.IndispensableTids("P-Health").ToVector(),
+            (std::vector<Tid>{22, 24}));
 }
 
 TEST_F(LineageTest, PaperSuspicionExample) {
@@ -68,9 +67,66 @@ TEST_F(LineageTest, PaperSuspicionExample) {
       "SELECT zipcode FROM P-Personal, P-Health "
       "WHERE P-Personal.pid = P-Health.pid AND disease = 'cancer'");
   EXPECT_TRUE(profile.result.rows.empty());
-  auto personal = profile.result.IndispensableTidBitmap("P-Personal");
-  ASSERT_TRUE(personal.ok());
-  EXPECT_TRUE(personal->Empty());
+  EXPECT_TRUE(profile.IndispensableTids("P-Personal").Empty());
+}
+
+// A ragged lineage cannot exist: the executor appends a whole row of
+// FROM-width tids at a time, and a lineage built from per-row lists
+// refuses any row of the wrong width, naming it. So suspicion checks
+// and minimization need no ragged-row check of their own.
+constexpr const char* kJoinQuery =
+    "SELECT name, disease, address FROM P-Personal, P-Health "
+    "WHERE P-Personal.pid=P-Health.pid AND zipcode='145568' "
+    "AND disease='diabetic'";
+
+std::vector<std::vector<Tid>> RowsOf(const Lineage& lineage) {
+  std::vector<std::vector<Tid>> rows;
+  for (std::span<const Tid> row : lineage) {
+    rows.emplace_back(row.begin(), row.end());
+  }
+  return rows;
+}
+
+TEST_F(LineageTest, WellFormedRowsRoundTrip) {
+  auto profile = MustProfile(kJoinQuery);
+  const Lineage& lineage = profile.result.lineage;
+  ASSERT_EQ(lineage.width(), 2u);
+  ASSERT_FALSE(lineage.empty());
+  auto rebuilt = Lineage::FromRows(2, RowsOf(lineage));
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+  EXPECT_EQ(*rebuilt, lineage);
+  EXPECT_EQ(rebuilt->size(), lineage.size());
+}
+
+TEST_F(LineageTest, ShortRowIsRefused) {
+  auto rows = RowsOf(MustProfile(kJoinQuery).result.lineage);
+  ASSERT_FALSE(rows.empty());
+  rows[0].pop_back();  // now shorter than FROM
+  auto lineage = Lineage::FromRows(2, rows);
+  ASSERT_FALSE(lineage.ok());
+  EXPECT_EQ(lineage.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(lineage.status().message().find("ragged lineage row 0"),
+            std::string::npos)
+      << lineage.status().ToString();
+}
+
+TEST_F(LineageTest, LongRowIsRefused) {
+  auto rows = RowsOf(MustProfile(kJoinQuery).result.lineage);
+  ASSERT_GE(rows.size(), 2u);
+  rows.back().push_back(rows.back().back());  // now longer than FROM
+  auto lineage = Lineage::FromRows(2, rows);
+  ASSERT_FALSE(lineage.ok());
+  EXPECT_NE(lineage.status().message().find(
+                "ragged lineage row " + std::to_string(rows.size() - 1)),
+            std::string::npos)
+      << lineage.status().ToString();
+}
+
+TEST_F(LineageTest, RaggedRowErrorNamesTheRow) {
+  auto lineage = Lineage::FromRows(2, {{11, 21}, {12, 22}, {}, {14}});
+  ASSERT_FALSE(lineage.ok());
+  EXPECT_EQ(lineage.status().ToString(),
+            "InvalidArgument: ragged lineage row 2: 0 entries for width 2");
 }
 
 }  // namespace

@@ -379,6 +379,39 @@ TEST(ClusterTest, PromoteTurnsAReplicaIntoAWritablePrimary) {
   ASSERT_TRUE(again.ok());
 }
 
+// Promote is a v2-only frame, fenced like Subscribe and Replicate: an
+// ADB1 connection is refused before the node changes role, and the same
+// request over ADB2 still promotes.
+TEST(ClusterTest, PromoteOverV1IsRefused) {
+  Node::Config primary_config;
+  primary_config.fixture_patients = 6;
+  Node primary(primary_config);
+  Node::Config replica_config;
+  replica_config.replicate_from = primary.address();
+  Node replica(replica_config);
+  ASSERT_TRUE(WaitUntil([&] {
+    return primary.server->follower_count() == 1;
+  }));
+  primary.server->Shutdown();
+
+  AuditClientOptions v1;
+  v1.wire_version = WireVersion::kV1;
+  AuditClient old_admin(replica.server->host(), replica.server->port(), v1);
+  auto refused = old_admin.RoundTrip(
+      Message{MessageType::kPromoteRequest, EncodeFields({"primary"})});
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(refused.status().message().find("promotion"), std::string::npos)
+      << refused.status().ToString();
+  EXPECT_TRUE(replica.server->is_replica());
+
+  AuditClient admin(replica.server->host(), replica.server->port());
+  auto promoted = admin.RoundTrip(
+      Message{MessageType::kPromoteRequest, EncodeFields({"primary"})});
+  ASSERT_TRUE(promoted.ok()) << promoted.status().ToString();
+  EXPECT_FALSE(replica.server->is_replica());
+}
+
 TEST(ClusterTest, QuorumAckToleratesOneSlowFollowerOfTwo) {
   Node::Config primary_config;
   primary_config.fixture_patients = 6;

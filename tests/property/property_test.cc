@@ -1,6 +1,7 @@
 /// Property-based differential tests of core invariants:
 ///   - the executor against a brute-force cross-product reference
 ///     (rows, lineage and row order);
+///   - lineage-only access profiles against profiles with values;
 ///   - backlog snapshots against a naive replay model;
 ///   - granule enumeration against the closed-form count;
 ///   - monotonicity of batch suspicion (adding queries never clears).
@@ -10,10 +11,13 @@
 #include <map>
 
 #include "src/audit/audit_parser.h"
+#include "src/audit/audit_stages.h"
 #include "src/audit/suspicion.h"
+#include "src/audit/target_view.h"
 #include "src/backlog/backlog.h"
 #include "src/common/random.h"
 #include "src/engine/executor.h"
+#include "src/engine/lineage.h"
 #include "src/workload/hospital.h"
 #include "tests/engine/executor_reference.h"
 
@@ -132,10 +136,94 @@ TEST_P(ExecutorDifferential, MatchesBruteForce) {
     EXPECT_EQ(fast->columns, slow->columns) << stmt.ToString();
     EXPECT_EQ(fast->rows, slow->rows) << stmt.ToString();
     EXPECT_EQ(fast->lineage, slow->lineage) << stmt.ToString();
+    // Without values a visit copies only what conjuncts and probes read.
+    auto lean = Execute(stmt, view, ExecOutput::kLineage);
+    ASSERT_TRUE(lean.ok()) << stmt.ToString();
+    EXPECT_EQ(lean->lineage, slow->lineage) << stmt.ToString();
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ExecutorDifferential,
+                         ::testing::Range<uint64_t>(1, 16));
+
+// ---------------------------------------------------------------------
+// Lineage-only profiles vs profiles with values.
+
+/// Over the ExecutorDifferential worlds, a profile computed without
+/// values must carry the same lineage and per-table tid bitmaps as one
+/// with values, and every INDISPENSABLE = true check (batch, singleton
+/// and minimization, in both indispensability modes) must agree on them.
+class LineageOnlyDifferential : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(LineageOnlyDifferential, MatchesValuesProfile) {
+  Random rng(GetParam());
+  Database db;
+  BuildRandomDb(rng, &db, 4 + rng.Uniform(3));
+  auto view = db.View();
+
+  std::vector<AccessProfile> lean;
+  std::vector<AccessProfile> full;
+  std::vector<int64_t> ids;
+  for (int i = 0; i < 25; ++i) {
+    sql::SelectStatement stmt = RandomQuery(rng);
+    auto lineage_only = ComputeAccessProfile(stmt, view, ExecOutput::kLineage);
+    auto with_values = ComputeAccessProfile(stmt, view);
+    ASSERT_TRUE(lineage_only.ok()) << stmt.ToString();
+    ASSERT_TRUE(with_values.ok()) << stmt.ToString();
+    EXPECT_TRUE(lineage_only->result.rows.empty()) << stmt.ToString();
+    EXPECT_EQ(with_values->result.rows.size(),
+              with_values->result.lineage.size());
+    EXPECT_EQ(lineage_only->result.lineage, with_values->result.lineage)
+        << stmt.ToString();
+    EXPECT_EQ(lineage_only->table_tids, with_values->table_tids)
+        << stmt.ToString();
+    EXPECT_EQ(lineage_only->accessed_columns, with_values->accessed_columns);
+    EXPECT_EQ(lineage_only->output_columns, with_values->output_columns);
+    lean.push_back(std::move(*lineage_only));
+    full.push_back(std::move(*with_values));
+    ids.push_back(i + 1);
+  }
+
+  for (const char* text :
+       {"AUDIT (b, d) FROM T0, T1 WHERE T0.a = T1.c",
+        "THRESHOLD 2 AUDIT (a), (e) FROM T0, T2 WHERE T0.b >= T2.e",
+        "THRESHOLD ALL AUDIT b FROM T0 WHERE T0.b < 3"}) {
+    auto parsed = audit::ParseAudit(text, Ts(1000));
+    ASSERT_TRUE(parsed.ok()) << text << ": " << parsed.status().ToString();
+    audit::AuditExpression expr = std::move(*parsed);
+    ASSERT_TRUE(expr.Qualify(view.catalog()).ok()) << text;
+    auto target = audit::ComputeTargetView(expr, view, Ts(1));
+    ASSERT_TRUE(target.ok()) << text;
+    auto schemes = audit::BuildSchemes(expr);
+    for (auto mode : {audit::IndispensabilityMode::kPerTable,
+                      audit::IndispensabilityMode::kJointPerQuery}) {
+      audit::SuspicionOptions options;
+      options.mode = mode;
+      auto check = [&](const std::vector<const AccessProfile*>& batch) {
+        auto result = audit::CheckBatchSuspicion(
+            *target, schemes, expr.threshold, expr.indispensable, batch,
+            options);
+        EXPECT_TRUE(result.ok()) << text;
+        return result.ok() ? result->suspicious : false;
+      };
+      std::vector<const AccessProfile*> lean_batch, full_batch;
+      for (size_t q = 0; q < lean.size(); ++q) {
+        lean_batch.push_back(&lean[q]);
+        full_batch.push_back(&full[q]);
+        EXPECT_EQ(check({&lean[q]}), check({&full[q]})) << text << " #" << q;
+      }
+      EXPECT_EQ(check(lean_batch), check(full_batch)) << text;
+      auto lean_kept =
+          audit::MinimizeBatch(*target, schemes, expr, lean, ids, options);
+      auto full_kept =
+          audit::MinimizeBatch(*target, schemes, expr, full, ids, options);
+      ASSERT_TRUE(lean_kept.ok() && full_kept.ok()) << text;
+      EXPECT_EQ(*lean_kept, *full_kept) << text;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LineageOnlyDifferential,
                          ::testing::Range<uint64_t>(1, 16));
 
 // ---------------------------------------------------------------------

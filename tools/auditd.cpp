@@ -84,6 +84,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -99,6 +100,8 @@
 using namespace auditdb;
 
 namespace {
+
+constexpr int kMaxInt = std::numeric_limits<int>::max();
 
 struct Flags {
   std::string host = "127.0.0.1";
@@ -168,7 +171,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--host" && (value = next())) {
       flags.host = value;
     } else if (arg == "--port" && (value = next())) {
-      flags.port = std::atoi(value);
+      if (!ParseIntInRange(value, 0, 65535, &flags.port)) {
+        return Usage(argv[0]);
+      }
     } else if (arg == "--service-threads" && (value = next())) {
       if (!ParseUint64(value, &flags.service_threads)) return Usage(argv[0]);
     } else if (arg == "--handler-threads" && (value = next())) {
@@ -188,7 +193,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--max-response" && (value = next())) {
       if (!ParseUint64(value, &flags.max_response)) return Usage(argv[0]);
     } else if (arg == "--idle-timeout-ms" && (value = next())) {
-      flags.idle_timeout_ms = std::atoi(value);
+      if (!ParseIntInRange(value, 0, kMaxInt, &flags.idle_timeout_ms)) {
+        return Usage(argv[0]);
+      }
     } else if (arg == "--max-subscriptions" && (value = next())) {
       if (!ParseUint64(value, &flags.max_subscriptions)) return Usage(argv[0]);
     } else if (arg == "--push-queue-depth" && (value = next())) {
@@ -243,7 +250,9 @@ int main(int argc, char** argv) {
       flags.repl_ack = *policy;
       flags.replication = true;
     } else if (arg == "--repl-ack-timeout-ms" && (value = next())) {
-      flags.repl_ack_timeout_ms = std::atoi(value);
+      if (!ParseIntInRange(value, 0, kMaxInt, &flags.repl_ack_timeout_ms)) {
+        return Usage(argv[0]);
+      }
       flags.replication = true;
     } else if (arg == "--advertise" && (value = next())) {
       if (!net::ParseHostPort(value).ok()) return Usage(argv[0]);

@@ -19,9 +19,11 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 
 #include "src/audit/auditor.h"
+#include "src/common/string_util.h"
 #include "src/io/file.h"
 #include "src/io/store.h"
 #include "src/net/client.h"
@@ -29,6 +31,8 @@
 using namespace auditdb;
 
 namespace {
+
+constexpr int kMaxInt = std::numeric_limits<int>::max();
 
 Timestamp Ts(int64_t s) { return Timestamp(s * 1000000); }
 
@@ -44,14 +48,17 @@ int Drive(const std::string& target, int max_queries) {
     std::fprintf(stderr, "expected HOST:PORT, got %s\n", target.c_str());
     return 2;
   }
+  int port = 0;
+  if (!ParseIntInRange(target.substr(colon + 1), 1, 65535, &port)) {
+    std::fprintf(stderr, "bad port in %s\n", target.c_str());
+    return 2;
+  }
   net::AuditClientOptions options;
   // An ambiguous cut (sent but never answered) must not re-send: the
   // count below is a lower bound on what the WAL accepted.
   options.retry_idempotent = false;
-  net::AuditClient client(
-      target.substr(0, colon),
-      static_cast<uint16_t>(std::atoi(target.c_str() + colon + 1)),
-      options);
+  net::AuditClient client(target.substr(0, colon),
+                          static_cast<uint16_t>(port), options);
   int acked = 0;
   for (int i = 0; i < max_queries; ++i) {
     auto executed = client.ExecuteQuery(
@@ -123,11 +130,14 @@ int Verify(const std::string& data_dir, int min_acked) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc == 4 && std::string(argv[1]) == "drive") {
-    return Drive(argv[2], std::atoi(argv[3]));
+  int count = 0;
+  const bool counted =
+      argc == 4 && ParseIntInRange(argv[3], 0, kMaxInt, &count);
+  if (counted && std::string(argv[1]) == "drive") {
+    return Drive(argv[2], count);
   }
-  if (argc == 4 && std::string(argv[1]) == "verify") {
-    return Verify(argv[2], std::atoi(argv[3]));
+  if (counted && std::string(argv[1]) == "verify") {
+    return Verify(argv[2], count);
   }
   std::fprintf(stderr,
                "usage: %s drive HOST:PORT MAX_QUERIES\n"

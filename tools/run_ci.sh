@@ -108,9 +108,11 @@ cmake --build "${PREFIX}-asan" -j "${JOBS}" \
 # along: the reduction indexes row masks by index-match positions. So
 # does the online reference differential: the monitor's pooled
 # screenings share cached profiles by pointer across a churning world.
+# The lineage suites ride along: flat lineage rows are spans into one
+# vector, and lineage-only visits leave unread combined-row slots stale.
 export ASAN_OPTIONS="halt_on_error=1:abort_on_error=0:exitcode=99"
 ctest --test-dir "${PREFIX}-asan" --output-on-failure \
-      -R 'FrameCodecTest|FrameReaderTest|FieldCodecTest|ErrorCodecTest|TypePredicatesTest|AuditServerTest|PushCodecTest|SubscriptionRegistryTest|PushSubscriptionTest|TidBitmapTest|TidBitmapDifferentialTest|SuspicionTest|SuspicionReferenceTest|MinimizeDifferentialTest|OnlineAuditorTest.FailedReexecutionIsAnErrorNotAClear|OnlineAuditorTest.OneFailingExpressionDoesNotStopTheOthers|ClusterTest.ReplicaCountsAFailedObserveReexecution|ExecutorDifferential|ExecutorReferenceTest|TableScanTest|PredicateProgramTest|PredicateProgramPropertyTest|JoinKeyIndexTest|TableVersionTest.JoinIndexIsBuiltOncePerVersionAndColumn|AuditorTest.RepeatedCandidatesShareOneExecutionPerState|BacklogDifferential|BacklogCursorTest|TargetViewSweepDifferential|ChurnedAuditorTest|SemijoinDifferential|ExecutorSemijoinTest|OnlineReferenceDifferential'
+      -R 'FrameCodecTest|FrameReaderTest|FieldCodecTest|ErrorCodecTest|TypePredicatesTest|AuditServerTest|PushCodecTest|SubscriptionRegistryTest|PushSubscriptionTest|TidBitmapTest|TidBitmapDifferentialTest|SuspicionTest|SuspicionReferenceTest|MinimizeDifferentialTest|OnlineAuditorTest.FailedReexecutionIsAnErrorNotAClear|OnlineAuditorTest.OneFailingExpressionDoesNotStopTheOthers|ClusterTest.ReplicaCountsAFailedObserveReexecution|ExecutorDifferential|ExecutorReferenceTest|TableScanTest|PredicateProgramTest|PredicateProgramPropertyTest|JoinKeyIndexTest|TableVersionTest.JoinIndexIsBuiltOncePerVersionAndColumn|AuditorTest.RepeatedCandidatesShareOneExecutionPerState|BacklogDifferential|BacklogCursorTest|TargetViewSweepDifferential|ChurnedAuditorTest|SemijoinDifferential|ExecutorSemijoinTest|ExecutorHashSkipTest|OnlineReferenceDifferential|LineageTest|LineageOnlyDifferential'
 
 echo "-- auditd loopback smoke (ASan build) --"
 PORT_FILE="$(mktemp)"
@@ -237,7 +239,8 @@ echo "== [5/9] tid-bitmap kernels under UndefinedBehaviorSanitizer =="
 # casts between index positions, masks and allowed-row lists), and the
 # online reference differential (rank arithmetic over failing and
 # churned streams), and the strict integer parsers (their int64 and
-# uint64 range edges).
+# uint64 range edges), and the lineage suites (row offsets into the flat
+# tid vector).
 cmake -B "${PREFIX}-ubsan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DAUDITDB_SANITIZE=undefined
 cmake --build "${PREFIX}-ubsan" -j "${JOBS}" \
@@ -247,7 +250,7 @@ cmake --build "${PREFIX}-ubsan" -j "${JOBS}" \
                target_view_test online_reference_test expr_test
 export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
 ctest --test-dir "${PREFIX}-ubsan" --output-on-failure \
-      -R 'StringUtilTest|TidBitmapTest|TidBitmapDifferentialTest|SuspicionTest|SuspicionReferenceTest|MinimizeDifferentialTest|OnlineAuditorTest.FailedReexecutionIsAnErrorNotAClear|OnlineAuditorTest.OneFailingExpressionDoesNotStopTheOthers|ClusterTest.ReplicaCountsAFailedObserveReexecution|ExecutorDifferential|ExecutorReferenceTest|TableScanTest|PredicateProgramTest|PredicateProgramPropertyTest|JoinKeyIndexTest|TableVersionTest.JoinIndexIsBuiltOncePerVersionAndColumn|AuditorTest.RepeatedCandidatesShareOneExecutionPerState|BacklogDifferential|BacklogCursorTest|TargetViewSweepDifferential|ChurnedAuditorTest|SemijoinDifferential|ExecutorSemijoinTest|OnlineReferenceDifferential'
+      -R 'StringUtilTest|TidBitmapTest|TidBitmapDifferentialTest|SuspicionTest|SuspicionReferenceTest|MinimizeDifferentialTest|OnlineAuditorTest.FailedReexecutionIsAnErrorNotAClear|OnlineAuditorTest.OneFailingExpressionDoesNotStopTheOthers|ClusterTest.ReplicaCountsAFailedObserveReexecution|ExecutorDifferential|ExecutorReferenceTest|TableScanTest|PredicateProgramTest|PredicateProgramPropertyTest|JoinKeyIndexTest|TableVersionTest.JoinIndexIsBuiltOncePerVersionAndColumn|AuditorTest.RepeatedCandidatesShareOneExecutionPerState|BacklogDifferential|BacklogCursorTest|TargetViewSweepDifferential|ChurnedAuditorTest|SemijoinDifferential|ExecutorSemijoinTest|ExecutorHashSkipTest|OnlineReferenceDifferential|LineageTest|LineageOnlyDifferential'
 
 echo "== [6/9] policy gate under AddressSanitizer =="
 cmake --build "${PREFIX}-asan" -j "${JOBS}" \

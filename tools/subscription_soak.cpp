@@ -40,6 +40,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -56,6 +57,8 @@ using namespace auditdb;
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+constexpr int kMaxInt = std::numeric_limits<int>::max();
 
 struct Flags {
   std::string host = "127.0.0.1";
@@ -126,7 +129,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--host" && (value = next())) {
       flags.host = value;
     } else if (arg == "--port" && (value = next())) {
-      flags.port = std::atoi(value);
+      if (!ParseIntInRange(value, 0, 65535, &flags.port)) {
+        return Usage(argv[0]);
+      }
     } else if (arg == "--subscribers" && (value = next())) {
       if (!ParseUint64(value, &flags.subscribers)) return Usage(argv[0]);
     } else if (arg == "--queries" && (value = next())) {
@@ -134,11 +139,17 @@ int main(int argc, char** argv) {
     } else if (arg == "--slow" && (value = next())) {
       if (!ParseUint64(value, &flags.slow)) return Usage(argv[0]);
     } else if (arg == "--slow-sleep-ms" && (value = next())) {
-      flags.slow_sleep_ms = std::atoi(value);
+      if (!ParseIntInRange(value, 0, kMaxInt, &flags.slow_sleep_ms)) {
+        return Usage(argv[0]);
+      }
     } else if (arg == "--slow-rcvbuf" && (value = next())) {
-      flags.slow_rcvbuf = std::atoi(value);
+      if (!ParseIntInRange(value, 0, kMaxInt, &flags.slow_rcvbuf)) {
+        return Usage(argv[0]);
+      }
     } else if (arg == "--timeout-ms" && (value = next())) {
-      flags.timeout_ms = std::atoi(value);
+      if (!ParseIntInRange(value, 0, kMaxInt, &flags.timeout_ms)) {
+        return Usage(argv[0]);
+      }
     } else {
       return Usage(argv[0]);
     }
