@@ -17,7 +17,6 @@
 #include "bench/bench_util.h"
 #include "src/audit/granule.h"
 #include "src/common/tid_bitmap.h"
-#include "src/types/column_vector.h"
 
 namespace {
 
@@ -46,13 +45,21 @@ ViewWorld MakeViewWorld(size_t patients, const std::string& audit_text) {
   return vw;
 }
 
+audit::GranuleEnumerator Enumerator(
+    const ViewWorld& vw, const std::vector<audit::GranuleScheme>& schemes) {
+  auto g = audit::GranuleEnumerator::Make(vw.view, schemes,
+                                          vw.expr.threshold);
+  if (!g.ok()) std::abort();
+  return std::move(*g);
+}
+
 /// Lazy enumeration of every granule, |U| sweep at THRESHOLD 1.
 void BM_EnumerateThreshold1(benchmark::State& state) {
   const size_t patients = static_cast<size_t>(state.range(0));
   auto vw = MakeViewWorld(patients,
                           "AUDIT [name,disease] FROM P-Personal, P-Health "
                           "WHERE P-Personal.pid = P-Health.pid");
-  audit::GranuleEnumerator g(vw.view, vw.schemes, vw.expr.threshold);
+  audit::GranuleEnumerator g = Enumerator(vw, vw.schemes);
   for (auto _ : state) {
     uint64_t n = g.ForEach([](const audit::Granule&) { return true; });
     benchmark::DoNotOptimize(n);
@@ -70,7 +77,7 @@ void BM_EnumerateThresholdK(benchmark::State& state) {
   const int64_t k = state.range(0);
   auto vw = MakeViewWorld(30, "THRESHOLD " + std::to_string(k) +
                                   " AUDIT (name) FROM P-Personal");
-  audit::GranuleEnumerator g(vw.view, vw.schemes, vw.expr.threshold);
+  audit::GranuleEnumerator g = Enumerator(vw, vw.schemes);
   for (auto _ : state) {
     uint64_t n = g.ForEach([](const audit::Granule&) { return true; });
     benchmark::DoNotOptimize(n);
@@ -91,7 +98,7 @@ void BM_CountOnly(benchmark::State& state) {
   auto vw = MakeViewWorld(30, "THRESHOLD " + std::to_string(k) +
                                   " AUDIT (name) FROM P-Personal");
   for (auto _ : state) {
-    audit::GranuleEnumerator g(vw.view, vw.schemes, vw.expr.threshold);
+    audit::GranuleEnumerator g = Enumerator(vw, vw.schemes);
     double count = g.CountGranules();
     benchmark::DoNotOptimize(count);
   }
@@ -104,7 +111,7 @@ void BM_MaterializeRendered(benchmark::State& state) {
   auto vw = MakeViewWorld(patients,
                           "AUDIT [name,disease] FROM P-Personal, P-Health "
                           "WHERE P-Personal.pid = P-Health.pid");
-  audit::GranuleEnumerator g(vw.view, vw.schemes, vw.expr.threshold);
+  audit::GranuleEnumerator g = Enumerator(vw, vw.schemes);
   for (auto _ : state) {
     auto rendered = g.RenderDistinct(SIZE_MAX);
     benchmark::DoNotOptimize(rendered);
@@ -132,7 +139,7 @@ void BM_SchemeEnumeration(benchmark::State& state) {
                                    "WHERE P-Personal.pid = P-Health.pid");
   for (auto _ : state) {
     auto schemes = audit::BuildSchemes(vw.expr);
-    audit::GranuleEnumerator g(vw.view, schemes, vw.expr.threshold);
+    audit::GranuleEnumerator g = Enumerator(vw, schemes);
     uint64_t n = g.ForEach([](const audit::Granule&) { return true; });
     benchmark::DoNotOptimize(n);
   }
@@ -296,30 +303,6 @@ BENCHMARK(BM_WitnessIntersect)
     ->Args({10000000, 0, 0})
     ->Args({10000000, 0, 1})
     ->Unit(benchmark::kMillisecond);
-
-// Arg: rows. The granule validity screen (NULL filtering over the target
-// view's fact batch) at 10M rows, ~1% NULLs.
-void BM_ValidityScreen(benchmark::State& state) {
-  const size_t rows = static_cast<size_t>(state.range(0));
-  Batch batch;
-  batch.num_rows = rows;
-  Value scratch;
-  auto get = [&](size_t i) -> const Value& {
-    scratch = (i % 97 == 0) ? Value::Null()
-                            : Value::Int(static_cast<int64_t>(i));
-    return scratch;
-  };
-  batch.columns.push_back(ColumnVector::Gather(rows, get));
-  batch.columns.push_back(ColumnVector::Gather(rows, get));
-  const std::vector<size_t> cols = {0, 1};
-  for (auto _ : state) {
-    auto valid = NonNullRows(batch, cols);
-    benchmark::DoNotOptimize(valid.size());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(rows));
-}
-BENCHMARK(BM_ValidityScreen)->Arg(10000000)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

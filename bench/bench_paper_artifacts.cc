@@ -90,15 +90,16 @@ void PrintArtifacts() {
     auto expr = Parse(text);
     auto view = audit::ComputeTargetView(expr, PaperDb()->View(), Ts(1));
     if (!view.ok()) std::abort();
-    audit::GranuleEnumerator g(*view, audit::BuildSchemes(expr),
-                               expr.threshold);
+    auto g = audit::GranuleEnumerator::Make(*view, audit::BuildSchemes(expr),
+                                            expr.threshold);
+    if (!g.ok()) std::abort();
     std::printf("\n=== %s ===\nG = {", label);
     bool first = true;
-    for (const auto& text_granule : g.RenderDistinct(1000)) {
+    for (const auto& text_granule : g->RenderDistinct(1000)) {
       std::printf("%s%s", first ? "" : ", ", text_granule.c_str());
       first = false;
     }
-    std::printf("}  (|G| = %.0f)\n", g.CountGranules());
+    std::printf("}  (|G| = %.0f)\n", g->CountGranules());
   };
 
   granules_of("Fig. 4: perfect-privacy granule set", kFig4);
@@ -174,8 +175,9 @@ void GranuleBench(benchmark::State& state, const char* text) {
   if (!view.ok()) std::abort();
   auto schemes = audit::BuildSchemes(expr);
   for (auto _ : state) {
-    audit::GranuleEnumerator g(*view, schemes, expr.threshold);
-    uint64_t n = g.ForEach([](const audit::Granule&) { return true; });
+    auto g = audit::GranuleEnumerator::Make(*view, schemes, expr.threshold);
+    if (!g.ok()) std::abort();
+    uint64_t n = g->ForEach([](const audit::Granule&) { return true; });
     benchmark::DoNotOptimize(n);
   }
 }

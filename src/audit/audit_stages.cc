@@ -8,7 +8,6 @@
 #include "src/audit/audit_index.h"
 #include "src/audit/candidate.h"
 #include "src/common/hashing.h"
-#include "src/types/column_vector.h"
 
 namespace auditdb {
 namespace audit {
@@ -41,12 +40,12 @@ class SupportCounts {
   /// Resolves the schemes, collects every component of every valid fact
   /// and every query's supports: in per-table mode the profiles' per-table
   /// tid bitmaps, in joint mode each covering query's lineage projected
-  /// onto the scheme tables.
-  void Build(const TargetView& view,
-             const std::vector<GranuleScheme>& schemes,
-             const AuditExpression& expr,
-             const std::vector<const AccessProfile*>& profiles,
-             IndispensabilityMode mode);
+  /// onto the scheme tables. Fails when a scheme does not resolve.
+  Status Build(const TargetView& view,
+               const std::vector<GranuleScheme>& schemes,
+               const AuditExpression& expr,
+               const std::vector<const AccessProfile*>& profiles,
+               IndispensabilityMode mode);
 
   /// Whether the kept batch without query `q` still fires some scheme.
   /// O(|supports of q|) plus one pass over the live schemes.
@@ -56,8 +55,7 @@ class SupportCounts {
   void Drop(size_t q);
 
  private:
-  /// A scheme that can fire at all: resolved against the view, k > 0 and
-  /// at least k valid facts.
+  /// A scheme that can fire at all: k > 0 and at least k valid facts.
   struct LiveScheme {
     size_t k = 0;
     std::vector<uint32_t> attrs;
@@ -104,16 +102,17 @@ class SupportCounts {
   std::vector<std::vector<uint32_t>> covers_;
 };
 
-void SupportCounts::Build(const TargetView& view,
-                          const std::vector<GranuleScheme>& schemes,
-                          const AuditExpression& expr,
-                          const std::vector<const AccessProfile*>& profiles,
-                          IndispensabilityMode mode) {
+Status SupportCounts::Build(const TargetView& view,
+                            const std::vector<GranuleScheme>& schemes,
+                            const AuditExpression& expr,
+                            const std::vector<const AccessProfile*>& profiles,
+                            IndispensabilityMode mode) {
+  auto resolved = ResolveSchemes(view, schemes, expr.threshold);
+  if (!resolved.ok()) return resolved.status();
   const bool per_table =
       expr.indispensable && mode == IndispensabilityMode::kPerTable;
   const bool joint =
       expr.indispensable && mode == IndispensabilityMode::kJointPerQuery;
-  Batch view_batch = view.ToBatch();
 
   // Component keys: (table, tid) per table; (scheme tables, tid tuple)
   // per table list in joint mode; (attribute, value) per attribute.
@@ -128,50 +127,26 @@ void SupportCounts::Build(const TargetView& view,
       by_tuple;
   std::vector<std::unordered_map<Value, uint32_t>> by_value;
 
-  for (const GranuleScheme& scheme : schemes) {
-    // The resolution and validity screen of CheckBatchSuspicion.
-    std::vector<size_t> attr_cols;
-    std::vector<size_t> tid_positions;
-    bool resolved = true;
-    for (const auto& attr : scheme.attrs) {
-      auto idx = view.ColumnIndex(attr);
-      if (!idx.ok()) {
-        resolved = false;
-        break;
-      }
-      attr_cols.push_back(*idx);
-    }
-    for (const auto& table : scheme.tid_tables) {
-      if (!resolved) break;
-      auto idx = view.TableIndex(table);
-      if (!idx.ok()) {
-        resolved = false;
-        break;
-      }
-      tid_positions.push_back(*idx);
-    }
-    if (!resolved) continue;
-    std::vector<size_t> valid_rows = NonNullRows(view_batch, attr_cols);
-    size_t k = expr.threshold.all ? valid_rows.size()
-                                  : static_cast<size_t>(expr.threshold.n);
-    if (k == 0 || valid_rows.size() < k) continue;
+  for (const ResolvedScheme& scheme : *resolved) {
+    if (scheme.k == 0 || scheme.valid_facts.size() < scheme.k) continue;
 
     LiveScheme live;
-    live.k = k;
-    for (const auto& attr : scheme.attrs) {
-      live.attrs.push_back(Intern(&attr_ids, &attrs, attr));
+    live.k = scheme.k;
+    for (size_t c : scheme.columns) {
+      live.attrs.push_back(Intern(&attr_ids, &attrs, view.columns[c]));
     }
     by_value.resize(attrs.size());
     std::vector<uint32_t> table_keys;
-    for (const auto& table : scheme.tid_tables) {
+    for (const auto& table : scheme.scheme.tid_tables) {
       table_keys.push_back(Intern(&table_ids, &tables, table));
     }
     by_tid.resize(tables.size());
-    uint32_t group = Intern(&group_ids, &groups, scheme.tid_tables);
+    uint32_t group = Intern(&group_ids, &groups, scheme.scheme.tid_tables);
     by_tuple.resize(groups.size());
+    const std::vector<size_t>& tid_positions = scheme.tid_positions;
 
     const auto s = static_cast<uint32_t>(schemes_.size());
-    for (size_t f : valid_rows) {
+    for (size_t f : scheme.valid_facts) {
       const TargetView::Fact& fact = view.facts[f];
       const auto slot = static_cast<uint32_t>(slot_scheme_.size());
       slot_scheme_.push_back(s);
@@ -185,8 +160,9 @@ void SupportCounts::Build(const TargetView& view,
         for (size_t p : tid_positions) tuple.push_back(fact.tids[p]);
         Need(&by_tuple[group], std::move(tuple), slot);
       } else {
-        for (size_t i = 0; i < attr_cols.size(); ++i) {
-          Need(&by_value[live.attrs[i]], fact.values[attr_cols[i]], slot);
+        for (size_t i = 0; i < scheme.columns.size(); ++i) {
+          Need(&by_value[live.attrs[i]], fact.values[scheme.columns[i]],
+               slot);
         }
       }
     }
@@ -256,6 +232,7 @@ void SupportCounts::Build(const TargetView& view,
   for (size_t slot = 0; slot < slot_scheme_.size(); ++slot) {
     if (slot_accessed_[slot]) ++schemes_[slot_scheme_[slot]].accessed;
   }
+  return Status::Ok();
 }
 
 bool SupportCounts::SuspiciousWithout(size_t q) {
@@ -399,7 +376,8 @@ Result<std::vector<int64_t>> MinimizeBatch(
     const std::vector<const AccessProfile*>& profiles,
     const std::vector<int64_t>& profile_ids, const SuspicionOptions& options) {
   SupportCounts counts;
-  counts.Build(view, schemes, expr, profiles, options.mode);
+  AUDITDB_RETURN_IF_ERROR(
+      counts.Build(view, schemes, expr, profiles, options.mode));
   std::vector<int64_t> out;
   for (size_t i = 0; i < profiles.size(); ++i) {
     if (counts.SuspiciousWithout(i)) {

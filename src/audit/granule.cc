@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "src/types/column_vector.h"
-
 namespace auditdb {
 namespace audit {
 
@@ -49,57 +47,53 @@ std::vector<GranuleScheme> BuildSchemes(const AuditExpression& expr) {
   return schemes;
 }
 
-GranuleEnumerator::GranuleEnumerator(const TargetView& view,
-                                     std::vector<GranuleScheme> schemes,
-                                     Threshold threshold)
-    : view_(view), schemes_(std::move(schemes)), threshold_(threshold) {
-  valid_facts_.resize(schemes_.size());
-  attr_columns_.resize(schemes_.size());
-  tid_positions_.resize(schemes_.size());
-  // One columnar projection of the view, shared by every scheme's
-  // validity screen.
-  Batch batch = view_.ToBatch();
-  for (size_t s = 0; s < schemes_.size(); ++s) {
-    // Schemes are built from the same expression as the view; a missing
-    // column or table would be an internal inconsistency. Skip the whole
-    // scheme then (no valid facts → no granules) rather than dropping
-    // the one bad element and rendering misaligned tids/values.
-    bool resolved = true;
-    for (const auto& attr : schemes_[s].attrs) {
-      auto idx = view_.ColumnIndex(attr);
+Result<std::vector<ResolvedScheme>> ResolveSchemes(
+    const TargetView& view, const std::vector<GranuleScheme>& schemes,
+    Threshold threshold) {
+  std::vector<ResolvedScheme> out;
+  out.reserve(schemes.size());
+  for (const GranuleScheme& scheme : schemes) {
+    ResolvedScheme resolved;
+    resolved.scheme = scheme;
+    for (const auto& attr : scheme.attrs) {
+      auto idx = view.ColumnIndex(attr);
       if (!idx.ok()) {
-        resolved = false;
-        break;
+        return Status::Internal("scheme attribute " + attr.ToString() +
+                                " unresolvable in target view: " +
+                                idx.status().message());
       }
-      attr_columns_[s].push_back(*idx);
+      resolved.columns.push_back(*idx);
     }
-    for (const auto& table : schemes_[s].tid_tables) {
-      if (!resolved) break;
-      auto idx = view_.TableIndex(table);
+    std::sort(resolved.columns.begin(), resolved.columns.end());
+    for (const auto& table : scheme.tid_tables) {
+      auto idx = view.TableIndex(table);
       if (!idx.ok()) {
-        resolved = false;
-        break;
+        return Status::Internal("scheme tid table " + table +
+                                " unresolvable in target view: " +
+                                idx.status().message());
       }
-      tid_positions_[s].push_back(*idx);
+      resolved.tid_positions.push_back(*idx);
     }
-    if (!resolved) {
-      attr_columns_[s].clear();
-      tid_positions_[s].clear();
-      valid_facts_[s].clear();
-      continue;
+    for (size_t f = 0; f < view.facts.size(); ++f) {
+      const std::vector<Value>& values = view.facts[f].values;
+      if (std::none_of(resolved.columns.begin(), resolved.columns.end(),
+                       [&](size_t c) { return values[c].is_null(); })) {
+        resolved.valid_facts.push_back(f);
+      }
     }
-    // Render attributes in audit-clause order (the view's column order),
-    // the way the paper lists granules, not in set order.
-    std::sort(attr_columns_[s].begin(), attr_columns_[s].end());
-    // A fact with a NULL scheme attribute discloses nothing under this
-    // scheme; the batch screen returns the remaining facts in order.
-    valid_facts_[s] = NonNullRows(batch, attr_columns_[s]);
+    resolved.k = threshold.all ? resolved.valid_facts.size()
+                               : static_cast<size_t>(threshold.n);
+    out.push_back(std::move(resolved));
   }
+  return out;
 }
 
-size_t GranuleEnumerator::EffectiveK(size_t scheme_index) const {
-  if (threshold_.all) return valid_facts_[scheme_index].size();
-  return static_cast<size_t>(threshold_.n);
+Result<GranuleEnumerator> GranuleEnumerator::Make(
+    const TargetView& view, const std::vector<GranuleScheme>& schemes,
+    Threshold threshold) {
+  auto resolved = ResolveSchemes(view, schemes, threshold);
+  if (!resolved.ok()) return resolved.status();
+  return GranuleEnumerator(view, std::move(*resolved));
 }
 
 namespace {
@@ -118,11 +112,10 @@ double Binomial(size_t n, size_t k) {
 
 double GranuleEnumerator::CountGranules() const {
   double total = 0;
-  for (size_t s = 0; s < schemes_.size(); ++s) {
-    size_t n = valid_facts_[s].size();
-    size_t k = EffectiveK(s);
-    if (k == 0) continue;  // THRESHOLD ALL over an empty view: no granule
-    total += Binomial(n, k);
+  for (const ResolvedScheme& scheme : schemes_) {
+    // THRESHOLD ALL over an empty view: no granule.
+    if (scheme.k == 0) continue;
+    total += Binomial(scheme.valid_facts.size(), scheme.k);
   }
   return total;
 }
@@ -131,8 +124,8 @@ uint64_t GranuleEnumerator::ForEach(
     const std::function<bool(const Granule&)>& visit) const {
   uint64_t visited = 0;
   for (size_t s = 0; s < schemes_.size(); ++s) {
-    const auto& facts = valid_facts_[s];
-    size_t k = EffectiveK(s);
+    const auto& facts = schemes_[s].valid_facts;
+    const size_t k = schemes_[s].k;
     if (k == 0 || k > facts.size()) continue;
     // Enumerate k-combinations of `facts` in lexicographic order.
     std::vector<size_t> choice(k);
@@ -164,7 +157,7 @@ uint64_t GranuleEnumerator::ForEach(
 }
 
 std::string GranuleEnumerator::Render(const Granule& granule) const {
-  const size_t s = granule.scheme_index;
+  const ResolvedScheme& scheme = schemes_[granule.scheme_index];
   std::string out;
   bool first_fact = true;
   for (size_t f : granule.fact_indices) {
@@ -173,12 +166,12 @@ std::string GranuleEnumerator::Render(const Granule& granule) const {
     const TargetView::Fact& fact = view_.facts[f];
     out += "(";
     bool first = true;
-    for (size_t p : tid_positions_[s]) {
+    for (size_t p : scheme.tid_positions) {
       if (!first) out += ",";
       out += TidToString(fact.tids[p]);
       first = false;
     }
-    for (size_t c : attr_columns_[s]) {
+    for (size_t c : scheme.columns) {
       if (!first) out += ",";
       out += fact.values[c].ToDisplayString();
       first = false;

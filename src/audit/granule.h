@@ -5,6 +5,7 @@
 #include <functional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/audit/audit_expression.h"
@@ -30,6 +31,36 @@ struct GranuleScheme {
 /// Derives the granule schemes of a qualified audit expression.
 std::vector<GranuleScheme> BuildSchemes(const AuditExpression& expr);
 
+/// A granule scheme resolved against one target view: where its
+/// attributes and tid tables sit in U, which facts it can see, and its
+/// effective threshold. Every consumer of the suspicion model (granule
+/// enumeration, batch checks, minimization, online screening) reads
+/// schemes in this form, built by ResolveSchemes.
+struct ResolvedScheme {
+  GranuleScheme scheme;
+  /// Indices into TargetView::columns of the scheme attributes, ascending:
+  /// the view's column order, which is the order the paper renders
+  /// granules in. The attribute of entry c is view.columns[c].
+  std::vector<size_t> columns;
+  /// Indices into TargetView::tables, aligned with scheme.tid_tables.
+  std::vector<size_t> tid_positions;
+  /// Facts non-NULL in every scheme attribute, ascending. A NULL cell
+  /// discloses nothing, so a fact with one contributes no granule to
+  /// this scheme (this also matches the paper's Fig. 4 listing, which
+  /// has no granule for the absent age value).
+  std::vector<size_t> valid_facts;
+  /// Effective threshold: the THRESHOLD n, or |valid_facts| for ALL.
+  size_t k = 0;
+};
+
+/// Resolves every scheme against `view`. A scheme attribute or tid table
+/// absent from the view is an Internal error: the schemes and the view
+/// must come from one expression, and a scheme that does not resolve was
+/// never checked, so no caller may read it as "not accessed".
+Result<std::vector<ResolvedScheme>> ResolveSchemes(
+    const TargetView& view, const std::vector<GranuleScheme>& schemes,
+    Threshold threshold);
+
 /// One granule: `threshold` facts of U viewed through one scheme.
 struct Granule {
   size_t scheme_index = 0;
@@ -37,24 +68,18 @@ struct Granule {
   std::vector<size_t> fact_indices;
 };
 
-/// Lazy enumeration of the granule set G = schemes × C(n, k) fact subsets.
-/// Facts with a NULL value in a scheme attribute contribute no granule for
-/// that scheme (a NULL cell discloses nothing; this also matches the
-/// paper's Fig. 4 listing, which has no granule for the absent age value).
+/// Lazy enumeration of the granule set G = schemes × C(n, k) subsets of
+/// each scheme's valid facts. Holds `view` by reference: the view must
+/// outlive the enumerator.
 class GranuleEnumerator {
  public:
-  GranuleEnumerator(const TargetView& view,
-                    std::vector<GranuleScheme> schemes, Threshold threshold);
+  /// Resolves `schemes` against `view`; fails as ResolveSchemes does.
+  static Result<GranuleEnumerator> Make(const TargetView& view,
+                                        const std::vector<GranuleScheme>&
+                                            schemes,
+                                        Threshold threshold);
 
-  const std::vector<GranuleScheme>& schemes() const { return schemes_; }
-
-  /// Facts usable for scheme `s` (non-NULL in every scheme attribute).
-  const std::vector<size_t>& ValidFacts(size_t scheme_index) const {
-    return valid_facts_[scheme_index];
-  }
-
-  /// Effective k for scheme `s` (threshold, or |valid facts| for ALL).
-  size_t EffectiveK(size_t scheme_index) const;
+  const std::vector<ResolvedScheme>& schemes() const { return schemes_; }
 
   /// Exact |G| as a double (binomial counts overflow 64 bits quickly —
   /// the paper notes 2^k·2^n growth; callers treat large counts
@@ -76,12 +101,12 @@ class GranuleEnumerator {
   std::vector<std::string> RenderDistinct(size_t limit) const;
 
  private:
+  GranuleEnumerator(const TargetView& view,
+                    std::vector<ResolvedScheme> schemes)
+      : view_(view), schemes_(std::move(schemes)) {}
+
   const TargetView& view_;
-  std::vector<GranuleScheme> schemes_;
-  Threshold threshold_;
-  std::vector<std::vector<size_t>> valid_facts_;  // per scheme
-  std::vector<std::vector<size_t>> attr_columns_;  // per scheme: view col idx
-  std::vector<std::vector<size_t>> tid_positions_;  // per scheme: view tbl idx
+  std::vector<ResolvedScheme> schemes_;
 };
 
 }  // namespace audit

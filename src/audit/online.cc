@@ -13,53 +13,20 @@ namespace audit {
 Result<std::vector<OnlineSchemeState>> BuildOnlineSchemeStates(
     const AuditExpression& expr, const TargetView& view,
     const std::vector<OnlineSchemeState>& previous) {
+  auto resolved = ResolveSchemes(view, BuildSchemes(expr), expr.threshold);
+  if (!resolved.ok()) return resolved.status();
   std::vector<OnlineSchemeState> states;
-  for (auto& scheme : BuildSchemes(expr)) {
+  states.reserve(resolved->size());
+  for (ResolvedScheme& scheme : *resolved) {
     OnlineSchemeState state;
     // Preserve accumulated attribute coverage across rebuilds.
     for (const auto& old : previous) {
-      if (old.scheme.attrs == scheme.attrs) {
+      if (old.resolved.scheme.attrs == scheme.scheme.attrs) {
         state.covered_attrs = old.covered_attrs;
         break;
       }
     }
-    // Resolve every scheme attribute and tid table, index-aligned with
-    // the scheme. A resolution miss fails the rebuild: dropping the
-    // entry instead would pair tid_positions[i] with the wrong
-    // tid_tables[i] downstream and silently undercount access.
-    for (const auto& attr : scheme.attrs) {
-      auto idx = view.ColumnIndex(attr);
-      if (!idx.ok()) {
-        return Status::Internal("scheme attribute " + attr.ToString() +
-                                " unresolvable in target view: " +
-                                idx.status().message());
-      }
-      state.attr_columns.push_back(*idx);
-    }
-    for (const auto& table : scheme.tid_tables) {
-      auto idx = view.TableIndex(table);
-      if (!idx.ok()) {
-        return Status::Internal("scheme tid table " + table +
-                                " unresolvable in target view: " +
-                                idx.status().message());
-      }
-      state.tid_positions.push_back(*idx);
-    }
-    state.valid_facts = 0;
-    for (const auto& fact : view.facts) {
-      bool valid = true;
-      for (size_t c : state.attr_columns) {
-        if (fact.values[c].is_null()) {
-          valid = false;
-          break;
-        }
-      }
-      if (valid) ++state.valid_facts;
-    }
-    state.effective_k = expr.threshold.all
-                            ? state.valid_facts
-                            : static_cast<size_t>(expr.threshold.n);
-    state.scheme = std::move(scheme);
+    state.resolved = std::move(scheme);
     states.push_back(std::move(state));
   }
   return states;
@@ -125,21 +92,15 @@ Status OnlineAuditor::RebuildEntryView(Entry* entry,
 
 void OnlineAuditor::RecomputeAccessCounts(Entry* entry) {
   for (auto& state : entry->schemes) {
+    const ResolvedScheme& scheme = state.resolved;
     state.accessed_facts = 0;
-    for (const auto& fact : entry->view.facts) {
-      bool valid = true;
-      for (size_t c : state.attr_columns) {
-        if (fact.values[c].is_null()) {
-          valid = false;
-          break;
-        }
-      }
-      if (!valid) continue;
+    for (size_t f : scheme.valid_facts) {
+      const TargetView::Fact& fact = entry->view.facts[f];
       bool accessed = true;
-      for (size_t i = 0; i < state.tid_positions.size(); ++i) {
-        auto it = entry->batch_tids.find(state.scheme.tid_tables[i]);
+      for (size_t i = 0; i < scheme.tid_positions.size(); ++i) {
+        auto it = entry->batch_tids.find(scheme.scheme.tid_tables[i]);
         if (it == entry->batch_tids.end() ||
-            !it->second.Contains(fact.tids[state.tid_positions[i]])) {
+            !it->second.Contains(fact.tids[scheme.tid_positions[i]])) {
           accessed = false;
           break;
         }
@@ -149,9 +110,10 @@ void OnlineAuditor::RecomputeAccessCounts(Entry* entry) {
   }
   // Fired state: any scheme fully covered with enough accessed facts.
   for (const auto& state : entry->schemes) {
-    if (state.effective_k == 0) continue;
-    if (state.covered_attrs.size() == state.scheme.attrs.size() &&
-        state.accessed_facts >= state.effective_k) {
+    const ResolvedScheme& scheme = state.resolved;
+    if (scheme.k == 0) continue;
+    if (state.covered_attrs.size() == scheme.scheme.attrs.size() &&
+        state.accessed_facts >= scheme.k) {
       entry->fired = true;
     }
   }
@@ -163,14 +125,14 @@ OnlineAuditor::Screening OnlineAuditor::ScreeningOf(const Entry& entry) {
   screening.fired = entry.fired;
   for (size_t s = 0; s < entry.schemes.size(); ++s) {
     const OnlineSchemeState& state = entry.schemes[s];
-    if (state.effective_k == 0 || state.scheme.attrs.empty()) continue;
+    const ResolvedScheme& scheme = state.resolved;
+    if (scheme.k == 0 || scheme.scheme.attrs.empty()) continue;
     double covered = static_cast<double>(state.covered_attrs.size());
-    double fact_credit = static_cast<double>(
-        std::min(state.accessed_facts, state.effective_k));
-    double rank =
-        (covered + fact_credit) /
-        (static_cast<double>(state.scheme.attrs.size()) +
-         static_cast<double>(state.effective_k));
+    double fact_credit =
+        static_cast<double>(std::min(state.accessed_facts, scheme.k));
+    double rank = (covered + fact_credit) /
+                  (static_cast<double>(scheme.scheme.attrs.size()) +
+                   static_cast<double>(scheme.k));
     if (rank > screening.rank) {
       screening.rank = rank;
       screening.best_scheme = s;
@@ -206,7 +168,7 @@ Status OnlineAuditor::ObserveEntry(Entry* entry, const LoggedQuery& query,
   }
   // Accumulate attribute coverage and indispensable tids.
   for (auto& state : entry->schemes) {
-    for (const auto& attr : state.scheme.attrs) {
+    for (const auto& attr : state.resolved.scheme.attrs) {
       if (ctx.profile->Accesses(attr)) state.covered_attrs.insert(attr);
     }
   }

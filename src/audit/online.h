@@ -23,28 +23,20 @@ class ThreadPool;
 
 namespace audit {
 
-/// Per-scheme screening state of one standing expression. Invariant:
-/// `attr_columns[i]` resolves `scheme.attrs` member i and
-/// `tid_positions[i]` resolves `scheme.tid_tables[i]` — the vectors are
-/// index-aligned with the scheme, never shorter (a scheme whose columns
-/// or tid tables cannot all be resolved against the view fails the
-/// rebuild instead of silently misaligning).
+/// Per-scheme screening state of one standing expression: the scheme
+/// resolved against the expression's current target view, plus the two
+/// counters the monitor accumulates.
 struct OnlineSchemeState {
-  GranuleScheme scheme;
-  std::vector<size_t> attr_columns;    // indices into view columns
-  std::vector<size_t> tid_positions;   // indices into view tables
-  std::set<ColumnRef> covered_attrs;   // by the batch so far
-  size_t effective_k = 1;
-  size_t valid_facts = 0;
+  ResolvedScheme resolved;
+  std::set<ColumnRef> covered_attrs;  // by the batch so far
   size_t accessed_facts = 0;
 };
 
 /// Builds the per-scheme states of `expr` against `view`, carrying the
 /// accumulated attribute coverage over from `previous` (matched by scheme
-/// attrs). Fails — rather than dropping the resolution — when any scheme
-/// attribute or tid table is absent from the view, so downstream
-/// tid/attribute pairings can never misalign. Exposed as a free function
-/// so the failure path is testable against hand-built views.
+/// attrs). Fails as ResolveSchemes does when a scheme attribute or tid
+/// table is absent from the view. Exposed as a free function so the
+/// failure path is testable against hand-built views.
 Result<std::vector<OnlineSchemeState>> BuildOnlineSchemeStates(
     const AuditExpression& expr, const TargetView& view,
     const std::vector<OnlineSchemeState>& previous);

@@ -6,7 +6,6 @@
 
 #include "src/common/hashing.h"
 #include "src/expr/analysis.h"
-#include "src/types/column_vector.h"
 
 namespace auditdb {
 namespace audit {
@@ -115,20 +114,22 @@ Result<SuspicionResult> CheckBatchSuspicion(
     Threshold threshold, bool indispensable,
     const std::vector<const AccessProfile*>& batch,
     const SuspicionOptions& options) {
+  auto resolved = ResolveSchemes(view, schemes, threshold);
+  if (!resolved.ok()) return resolved.status();
   SuspicionResult result;
   BatchIndex index(batch);
-  // Columnar projection of the view, shared by every scheme's validity
-  // screen.
-  Batch view_batch = view.ToBatch();
+  // Per-table mode: the batch's indispensable union per scheme table.
+  const bool per_table =
+      indispensable && options.mode == IndispensabilityMode::kPerTable;
 
-  for (size_t s = 0; s < schemes.size(); ++s) {
-    const GranuleScheme& scheme = schemes[s];
+  for (size_t s = 0; s < resolved->size(); ++s) {
+    const ResolvedScheme& scheme = (*resolved)[s];
     SchemeAccess access;
     access.scheme_index = s;
 
     // Attribute coverage by the batch.
     access.attrs_covered = true;
-    for (const auto& attr : scheme.attrs) {
+    for (const auto& attr : scheme.scheme.attrs) {
       bool covered = indispensable ? index.Accesses(attr)
                                    : index.OutputsColumn(attr);
       if (!covered) {
@@ -137,51 +138,10 @@ Result<SuspicionResult> CheckBatchSuspicion(
       }
     }
 
-    size_t valid_count = 0;
     if (access.attrs_covered) {
-      // Resolve scheme attrs / tables to view positions once, keeping
-      // the vectors index-aligned with the scheme. A resolution miss
-      // (internal inconsistency: the view is built from the same
-      // expression) skips the scheme — dropping the one bad element
-      // would pair tid_positions[i] with the wrong tid_tables[i] below.
-      bool resolved = true;
-      std::vector<size_t> attr_cols;
-      for (const auto& attr : scheme.attrs) {
-        auto idx = view.ColumnIndex(attr);
-        if (!idx.ok()) {
-          resolved = false;
-          break;
-        }
-        attr_cols.push_back(*idx);
-      }
-      std::vector<size_t> tid_positions;
-      for (const auto& table : scheme.tid_tables) {
-        if (!resolved) break;
-        auto idx = view.TableIndex(table);
-        if (!idx.ok()) {
-          resolved = false;
-          break;
-        }
-        tid_positions.push_back(*idx);
-      }
-      if (!resolved) {
-        access.suspicious = false;
-        result.per_scheme.push_back(std::move(access));
-        continue;
-      }
-
-      // NULL cells disclose nothing: facts with a NULL scheme attribute
-      // are outside this scheme. The batch screen yields the rest in
-      // fact order.
-      std::vector<size_t> valid_rows = NonNullRows(view_batch, attr_cols);
-      valid_count = valid_rows.size();
-
-      // Per-table mode: the batch's indispensable union per scheme table.
-      const bool per_table =
-          indispensable && options.mode == IndispensabilityMode::kPerTable;
       std::vector<const TidBitmap*> unions;
       if (per_table) {
-        for (const auto& table : scheme.tid_tables) {
+        for (const auto& table : scheme.scheme.tid_tables) {
           unions.push_back(&index.IndispensableTidBitmap(table));
         }
       }
@@ -191,8 +151,9 @@ Result<SuspicionResult> CheckBatchSuspicion(
       // per-fact probes below would reject every fact — skip them.
       bool can_access = true;
       if (per_table && view.table_tids.size() == view.tables.size()) {
-        for (size_t i = 0; i < tid_positions.size(); ++i) {
-          if (!view.table_tids[tid_positions[i]].Intersects(*unions[i])) {
+        for (size_t i = 0; i < scheme.tid_positions.size(); ++i) {
+          if (!view.table_tids[scheme.tid_positions[i]].Intersects(
+                  *unions[i])) {
             can_access = false;
             break;
           }
@@ -200,28 +161,28 @@ Result<SuspicionResult> CheckBatchSuspicion(
       }
 
       if (can_access) {
-        for (size_t f : valid_rows) {
+        for (size_t f : scheme.valid_facts) {
           const TargetView::Fact& fact = view.facts[f];
           bool accessed = true;
           if (indispensable) {
+            const std::vector<size_t>& positions = scheme.tid_positions;
             if (per_table) {
-              for (size_t i = 0; i < tid_positions.size(); ++i) {
-                if (!unions[i]->Contains(fact.tids[tid_positions[i]])) {
+              for (size_t i = 0; i < positions.size(); ++i) {
+                if (!unions[i]->Contains(fact.tids[positions[i]])) {
                   accessed = false;
                   break;
                 }
               }
             } else {
               std::vector<Tid> tuple;
-              tuple.reserve(tid_positions.size());
-              for (size_t p : tid_positions) tuple.push_back(fact.tids[p]);
-              accessed = index.JointlyWitnessed(scheme.tid_tables, tuple);
+              tuple.reserve(positions.size());
+              for (size_t p : positions) tuple.push_back(fact.tids[p]);
+              accessed =
+                  index.JointlyWitnessed(scheme.scheme.tid_tables, tuple);
             }
           } else {
-            for (const auto& attr : scheme.attrs) {
-              auto idx = view.ColumnIndex(attr);
-              if (!idx.ok() ||
-                  !index.OutputsValue(attr, fact.values[*idx])) {
+            for (size_t c : scheme.columns) {
+              if (!index.OutputsValue(view.columns[c], fact.values[c])) {
                 accessed = false;
                 break;
               }
@@ -232,10 +193,8 @@ Result<SuspicionResult> CheckBatchSuspicion(
       }
     }
 
-    size_t k = threshold.all ? valid_count
-                             : static_cast<size_t>(threshold.n);
-    access.suspicious = access.attrs_covered && k > 0 &&
-                        access.accessed_facts.size() >= k;
+    access.suspicious = access.attrs_covered && scheme.k > 0 &&
+                        access.accessed_facts.size() >= scheme.k;
     if (access.suspicious) result.suspicious = true;
     result.per_scheme.push_back(std::move(access));
   }

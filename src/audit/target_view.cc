@@ -46,18 +46,6 @@ void TargetView::RebuildTidIndex() {
   }
 }
 
-Batch TargetView::ToBatch() const {
-  Batch batch;
-  batch.num_rows = facts.size();
-  batch.columns.reserve(columns.size());
-  for (size_t c = 0; c < columns.size(); ++c) {
-    batch.columns.push_back(ColumnVector::Gather(
-        facts.size(),
-        [&](size_t i) -> const Value& { return facts[i].values[c]; }));
-  }
-  return batch;
-}
-
 std::string TargetView::ToString() const {
   std::string out;
   for (size_t i = 0; i < tables.size(); ++i) {

@@ -47,18 +47,13 @@ struct TargetView {
   /// Recomputes `table_tids` from `facts`. Call after mutating facts.
   void RebuildTidIndex();
 
-  /// Index of `col` in `columns`, or error.
+  /// Index of `col` in `columns`, or error. Granule schemes are resolved
+  /// through ResolveSchemes (granule.h), which reads the facts' value
+  /// cells in place.
   Result<size_t> ColumnIndex(const ColumnRef& col) const;
 
   /// Index of `table` in `tables`, or error.
   Result<size_t> TableIndex(const std::string& table) const;
-
-  /// Columnar projection of the facts' value columns, one ColumnVector
-  /// per entry of `columns` (tids are omitted: a fact carries one tid per
-  /// FROM table, not a single row id). The audit layers run their
-  /// fact-validity screens (NULL checks per granule scheme) over this
-  /// batch instead of walking facts row by row.
-  Batch ToBatch() const;
 
   /// Pretty-prints U as a table (the paper's Tables 4 and 5 layout: tid
   /// columns followed by value columns).

@@ -103,11 +103,15 @@ Result<Value> EvalLikeOp(const Value& lhs, const Value& rhs) {
 
 Result<Value> EvalArithmeticOp(BinaryOp op, const Value& lhs,
                                const Value& rhs) {
-  if (!lhs.IsNumeric() || !rhs.IsNumeric()) {
+  auto numeric_or_null = [](const Value& v) {
+    return v.is_null() || v.IsNumeric();
+  };
+  if (!numeric_or_null(lhs) || !numeric_or_null(rhs)) {
     return Status::TypeError(std::string("arithmetic on non-numeric values: ") +
                              lhs.ToString() + " " + BinaryOpName(op) + " " +
                              rhs.ToString());
   }
+  if (lhs.is_null() || rhs.is_null()) return Value::Null();
   bool both_int = lhs.type() == ValueType::kInt &&
                   rhs.type() == ValueType::kInt && op != BinaryOp::kDiv;
   if (both_int) {
@@ -147,6 +151,7 @@ Result<Value> EvalUnaryOp(UnaryOp op, const Value& v) {
     }
     return Value::Bool(!v.bool_value());
   }
+  if (v.is_null()) return Value::Null();
   if (!v.IsNumeric()) {
     return Status::TypeError("negation of non-numeric value");
   }

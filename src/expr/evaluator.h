@@ -73,11 +73,12 @@ Result<Value> EvalComparisonOp(BinaryOp op, const Value& lhs,
 /// lhs LIKE rhs; NULL on either side is FALSE; non-strings are an error.
 Result<Value> EvalLikeOp(const Value& lhs, const Value& rhs);
 
-/// +, -, *, / with INT preserved for non-division all-INT inputs.
+/// +, -, *, / with INT preserved for non-division all-INT inputs. NULL on
+/// either side is NULL; a non-numeric, non-NULL operand is an error.
 Result<Value> EvalArithmeticOp(BinaryOp op, const Value& lhs,
                                const Value& rhs);
 
-/// NOT (boolean) / unary minus (numeric).
+/// NOT (boolean) / unary minus (numeric; minus NULL is NULL).
 Result<Value> EvalUnaryOp(UnaryOp op, const Value& v);
 
 }  // namespace auditdb

@@ -1,5 +1,6 @@
 #include "src/service/metrics.h"
 
+#include <bit>
 #include <cstdio>
 
 namespace auditdb {
@@ -7,19 +8,27 @@ namespace service {
 
 namespace {
 
-/// Index of the power-of-two bucket holding `micros`.
+constexpr size_t kSub = Histogram::kSubBuckets;
+/// log2(kSub): the first octave split into kSub buckets is 2^kSubShift.
+constexpr int kSubShift = std::countr_zero(kSub);
+
+/// Index of the bucket holding `micros`: the value itself below kSub,
+/// else its octave's first bucket plus which kSub-th of the octave it
+/// falls in.
 size_t BucketIndex(uint64_t micros) {
-  size_t i = 0;
-  while (micros > 1 && i + 1 < Histogram::kNumBuckets) {
-    micros >>= 1;
-    ++i;
-  }
-  return i;
+  if (micros < kSub) return static_cast<size_t>(micros);
+  const int e = std::bit_width(micros) - 1;
+  const int shift = e - kSubShift;
+  const size_t sub = static_cast<size_t>(micros >> shift) - kSub;
+  return kSub + static_cast<size_t>(shift) * kSub + sub;
 }
 
-/// Upper bound of bucket i: 2^(i+1) - 1 µs.
+/// Largest value bucket i holds.
 uint64_t BucketUpperBound(size_t i) {
-  return (uint64_t{1} << (i + 1)) - 1;
+  if (i < kSub) return i;
+  const size_t shift = (i - kSub) / kSub;
+  const uint64_t lower = uint64_t{kSub + (i - kSub) % kSub} << shift;
+  return lower + ((uint64_t{1} << shift) - 1);
 }
 
 }  // namespace

@@ -56,13 +56,18 @@ class Gauge {
   std::atomic<int64_t> max_{0};
 };
 
-/// Latency distribution over power-of-two microsecond buckets: bucket i
-/// holds observations in [2^i, 2^(i+1)) µs (bucket 0 also takes 0).
-/// Cheap enough for per-job timing; quantiles are read off the bucket
-/// upper bounds, which is plenty for a stage-latency dashboard.
+/// Latency distribution over log-linear microsecond buckets: values
+/// below kSubBuckets get one bucket each, and every power-of-two octave
+/// [2^e, 2^(e+1)) above is split into kSubBuckets equal-width buckets.
+/// A bucket is at most 1/kSubBuckets of its lower bound wide, so a
+/// quantile read off its upper bound overstates the observation by at
+/// most 12.5 %. Observe is lock-free (relaxed atomics only), cheap
+/// enough for per-job timing.
 class Histogram {
  public:
-  static constexpr size_t kNumBuckets = 40;
+  static constexpr size_t kSubBuckets = 8;
+  /// Exact buckets 0..7, then 8 per octave for 2^3 .. 2^63.
+  static constexpr size_t kNumBuckets = kSubBuckets + (64 - 3) * kSubBuckets;
 
   void Observe(uint64_t micros);
 

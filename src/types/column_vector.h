@@ -208,18 +208,13 @@ class ColumnVector {
 /// predicate programs over.
 struct Batch {
   size_t num_rows = 0;
-  /// Tid of each row; empty for fact batches that have no single tid.
+  /// Tid of each row.
   std::vector<int64_t> tids;
   std::vector<ColumnVector> columns;
 
   const ColumnVector& column(size_t i) const { return columns[i]; }
   size_t num_columns() const { return columns.size(); }
 };
-
-/// Ascending indices of the rows whose cells are non-NULL in every listed
-/// column (the audit layers' validity screen for granule schemes).
-std::vector<size_t> NonNullRows(const Batch& batch,
-                                const std::vector<size_t>& columns);
 
 }  // namespace auditdb
 

@@ -313,6 +313,25 @@ TEST_F(AuditorTest, CandidacyCheckFailuresAreErrorsNotClearances) {
   EXPECT_NE(report.DetailedReport(log_).find("ERROR"), std::string::npos);
 }
 
+TEST_F(AuditorTest, ArithmeticOverNullFailsTheRowNotTheQuery) {
+  // Reku's age is NULL: 100 / age is NULL there, the comparison is false
+  // and the row drops out, as it does for a NULL cell compared directly.
+  // The re-execution succeeds, so the query gets a verdict, not an error.
+  int64_t id = Log(
+      "SELECT name, disease FROM P-Personal, P-Health "
+      "WHERE P-Personal.pid=P-Health.pid AND 100 / age > 1",
+      10);
+  auto report = MustAudit(kSpan +
+                          "AUDIT (name,disease) FROM P-Personal, P-Health "
+                          "WHERE P-Personal.pid=P-Health.pid");
+  ASSERT_EQ(report.verdicts.size(), 1u);
+  const auto& verdict = report.verdicts[static_cast<size_t>(id - 1)];
+  EXPECT_TRUE(verdict.candidate);
+  EXPECT_FALSE(verdict.error);
+  EXPECT_TRUE(report.batch_suspicious);
+  EXPECT_EQ(report.CanonicalString().find(" error"), std::string::npos);
+}
+
 TEST_F(AuditorTest, StaticOnlyAlsoReportsPerQueryErrors) {
   Log("SELECT secret FROM NoSuchTable", 10);
   AuditOptions static_opts;

@@ -233,8 +233,8 @@ TEST_F(OnlineAuditorTest, UnparseableQueriesAreIgnored) {
 
 // --- Scheme-state alignment (regression) ------------------------------
 
-/// The old rebuild dropped failed resolutions while filling
-/// attr_columns/tid_positions, so RecomputeAccessCounts paired
+/// The old rebuild dropped failed resolutions while filling the column
+/// and tid positions, so RecomputeAccessCounts paired
 /// tid_positions[i] with scheme.tid_tables[i] of a *different* table —
 /// silently undercounting access. The rebuild must fail instead.
 TEST_F(OnlineAuditorTest, SchemeStateRebuildFailsOnMissingTidTable) {
@@ -273,11 +273,25 @@ TEST_F(OnlineAuditorTest, SchemeStateVectorsStayIndexAligned) {
   ASSERT_TRUE(expr.Qualify(db_.catalog()).ok());
   auto view = ComputeTargetView(expr, db_.View(), Ts(1));
   ASSERT_TRUE(view.ok()) << view.status().ToString();
+  auto resolved = ResolveSchemes(*view, BuildSchemes(expr), expr.threshold);
+  ASSERT_TRUE(resolved.ok()) << resolved.status().ToString();
+  for (const auto& scheme : *resolved) {
+    EXPECT_EQ(scheme.columns.size(), scheme.scheme.attrs.size());
+    ASSERT_EQ(scheme.tid_positions.size(), scheme.scheme.tid_tables.size());
+    for (size_t i = 0; i < scheme.tid_positions.size(); ++i) {
+      EXPECT_EQ(view->tables[scheme.tid_positions[i]],
+                scheme.scheme.tid_tables[i]);
+    }
+  }
+  // The online states carry exactly these resolutions.
   auto states = BuildOnlineSchemeStates(expr, *view, {});
   ASSERT_TRUE(states.ok()) << states.status().ToString();
-  for (const auto& state : *states) {
-    EXPECT_EQ(state.attr_columns.size(), state.scheme.attrs.size());
-    EXPECT_EQ(state.tid_positions.size(), state.scheme.tid_tables.size());
+  ASSERT_EQ(states->size(), resolved->size());
+  for (size_t s = 0; s < states->size(); ++s) {
+    EXPECT_EQ((*states)[s].resolved.columns, (*resolved)[s].columns);
+    EXPECT_EQ((*states)[s].resolved.tid_positions,
+              (*resolved)[s].tid_positions);
+    EXPECT_EQ((*states)[s].resolved.valid_facts, (*resolved)[s].valid_facts);
   }
 }
 
@@ -349,6 +363,21 @@ TEST_F(OnlineAuditorTest, FailedReexecutionIsAnErrorNotAClear) {
     ASSERT_TRUE(ok.ok()) << ok.status().ToString();
     EXPECT_GT((*ok)[0].rank, 0.0);
   }
+}
+
+TEST_F(OnlineAuditorTest, ArithmeticOverNullAgeRegisters) {
+  // Reku's age is NULL, so 100 / age is NULL on Reku's row: the row fails
+  // the predicate instead of failing the target-view build.
+  auto id = online_->AddExpression(
+      Parse("AUDIT disease FROM P-Personal, P-Health "
+            "WHERE P-Personal.pid = P-Health.pid AND 100 / age > 1"));
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  auto s = online_->Observe(
+      Q(1, "SELECT disease FROM P-Personal, P-Health "
+           "WHERE P-Personal.pid=P-Health.pid"));
+  ASSERT_TRUE(s.ok()) << s.status().ToString();
+  ASSERT_EQ(s->size(), 1u);
+  EXPECT_TRUE((*s)[0].fired);
 }
 
 TEST_F(OnlineAuditorTest, OneFailingExpressionDoesNotStopTheOthers) {

@@ -44,8 +44,11 @@ class PaperExamplesTest : public ::testing::Test {
   /// All distinct granules, paper-style, sorted for set comparison.
   std::vector<std::string> Granules(const AuditExpression& expr) {
     TargetView view = MustView(expr);
-    GranuleEnumerator enumerator(view, BuildSchemes(expr), expr.threshold);
-    auto rendered = enumerator.RenderDistinct(10000);
+    auto enumerator =
+        GranuleEnumerator::Make(view, BuildSchemes(expr), expr.threshold);
+    EXPECT_TRUE(enumerator.ok()) << enumerator.status().ToString();
+    if (!enumerator.ok()) return {};
+    auto rendered = enumerator->RenderDistinct(10000);
     std::sort(rendered.begin(), rendered.end());
     return rendered;
   }
@@ -260,9 +263,10 @@ TEST_F(PaperExamplesTest, GranuleCountsMatchListings) {
       "and P-Personal.zipcode='145568' and P-Employ.salary > 10000 "
       "and P-Health.disease='diabetic' and P-Personal.name='Reku'");
   TargetView view = MustView(perfect);
-  GranuleEnumerator enumerator(view, BuildSchemes(perfect),
-                               perfect.threshold);
-  EXPECT_DOUBLE_EQ(enumerator.CountGranules(), 13.0);
+  auto enumerator =
+      GranuleEnumerator::Make(view, BuildSchemes(perfect), perfect.threshold);
+  ASSERT_TRUE(enumerator.ok()) << enumerator.status().ToString();
+  EXPECT_DOUBLE_EQ(enumerator->CountGranules(), 13.0);
 }
 
 }  // namespace

@@ -127,12 +127,14 @@ class SuspicionReferenceTest : public ::testing::Test {
     auto view = ComputeTargetViewOverVersions(expr, backlog_);
     ASSERT_TRUE(view.ok()) << view.status().ToString();
     auto schemes = BuildSchemes(expr);
-    GranuleEnumerator granules(*view, schemes, expr.threshold);
-    ASSERT_EQ(granules.schemes().size(), schemes.size());
+    auto granules = GranuleEnumerator::Make(*view, schemes, expr.threshold);
+    ASSERT_TRUE(granules.ok()) << granules.status().ToString();
+    ASSERT_EQ(granules->schemes().size(), schemes.size());
     for (size_t s = 0; s < schemes.size(); ++s) {
       auto want = reference::ValidFacts(*view, schemes[s]);
-      EXPECT_EQ(granules.ValidFacts(s), want) << text << " scheme " << s;
-      EXPECT_EQ(granules.EffectiveK(s),
+      EXPECT_EQ(granules->schemes()[s].valid_facts, want)
+          << text << " scheme " << s;
+      EXPECT_EQ(granules->schemes()[s].k,
                 expr.threshold.all ? want.size()
                                    : static_cast<size_t>(expr.threshold.n))
           << text << " scheme " << s;

@@ -122,6 +122,46 @@ TEST(EvaluatorTest, Arithmetic) {
   EXPECT_FALSE(v.ok());
 }
 
+TEST(EvaluatorTest, ArithmeticOverNullIsNull) {
+  const Value null = Value::Null();
+  for (const char* op : {"+", "-", "*", "/"}) {
+    for (const std::string& text :
+         {std::string("a ") + op + " 2", std::string("2 ") + op + " a",
+          std::string("c ") + op + " a"}) {
+      auto v = EvalOn(text, null, S(""), D(4.0));
+      ASSERT_TRUE(v.ok()) << text << ": " << v.status().ToString();
+      EXPECT_TRUE(v->is_null()) << text;
+      v = EvalOn(text, I(3), S(""), null);
+      ASSERT_TRUE(v.ok()) << text << ": " << v.status().ToString();
+      EXPECT_EQ(v->is_null(), text[0] == 'c') << text;
+    }
+  }
+  // NULL / 0 is NULL, not a division error.
+  auto v = EvalOn("a / 0", null, S(""), D(0));
+  ASSERT_TRUE(v.ok()) << v.status().ToString();
+  EXPECT_TRUE(v->is_null());
+  // The comparison of a NULL result fails the row, as a NULL cell does.
+  v = EvalOn("100 / a > 1", null, S(""), D(0));
+  ASSERT_TRUE(v.ok()) << v.status().ToString();
+  EXPECT_FALSE(v->bool_value());
+  // A non-numeric, non-NULL operand stays a type error beside a NULL.
+  EXPECT_EQ(EvalOn("b + a", null, S("x"), D(0)).status().code(),
+            StatusCode::kTypeError);
+  EXPECT_EQ(EvalOn("a - b", null, S("x"), D(0)).status().code(),
+            StatusCode::kTypeError);
+}
+
+TEST(EvaluatorTest, NegationOfNullIsNull) {
+  auto v = EvalOn("-a", Value::Null(), S(""), D(0));
+  ASSERT_TRUE(v.ok()) << v.status().ToString();
+  EXPECT_TRUE(v->is_null());
+  v = EvalOn("-c > 1", I(0), S(""), Value::Null());
+  ASSERT_TRUE(v.ok()) << v.status().ToString();
+  EXPECT_FALSE(v->bool_value());
+  EXPECT_EQ(EvalOn("-b", I(0), S("x"), D(0)).status().code(),
+            StatusCode::kTypeError);
+}
+
 TEST(EvaluatorTest, MixedNumericComparison) {
   auto v = EvalOn("a < c", I(2), S(""), D(2.5));
   ASSERT_TRUE(v.ok());

@@ -438,10 +438,11 @@ TEST_P(GranuleCountProperty, ForEachAgreesWithCount) {
   auto view = audit::ComputeTargetView(*expr, db.View(), Ts(1));
   ASSERT_TRUE(view.ok());
 
-  audit::GranuleEnumerator g(*view, audit::BuildSchemes(*expr),
-                             expr->threshold);
+  auto g = audit::GranuleEnumerator::Make(*view, audit::BuildSchemes(*expr),
+                                          expr->threshold);
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
   size_t k = static_cast<size_t>(expr->threshold.n);
-  uint64_t visited = g.ForEach([&](const audit::Granule& granule) {
+  uint64_t visited = g->ForEach([&](const audit::Granule& granule) {
     EXPECT_EQ(granule.fact_indices.size(), k);
     // Facts within a granule are distinct and valid for the scheme.
     std::set<size_t> unique(granule.fact_indices.begin(),
@@ -449,7 +450,7 @@ TEST_P(GranuleCountProperty, ForEachAgreesWithCount) {
     EXPECT_EQ(unique.size(), k);
     return true;
   });
-  EXPECT_DOUBLE_EQ(static_cast<double>(visited), g.CountGranules()) << text;
+  EXPECT_DOUBLE_EQ(static_cast<double>(visited), g->CountGranules()) << text;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GranuleCountProperty,

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <thread>
 #include <vector>
 
@@ -72,6 +73,32 @@ TEST(HistogramTest, QuantilesAreMonotone) {
             histogram.QuantileUpperBound(0.95));
   EXPECT_LE(histogram.QuantileUpperBound(0.95),
             histogram.QuantileUpperBound(0.99));
+}
+
+TEST(HistogramTest, QuantilesWithinOneEighthOnUniform) {
+  Histogram histogram;
+  const uint64_t n = 10000;
+  for (uint64_t v = 1; v <= n; ++v) histogram.Observe(v);
+  for (double q : {0.50, 0.95, 0.99}) {
+    // The rank-th smallest of 1..n is rank itself.
+    const auto exact =
+        static_cast<uint64_t>(q * static_cast<double>(n - 1)) + 1;
+    const uint64_t got = histogram.QuantileUpperBound(q);
+    EXPECT_GE(got, exact) << "q=" << q;
+    EXPECT_LE(static_cast<double>(got), 1.125 * static_cast<double>(exact))
+        << "q=" << q;
+  }
+}
+
+TEST(HistogramTest, SmallValuesAreExactAndHugeValuesFit) {
+  for (uint64_t v = 0; v < Histogram::kSubBuckets; ++v) {
+    Histogram single;
+    single.Observe(v);
+    EXPECT_EQ(single.QuantileUpperBound(0.5), v);
+  }
+  Histogram huge;
+  huge.Observe(UINT64_MAX);
+  EXPECT_EQ(huge.QuantileUpperBound(1.0), UINT64_MAX);
 }
 
 TEST(MetricsRegistryTest, InstrumentPointersAreStable) {

@@ -72,35 +72,5 @@ TEST(ColumnVectorTest, EmptyColumn) {
   EXPECT_FALSE(col.has_nulls());
 }
 
-Batch MakeBatch(std::vector<std::vector<Value>> columns) {
-  Batch batch;
-  batch.num_rows = columns.empty() ? 0 : columns[0].size();
-  for (auto& col : columns) {
-    batch.columns.push_back(ColumnVector::FromValues(col));
-  }
-  return batch;
-}
-
-TEST(NonNullRowsTest, ScreensEveryListedColumn) {
-  auto batch = MakeBatch({
-      {Value::Int(1), Value::Null(), Value::Int(3), Value::Int(4)},
-      {Value::String("a"), Value::String("b"), Value::Null(),
-       Value::String("d")},
-  });
-  EXPECT_EQ(NonNullRows(batch, {0}), (std::vector<size_t>{0, 2, 3}));
-  EXPECT_EQ(NonNullRows(batch, {1}), (std::vector<size_t>{0, 1, 3}));
-  EXPECT_EQ(NonNullRows(batch, {0, 1}), (std::vector<size_t>{0, 3}));
-}
-
-TEST(NonNullRowsTest, NoColumnsMeansAllRows) {
-  auto batch = MakeBatch({{Value::Null(), Value::Int(2)}});
-  EXPECT_EQ(NonNullRows(batch, {}), (std::vector<size_t>{0, 1}));
-}
-
-TEST(NonNullRowsTest, NoNullsFastPath) {
-  auto batch = MakeBatch({{Value::Int(1), Value::Int(2), Value::Int(3)}});
-  EXPECT_EQ(NonNullRows(batch, {0}), (std::vector<size_t>{0, 1, 2}));
-}
-
 }  // namespace
 }  // namespace auditdb

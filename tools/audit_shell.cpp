@@ -454,11 +454,12 @@ class Shell {
       AUDITDB_RETURN_IF_ERROR(expr->Qualify(db_.catalog()));
       auto view = audit::ComputeTargetView(*expr, db_.View(), now_);
       if (!view.ok()) return view.status();
-      audit::GranuleEnumerator enumerator(*view, audit::BuildSchemes(*expr),
-                                          expr->threshold);
+      auto enumerator = audit::GranuleEnumerator::Make(
+          *view, audit::BuildSchemes(*expr), expr->threshold);
+      if (!enumerator.ok()) return enumerator.status();
       std::printf("|U| = %zu, |G| = %.0f\n", view->size(),
-                  enumerator.CountGranules());
-      for (const auto& granule : enumerator.RenderDistinct(100)) {
+                  enumerator->CountGranules());
+      for (const auto& granule : enumerator->RenderDistinct(100)) {
         std::printf("  %s\n", granule.c_str());
       }
       return Status::Ok();
