@@ -7,6 +7,7 @@
 #include <iterator>
 #include <map>
 #include <optional>
+#include <set>
 #include <utility>
 
 #include "src/audit/audit_stages.h"
@@ -375,14 +376,47 @@ Result<AuditReport> Auditor::AuditPinned(const AuditExpression& parsed,
   const ExecOutput output = expr.indispensable
                                 ? ExecOutput::kLineage
                                 : ExecOutput::kLineageAndValues;
+  // The per-table check reads a profile's tids only at U's tids, so a
+  // lineage row that touches no tuple of U decides nothing: each
+  // execution enumerates, per audited table, only the rows of U's tids
+  // there (ComputeRestrictedAccessProfile). Joint mode and value
+  // containment read whole lineage rows or values, so they keep the full
+  // execution. The row lists are built here, once per table version
+  // (states share unchanged versions), so the tasks only read them.
+  const bool restrict =
+      expr.indispensable &&
+      options.suspicion.mode == IndispensabilityMode::kPerTable &&
+      view.table_tids.size() == view.tables.size();
+  std::map<const TableVersion*, std::vector<uint32_t>> rows_of;
+  std::vector<std::vector<RowRestriction>> restrictions(views.size());
+  if (restrict) {
+    std::set<std::string> audited;
+    for (const GranuleScheme& scheme : schemes) {
+      audited.insert(scheme.tid_tables.begin(), scheme.tid_tables.end());
+    }
+    for (size_t t = 0; t < view.tables.size(); ++t) {
+      if (audited.count(view.tables[t]) == 0) continue;
+      for (size_t s = 0; s < views.size(); ++s) {
+        auto table = views[s].GetTable(view.tables[t]);
+        if (!table.ok()) continue;  // the execution reports it
+        auto [it, fresh] = rows_of.try_emplace(*table);
+        if (fresh) it->second = RowPositions(**table, view.table_tids[t]);
+        restrictions[s].push_back(RowRestriction{view.tables[t], it->second});
+      }
+    }
+  }
   std::vector<std::optional<AccessProfile>> executed(exec_owner.size());
   tasks.clear();
   for (auto [begin, end] : Shards(exec_owner.size(), kExecShardSize, pool)) {
     tasks.push_back([&, begin, end] {
       for (size_t e = begin; e < end; ++e) {
-        size_t c = exec_owner[e];
-        auto profile = ComputeAccessProfile(*candidates[c].stmt,
-                                            views[slot_of[c]], output);
+        const size_t c = exec_owner[e];
+        const size_t s = slot_of[c];
+        auto profile = restrict ? ComputeRestrictedAccessProfile(
+                                      *candidates[c].stmt, views[s],
+                                      restrictions[s])
+                                : ComputeAccessProfile(*candidates[c].stmt,
+                                                       views[s], output);
         if (profile.ok()) executed[e] = std::move(*profile);
       }
       return Status::Ok();
@@ -414,9 +448,10 @@ Result<AuditReport> Auditor::AuditPinned(const AuditExpression& parsed,
   // greedy minimization stays one call because its drop order is part of
   // the output contract.
   stage_start = Clock::now();
-  auto batch_result = CheckBatchSuspicion(view, schemes, expr.threshold,
-                                          expr.indispensable, profiles,
-                                          options.suspicion);
+  auto resolved = ResolveSchemes(view, schemes, expr.threshold);
+  if (!resolved.ok()) return resolved.status();
+  auto batch_result = CheckBatchSuspicion(view, *resolved, expr.indispensable,
+                                          profiles, options.suspicion);
   if (!batch_result.ok()) return batch_result.status();
   report.batch_suspicious = batch_result->suspicious;
   report.evidence = batch_result->Describe(view, schemes);
@@ -429,9 +464,9 @@ Result<AuditReport> Auditor::AuditPinned(const AuditExpression& parsed,
         for (size_t e = begin; e < end; ++e) {
           if (!executed[e].has_value()) continue;
           std::vector<const AccessProfile*> single{&*executed[e]};
-          auto single_result = CheckBatchSuspicion(
-              view, schemes, expr.threshold, expr.indispensable, single,
-              options.suspicion);
+          auto single_result =
+              CheckBatchSuspicion(view, *resolved, expr.indispensable, single,
+                                  options.suspicion);
           if (!single_result.ok()) return single_result.status();
           suspicious_alone[e] = single_result->suspicious;
         }

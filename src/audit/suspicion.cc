@@ -116,14 +116,21 @@ Result<SuspicionResult> CheckBatchSuspicion(
     const SuspicionOptions& options) {
   auto resolved = ResolveSchemes(view, schemes, threshold);
   if (!resolved.ok()) return resolved.status();
+  return CheckBatchSuspicion(view, *resolved, indispensable, batch, options);
+}
+
+Result<SuspicionResult> CheckBatchSuspicion(
+    const TargetView& view, const std::vector<ResolvedScheme>& resolved,
+    bool indispensable, const std::vector<const AccessProfile*>& batch,
+    const SuspicionOptions& options) {
   SuspicionResult result;
   BatchIndex index(batch);
   // Per-table mode: the batch's indispensable union per scheme table.
   const bool per_table =
       indispensable && options.mode == IndispensabilityMode::kPerTable;
 
-  for (size_t s = 0; s < resolved->size(); ++s) {
-    const ResolvedScheme& scheme = (*resolved)[s];
+  for (size_t s = 0; s < resolved.size(); ++s) {
+    const ResolvedScheme& scheme = resolved[s];
     SchemeAccess access;
     access.scheme_index = s;
 

@@ -118,6 +118,16 @@ class BatchIndex {
 ///
 /// INDISPENSABLE = false reads the profiles' rows: they must have been
 /// computed with ExecOutput::kLineageAndValues.
+///
+/// In IndispensabilityMode::kPerTable, the check reads each profile's
+/// table_tids only at tids of U (a fact's tids are U's), so restricted
+/// profiles (ComputeRestrictedAccessProfile) decide it exactly.
+Result<SuspicionResult> CheckBatchSuspicion(
+    const TargetView& view, const std::vector<ResolvedScheme>& schemes,
+    bool indispensable, const std::vector<const AccessProfile*>& batch,
+    const SuspicionOptions& options = SuspicionOptions{});
+
+/// CheckBatchSuspicion after ResolveSchemes(view, schemes, threshold).
 Result<SuspicionResult> CheckBatchSuspicion(
     const TargetView& view, const std::vector<GranuleScheme>& schemes,
     Threshold threshold, bool indispensable,

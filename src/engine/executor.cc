@@ -1,6 +1,7 @@
 #include "src/engine/executor.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "src/engine/table_scan.h"
 #include "src/expr/analysis.h"
@@ -41,13 +42,52 @@ class ExecutionContext {
 
   Result<QueryResult> Run() {
     AUDITDB_RETURN_IF_ERROR(Setup());
-    if (!tables_.empty()) {
-      combined_.assign(layout_.width(), Value());
-      tids_.assign(tables_.size(), 0);
-      Reduce();
-      AUDITDB_RETURN_IF_ERROR(Enumerate(0));
-    }
+    Reduce();
+    AUDITDB_RETURN_IF_ERROR(Enumerate(0));
     return std::move(result_);
+  }
+
+  /// See ExecuteRestricted. Setup, plans and local filters are shared by
+  /// every restricted run; each run starts from fresh allowed rows.
+  Result<RestrictedResult> RunRestricted(
+      std::span<const RowRestriction> restrictions) {
+    AUDITDB_RETURN_IF_ERROR(Setup());
+    RestrictedResult out;
+    out.table_tids.resize(tables_.size());
+    std::vector<std::pair<size_t, std::span<const uint32_t>>> restricted;
+    for (size_t p = 0; p < tables_.size(); ++p) {
+      for (const RowRestriction& restriction : restrictions) {
+        if (restriction.table == stmt_.from[p]) {
+          restricted.emplace_back(p, restriction.rows);
+        }
+      }
+    }
+    if (ReductionIsExact()) {
+      // No visit can fail, so a run that skips rows skips no error.
+      for (const auto& [p, rows] : restricted) {
+        allowed_.assign(tables_.size(), std::nullopt);
+        allowed_[p] = Restrict(p, rows);
+        if (allowed_[p]->rows.empty()) continue;  // no output row
+        sink_ = &out.table_tids[p];
+        sink_position_ = p;
+        Reduce();
+        AUDITDB_RETURN_IF_ERROR(Enumerate(0));
+      }
+    } else {
+      // A visit may fail: enumerate every row, as Execute does, so the
+      // Status is unchanged, then keep the restricted tids.
+      AUDITDB_RETURN_IF_ERROR(Enumerate(0));
+      for (const auto& [p, rows] : restricted) {
+        TidBitmap keep;
+        for (uint32_t r : rows) keep.Add(tables_[p]->rows()[r].tid);
+        TidBitmap& tids = out.table_tids[p];
+        for (std::span<const Tid> row : result_.lineage) tids.Add(row[p]);
+        tids.And(keep);
+      }
+      result_.lineage = Lineage(tables_.size());
+    }
+    out.result = std::move(result_);
+    return out;
   }
 
  private:
@@ -90,6 +130,8 @@ class ExecutionContext {
     }
     result_.from = stmt_.from;
     result_.lineage = Lineage(stmt_.from.size());
+    combined_.assign(layout_.width(), Value());
+    tids_.assign(tables_.size(), 0);
 
     // Qualify, bind and schedule WHERE conjuncts.
     if (stmt_.where) {
@@ -112,7 +154,7 @@ class ExecutionContext {
     }
 
     // Plan hash joins: for each position > 0, find a bound equi-join
-    // conjunct `earlier.col = this.col` of matching column types.
+    // conjunct `earlier.col = this.col` whose key columns share a layout.
     hash_plans_.resize(tables_.size());
     for (size_t i = 1; i < tables_.size(); ++i) {
       AUDITDB_RETURN_IF_ERROR(PlanHashJoin(i));
@@ -239,17 +281,13 @@ class ExecutionContext {
   /// than p. The probes cost about count(j) and can only save visits of
   /// p, so a query whose outer side is already selective pays nothing.
   void Reduce() {
-    bool exact_checked = false;
     for (size_t j = tables_.size(); j-- > 1;) {
       const HashJoinPlan& plan = hash_plans_[j];
       if (plan.index == nullptr) continue;
       const size_t p = plan.probe_position;
       const size_t probe_count = AllowedCount(p);
       if (probe_count == 0 || AllowedCount(j) >= probe_count) continue;
-      if (!exact_checked) {
-        if (!ReductionIsExact()) return;
-        exact_checked = true;
-      }
+      if (!ReductionIsExact()) return;
       const JoinKeyIndex& index = tables_[p]->JoinIndex(plan.probe_column);
       const RowStore& rows = tables_[j]->rows();
       std::vector<uint8_t> hit(tables_[p]->size(), 0);
@@ -271,6 +309,25 @@ class ExecutionContext {
     }
   }
 
+  /// Position `p`'s allowed rows for a restricted run: `rows` (ascending)
+  /// that pass its local filter, so the reduction's cost rule counts only
+  /// rows a visit can keep, with the mask a hash-join position reads.
+  AllowedRows Restrict(size_t p, std::span<const uint32_t> rows) {
+    AllowedRows kept;
+    if (HasLocalStage(p)) {
+      const std::vector<uint32_t>& passing = Filter(p).passing();
+      std::set_intersection(rows.begin(), rows.end(), passing.begin(),
+                            passing.end(), std::back_inserter(kept.rows));
+    } else {
+      kept.rows.assign(rows.begin(), rows.end());
+    }
+    if (hash_plans_[p].index != nullptr) {
+      kept.mask.assign(tables_[p]->size(), 0);
+      for (uint32_t r : kept.rows) kept.mask[r] = 1;
+    }
+    return kept;
+  }
+
   /// Whether skipping rows that reach no output leaves the result and
   /// its error Status unchanged: true when no visit can fail at all. No
   /// local filter may hold an error row, and every other cross conjunct
@@ -280,6 +337,11 @@ class ExecutionContext {
   /// A hash join's own conjunct is exempt: it only ever sees keys equal
   /// under Value ==, hence of one type.
   bool ReductionIsExact() {
+    if (!exact_.has_value()) exact_ = ComputeReductionIsExact();
+    return *exact_;
+  }
+
+  bool ComputeReductionIsExact() {
     for (size_t i = 0; i < tables_.size(); ++i) {
       for (const ScanStage& stage : stages_[i]) {
         if (stage.local && Filter(i).has_errors()) return false;
@@ -325,9 +387,8 @@ class ExecutionContext {
            offsets[position + 1].second <= static_cast<size_t>(slot)) {
       ++position;
     }
-    return BatchOf(position)
-        .column(static_cast<size_t>(slot) - offsets[position].second)
-        .layout();
+    return tables_[position]->ColumnLayout(static_cast<size_t>(slot) -
+                                           offsets[position].second);
   }
 
   size_t AllowedCount(size_t position) {
@@ -363,11 +424,23 @@ class ExecutionContext {
         if (stmt_.from[j] == lhs.table) probe_position = j;
       }
       if (probe_position == position) continue;
-      // Only same-typed keys: hashing must agree with Compare()-equality,
-      // which coerces across types; restrict to identical column types.
-      auto lt = db_.catalog().TypeOf(lhs);
-      auto rt = db_.catalog().TypeOf(rhs);
-      if (!lt.ok() || !rt.ok() || *lt != *rt) continue;
+      auto col_idx = tables_[position]->schema().FindColumn(rhs.column);
+      auto probe_idx =
+          tables_[probe_position]->schema().FindColumn(lhs.column);
+      if (!col_idx.has_value() || !probe_idx.has_value()) {
+        return Status::Internal("hash join column vanished: " +
+                                lhs.ToString() + " = " + rhs.ToString());
+      }
+      // Only keys of one non-generic layout: the index matches by
+      // Value ==, which never equates two alternatives, while the
+      // conjunct's Compare coerces (INT 2 = DOUBLE 2.0) or fails (STRING
+      // against INT). Storage does not enforce declared column types, so
+      // this reads the layouts, as ReductionIsExact does.
+      const auto key_layout = tables_[position]->ColumnLayout(*col_idx);
+      if (key_layout == ColumnVector::Layout::kGeneric ||
+          key_layout != tables_[probe_position]->ColumnLayout(*probe_idx)) {
+        continue;
+      }
 
       // The conjunct itself stays a cross stage: Value equality puts
       // every NULL key in one hash run, and only re-evaluating the
@@ -376,13 +449,6 @@ class ExecutionContext {
       auto probe_slot = layout_.Slot(lhs);
       if (!probe_slot.ok()) return probe_slot.status();
       plan.probe_slot = *probe_slot;
-      auto col_idx = tables_[position]->schema().FindColumn(rhs.column);
-      auto probe_idx =
-          tables_[probe_position]->schema().FindColumn(lhs.column);
-      if (!col_idx.has_value() || !probe_idx.has_value()) {
-        return Status::Internal("hash join column vanished: " +
-                                lhs.ToString() + " = " + rhs.ToString());
-      }
       plan.index = &tables_[position]->JoinIndex(*col_idx);
       plan.conjunct = sc.expr.get();
       plan.column = *col_idx;
@@ -396,6 +462,10 @@ class ExecutionContext {
   /// Depth-first join enumeration over FROM positions.
   Status Enumerate(size_t position) {
     if (position == tables_.size()) {
+      if (sink_ != nullptr) {
+        sink_->Add(tids_[sink_position_]);
+        return Status::Ok();
+      }
       if (output_ == ExecOutput::kLineageAndValues) {
         std::vector<Value> out;
         out.reserve(projection_slots_.size());
@@ -515,6 +585,11 @@ class ExecutionContext {
   std::vector<std::shared_ptr<const Batch>> batches_;
   std::vector<std::optional<TableFilter>> filters_;
   std::vector<std::optional<AllowedRows>> allowed_;  // set by Reduce()
+  std::optional<bool> exact_;  // ReductionIsExact(), once computed
+  // A restricted run adds each output row's tid at sink_position_ to
+  // sink_ instead of appending lineage.
+  TidBitmap* sink_ = nullptr;
+  size_t sink_position_ = 0;
 
   std::vector<Value> combined_;
   std::vector<Tid> tids_;
@@ -597,6 +672,24 @@ Result<QueryResult> Execute(const sql::SelectStatement& stmt,
                             const DatabaseView& db, ExecOutput output) {
   ExecutionContext ctx(stmt, db, output);
   return ctx.Run();
+}
+
+std::vector<uint32_t> RowPositions(const TableVersion& table,
+                                   const TidBitmap& tids) {
+  std::vector<uint32_t> out;
+  tids.ForEach([&](Tid tid) {
+    auto position = table.GetPosition(tid);
+    if (position.ok()) out.push_back(static_cast<uint32_t>(*position));
+  });
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+Result<RestrictedResult> ExecuteRestricted(
+    const sql::SelectStatement& stmt, const DatabaseView& db,
+    std::span<const RowRestriction> restrictions) {
+  ExecutionContext ctx(stmt, db, ExecOutput::kLineage);
+  return ctx.RunRestricted(restrictions);
 }
 
 Result<QueryResult> ExecuteSql(const std::string& sql_text,

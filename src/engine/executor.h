@@ -133,9 +133,10 @@ struct QueryResult {
 /// Executes `stmt` against `db`. Column references are resolved against the
 /// view's catalog; the WHERE clause is decomposed into conjuncts that are
 /// evaluated as early as possible in the join order (the FROM-clause
-/// order). A join position with a same-typed equi-join conjunct probes
-/// its table version's join-key index (built once per version and shared
-/// by every query on it); any other position is a nested loop. Conjuncts
+/// order). A join position with an equi-join conjunct whose two key
+/// columns hold one non-generic columnar layout probes its table
+/// version's join-key index (built once per version and shared by every
+/// query on it); any other position is a nested loop. Conjuncts
 /// reading only one table run as compiled predicate programs over that
 /// table's columnar batch. Before enumerating, a semijoin reduction drops
 /// the rows of each hash-joined table that have no partner among the
@@ -153,6 +154,42 @@ struct QueryResult {
 Result<QueryResult> Execute(
     const sql::SelectStatement& stmt, const DatabaseView& db,
     ExecOutput output = ExecOutput::kLineageAndValues);
+
+/// Rows of one FROM table that ExecuteRestricted keeps: ascending
+/// positions in the version of `table` the query reads.
+struct RowRestriction {
+  std::string table;
+  std::span<const uint32_t> rows;
+};
+
+/// Positions in `table`, ascending, of the rows whose tid is in `tids`.
+/// A tid the version does not hold is skipped. One index lookup per tid:
+/// the table is never scanned.
+std::vector<uint32_t> RowPositions(const TableVersion& table,
+                                   const TidBitmap& tids);
+
+/// What ExecuteRestricted returns: the query's output columns and FROM
+/// tables (lineage and rows stay empty), and per FROM table the
+/// indispensable tids among its restricted rows.
+struct RestrictedResult {
+  QueryResult result;
+  /// Aligned with result.from. A table without a restriction gets an
+  /// empty bitmap.
+  std::vector<TidBitmap> table_tids;
+};
+
+/// For each FROM table named in `restrictions`, the tids of its restricted
+/// rows that appear in `stmt`'s lineage: IndispensableTidBitmap of that
+/// table, intersected with the restriction. Shares setup, plans and local
+/// filters across tables. When no visit can fail (the semijoin
+/// reduction's guard), each restricted table gets its own enumeration
+/// with only its restricted rows allowed: in SPJ bag lineage, that yields
+/// exactly the output rows whose tid there is restricted. Otherwise one
+/// unrestricted enumeration runs, so every error Status is that of
+/// Execute.
+Result<RestrictedResult> ExecuteRestricted(
+    const sql::SelectStatement& stmt, const DatabaseView& db,
+    std::span<const RowRestriction> restrictions);
 
 /// Parses and executes `sql_text` in one step.
 Result<QueryResult> ExecuteSql(const std::string& sql_text,

@@ -15,22 +15,16 @@ const TidBitmap& AccessProfile::IndispensableTids(
   return table_tids[static_cast<size_t>(it - from.begin())];
 }
 
-Result<AccessProfile> ComputeAccessProfile(const sql::SelectStatement& stmt,
-                                           const DatabaseView& db,
-                                           ExecOutput output) {
-  AccessProfile profile;
+namespace {
 
-  auto result = Execute(stmt, db, output);
-  if (!result.ok()) return result.status();
-  profile.result = std::move(*result);
-  for (const auto& table : profile.result.from) {
-    profile.table_tids.push_back(profile.result.IndispensableTidBitmap(table));
-  }
-
+/// Fills the profile's output and accessed columns; `profile.result`
+/// must already hold the executed query's columns.
+Status AddColumns(const sql::SelectStatement& stmt, const DatabaseView& db,
+                  AccessProfile* profile) {
   // Output columns: the executor already resolved them.
-  for (const auto& col : profile.result.columns) {
-    profile.output_columns.insert(col);
-    profile.accessed_columns.insert(col);
+  for (const auto& col : profile->result.columns) {
+    profile->output_columns.insert(col);
+    profile->accessed_columns.insert(col);
   }
 
   // Predicate columns.
@@ -39,9 +33,37 @@ Result<AccessProfile> ComputeAccessProfile(const sql::SelectStatement& stmt,
     AUDITDB_RETURN_IF_ERROR(
         QualifyColumns(where.get(), db.catalog(), stmt.from));
     for (const auto& col : CollectColumns(where.get())) {
-      profile.accessed_columns.insert(col);
+      profile->accessed_columns.insert(col);
     }
   }
+  return Status::Ok();
+}
+
+}  // namespace
+
+Result<AccessProfile> ComputeAccessProfile(const sql::SelectStatement& stmt,
+                                           const DatabaseView& db,
+                                           ExecOutput output) {
+  AccessProfile profile;
+  auto result = Execute(stmt, db, output);
+  if (!result.ok()) return result.status();
+  profile.result = std::move(*result);
+  for (const auto& table : profile.result.from) {
+    profile.table_tids.push_back(profile.result.IndispensableTidBitmap(table));
+  }
+  AUDITDB_RETURN_IF_ERROR(AddColumns(stmt, db, &profile));
+  return profile;
+}
+
+Result<AccessProfile> ComputeRestrictedAccessProfile(
+    const sql::SelectStatement& stmt, const DatabaseView& db,
+    std::span<const RowRestriction> restrictions) {
+  AccessProfile profile;
+  auto restricted = ExecuteRestricted(stmt, db, restrictions);
+  if (!restricted.ok()) return restricted.status();
+  profile.result = std::move(restricted->result);
+  profile.table_tids = std::move(restricted->table_tids);
+  AUDITDB_RETURN_IF_ERROR(AddColumns(stmt, db, &profile));
   return profile;
 }
 

@@ -2,6 +2,7 @@
 #define AUDITDB_ENGINE_LINEAGE_H_
 
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,13 @@ namespace auditdb {
 ///   - `accessed_columns` = C_Q = C_OQ ∪ columns(P_Q),
 ///   - `result` carries the satisfying assignments with their base tids,
 ///     from which indispensable-tuple sets (Definition 2) are derived.
+///
+/// A restricted profile (ComputeRestrictedAccessProfile) holds only what
+/// the per-table indispensability check reads: table_tids of a restricted
+/// table is its indispensable tids within the restriction (the target
+/// view's tids of that table), any other table's is empty, and
+/// result.lineage stays empty, so no consumer can misread a partial
+/// lineage. Its columns are those of an unrestricted profile.
 struct AccessProfile {
   std::set<ColumnRef> output_columns;
   std::set<ColumnRef> accessed_columns;
@@ -46,6 +54,14 @@ struct AccessProfile {
 Result<AccessProfile> ComputeAccessProfile(
     const sql::SelectStatement& stmt, const DatabaseView& db,
     ExecOutput output = ExecOutput::kLineageAndValues);
+
+/// The restricted profile (see AccessProfile) of `stmt` on `db`, from
+/// ExecuteRestricted: enough for an INDISPENSABLE = true check in
+/// IndispensabilityMode::kPerTable when each restriction holds the rows of
+/// the target view's tids of that table, and nothing else.
+Result<AccessProfile> ComputeRestrictedAccessProfile(
+    const sql::SelectStatement& stmt, const DatabaseView& db,
+    std::span<const RowRestriction> restrictions);
 
 /// ComputeAccessProfile with values. The ExecOptions parameter is
 /// ignored (see ExecOptions).

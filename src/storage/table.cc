@@ -296,6 +296,18 @@ std::shared_ptr<const Batch> TableVersion::Columnar() const {
   return batch_;
 }
 
+ColumnVector::Layout TableVersion::ColumnLayout(size_t column) const {
+  std::lock_guard<std::mutex> lock(layout_mu_);
+  if (layouts_.empty()) layouts_.resize(schema_->num_columns());
+  std::optional<ColumnVector::Layout>& slot = layouts_[column];
+  if (!slot) {
+    slot = ColumnVector::LayoutOf(rows_.size(), [&](size_t i) -> const Value& {
+      return rows_[i].values[column];
+    });
+  }
+  return *slot;
+}
+
 const JoinKeyIndex& TableVersion::JoinIndex(size_t column) const {
   std::lock_guard<std::mutex> lock(join_index_mu_);
   if (join_indexes_.empty()) join_indexes_.resize(schema_->num_columns());

@@ -9,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -359,6 +360,11 @@ class TableVersion {
   /// thereafter, like Columnar(). Lives as long as the version.
   const JoinKeyIndex& JoinIndex(size_t column) const;
 
+  /// Layout column `column` (< schema().num_columns()) has in
+  /// Columnar(), found without building the batch: one pass over the
+  /// column on first use, cached thereafter, like JoinIndex().
+  ColumnVector::Layout ColumnLayout(size_t column) const;
+
   /// Counters shared with the publishing table and its other versions.
   const TableStats& stats() const { return *stats_; }
 
@@ -375,6 +381,10 @@ class TableVersion {
   mutable std::mutex join_index_mu_;
   /// One slot per column, filled on first JoinIndex() of that column.
   mutable std::vector<std::unique_ptr<const JoinKeyIndex>> join_indexes_;
+
+  mutable std::mutex layout_mu_;
+  /// One slot per column, filled on first ColumnLayout() of that column.
+  mutable std::vector<std::optional<ColumnVector::Layout>> layouts_;
 };
 
 }  // namespace auditdb

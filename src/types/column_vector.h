@@ -29,27 +29,44 @@ class ColumnVector {
 
   ColumnVector() = default;
 
-  /// Builds from `n` cells produced by `get(i)` (a const Value&).
+  /// The layout Gather gives `n` cells produced by `get(i)`: specialized
+  /// when the non-null cells share one type, else generic (mixed-typed
+  /// and all-null columns have no typed array to scan).
   template <typename GetFn>
-  static ColumnVector Gather(size_t n, GetFn get) {
-    ColumnVector out;
-    out.size_ = n;
-    // One uniform non-null type -> specialized layout; otherwise generic.
+  static Layout LayoutOf(size_t n, GetFn get) {
     ValueType uniform = ValueType::kNull;
-    bool mixed = false;
     for (size_t i = 0; i < n; ++i) {
       const Value& v = get(i);
       if (v.is_null()) continue;
       if (uniform == ValueType::kNull) {
         uniform = v.type();
       } else if (v.type() != uniform) {
-        mixed = true;
-        break;
+        return Layout::kGeneric;
       }
     }
-    if (mixed || uniform == ValueType::kNull) {
-      // Mixed-typed and all-null columns: no typed array to scan.
-      out.layout_ = Layout::kGeneric;
+    switch (uniform) {
+      case ValueType::kInt:
+        return Layout::kInt64;
+      case ValueType::kDouble:
+        return Layout::kDouble;
+      case ValueType::kString:
+        return Layout::kString;
+      case ValueType::kBool:
+        return Layout::kBool;
+      case ValueType::kTimestamp:
+        return Layout::kTimestamp;
+      default:
+        return Layout::kGeneric;
+    }
+  }
+
+  /// Builds from `n` cells produced by `get(i)` (a const Value&).
+  template <typename GetFn>
+  static ColumnVector Gather(size_t n, GetFn get) {
+    ColumnVector out;
+    out.size_ = n;
+    out.layout_ = LayoutOf(n, get);
+    if (out.layout_ == Layout::kGeneric) {
       out.generics_.reserve(n);
       for (size_t i = 0; i < n; ++i) out.generics_.push_back(get(i));
       out.has_nulls_ = false;
@@ -63,9 +80,8 @@ class ColumnVector {
       return out;
     }
     out.nulls_.assign(n, 0);
-    switch (uniform) {
-      case ValueType::kInt:
-        out.layout_ = Layout::kInt64;
+    switch (out.layout_) {
+      case Layout::kInt64:
         out.ints_.resize(n, 0);
         for (size_t i = 0; i < n; ++i) {
           const Value& v = get(i);
@@ -77,8 +93,7 @@ class ColumnVector {
           }
         }
         break;
-      case ValueType::kDouble:
-        out.layout_ = Layout::kDouble;
+      case Layout::kDouble:
         out.doubles_.resize(n, 0);
         for (size_t i = 0; i < n; ++i) {
           const Value& v = get(i);
@@ -90,8 +105,7 @@ class ColumnVector {
           }
         }
         break;
-      case ValueType::kString:
-        out.layout_ = Layout::kString;
+      case Layout::kString:
         out.strings_.resize(n);
         for (size_t i = 0; i < n; ++i) {
           const Value& v = get(i);
@@ -103,8 +117,7 @@ class ColumnVector {
           }
         }
         break;
-      case ValueType::kBool:
-        out.layout_ = Layout::kBool;
+      case Layout::kBool:
         out.ints_.resize(n, 0);
         for (size_t i = 0; i < n; ++i) {
           const Value& v = get(i);
@@ -116,8 +129,7 @@ class ColumnVector {
           }
         }
         break;
-      case ValueType::kTimestamp:
-        out.layout_ = Layout::kTimestamp;
+      case Layout::kTimestamp:
         out.ints_.resize(n, 0);
         for (size_t i = 0; i < n; ++i) {
           const Value& v = get(i);

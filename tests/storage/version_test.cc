@@ -143,6 +143,30 @@ TEST(TableVersionTest, JoinIndexIsBuiltOncePerVersionAndColumn) {
   EXPECT_EQ(table.stats().join_index_hits.load(), 2u);
 }
 
+// The planner reads a key column's layout without building the batch;
+// it must be the layout the batch would give, whatever the declared type.
+TEST(TableVersionTest, ColumnLayoutMatchesTheColumnarBatch) {
+  Table table(TwoColSchema());
+  auto expect_match = [&]() {
+    auto version = table.CurrentVersion();
+    auto batch = version->Columnar();
+    for (size_t c = 0; c < 2; ++c) {
+      EXPECT_EQ(version->ColumnLayout(c), batch->column(c).layout()) << c;
+    }
+  };
+  expect_match();  // empty: generic
+  ASSERT_TRUE(table.Insert({Value::Null(), Value::String("x")}).ok());
+  expect_match();  // all-NULL column: generic
+  ASSERT_TRUE(table.Insert({Value::Int(1), Value::String("y")}).ok());
+  expect_match();
+  EXPECT_EQ(table.CurrentVersion()->ColumnLayout(0),
+            ColumnVector::Layout::kInt64);
+  ASSERT_TRUE(table.Insert({Value::Double(2.0), Value::Int(3)}).ok());
+  expect_match();  // mixed: generic
+  EXPECT_EQ(table.CurrentVersion()->ColumnLayout(1),
+            ColumnVector::Layout::kGeneric);
+}
+
 TEST(TableVersionTest, GetPositionResolvesTidsWithinTheVersion) {
   Table table(TwoColSchema());
   ASSERT_TRUE(table.InsertWithTid(11, {Value::Int(1), Value::String("x")})

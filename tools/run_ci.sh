@@ -113,10 +113,12 @@ cmake --build "${PREFIX}-asan" -j "${JOBS}" \
 # vector, and lineage-only visits leave unread combined-row slots stale.
 # The granule and paper-example suites and the scheme-mismatch cases ride
 # along: an enumerator comes out of a Result and holds its view by
-# reference.
+# reference. The target-view restriction differential and the hash-join
+# key-layout cases ride along: restrictions are spans into row lists the
+# auditor owns, and restricted runs index masks by row position.
 export ASAN_OPTIONS="halt_on_error=1:abort_on_error=0:exitcode=99"
 ctest --test-dir "${PREFIX}-asan" --output-on-failure \
-      -R 'FrameCodecTest|FrameReaderTest|FieldCodecTest|ErrorCodecTest|TypePredicatesTest|AuditServerTest|PushCodecTest|SubscriptionRegistryTest|PushSubscriptionTest|TidBitmapTest|TidBitmapDifferentialTest|SuspicionTest|SuspicionReferenceTest|MinimizeDifferentialTest|OnlineAuditorTest.FailedReexecutionIsAnErrorNotAClear|OnlineAuditorTest.OneFailingExpressionDoesNotStopTheOthers|ClusterTest.ReplicaCountsAFailedObserveReexecution|ExecutorDifferential|ExecutorReferenceTest|TableScanTest|PredicateProgramTest|PredicateProgramPropertyTest|JoinKeyIndexTest|TableVersionTest.JoinIndexIsBuiltOncePerVersionAndColumn|AuditorTest.RepeatedCandidatesShareOneExecutionPerState|BacklogDifferential|BacklogCursorTest|TargetViewSweepDifferential|ChurnedAuditorTest|SemijoinDifferential|ExecutorSemijoinTest|ExecutorHashSkipTest|OnlineReferenceDifferential|LineageTest|LineageOnlyDifferential|GranuleTest|PaperExamplesTest|SchemeMismatchTest'
+      -R 'FrameCodecTest|FrameReaderTest|FieldCodecTest|ErrorCodecTest|TypePredicatesTest|AuditServerTest|PushCodecTest|SubscriptionRegistryTest|PushSubscriptionTest|TidBitmapTest|TidBitmapDifferentialTest|SuspicionTest|SuspicionReferenceTest|MinimizeDifferentialTest|OnlineAuditorTest.FailedReexecutionIsAnErrorNotAClear|OnlineAuditorTest.OneFailingExpressionDoesNotStopTheOthers|ClusterTest.ReplicaCountsAFailedObserveReexecution|ExecutorDifferential|ExecutorReferenceTest|TableScanTest|PredicateProgramTest|PredicateProgramPropertyTest|JoinKeyIndexTest|TableVersionTest.JoinIndexIsBuiltOncePerVersionAndColumn|AuditorTest.RepeatedCandidatesShareOneExecutionPerState|BacklogDifferential|BacklogCursorTest|TargetViewSweepDifferential|ChurnedAuditorTest|SemijoinDifferential|ExecutorSemijoinTest|ExecutorHashSkipTest|OnlineReferenceDifferential|LineageTest|LineageOnlyDifferential|GranuleTest|PaperExamplesTest|SchemeMismatchTest|ExecutorHashJoinKeyLayoutTest|TargetViewRestrictionDifferential'
 
 echo "-- auditd loopback smoke (ASan build) --"
 PORT_FILE="$(mktemp)"
@@ -246,7 +248,9 @@ echo "== [5/9] tid-bitmap kernels under UndefinedBehaviorSanitizer =="
 # uint64 range edges), the lineage suites (row offsets into the flat
 # tid vector), and the granule and paper-example suites with the
 # scheme-mismatch cases (k-combination index arithmetic over resolved
-# schemes).
+# schemes), and the target-view restriction differential with the
+# hash-join key-layout cases (row positions cast to 32 bits, per-run
+# allowed-row masks).
 cmake -B "${PREFIX}-ubsan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DAUDITDB_SANITIZE=undefined
 cmake --build "${PREFIX}-ubsan" -j "${JOBS}" \
@@ -257,7 +261,7 @@ cmake --build "${PREFIX}-ubsan" -j "${JOBS}" \
                granule_test paper_examples_test
 export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
 ctest --test-dir "${PREFIX}-ubsan" --output-on-failure \
-      -R 'StringUtilTest|TidBitmapTest|TidBitmapDifferentialTest|SuspicionTest|SuspicionReferenceTest|MinimizeDifferentialTest|OnlineAuditorTest.FailedReexecutionIsAnErrorNotAClear|OnlineAuditorTest.OneFailingExpressionDoesNotStopTheOthers|ClusterTest.ReplicaCountsAFailedObserveReexecution|ExecutorDifferential|ExecutorReferenceTest|TableScanTest|PredicateProgramTest|PredicateProgramPropertyTest|JoinKeyIndexTest|TableVersionTest.JoinIndexIsBuiltOncePerVersionAndColumn|AuditorTest.RepeatedCandidatesShareOneExecutionPerState|BacklogDifferential|BacklogCursorTest|TargetViewSweepDifferential|ChurnedAuditorTest|SemijoinDifferential|ExecutorSemijoinTest|ExecutorHashSkipTest|OnlineReferenceDifferential|LineageTest|LineageOnlyDifferential|GranuleTest|PaperExamplesTest|SchemeMismatchTest'
+      -R 'StringUtilTest|TidBitmapTest|TidBitmapDifferentialTest|SuspicionTest|SuspicionReferenceTest|MinimizeDifferentialTest|OnlineAuditorTest.FailedReexecutionIsAnErrorNotAClear|OnlineAuditorTest.OneFailingExpressionDoesNotStopTheOthers|ClusterTest.ReplicaCountsAFailedObserveReexecution|ExecutorDifferential|ExecutorReferenceTest|TableScanTest|PredicateProgramTest|PredicateProgramPropertyTest|JoinKeyIndexTest|TableVersionTest.JoinIndexIsBuiltOncePerVersionAndColumn|AuditorTest.RepeatedCandidatesShareOneExecutionPerState|BacklogDifferential|BacklogCursorTest|TargetViewSweepDifferential|ChurnedAuditorTest|SemijoinDifferential|ExecutorSemijoinTest|ExecutorHashSkipTest|OnlineReferenceDifferential|LineageTest|LineageOnlyDifferential|GranuleTest|PaperExamplesTest|SchemeMismatchTest|ExecutorHashJoinKeyLayoutTest|TargetViewRestrictionDifferential'
 
 echo "== [6/9] policy gate under AddressSanitizer =="
 cmake --build "${PREFIX}-asan" -j "${JOBS}" \
