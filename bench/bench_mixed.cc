@@ -1,16 +1,17 @@
 /// Mixed read/write sweep for the MVCC read path: writer threads commit
 /// mutations into P-Employ while auditor threads run pinned audits of
 /// the canonical expression, which never reads P-Employ. Audits pin
-/// snapshots and the decision cache keys on per-table version epochs,
-/// so no lock is shared with writers and no write evicts anything whose
-/// tables it didn't touch.
+/// snapshots, and the static facts the query log memoizes per shape are
+/// keyed on the catalog, which row writes never move, so no lock is
+/// shared with writers and no write evicts a static decision.
 ///
 /// Reported per (writers, auditors) combo: audits/s, writes/s, and the
-/// decision-cache hit rate. The acceptance: under every write combo the
-/// hit rate stays >= 0.5 AND the writers keep committing (EXPERIMENTS.md
-/// P12 compares this with a global lock and evict-on-every-write). Rows
-/// land in BENCH_mixed.json ({"benchmarks": [...]}, the shared artifact
-/// shape).
+/// static facts kept per parsed shape after all the combo's audits. The
+/// acceptance: under every write combo no shape's facts are computed
+/// twice (at most 1.0 per shape; a shape that fails to parse has none)
+/// AND the writers keep committing (EXPERIMENTS.md P12 compares this
+/// with a global lock and evict-on-every-write). Rows land in
+/// BENCH_mixed.json ({"benchmarks": [...]}, the shared artifact shape).
 ///
 /// Usage: bench_mixed [audits-per-thread]   (default 10)
 
@@ -26,7 +27,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/audit/audit_index.h"
 #include "src/audit/audit_parser.h"
 
 namespace auditdb {
@@ -41,17 +41,17 @@ struct MixedRow {
   uint64_t audits = 0;
   uint64_t writes = 0;
   double seconds = 0;
-  uint64_t hits = 0;
-  uint64_t misses = 0;
+  uint64_t parsed_shapes = 0;
+  uint64_t memoized_facts = 0;
   uint64_t cow_rows = 0;
   uint64_t cow_bytes = 0;
 };
 
-double HitRate(const MixedRow& row) {
-  uint64_t total = row.hits + row.misses;
-  return total == 0 ? 0.0
-                    : static_cast<double>(row.hits) /
-                          static_cast<double>(total);
+double FactsPerShape(const MixedRow& row) {
+  return row.parsed_shapes == 0
+             ? 0.0
+             : static_cast<double>(row.memoized_facts) /
+                   static_cast<double>(row.parsed_shapes);
 }
 
 double PerSecond(uint64_t count, double seconds) {
@@ -64,13 +64,9 @@ double PerSecond(uint64_t count, double seconds) {
 bool RunCombo(size_t writers, size_t auditors, int audits_each,
               MixedRow* row) {
   auto world = MakeWorld(/*patients=*/150, /*queries=*/300);
-  audit::DecisionCache cache;
   audit::Auditor auditor(&world->db, &world->backlog, &world->log);
   auto expr = audit::ParseAudit(CanonicalAudit(), Ts(1000000));
   if (!expr.ok()) return false;
-
-  audit::AuditOptions options;
-  options.cache = &cache;
 
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> writes{0};
@@ -107,7 +103,7 @@ bool RunCombo(size_t writers, size_t auditors, int audits_each,
   for (size_t a = 0; a < auditors; ++a) {
     audit_threads.emplace_back([&] {
       for (int i = 0; i < audits_each; ++i) {
-        auto report = auditor.Audit(*expr, options);
+        auto report = auditor.Audit(*expr);
         if (!report.ok()) {
           failed.store(true);
           return;
@@ -128,8 +124,8 @@ bool RunCombo(size_t writers, size_t auditors, int audits_each,
   row->audits = audits.load();
   row->writes = writes.load();
   row->seconds = seconds;
-  row->hits = cache.stats()->cache_hits.load();
-  row->misses = cache.stats()->cache_misses.load();
+  row->parsed_shapes = world->log.parsed_shapes();
+  row->memoized_facts = world->log.memoized_facts();
   auto table = world->db.GetTable("P-Employ");
   if (table.ok()) {
     row->cow_rows = (*table)->stats().cow_rows.load();
@@ -150,15 +146,16 @@ bool WriteMixedJson(const std::deque<MixedRow>& rows, const char* path) {
         "\"writers\": %zu, \"auditors\": %zu, "
         "\"audits\": %llu, \"writes\": %llu, "
         "\"audits_per_second\": %.1f, \"writes_per_second\": %.0f, "
-        "\"cache_hits\": %llu, \"cache_misses\": %llu, "
-        "\"cache_hit_rate\": %.3f, "
+        "\"parsed_shapes\": %llu, \"memoized_facts\": %llu, "
+        "\"facts_per_shape\": %.3f, "
         "\"cow_rows\": %llu, \"cow_bytes\": %llu}%s\n",
         row.writers, row.auditors, row.writers, row.auditors,
         static_cast<unsigned long long>(row.audits),
         static_cast<unsigned long long>(row.writes),
         PerSecond(row.audits, row.seconds), PerSecond(row.writes, row.seconds),
-        static_cast<unsigned long long>(row.hits),
-        static_cast<unsigned long long>(row.misses), HitRate(row),
+        static_cast<unsigned long long>(row.parsed_shapes),
+        static_cast<unsigned long long>(row.memoized_facts),
+        FactsPerShape(row),
         static_cast<unsigned long long>(row.cow_rows),
         static_cast<unsigned long long>(row.cow_bytes),
         i + 1 < rows.size() ? "," : "");
@@ -170,7 +167,7 @@ bool WriteMixedJson(const std::deque<MixedRow>& rows, const char* path) {
 
 int RunMixed(int audits_each) {
   std::deque<MixedRow> rows;
-  std::printf("writers auditors   audits/s    writes/s  hit-rate  "
+  std::printf("writers auditors   audits/s    writes/s  facts/shape  "
               "cow-bytes\n");
   for (size_t writers : {size_t{0}, size_t{1}, size_t{4}}) {
     for (size_t auditors : {size_t{1}, size_t{4}}) {
@@ -181,35 +178,36 @@ int RunMixed(int audits_each) {
                      auditors);
         return 1;
       }
-      std::printf("%7zu %8zu %10.1f %11.0f %9.3f %10llu\n", row.writers,
+      std::printf("%7zu %8zu %10.1f %11.0f %12.3f %10llu\n", row.writers,
                   row.auditors, PerSecond(row.audits, row.seconds),
-                  PerSecond(row.writes, row.seconds), HitRate(row),
+                  PerSecond(row.writes, row.seconds), FactsPerShape(row),
                   static_cast<unsigned long long>(row.cow_bytes));
       std::fflush(stdout);
     }
   }
-  // The acceptance: with writers present, the cache must stay hot AND
-  // the writers must keep committing — writes to a table the audit
-  // never reads change no key the audit looks up.
+  // The acceptance: with writers present, every shape's static facts
+  // are computed once across all audits AND the writers keep
+  // committing — row writes change no key the audits look up.
   bool ok = true;
-  double hot = 1.0;
+  double worst = 0.0;
   for (const MixedRow& row : rows) {
     if (row.writers == 0) continue;
-    hot = std::min(hot, HitRate(row));
+    worst = std::max(worst, FactsPerShape(row));
     if (row.writes == 0) {
       std::fprintf(stderr, "w=%zu a=%zu: no write committed\n",
                    row.writers, row.auditors);
       ok = false;
     }
   }
-  std::printf("min hit-rate under writes: %.3f\n", hot);
+  std::printf("max facts/shape under writes: %.3f\n", worst);
   if (!WriteMixedJson(rows, "BENCH_mixed.json")) {
     std::fprintf(stderr, "could not write BENCH_mixed.json\n");
     return 1;
   }
-  if (hot < 0.5) {
-    std::fprintf(stderr, "cache went cold under writes (hit rate %.3f)\n",
-                 hot);
+  if (worst > 1.0) {
+    std::fprintf(stderr,
+                 "static facts recomputed under writes (%.3f per shape)\n",
+                 worst);
     ok = false;
   }
   return ok ? 0 : 1;

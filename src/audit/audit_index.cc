@@ -57,91 +57,11 @@ std::vector<int> ExpressionIndex::Candidates(
 
 namespace {
 
-/// Composite cache keys. Every component is a fixed-width hex/decimal
-/// rendering joined with '\x1f', so the concatenations are injective.
-std::string ColumnsKey(const sql::QueryShape& shape, bool outputs_only,
-                       uint64_t state_key) {
-  return shape.ToHex() + '\x1f' + (outputs_only ? "o" : "a") + '\x1f' +
-         std::to_string(state_key);
-}
-
-std::string DecisionKey(const sql::QueryShape& shape, uint64_t expr_hash,
-                        uint64_t state_key, const CandidateOptions& options) {
-  return shape.ToHex() + '\x1f' + std::to_string(expr_hash) + '\x1f' +
-         std::to_string(state_key) + '\x1f' +
-         (options.use_satisfiability ? "s" : "-");
-}
-
 std::string ProfileKey(const sql::QueryShape& shape, uint64_t state_key) {
   return shape.ToHex() + '\x1f' + std::to_string(state_key);
 }
 
 }  // namespace
-
-Result<DecisionCache::ColumnsEntry> DecisionCache::AccessedColumns(
-    const sql::QueryShape& shape, bool outputs_only, uint64_t state_key,
-    const sql::SelectStatement& stmt, const Catalog& catalog) {
-  std::string key = ColumnsKey(shape, outputs_only, state_key);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = columns_.find(key);
-    if (it != columns_.end()) {
-      stats_.cache_hits.fetch_add(1, std::memory_order_relaxed);
-      return it->second;
-    }
-  }
-  stats_.cache_misses.fetch_add(1, std::memory_order_relaxed);
-  auto computed = StaticAccessedColumns(stmt, catalog, outputs_only);
-  ColumnsEntry entry;
-  if (computed.ok()) {
-    entry.status = Status::Ok();
-    entry.columns = std::make_shared<const std::set<ColumnRef>>(
-        std::move(*computed));
-  } else {
-    entry.status = computed.status();
-  }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (columns_.size() >= kMaxColumnEntries) columns_.clear();
-    columns_.emplace(std::move(key), entry);
-  }
-  return entry;
-}
-
-Result<bool> DecisionCache::BatchCandidate(const sql::QueryShape& shape,
-                                           uint64_t expr_hash,
-                                           uint64_t state_key,
-                                           const sql::SelectStatement& stmt,
-                                           const AuditExpression& expr,
-                                           const Catalog& catalog,
-                                           const CandidateOptions& options) {
-  std::string key = DecisionKey(shape, expr_hash, state_key, options);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = decisions_.find(key);
-    if (it != decisions_.end()) {
-      stats_.cache_hits.fetch_add(1, std::memory_order_relaxed);
-      if (!it->second.status.ok()) return it->second.status;
-      return it->second.candidate;
-    }
-  }
-  stats_.cache_misses.fetch_add(1, std::memory_order_relaxed);
-  auto computed = IsBatchCandidate(stmt, expr, catalog, options);
-  Decision decision;
-  if (computed.ok()) {
-    decision.candidate = *computed;
-  } else {
-    decision.status = computed.status();
-  }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (decisions_.size() >= kMaxDecisionEntries) {
-      decisions_.clear();
-    }
-    decisions_.emplace(std::move(key), std::move(decision));
-  }
-  return computed;
-}
 
 std::shared_ptr<const AccessProfile> DecisionCache::LookupProfile(
     const sql::QueryShape& shape, uint64_t state_key) const {
@@ -165,34 +85,9 @@ void DecisionCache::StoreProfile(const sql::QueryShape& shape,
   profiles_.emplace(std::move(key), std::move(profile));
 }
 
-size_t DecisionCache::column_entries() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return columns_.size();
-}
-
-size_t DecisionCache::decision_entries() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return decisions_.size();
-}
-
 size_t DecisionCache::profile_entries() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return profiles_.size();
-}
-
-Result<bool> CachedBatchCandidate(DecisionCache* cache,
-                                  const sql::QueryShape& shape,
-                                  uint64_t expr_hash,
-                                  uint64_t state_key,
-                                  const sql::SelectStatement& stmt,
-                                  const AuditExpression& expr,
-                                  const Catalog& catalog,
-                                  const CandidateOptions& options) {
-  if (cache == nullptr) {
-    return IsBatchCandidate(stmt, expr, catalog, options);
-  }
-  return cache->BatchCandidate(shape, expr_hash, state_key, stmt, expr,
-                               catalog, options);
 }
 
 }  // namespace audit

@@ -5,7 +5,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "src/audit/audit_index.h"
 #include "src/audit/candidate.h"
 #include "src/common/hashing.h"
 
@@ -21,7 +20,40 @@ struct ShapeScreen {
   bool error = false;
   bool candidate = false;
   std::shared_ptr<const sql::SelectStatement> stmt;
+  std::shared_ptr<const StaticFacts> facts;
 };
+
+ShapeScreen ScreenShape(const LoggedQuery& logged,
+                        const AuditExpression& expr,
+                        const std::set<ColumnRef>& audited,
+                        const Catalog& catalog,
+                        const CandidateOptions& options,
+                        const CandidateCacheContext& cache_ctx) {
+  ShapeScreen screen;
+  std::shared_ptr<const sql::SelectStatement> stmt =
+      logged.parsed->Statement(logged.sql);
+  if (stmt == nullptr) {
+    screen.parse_failed = true;
+    return screen;
+  }
+  auto facts = logged.parsed->Facts(
+      cache_ctx.database_id, cache_ctx.state_key, [&] {
+        return std::make_shared<const StaticFacts>(
+            ComputeStaticFacts(*stmt, catalog));
+      });
+  auto candidate = IsBatchCandidate(*facts, expr, audited, options);
+  if (!candidate.ok()) {
+    // Unresolvable columns / unknown tables: the check proved nothing
+    // about this query. Record an error verdict, distinct from
+    // "statically cleared".
+    screen.error = true;
+  } else if (*candidate) {
+    screen.candidate = true;
+    screen.stmt = std::move(stmt);
+    screen.facts = std::move(facts);
+  }
+  return screen;
+}
 
 /// The support counts MinimizeBatch reads its drops off, built once.
 ///
@@ -287,7 +319,8 @@ StaticScreenResult StaticScreenRange(const AuditExpression& expr,
                                      const CandidateCacheContext& cache_ctx) {
   StaticScreenResult out;
   end = std::min(end, log.size());
-  std::unordered_map<sql::QueryShape, ShapeScreen, sql::QueryShapeHash> memo;
+  const std::set<ColumnRef> audited = expr.attrs.AllAttributes();
+  std::unordered_map<const ParsedShape*, ShapeScreen> memo;
   for (size_t i = begin; i < end; ++i) {
     const LoggedQuery& logged = log.Entry(i);
     QueryVerdict verdict;
@@ -295,37 +328,18 @@ StaticScreenResult StaticScreenRange(const AuditExpression& expr,
     verdict.admitted = expr.filter.Admits(logged);
     if (verdict.admitted) {
       ++out.num_admitted;
-      sql::QueryShape shape = logged.shape.zero()
-                                  ? sql::ComputeQueryShape(logged.sql)
-                                  : logged.shape;
-      auto [it, fresh] = memo.try_emplace(shape);
+      auto [it, fresh] = memo.try_emplace(logged.parsed);
       ShapeScreen& screen = it->second;
       if (fresh) {
-        auto stmt = sql::ParseSelect(logged.sql);
-        if (!stmt.ok()) {
-          screen.parse_failed = true;
-        } else {
-          auto shared = std::make_shared<const sql::SelectStatement>(
-              std::move(*stmt));
-          auto candidate = CachedBatchCandidate(
-              cache_ctx.cache, shape, cache_ctx.expr_hash,
-              cache_ctx.state_key, *shared, expr, catalog, options);
-          if (!candidate.ok()) {
-            // Unresolvable columns / unknown tables: the check proved
-            // nothing about this query. Record an error verdict, distinct
-            // from "statically cleared".
-            screen.error = true;
-          } else if (*candidate) {
-            screen.candidate = true;
-            screen.stmt = std::move(shared);
-          }
-        }
+        screen = ScreenShape(logged, expr, audited, catalog, options,
+                             cache_ctx);
       }
       verdict.parse_failed = screen.parse_failed;
       verdict.error = screen.error;
       if (screen.candidate) {
         verdict.candidate = true;
-        out.candidates.push_back(ScreenedCandidate{i, screen.stmt, shape});
+        out.candidates.push_back(
+            ScreenedCandidate{i, screen.stmt, logged.shape, screen.facts});
       }
     }
     out.verdicts.push_back(verdict);
@@ -334,14 +348,12 @@ StaticScreenResult StaticScreenRange(const AuditExpression& expr,
 }
 
 void StaticOnlyBatchVerdict(const AuditExpression& expr,
-                            const Catalog& catalog,
-                            const std::vector<const sql::SelectStatement*>&
-                                candidate_stmts,
+                            const std::vector<ScreenedCandidate>& candidates,
                             AuditReport* report) {
   std::unordered_set<ColumnRef, ColumnRefHash> covered;
-  for (const sql::SelectStatement* stmt : candidate_stmts) {
-    auto cols = StaticAccessedColumns(*stmt, catalog,
-                                      /*outputs_only=*/!expr.indispensable);
+  for (const ScreenedCandidate& candidate : candidates) {
+    const auto& cols = expr.indispensable ? candidate.facts->accessed
+                                          : candidate.facts->outputs;
     if (!cols.ok()) continue;
     covered.insert(cols->begin(), cols->end());
   }

@@ -27,6 +27,8 @@ struct ScreenedCandidate {
   /// Structural shape of the entry's text: equal shapes parse to equal
   /// statements, so they re-execute identically on one state.
   sql::QueryShape shape;
+  /// The statement's static facts against the screened catalog.
+  std::shared_ptr<const StaticFacts> facts;
 };
 
 /// Phases 1+2 over one contiguous log range.
@@ -38,27 +40,30 @@ struct StaticScreenResult {
   size_t num_admitted = 0;
 };
 
-/// Decision-cache context for the static phase (audit_index.h). With
-/// `cache` null every candidacy check runs directly; otherwise checks are
-/// memoized under (query shape, `expr_hash`, `state_key`). Results are
-/// byte-identical either way (errors are cached too).
+/// Names the catalog a static screen runs against, so the screen can
+/// read each shape's static facts memoized for it (ParsedShape::Facts).
+/// With `database_id` 0 the facts are computed afresh per shape and
+/// range. Results are byte-identical either way (errors are memoized
+/// too).
 struct CandidateCacheContext {
-  DecisionCache* cache = nullptr;
-  /// Structural hash of the qualified expression being audited.
+  /// Unused by the screen (the memoized facts do not depend on the
+  /// expression); the benchmark driver still sets it.
   uint64_t expr_hash = 0;
-  /// State key the static decisions are valid for: the catalog epoch of
-  /// the pinned view.
+  /// The catalog epoch of the pinned view.
   uint64_t state_key = 0;
+  /// The pinned view's DatabaseView::database_id().
+  uint64_t database_id = 0;
 };
 
 /// Runs limiting-parameter admission, SQL parsing, and static candidacy
 /// over log entries [begin, end). Parsing and screening run once per
 /// structural query shape (sound: shape-equal entries lex to identical
-/// token streams, so they parse and screen identically); admission stays
-/// per entry because it reads the entry's user/role/purpose/time
-/// annotations. `expr` must be qualified. Pure apart
-/// from the (internally synchronized) cache: reads shared state only, so
-/// ranges can run concurrently.
+/// token streams, so they parse and screen identically): the parse is
+/// the log's ParsedShape, shared by every audit, and so are its static
+/// facts when `cache_ctx` names the catalog. Admission stays per entry
+/// because it reads the entry's user/role/purpose/time annotations.
+/// `expr` must be qualified. Reads shared state only (the memos are
+/// internally synchronized), so ranges can run concurrently.
 StaticScreenResult StaticScreenRange(const AuditExpression& expr,
                                      const QueryLog& log,
                                      const Catalog& catalog,
@@ -72,9 +77,7 @@ StaticScreenResult StaticScreenRange(const AuditExpression& expr,
 /// candidates' static column sets. The covered-column union is
 /// order-insensitive, so any shard-merge order yields identical output.
 void StaticOnlyBatchVerdict(const AuditExpression& expr,
-                            const Catalog& catalog,
-                            const std::vector<const sql::SelectStatement*>&
-                                candidate_stmts,
+                            const std::vector<ScreenedCandidate>& candidates,
                             AuditReport* report);
 
 /// Phase-5 greedy batch minimization: drops each profile (in id order) if

@@ -232,13 +232,13 @@ Result<AuditReport> Auditor::AuditPinned(const AuditExpression& parsed,
   // --- Phases 1+2: limiting parameters, then static candidacy, one task
   // per log range. Phase 3's target view does not depend on the
   // candidates, so its task rides in the same batch and overlaps the
-  // screening on a pool. Static decisions read only schemas, so their
-  // cache key is the catalog epoch — row writes never evict them. The
-  // cache is internally synchronized, so shards share it.
+  // screening on a pool. Static facts read only the query text and the
+  // schemas, so the log memoizes them per shape under the pinned
+  // catalog's (database id, epoch): row writes never evict them, and
+  // shards share them.
   CandidateCacheContext cache_ctx;
-  cache_ctx.cache = options.cache;
-  cache_ctx.expr_hash = std::hash<std::string>{}(report.expression);
   cache_ctx.state_key = pin.db.catalog_epoch();
+  cache_ctx.database_id = pin.db.database_id();
   auto ranges = Shards(pin.log_size, kStaticShardSize, pool);
   std::vector<StaticScreenResult> screened(ranges.size());
   // Each shard's finish time: static_seconds ends at the latest one, so
@@ -288,19 +288,14 @@ Result<AuditReport> Auditor::AuditPinned(const AuditExpression& parsed,
   // Data-independent mode: decide from the static phase alone. Tasks
   // write disjoint verdicts (one per candidate), so they need no merge.
   if (options.static_only) {
-    std::vector<const sql::SelectStatement*> stmts;
-    stmts.reserve(candidates.size());
-    for (const auto& candidate : candidates) {
-      stmts.push_back(candidate.stmt.get());
-    }
-    StaticOnlyBatchVerdict(expr, pin.db.catalog(), stmts, &report);
+    StaticOnlyBatchVerdict(expr, candidates, &report);
     if (!options.per_query_verdicts) return report;
     tasks.clear();
     for (auto [begin, end] : Shards(candidates.size(), kExecShardSize, pool)) {
       tasks.push_back([&, begin, end] {
         for (size_t c = begin; c < end; ++c) {
-          auto single = IsSingleCandidate(*candidates[c].stmt, expr,
-                                          pin.db.catalog(), options.candidate);
+          auto single = IsSingleCandidate(*candidates[c].facts, expr,
+                                          options.candidate);
           QueryVerdict& verdict = report.verdicts[candidates[c].log_index];
           // A failed check proves nothing — flag the error instead of
           // silently reporting the query as not suspicious.

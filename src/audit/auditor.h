@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "src/audit/audit_index.h"
 #include "src/audit/audit_parser.h"
 #include "src/audit/candidate.h"
 #include "src/audit/suspicion.h"
@@ -37,11 +36,6 @@ struct AuditOptions {
   /// verdicts use the single-query static check. Sound (no flagged-by-
   /// dynamic query is missed) but not exact; orders of magnitude cheaper.
   bool static_only = false;
-  /// Optional decision cache (audit_index.h) memoizing the static
-  /// per-(query, expression) candidacy checks across audits; shared with
-  /// the serving stack. Non-owning — must outlive the audit. Null runs
-  /// every check directly; results are byte-identical either way.
-  DecisionCache* cache = nullptr;
 };
 
 /// One consistent cut across the three audit stores, captured at a single

@@ -6,9 +6,10 @@
 namespace auditdb {
 namespace audit {
 
-Result<std::set<ColumnRef>> StaticAccessedColumns(
-    const sql::SelectStatement& query, const Catalog& catalog,
-    bool outputs_only) {
+namespace {
+
+Result<std::set<ColumnRef>> OutputColumns(const sql::SelectStatement& query,
+                                          const Catalog& catalog) {
   std::set<ColumnRef> out;
   if (query.select_star) {
     for (const auto& table_name : query.from) {
@@ -25,58 +26,91 @@ Result<std::set<ColumnRef>> StaticAccessedColumns(
       out.insert(*resolved);
     }
   }
-  if (!outputs_only && query.where) {
-    auto where = query.where->Clone();
-    AUDITDB_RETURN_IF_ERROR(QualifyColumns(where.get(), catalog, query.from));
-    for (const auto& col : CollectColumns(where.get())) out.insert(col);
-  }
   return out;
 }
 
-namespace {
+Result<ExprPtr> QualifiedWhere(const sql::SelectStatement& query,
+                               const Catalog& catalog) {
+  if (!query.where) return ExprPtr();
+  ExprPtr where = query.where->Clone();
+  AUDITDB_RETURN_IF_ERROR(QualifyColumns(where.get(), catalog, query.from));
+  return where;
+}
+
+/// The accessed-columns set the expression's mode reads.
+const Result<std::set<ColumnRef>>& Accessed(const StaticFacts& facts,
+                                            const AuditExpression& expr) {
+  return expr.indispensable ? facts.accessed : facts.outputs;
+}
 
 /// Shared consistency check: the conjunction of the query's and the audit
 /// expression's WHERE clauses must not be provably empty.
-Result<bool> PredicatesConsistent(const sql::SelectStatement& query,
+Result<bool> PredicatesConsistent(const StaticFacts& facts,
                                   const AuditExpression& expr,
-                                  const Catalog& catalog) {
-  if (!query.where || !expr.where) return true;
-  auto where = query.where->Clone();
-  AUDITDB_RETURN_IF_ERROR(QualifyColumns(where.get(), catalog, query.from));
-  return MaybeSatisfiable(where.get(), expr.where.get());
+                                  const CandidateOptions& options) {
+  if (!options.use_satisfiability || !expr.where) return true;
+  if (!facts.where.ok()) return facts.where.status();
+  if (*facts.where == nullptr) return true;
+  return MaybeSatisfiable(facts.where->get(), expr.where.get());
 }
 
 }  // namespace
 
-Result<bool> IsBatchCandidate(const sql::SelectStatement& query,
+StaticFacts ComputeStaticFacts(const sql::SelectStatement& query,
+                               const Catalog& catalog) {
+  Result<std::set<ColumnRef>> outputs = OutputColumns(query, catalog);
+  Result<ExprPtr> where = QualifiedWhere(query, catalog);
+  Result<std::set<ColumnRef>> accessed = outputs;
+  if (accessed.ok()) {
+    if (!where.ok()) {
+      accessed = where.status();
+    } else if (*where != nullptr) {
+      for (const auto& col : CollectColumns(where->get())) {
+        accessed->insert(col);
+      }
+    }
+  }
+  return StaticFacts{std::move(accessed), std::move(outputs),
+                     std::move(where)};
+}
+
+Result<std::set<ColumnRef>> StaticAccessedColumns(
+    const sql::SelectStatement& query, const Catalog& catalog,
+    bool outputs_only) {
+  StaticFacts facts = ComputeStaticFacts(query, catalog);
+  return outputs_only ? std::move(facts.outputs) : std::move(facts.accessed);
+}
+
+Result<bool> IsBatchCandidate(const StaticFacts& facts,
                               const AuditExpression& expr,
-                              const Catalog& catalog,
+                              const std::set<ColumnRef>& audited,
                               const CandidateOptions& options) {
-  auto accessed = StaticAccessedColumns(query, catalog,
-                                        /*outputs_only=*/!expr.indispensable);
+  const auto& accessed = Accessed(facts, expr);
   if (!accessed.ok()) return accessed.status();
 
   bool touches = false;
-  for (const auto& attr : expr.attrs.AllAttributes()) {
+  for (const auto& attr : audited) {
     if (accessed->count(attr) > 0) {
       touches = true;
       break;
     }
   }
   if (!touches) return false;
-
-  if (options.use_satisfiability) {
-    return PredicatesConsistent(query, expr, catalog);
-  }
-  return true;
+  return PredicatesConsistent(facts, expr, options);
 }
 
-Result<bool> IsSingleCandidate(const sql::SelectStatement& query,
+Result<bool> IsBatchCandidate(const sql::SelectStatement& query,
+                              const AuditExpression& expr,
+                              const Catalog& catalog,
+                              const CandidateOptions& options) {
+  return IsBatchCandidate(ComputeStaticFacts(query, catalog), expr,
+                          expr.attrs.AllAttributes(), options);
+}
+
+Result<bool> IsSingleCandidate(const StaticFacts& facts,
                                const AuditExpression& expr,
-                               const Catalog& catalog,
                                const CandidateOptions& options) {
-  auto accessed = StaticAccessedColumns(query, catalog,
-                                        /*outputs_only=*/!expr.indispensable);
+  const auto& accessed = Accessed(facts, expr);
   if (!accessed.ok()) return accessed.status();
 
   bool covers_scheme = false;
@@ -94,11 +128,15 @@ Result<bool> IsSingleCandidate(const sql::SelectStatement& query,
     }
   }
   if (!covers_scheme) return false;
+  return PredicatesConsistent(facts, expr, options);
+}
 
-  if (options.use_satisfiability) {
-    return PredicatesConsistent(query, expr, catalog);
-  }
-  return true;
+Result<bool> IsSingleCandidate(const sql::SelectStatement& query,
+                               const AuditExpression& expr,
+                               const Catalog& catalog,
+                               const CandidateOptions& options) {
+  return IsSingleCandidate(ComputeStaticFacts(query, catalog), expr,
+                           options);
 }
 
 }  // namespace audit

@@ -38,8 +38,8 @@ OnlineAuditor::OnlineAuditor(Database* db, OnlineAuditorOptions options)
                                       : std::make_shared<DecisionCache>()) {
   // No change listener: staleness is detected per expression by
   // comparing the epoch fingerprint of its FROM tables, and cached
-  // decisions carry their state keys (catalog epoch / fingerprints), so
-  // a write can never produce a stale hit.
+  // profiles carry their state keys (epoch fingerprints), so a write can
+  // never produce a stale hit.
 }
 
 Result<int> OnlineAuditor::AddExpression(const AuditExpression& expr) {
@@ -53,7 +53,7 @@ Result<int> OnlineAuditor::AddExpression(const AuditExpression& expr) {
         "online auditing supports INDISPENSABLE = true expressions only "
         "(value-containment screening requires per-value state)");
   }
-  entry->expr_hash = std::hash<std::string>{}(entry->expr.ToString());
+  entry->audited = entry->expr.attrs.AllAttributes();
   AUDITDB_RETURN_IF_ERROR(RebuildEntryView(entry.get(), view));
   index_.Add(entry->id, entry->expr);
   entries_.push_back(std::move(entry));
@@ -149,10 +149,9 @@ Status OnlineAuditor::ObserveEntry(Entry* entry, const LoggedQuery& query,
   // provably conflicts with the audit predicate, is statically
   // non-suspicious and must not help complete a granule — Definition 1).
   bool contributes = false;
-  if (ctx.stmt != nullptr && entry->expr.filter.Admits(query)) {
-    auto candidate = cache_->BatchCandidate(
-        ctx.shape, entry->expr_hash, ctx.catalog_epoch, *ctx.stmt,
-        entry->expr, ctx.view.catalog(), CandidateOptions{});
+  if (ctx.facts.has_value() && entry->expr.filter.Admits(query)) {
+    auto candidate = IsBatchCandidate(*ctx.facts, entry->expr,
+                                      entry->audited, CandidateOptions{});
     // A failed candidacy check (unknown table or column) or a failed
     // execution of a candidate is an error, not a cleared query:
     // propagate it like the offline per-query error verdicts instead of
@@ -186,19 +185,17 @@ std::vector<OnlineAuditor::Entry*> OnlineAuditor::EntriesToVisit(
   for (auto& entry : entries_) all.push_back(entry.get());
 
   AuditIndexStats* stats = cache_->stats();
-  if (ctx.stmt == nullptr || all.empty()) {
+  if (!ctx.facts.has_value() || all.empty()) {
     stats->index_fallbacks.fetch_add(1, std::memory_order_relaxed);
     return all;
   }
   stats->index_lookups.fetch_add(1, std::memory_order_relaxed);
 
   // The query's statically accessed columns, outputs_only = false:
-  // online expressions are all INDISPENSABLE, so this matches exactly
-  // what IsBatchCandidate would compute per entry.
-  auto columns = cache_->AccessedColumns(ctx.shape, /*outputs_only=*/false,
-                                         ctx.catalog_epoch, *ctx.stmt,
-                                         ctx.view.catalog());
-  if (!columns.ok() || !columns->status.ok()) {
+  // online expressions are all INDISPENSABLE, so this is exactly the set
+  // IsBatchCandidate reads per entry.
+  const auto& columns = ctx.facts->accessed;
+  if (!columns.ok()) {
     // Resolution failed: every per-entry candidacy check fails the same
     // way, so visit everything and let each entry surface the error.
     stats->index_fallbacks.fetch_add(1, std::memory_order_relaxed);
@@ -209,7 +206,7 @@ std::vector<OnlineAuditor::Entry*> OnlineAuditor::EntriesToVisit(
   // attribute-touch test (its accessed-columns step succeeds — we just
   // computed it at query level) and leave its state untouched, so
   // skipping it is byte-identical to visiting it.
-  std::vector<int> ids = index_.Candidates(*columns->columns);
+  std::vector<int> ids = index_.Candidates(*columns);
   std::vector<Entry*> visit;
   visit.reserve(ids.size());
   size_t next = 0;
@@ -225,20 +222,19 @@ std::vector<OnlineAuditor::Entry*> OnlineAuditor::EntriesToVisit(
 
 Result<std::vector<OnlineAuditor::Screening>> OnlineAuditor::Observe(
     const LoggedQuery& query, service::ThreadPool* pool) {
-  // Pin one snapshot, then parse and execute once against it; reuse the
-  // profile for every standing expression. Executed profiles are keyed
-  // on the epoch fingerprint of the query's FROM tables, so they stay
-  // hot across writes to unrelated tables.
+  // Pin one snapshot, then parse, derive the static facts and execute
+  // once against it; reuse them for every standing expression. Executed
+  // profiles are keyed on the epoch fingerprint of the query's FROM
+  // tables, so they stay hot across writes to unrelated tables.
   ObserveContext ctx;
   ctx.view = db_->Snapshot();
   ctx.shape =
       query.shape.zero() ? sql::ComputeQueryShape(query.sql) : query.shape;
-  ctx.catalog_epoch = ctx.view.catalog_epoch();
 
   auto stmt = sql::ParseSelect(query.sql);
   std::shared_ptr<const AccessProfile> profile;
   if (stmt.ok()) {
-    ctx.stmt = &*stmt;
+    ctx.facts = ComputeStaticFacts(*stmt, ctx.view.catalog());
     const uint64_t fingerprint = ctx.view.EpochFingerprint(stmt->from);
     profile = cache_->LookupProfile(ctx.shape, fingerprint);
     if (profile == nullptr) {

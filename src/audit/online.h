@@ -4,10 +4,12 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "src/audit/audit_index.h"
+#include "src/audit/candidate.h"
 #include "src/audit/granule.h"
 #include "src/audit/suspicion.h"
 #include "src/engine/lineage.h"
@@ -43,8 +45,8 @@ Result<std::vector<OnlineSchemeState>> BuildOnlineSchemeStates(
 
 /// Sharing knob for the online monitor.
 struct OnlineAuditorOptions {
-  /// Cache to share with other audit components (e.g. the serving
-  /// stack's); a private one is created when null.
+  /// Profile cache to share with other audit components (e.g. the
+  /// serving stack's); a private one is created when null.
   std::shared_ptr<DecisionCache> cache;
 };
 
@@ -153,10 +155,8 @@ class OnlineAuditor {
   struct Entry {
     int id = 0;
     AuditExpression expr;
-    /// Structural hash of the qualified expression's canonical text: the
-    /// decision-cache key component identifying it across auditors
-    /// sharing a cache.
-    uint64_t expr_hash = 0;
+    /// expr.attrs.AllAttributes(), for the candidacy checks.
+    std::set<ColumnRef> audited;
     TargetView view;
     std::vector<OnlineSchemeState> schemes;
     /// Batch-accumulated indispensable tids per table, as compressed
@@ -172,7 +172,11 @@ class OnlineAuditor {
   /// Shared per-observation context: snapshot/parse/execute once, reuse
   /// for every visited entry.
   struct ObserveContext {
-    const sql::SelectStatement* stmt = nullptr;
+    /// The query's static facts against `view`'s catalog; unset when the
+    /// query does not parse. Transient: a fresh write is mostly a new
+    /// shape, and keeping its parse in the log would grow memory with
+    /// every write.
+    std::optional<StaticFacts> facts;
     /// The query's executed profile; null when parsing or execution
     /// failed.
     const AccessProfile* profile = nullptr;
@@ -180,8 +184,6 @@ class OnlineAuditor {
     /// a query that was never executed must not read as cleared.
     Status profile_status;
     sql::QueryShape shape;
-    /// Catalog epoch of `view` — the state key of schema-only decisions.
-    uint64_t catalog_epoch = 0;
     /// The observation's pinned database view: every per-entry rebuild
     /// and candidacy check reads this one consistent state.
     DatabaseView view;
@@ -191,17 +193,17 @@ class OnlineAuditor {
   void RecomputeAccessCounts(Entry* entry);
   static Screening ScreeningOf(const Entry& entry);
   /// One expression's share of Observe: candidacy check + coverage
-  /// accumulation. `stmt` may be null (parse failure — the entry's state
-  /// is left unchanged); a candidate whose execution failed returns
+  /// accumulation. `ctx.facts` may be unset (parse failure — the entry's
+  /// state is left unchanged); a candidate whose execution failed returns
   /// `ctx.profile_status`. Entries are independent, so distinct entries
   /// may be observed concurrently.
   Status ObserveEntry(Entry* entry, const LoggedQuery& query,
                       const ObserveContext& ctx);
   /// Entries the observation must visit, in registration order. With
-  /// the query's accessed columns statically resolved, this is the
-  /// subset whose audited attributes the query can touch; otherwise
-  /// (parse or resolution failure) every entry, so each entry's
-  /// candidacy check surfaces the failure.
+  /// the query's accessed columns statically resolved (ctx.facts), this
+  /// is the subset whose audited attributes the query can touch;
+  /// otherwise (parse or resolution failure) every entry, so each
+  /// entry's candidacy check surfaces the failure.
   std::vector<Entry*> EntriesToVisit(const ObserveContext& ctx);
 
   Database* db_;

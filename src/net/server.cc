@@ -217,9 +217,9 @@ struct AuditServer::Impl {
     LoadReplGeneration();
     handlers =
         std::make_unique<service::ThreadPool>(options.handlers, metrics);
-    // The online monitor behind push subscriptions shares the service's
-    // decision cache, so screening an executed query reuses the same
-    // memoized candidacy decisions polls do.
+    // The online monitor behind push subscriptions keeps its executed
+    // profiles in the service's decision cache, whose hit counters the
+    // metrics report.
     audit::OnlineAuditorOptions online_options;
     online_options.cache = service->decision_cache();
     online = std::make_unique<audit::OnlineAuditor>(db, online_options);
@@ -925,15 +925,18 @@ struct AuditServer::Impl {
           AUDITDB_RETURN_IF_ERROR(store->Sync());
         }
       }
-      log->Append(entry.sql, entry.timestamp, entry.user, entry.role,
-                  entry.purpose);
+      int64_t id = log->Append(entry.sql, entry.timestamp, entry.user,
+                               entry.role, entry.purpose);
       MaybeCheckpoint();
       // Replica subscribers get the same observe/push fan-out as on
       // the primary; policy emission stays with the node that actually
-      // executed the query.
+      // executed the query. Observe reads the logged entry, whose shape
+      // the append just computed.
       if (subscriptions.active() > 0) {
         GcOrphans();
-        auto observed = online->Observe(entry, service->pool());
+        auto observed =
+            online->Observe(log->Entry(static_cast<size_t>(id - 1)),
+                            service->pool());
         if (!observed.ok()) {
           push_observe_errors->Increment();
         }
@@ -1428,7 +1431,9 @@ Result<std::string> AuditServer::Impl::HandleExecuteQuery(
   bool observed_ok = false;
   if (subscriptions.active() > 0 || (full_audit && online->size() > 0)) {
     GcOrphans();
-    auto observed = online->Observe(entry, service->pool());
+    // The logged entry carries the shape the append just computed.
+    auto observed = online->Observe(log->Entry(static_cast<size_t>(id - 1)),
+                                    service->pool());
     if (!observed.ok()) {
       push_observe_errors->Increment();
     } else {

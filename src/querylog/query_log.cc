@@ -2,6 +2,21 @@
 
 namespace auditdb {
 
+std::shared_ptr<const sql::SelectStatement> ParsedShape::Statement(
+    const std::string& sql) const {
+  if (!parsed()) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!parsed_.load(std::memory_order_relaxed)) {
+      auto stmt = sql::ParseSelect(sql);
+      if (stmt.ok()) {
+        stmt_ = std::make_shared<const sql::SelectStatement>(std::move(*stmt));
+      }
+      parsed_.store(true, std::memory_order_release);
+    }
+  }
+  return stmt_;
+}
+
 std::string LoggedQuery::ToString() const {
   return "#" + std::to_string(id) + " [" + timestamp.ToString() + " user=" +
          user + " role=" + role + " purpose=" + purpose + "] " + sql;
@@ -17,7 +32,7 @@ int64_t QueryLog::Append(std::string sql, Timestamp ts, std::string user,
   entry.purpose = std::move(purpose);
   entry.shape = sql::ComputeQueryShape(entry.sql);
   std::lock_guard<std::mutex> lock(shapes_mu_);
-  ++shape_counts_[entry.shape];
+  entry.parsed = &shapes_[entry.shape];
   // Ids are dense from 1 in append order; assigning under the same
   // lock keeps id == position + 1 even with concurrent appenders.
   int64_t id = static_cast<int64_t>(entries_.size()) + 1;
@@ -53,7 +68,21 @@ std::vector<const LoggedQuery*> QueryLog::InInterval(
 
 size_t QueryLog::distinct_shapes() const {
   std::lock_guard<std::mutex> lock(shapes_mu_);
-  return shape_counts_.size();
+  return shapes_.size();
+}
+
+size_t QueryLog::parsed_shapes() const {
+  std::lock_guard<std::mutex> lock(shapes_mu_);
+  size_t parsed = 0;
+  for (const auto& [shape, memo] : shapes_) parsed += memo.parsed();
+  return parsed;
+}
+
+size_t QueryLog::memoized_facts() const {
+  std::lock_guard<std::mutex> lock(shapes_mu_);
+  size_t facts = 0;
+  for (const auto& [shape, memo] : shapes_) facts += memo.memoized_catalogs();
+  return facts;
 }
 
 }  // namespace auditdb

@@ -28,9 +28,7 @@ Result<audit::AuditReport> AuditService::Run(
     const audit::AuditExpression& expr, const audit::AuditPin& pin,
     const audit::AuditOptions& options, ThreadPool* pool) {
   runs_->Increment();
-  audit::AuditOptions effective = options;
-  if (effective.cache == nullptr) effective.cache = cache_.get();
-  auto report = auditor_.AuditPinned(expr, effective, pin, pool);
+  auto report = auditor_.AuditPinned(expr, options, pin, pool);
   if (report.ok()) {
     static_stage_micros_->Observe(Micros(report->static_seconds));
     view_stage_micros_->Observe(Micros(report->view_seconds));

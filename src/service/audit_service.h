@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "src/audit/audit_index.h"
 #include "src/audit/auditor.h"
 #include "src/audit/expression_library.h"
 #include "src/service/thread_pool.h"
@@ -88,16 +89,15 @@ class AuditService {
 
   ThreadPool* pool() { return &pool_; }
 
-  /// The service-owned decision cache (never null). Shared_ptr so a
-  /// database change listener can keep invalidating it safely even if the
-  /// service is destroyed first.
+  /// The service-owned profile cache (never null) that the serving
+  /// stack's online monitor shares. Audits do not read it: their static
+  /// decisions are memoized on the query log's ParsedShapes.
   const std::shared_ptr<audit::DecisionCache>& decision_cache() const {
     return cache_;
   }
 
  private:
-  /// Audits `expr` against `pin` with the service cache injected (unless
-  /// the caller bound its own), fanning out over `pool` (null: the
+  /// Audits `expr` against `pin`, fanning out over `pool` (null: the
   /// calling thread), and meters the run.
   Result<audit::AuditReport> Run(const audit::AuditExpression& expr,
                                  const audit::AuditPin& pin,

@@ -13,6 +13,8 @@ void DatabaseView::AddTable(std::shared_ptr<const TableVersion> version) {
   // by AddTable's status; views are built by trusted code, so drop it.
   catalog_.AddTable(version->schema());
   tables_[name] = std::move(version);
+  // The catalog no longer matches the snapshot's.
+  database_id_ = 0;
 }
 
 void DatabaseView::AddTable(const Table* table) {
@@ -53,6 +55,15 @@ uint64_t DatabaseView::EpochFingerprint(
   }
   return h;
 }
+
+namespace {
+
+std::atomic<uint64_t> next_database_id{1};
+
+}  // namespace
+
+Database::Database()
+    : id_(next_database_id.fetch_add(1, std::memory_order_relaxed)) {}
 
 Status Database::CreateTable(TableSchema schema) {
   std::unique_lock<std::shared_mutex> lock(mu_);
@@ -170,6 +181,7 @@ DatabaseView Database::Snapshot() const {
     view.AddTable(table->CurrentVersion());
   }
   view.set_catalog_epoch(catalog_epoch_.load(std::memory_order_acquire));
+  view.set_database_id(id_);
   return view;
 }
 

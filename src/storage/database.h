@@ -52,6 +52,13 @@ class DatabaseView {
   uint64_t catalog_epoch() const { return catalog_epoch_; }
   void set_catalog_epoch(uint64_t epoch) { catalog_epoch_ = epoch; }
 
+  /// Process-unique id of the database this view was taken from (0 for
+  /// hand-built / snapshot views, and for a view extended by AddTable
+  /// after the snapshot). Epochs count from 0 in every database, so
+  /// (database_id, catalog_epoch) is what names one catalog.
+  uint64_t database_id() const { return database_id_; }
+  void set_database_id(uint64_t id) { database_id_ = id; }
+
   /// Order-independent fingerprint of the version epochs of `tables`
   /// (plus the catalog epoch). Two views agree on the fingerprint iff
   /// every named table is at the same version in both — the cache key for
@@ -64,6 +71,7 @@ class DatabaseView {
   std::map<std::string, std::shared_ptr<const TableVersion>> tables_;
   Catalog catalog_;
   uint64_t catalog_epoch_ = 0;
+  uint64_t database_id_ = 0;
 };
 
 /// The primary store: named tables plus the trigger hook that streams every
@@ -81,7 +89,7 @@ class Database {
  public:
   using ChangeListener = std::function<void(const ChangeEvent&)>;
 
-  Database() = default;
+  Database();
   Database(const Database&) = delete;
   Database& operator=(const Database&) = delete;
 
@@ -126,6 +134,9 @@ class Database {
     return catalog_epoch_.load(std::memory_order_acquire);
   }
 
+  /// Process-unique, nonzero id, carried on every Snapshot().
+  uint64_t id() const { return id_; }
+
  private:
   void Emit(const ChangeEvent& event);
   /// Lookup without taking mu_ (callers hold it or are setup-phase).
@@ -138,6 +149,7 @@ class Database {
   Catalog catalog_;
   std::vector<ChangeListener> listeners_;
   std::atomic<uint64_t> catalog_epoch_{0};
+  const uint64_t id_;
 };
 
 }  // namespace auditdb

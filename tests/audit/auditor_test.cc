@@ -344,26 +344,41 @@ TEST_F(AuditorTest, StaticOnlyAlsoReportsPerQueryErrors) {
 }
 
 TEST_F(AuditorTest, DecisionCacheKeepsReportsByteIdentical) {
-  Log("SELECT name, disease FROM P-Personal, P-Health "
+  // Static decisions are memoized on the log's ParsedShapes: a second
+  // audit of the same log parses nothing and reads the first audit's
+  // facts, and both reports match an audit of a log that was never
+  // screened (including the error verdict of the unknown table).
+  const char* const queries[] = {
+      "SELECT name, disease FROM P-Personal, P-Health "
       "WHERE P-Personal.pid=P-Health.pid AND disease='diabetic'",
-      10);
-  Log("SELECT secret FROM NoSuchTable", 20);
-  Log("SELECT ward FROM P-Health WHERE ward='W11'", 30);
+      "SELECT secret FROM NoSuchTable",
+      "SELECT ward FROM P-Health WHERE ward='W11'",
+      "SELECT name, disease FROM P-Personal, P-Health "
+      "WHERE P-Personal.pid=P-Health.pid AND disease='diabetic'",
+  };
+  QueryLog cold;
+  for (int i = 0; i < 4; ++i) {
+    Log(queries[i], 10 * (i + 1));
+    cold.Append(queries[i], Ts(10 * (i + 1)), "alice", "doctor",
+                "treatment");
+  }
   const std::string text =
       kSpan +
       "AUDIT (name,disease) FROM P-Personal, P-Health "
       "WHERE P-Personal.pid = P-Health.pid AND disease='diabetic'";
-  auto plain = MustAudit(text);
 
-  DecisionCache cache;
-  AuditOptions cached_opts;
-  cached_opts.cache = &cache;
-  // Twice through the same cache: the second run is answered from it.
-  auto first = MustAudit(text, cached_opts);
-  auto second = MustAudit(text, cached_opts);
-  EXPECT_EQ(first.CanonicalString(), plain.CanonicalString());
-  EXPECT_EQ(second.CanonicalString(), plain.CanonicalString());
-  EXPECT_GT(cache.stats()->cache_hits.load(), 0u);
+  auto first = MustAudit(text);
+  const size_t parsed = log_.parsed_shapes();
+  EXPECT_EQ(parsed, log_.distinct_shapes());
+  auto second = MustAudit(text);
+  EXPECT_EQ(log_.parsed_shapes(), parsed);
+
+  Auditor fresh(&db_, &backlog_, &cold);
+  auto plain = fresh.Audit(text, Ts(1000));
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  EXPECT_EQ(first.CanonicalString(), plain->CanonicalString());
+  EXPECT_EQ(second.CanonicalString(), plain->CanonicalString());
+  EXPECT_TRUE(first.verdicts[1].error);
 }
 
 TEST_F(AuditorTest, RepeatedCandidatesShareOneExecutionPerState) {

@@ -509,6 +509,53 @@ TEST_F(OnlineAuditorTest, SharedCacheServesMultipleAuditors) {
   EXPECT_GT(cache->stats()->cache_hits.load(), hits);
 }
 
+TEST_F(OnlineAuditorTest, LoggedEntryAndZeroShapeCopyScreenIdentically) {
+  // The serving stack observes the entry the log just appended, which
+  // carries its shape; a caller without a log passes an entry whose
+  // shape is zero, and Observe computes it. Both must screen alike.
+  OnlineAuditor logged(&db_);
+  OnlineAuditor copied(&db_);
+  for (OnlineAuditor* online : {&logged, &copied}) {
+    ASSERT_TRUE(online->AddExpression(Parse(kSemantic)).ok());
+    ASSERT_TRUE(
+        online->AddExpression(Parse("AUDIT (salary) FROM P-Employ")).ok());
+  }
+  QueryLog log;
+  const char* const queries[] = {
+      "SELECT name FROM P-Personal WHERE zipcode='145568'",
+      "SELECT salary FROM P-Employ",
+      "SELECT  name FROM P-Personal\n WHERE zipcode = '145568'",
+      "SELECT nonsense FROM",
+      "SELECT pid, disease FROM P-Health WHERE disease='diabetic'",
+  };
+  int64_t at = 100;
+  for (const char* sql : queries) {
+    int64_t id = log.Append(sql, Ts(at++), "alice", "doctor", "treatment");
+    const LoggedQuery& entry = log.Entry(static_cast<size_t>(id - 1));
+    ASSERT_FALSE(entry.shape.zero());
+    LoggedQuery copy = entry;
+    copy.shape = sql::QueryShape{};
+    copy.parsed = nullptr;
+    auto from_log = logged.Observe(entry);
+    auto from_copy = copied.Observe(copy);
+    ASSERT_EQ(from_log.ok(), from_copy.ok()) << sql;
+    if (!from_log.ok()) {
+      EXPECT_EQ(from_log.status().ToString(), from_copy.status().ToString());
+      continue;
+    }
+    ASSERT_EQ(from_log->size(), from_copy->size());
+    for (size_t i = 0; i < from_log->size(); ++i) {
+      EXPECT_EQ((*from_log)[i].expression_id, (*from_copy)[i].expression_id);
+      EXPECT_EQ((*from_log)[i].fired, (*from_copy)[i].fired) << sql;
+      EXPECT_EQ((*from_log)[i].rank, (*from_copy)[i].rank) << sql;
+      EXPECT_EQ((*from_log)[i].best_scheme, (*from_copy)[i].best_scheme);
+    }
+  }
+  // Observe keeps no parse of its own in the log.
+  EXPECT_EQ(log.parsed_shapes(), 0u);
+  EXPECT_TRUE(logged.Current()[0].fired);
+}
+
 /// Differential: the online monitor must fire on exactly the workloads
 /// the offline batch auditor flags, when the data never changes.
 class OnlineVsOffline : public ::testing::TestWithParam<uint64_t> {};

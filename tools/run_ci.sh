@@ -71,14 +71,18 @@ cmake -B "${PREFIX}-tsan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 # carries ChurnedAuditorTest.PoolMatchesSerial:
 # pool workers share the TableVersions one backlog cursor pinned into
 # several states and race each one's first join-index build.
+# auditor_test also carries ParsedShapeConcurrentTest: a served audit and
+# a pooled audit race the first parse and the first static-facts
+# computation of every shape of a cold query log; the ParsedShape unit
+# and property suites and ShapeMemoTest ride along.
 cmake --build "${PREFIX}-tsan" -j "${JOBS}" \
       --target service_test subscription_test net_test policy_test \
-               common_test auditor_test
+               common_test auditor_test querylog_test property_test
 # TidBitmap rides along: the audit-pipeline suite audits with bitmaps on
 # by default (caller thread vs 1/2/3/8-worker pools), so the kernels also
 # run under the parallel checkers above.
 ctest --test-dir "${PREFIX}-tsan" --output-on-failure \
-      -R 'AuditPipelineTest|OnlineConcurrentTest|MvccConcurrentTest|ThreadPoolTest|RunBatchTest|BoundedQueueTest|CounterTest|GaugeTest|HistogramTest|MetricsRegistryTest|PushCodecTest|SubscriptionRegistryTest|SubscriptionConcurrentTest|PushSubscriptionTest|PolicyEngineConcurrentTest|TidBitmapTest|TidBitmapDifferentialTest|ChurnedAuditorTest.PoolMatchesSerial'
+      -R 'AuditPipelineTest|OnlineConcurrentTest|MvccConcurrentTest|ThreadPoolTest|RunBatchTest|BoundedQueueTest|CounterTest|GaugeTest|HistogramTest|MetricsRegistryTest|PushCodecTest|SubscriptionRegistryTest|SubscriptionConcurrentTest|PushSubscriptionTest|PolicyEngineConcurrentTest|TidBitmapTest|TidBitmapDifferentialTest|ChurnedAuditorTest.PoolMatchesSerial|ParsedShapeConcurrentTest|ShapeMemoTest|ParsedShapeTest|ParsedShapeProperty'
 
 echo "== [4/9] network layer under AddressSanitizer =="
 cmake -B "${PREFIX}-asan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -90,7 +94,7 @@ cmake --build "${PREFIX}-asan" -j "${JOBS}" \
                cluster_test engine_test property_test storage_test \
                auditor_test backlog_test target_view_test \
                online_reference_test expr_test granule_test \
-               paper_examples_test
+               paper_examples_test querylog_test
 # ASan exits non-zero on any report; halt_on_error makes that immediate.
 # The tid-bitmap and suspicion suites ride along here: the BatchIndex
 # lifetime regression (dangling batch vector) is exactly the kind of bug
@@ -115,10 +119,12 @@ cmake --build "${PREFIX}-asan" -j "${JOBS}" \
 # along: an enumerator comes out of a Result and holds its view by
 # reference. The target-view restriction differential and the hash-join
 # key-layout cases ride along: restrictions are spans into row lists the
-# auditor owns, and restricted runs index masks by row position.
+# auditor owns, and restricted runs index masks by row position. The
+# query log's per-shape memo suites ride along: audits keep pointers
+# into ParsedShapes and share their statements and facts by pointer.
 export ASAN_OPTIONS="halt_on_error=1:abort_on_error=0:exitcode=99"
 ctest --test-dir "${PREFIX}-asan" --output-on-failure \
-      -R 'FrameCodecTest|FrameReaderTest|FieldCodecTest|ErrorCodecTest|TypePredicatesTest|AuditServerTest|PushCodecTest|SubscriptionRegistryTest|PushSubscriptionTest|TidBitmapTest|TidBitmapDifferentialTest|SuspicionTest|SuspicionReferenceTest|MinimizeDifferentialTest|OnlineAuditorTest.FailedReexecutionIsAnErrorNotAClear|OnlineAuditorTest.OneFailingExpressionDoesNotStopTheOthers|ClusterTest.ReplicaCountsAFailedObserveReexecution|ExecutorDifferential|ExecutorReferenceTest|TableScanTest|PredicateProgramTest|PredicateProgramPropertyTest|JoinKeyIndexTest|TableVersionTest.JoinIndexIsBuiltOncePerVersionAndColumn|AuditorTest.RepeatedCandidatesShareOneExecutionPerState|BacklogDifferential|BacklogCursorTest|TargetViewSweepDifferential|ChurnedAuditorTest|SemijoinDifferential|ExecutorSemijoinTest|ExecutorHashSkipTest|OnlineReferenceDifferential|LineageTest|LineageOnlyDifferential|GranuleTest|PaperExamplesTest|SchemeMismatchTest|ExecutorHashJoinKeyLayoutTest|TargetViewRestrictionDifferential'
+      -R 'FrameCodecTest|FrameReaderTest|FieldCodecTest|ErrorCodecTest|TypePredicatesTest|AuditServerTest|PushCodecTest|SubscriptionRegistryTest|PushSubscriptionTest|TidBitmapTest|TidBitmapDifferentialTest|SuspicionTest|SuspicionReferenceTest|MinimizeDifferentialTest|OnlineAuditorTest.FailedReexecutionIsAnErrorNotAClear|OnlineAuditorTest.OneFailingExpressionDoesNotStopTheOthers|ClusterTest.ReplicaCountsAFailedObserveReexecution|ExecutorDifferential|ExecutorReferenceTest|TableScanTest|PredicateProgramTest|PredicateProgramPropertyTest|JoinKeyIndexTest|TableVersionTest.JoinIndexIsBuiltOncePerVersionAndColumn|AuditorTest.RepeatedCandidatesShareOneExecutionPerState|BacklogDifferential|BacklogCursorTest|TargetViewSweepDifferential|ChurnedAuditorTest|SemijoinDifferential|ExecutorSemijoinTest|ExecutorHashSkipTest|OnlineReferenceDifferential|LineageTest|LineageOnlyDifferential|GranuleTest|PaperExamplesTest|SchemeMismatchTest|ExecutorHashJoinKeyLayoutTest|TargetViewRestrictionDifferential|ParsedShapeProperty|ParsedShapeTest|ShapeMemoTest|ParsedShapeConcurrentTest|OnlineAuditorTest.LoggedEntryAndZeroShapeCopyScreenIdentically'
 
 echo "-- auditd loopback smoke (ASan build) --"
 PORT_FILE="$(mktemp)"
@@ -250,7 +256,7 @@ echo "== [5/9] tid-bitmap kernels under UndefinedBehaviorSanitizer =="
 # scheme-mismatch cases (k-combination index arithmetic over resolved
 # schemes), and the target-view restriction differential with the
 # hash-join key-layout cases (row positions cast to 32 bits, per-run
-# allowed-row masks).
+# allowed-row masks), and the query log's per-shape memo suites.
 cmake -B "${PREFIX}-ubsan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DAUDITDB_SANITIZE=undefined
 cmake --build "${PREFIX}-ubsan" -j "${JOBS}" \
@@ -258,10 +264,10 @@ cmake --build "${PREFIX}-ubsan" -j "${JOBS}" \
                minimize_test online_test cluster_test engine_test \
                property_test storage_test auditor_test backlog_test \
                target_view_test online_reference_test expr_test \
-               granule_test paper_examples_test
+               granule_test paper_examples_test querylog_test
 export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
 ctest --test-dir "${PREFIX}-ubsan" --output-on-failure \
-      -R 'StringUtilTest|TidBitmapTest|TidBitmapDifferentialTest|SuspicionTest|SuspicionReferenceTest|MinimizeDifferentialTest|OnlineAuditorTest.FailedReexecutionIsAnErrorNotAClear|OnlineAuditorTest.OneFailingExpressionDoesNotStopTheOthers|ClusterTest.ReplicaCountsAFailedObserveReexecution|ExecutorDifferential|ExecutorReferenceTest|TableScanTest|PredicateProgramTest|PredicateProgramPropertyTest|JoinKeyIndexTest|TableVersionTest.JoinIndexIsBuiltOncePerVersionAndColumn|AuditorTest.RepeatedCandidatesShareOneExecutionPerState|BacklogDifferential|BacklogCursorTest|TargetViewSweepDifferential|ChurnedAuditorTest|SemijoinDifferential|ExecutorSemijoinTest|ExecutorHashSkipTest|OnlineReferenceDifferential|LineageTest|LineageOnlyDifferential|GranuleTest|PaperExamplesTest|SchemeMismatchTest|ExecutorHashJoinKeyLayoutTest|TargetViewRestrictionDifferential'
+      -R 'StringUtilTest|TidBitmapTest|TidBitmapDifferentialTest|SuspicionTest|SuspicionReferenceTest|MinimizeDifferentialTest|OnlineAuditorTest.FailedReexecutionIsAnErrorNotAClear|OnlineAuditorTest.OneFailingExpressionDoesNotStopTheOthers|ClusterTest.ReplicaCountsAFailedObserveReexecution|ExecutorDifferential|ExecutorReferenceTest|TableScanTest|PredicateProgramTest|PredicateProgramPropertyTest|JoinKeyIndexTest|TableVersionTest.JoinIndexIsBuiltOncePerVersionAndColumn|AuditorTest.RepeatedCandidatesShareOneExecutionPerState|BacklogDifferential|BacklogCursorTest|TargetViewSweepDifferential|ChurnedAuditorTest|SemijoinDifferential|ExecutorSemijoinTest|ExecutorHashSkipTest|OnlineReferenceDifferential|LineageTest|LineageOnlyDifferential|GranuleTest|PaperExamplesTest|SchemeMismatchTest|ExecutorHashJoinKeyLayoutTest|TargetViewRestrictionDifferential|ParsedShapeProperty|ParsedShapeTest|ShapeMemoTest|ParsedShapeConcurrentTest|OnlineAuditorTest.LoggedEntryAndZeroShapeCopyScreenIdentically'
 
 echo "== [6/9] policy gate under AddressSanitizer =="
 cmake --build "${PREFIX}-asan" -j "${JOBS}" \
