@@ -135,34 +135,29 @@ bool RunCombo(size_t writers, size_t auditors, int audits_each,
 }
 
 bool WriteMixedJson(const std::deque<MixedRow>& rows, const char* path) {
-  std::FILE* out = std::fopen(path, "w");
-  if (out == nullptr) return false;
-  std::fprintf(out, "{\n  \"benchmarks\": [\n");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const MixedRow& row = rows[i];
-    std::fprintf(
-        out,
-        "    {\"name\": \"BM_Mixed/writers:%zu/auditors:%zu\", "
-        "\"writers\": %zu, \"auditors\": %zu, "
-        "\"audits\": %llu, \"writes\": %llu, "
-        "\"audits_per_second\": %.1f, \"writes_per_second\": %.0f, "
-        "\"parsed_shapes\": %llu, \"memoized_facts\": %llu, "
-        "\"facts_per_shape\": %.3f, "
-        "\"cow_rows\": %llu, \"cow_bytes\": %llu}%s\n",
-        row.writers, row.auditors, row.writers, row.auditors,
-        static_cast<unsigned long long>(row.audits),
-        static_cast<unsigned long long>(row.writes),
-        PerSecond(row.audits, row.seconds), PerSecond(row.writes, row.seconds),
-        static_cast<unsigned long long>(row.parsed_shapes),
-        static_cast<unsigned long long>(row.memoized_facts),
-        FactsPerShape(row),
-        static_cast<unsigned long long>(row.cow_rows),
-        static_cast<unsigned long long>(row.cow_bytes),
-        i + 1 < rows.size() ? "," : "");
+  service::JsonArray json;
+  for (const MixedRow& row : rows) {
+    const std::string name = "BM_Mixed/writers:" +
+                             std::to_string(row.writers) +
+                             "/auditors:" + std::to_string(row.auditors);
+    json.Add(service::JsonObject()
+                 .Add("name", name)
+                 .Add("writers", row.writers)
+                 .Add("auditors", row.auditors)
+                 .Add("audits", row.audits)
+                 .Add("writes", row.writes)
+                 .Add("audits_per_second",
+                      PerSecond(row.audits, row.seconds), 1)
+                 .Add("writes_per_second",
+                      PerSecond(row.writes, row.seconds), 0)
+                 .Add("parsed_shapes", row.parsed_shapes)
+                 .Add("memoized_facts", row.memoized_facts)
+                 .Add("facts_per_shape", FactsPerShape(row), 3)
+                 .Add("cow_rows", row.cow_rows)
+                 .Add("cow_bytes", row.cow_bytes)
+                 .str());
   }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  return true;
+  return bench::WriteBenchmarksJson(json, path);
 }
 
 int RunMixed(int audits_each) {

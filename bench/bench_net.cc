@@ -48,6 +48,7 @@ namespace {
 
 using namespace auditdb;
 using bench::Ts;
+using bench::WriteBenchmarksJson;
 using Clock = std::chrono::steady_clock;
 
 constexpr size_t kPatients = 150;
@@ -239,38 +240,30 @@ void RunPushSweep(size_t subscribers, size_t queue_depth, size_t queries,
   server->Shutdown();
 }
 
-/// Writes the sweep rows as BENCH_push.json in the working directory —
-/// hand-rolled, but with the {"benchmarks": [...]} shape the other
-/// BENCH_*.json artifacts (google-benchmark JSON) share, so the same
-/// CI checks apply.
+/// Per-second rate of `count` events over `seconds` (0 when untimed).
+double PerSecond(uint64_t count, double seconds) {
+  return seconds > 0 ? static_cast<double>(count) / seconds : 0.0;
+}
+
+/// Writes the sweep rows as BENCH_push.json in the working directory.
 bool WritePushJson(const std::deque<PushRow>& rows, const char* path) {
-  std::FILE* out = std::fopen(path, "w");
-  if (out == nullptr) return false;
-  std::fprintf(out, "{\n  \"benchmarks\": [\n");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const PushRow& row = rows[i];
-    double per_sec = row.seconds > 0
-                         ? static_cast<double>(row.delivered) / row.seconds
-                         : 0.0;
-    std::fprintf(
-        out,
-        "    {\"name\": \"BM_PushDeliver/subs:%zu/depth:%zu\", "
-        "\"subscribers\": %zu, \"queue_depth\": %zu, "
-        "\"delivered\": %llu, \"expected\": %llu, "
-        "\"p50_us\": %llu, \"p99_us\": %llu, "
-        "\"pushes_per_second\": %.0f}%s\n",
-        row.subscribers, row.queue_depth, row.subscribers,
-        row.queue_depth, static_cast<unsigned long long>(row.delivered),
-        static_cast<unsigned long long>(row.expected),
-        static_cast<unsigned long long>(
-            row.latency.QuantileUpperBound(0.5)),
-        static_cast<unsigned long long>(
-            row.latency.QuantileUpperBound(0.99)),
-        per_sec, i + 1 < rows.size() ? "," : "");
+  service::JsonArray json;
+  for (const PushRow& row : rows) {
+    json.Add(service::JsonObject()
+                 .Add("name", "BM_PushDeliver/subs:" +
+                                  std::to_string(row.subscribers) +
+                                  "/depth:" + std::to_string(row.queue_depth))
+                 .Add("subscribers", row.subscribers)
+                 .Add("queue_depth", row.queue_depth)
+                 .Add("delivered", row.delivered)
+                 .Add("expected", row.expected)
+                 .Add("p50_us", row.latency.QuantileUpperBound(0.5))
+                 .Add("p99_us", row.latency.QuantileUpperBound(0.99))
+                 .Add("pushes_per_second",
+                      PerSecond(row.delivered, row.seconds), 0)
+                 .str());
   }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  return true;
+  return WriteBenchmarksJson(json, path);
 }
 
 /// Sweep 4: push delivery latency vs subscriber count and queue depth.
@@ -293,9 +286,7 @@ uint64_t RunPushSection(size_t queries) {
           row.subscribers, row.queue_depth,
           static_cast<unsigned long long>(row.delivered),
           static_cast<unsigned long long>(row.expected),
-          row.seconds > 0
-              ? static_cast<double>(row.delivered) / row.seconds
-              : 0.0,
+          PerSecond(row.delivered, row.seconds),
           static_cast<unsigned long long>(
               row.latency.QuantileUpperBound(0.5)),
           static_cast<unsigned long long>(
@@ -435,39 +426,28 @@ void RunReplSweep(size_t followers, net::ReplAckPolicy ack, size_t writes,
   server->Shutdown();
 }
 
-/// Writes the sweep rows as BENCH_repl.json — same {"benchmarks": [...]}
-/// shape as BENCH_push.json so the CI artifact checks apply unchanged.
+/// Writes the sweep rows as BENCH_repl.json, in BENCH_push.json's shape.
 bool WriteReplJson(const std::deque<ReplRow>& rows, const char* path) {
-  std::FILE* out = std::fopen(path, "w");
-  if (out == nullptr) return false;
-  std::fprintf(out, "{\n  \"benchmarks\": [\n");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const ReplRow& row = rows[i];
-    double per_sec = row.seconds > 0
-                         ? static_cast<double>(row.writes) / row.seconds
-                         : 0.0;
-    std::fprintf(
-        out,
-        "    {\"name\": \"BM_ReplCommit/followers:%zu/ack:%s\", "
-        "\"followers\": %zu, \"ack\": \"%s\", \"writes\": %llu, "
-        "\"p50_us\": %llu, \"p99_us\": %llu, "
-        "\"writes_per_second\": %.0f, \"catchup_ms\": %.1f, "
-        "\"errors\": %llu, \"verdict_mismatches\": %llu}%s\n",
-        row.followers, net::ReplAckPolicyName(row.ack), row.followers,
-        net::ReplAckPolicyName(row.ack),
-        static_cast<unsigned long long>(row.writes),
-        static_cast<unsigned long long>(
-            row.latency.QuantileUpperBound(0.5)),
-        static_cast<unsigned long long>(
-            row.latency.QuantileUpperBound(0.99)),
-        per_sec, row.catchup_ms,
-        static_cast<unsigned long long>(row.errors),
-        static_cast<unsigned long long>(row.mismatches),
-        i + 1 < rows.size() ? "," : "");
+  service::JsonArray json;
+  for (const ReplRow& row : rows) {
+    const char* ack = net::ReplAckPolicyName(row.ack);
+    json.Add(service::JsonObject()
+                 .Add("name", "BM_ReplCommit/followers:" +
+                                  std::to_string(row.followers) + "/ack:" +
+                                  ack)
+                 .Add("followers", row.followers)
+                 .Add("ack", ack)
+                 .Add("writes", row.writes)
+                 .Add("p50_us", row.latency.QuantileUpperBound(0.5))
+                 .Add("p99_us", row.latency.QuantileUpperBound(0.99))
+                 .Add("writes_per_second", PerSecond(row.writes, row.seconds),
+                      0)
+                 .Add("catchup_ms", row.catchup_ms, 1)
+                 .Add("errors", row.errors)
+                 .Add("verdict_mismatches", row.mismatches)
+                 .str());
   }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  return true;
+  return WriteBenchmarksJson(json, path);
 }
 
 /// Sweep 5: replication overhead vs follower count and ack policy.
@@ -490,9 +470,7 @@ uint64_t RunReplSection(size_t writes) {
           "mismatch %llu\n",
           row.followers, net::ReplAckPolicyName(row.ack),
           static_cast<unsigned long long>(row.writes),
-          row.seconds > 0
-              ? static_cast<double>(row.writes) / row.seconds
-              : 0.0,
+          PerSecond(row.writes, row.seconds),
           static_cast<unsigned long long>(
               row.latency.QuantileUpperBound(0.5)),
           static_cast<unsigned long long>(

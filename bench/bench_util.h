@@ -3,11 +3,13 @@
 
 #include <benchmark/benchmark.h>
 
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/audit/auditor.h"
+#include "src/service/metrics.h"
 #include "src/workload/generator.h"
 #include "src/workload/hospital.h"
 
@@ -45,6 +47,18 @@ namespace auditdb {
 namespace bench {
 
 inline Timestamp Ts(int64_t s) { return Timestamp(s * 1000000); }
+
+/// Writes `rows` to `path` as compact JSON in the {"benchmarks": [...]}
+/// shape google-benchmark's BENCH_*.json artifacts share, so hand-built
+/// sweeps pass the same CI checks. False when the file cannot be written.
+inline bool WriteBenchmarksJson(const service::JsonArray& rows,
+                                const char* path) {
+  std::ofstream out(path);
+  out << service::JsonObject().AddJson("benchmarks", rows.str()).str()
+      << '\n';
+  out.close();
+  return !out.fail();
+}
 
 /// A ready-to-audit world: populated hospital, attached backlog, and a
 /// generated query log.

@@ -2,26 +2,21 @@
 
 #include <algorithm>
 
+#include "src/service/metrics.h"
+
 namespace auditdb {
 namespace audit {
 
 std::string AuditIndexStats::ToJson() const {
-  auto field = [](const char* name, uint64_t v) {
-    return "\"" + std::string(name) + "\":" + std::to_string(v);
-  };
-  return "{" +
-         field("lookups", index_lookups.load(std::memory_order_relaxed)) +
-         "," +
-         field("visited", index_visited.load(std::memory_order_relaxed)) +
-         "," +
-         field("skipped", index_skipped.load(std::memory_order_relaxed)) +
-         "," +
-         field("fallbacks",
-               index_fallbacks.load(std::memory_order_relaxed)) +
-         "," + field("cache_hits", cache_hits.load(std::memory_order_relaxed)) +
-         "," +
-         field("cache_misses", cache_misses.load(std::memory_order_relaxed)) +
-         "}";
+  constexpr auto kRelaxed = std::memory_order_relaxed;
+  return service::JsonObject()
+      .Add("lookups", index_lookups.load(kRelaxed))
+      .Add("visited", index_visited.load(kRelaxed))
+      .Add("skipped", index_skipped.load(kRelaxed))
+      .Add("fallbacks", index_fallbacks.load(kRelaxed))
+      .Add("cache_hits", cache_hits.load(kRelaxed))
+      .Add("cache_misses", cache_misses.load(kRelaxed))
+      .str();
 }
 
 void ExpressionIndex::Add(int id, const AuditExpression& expr) {

@@ -42,8 +42,7 @@ struct AuditIndexStats {
   std::atomic<uint64_t> cache_hits{0};
   std::atomic<uint64_t> cache_misses{0};
 
-  /// {"lookups":..,"visited":..,"skipped":..,"fallbacks":..,
-  ///  "cache_hits":..,"cache_misses":..}
+  /// The Metrics reply's "index" section (keys: docs/wire_protocol.md).
   std::string ToJson() const;
 };
 

@@ -4,6 +4,7 @@
 
 #include "src/common/string_util.h"
 #include "src/io/file.h"
+#include "src/querylog/wal.h"
 
 namespace auditdb {
 namespace io {
@@ -275,14 +276,12 @@ Status ReadDatabaseDump(std::istream& in, Database* db, Timestamp ts) {
   return Status::Ok();
 }
 
+// QUERY lines carry the query WAL's record payload, so the dump, the
+// WAL and replication share one codec for query records.
 Status WriteQueryLogDump(const QueryLog& log, std::ostream& out) {
   const size_t num_logged = log.size();
   for (size_t i = 0; i < num_logged; ++i) {
-    const auto& entry = log.Entry(i);
-    out << "QUERY " << entry.id << "|" << entry.timestamp.micros() << "|"
-        << EscapeField(entry.user) << "|" << EscapeField(entry.role) << "|"
-        << EscapeField(entry.purpose) << "|" << EscapeField(entry.sql)
-        << "\n";
+    out << "QUERY " << querylog::EncodeQueryWalPayload(log.Entry(i)) << "\n";
   }
   return out.good() ? Status::Ok()
                     : Status::Internal("write failure in query-log dump");
@@ -298,26 +297,13 @@ Status ReadQueryLogDump(std::istream& in, QueryLog* log) {
       return Status::ParseError("unrecognized query-log line: " +
                                 std::string(trimmed));
     }
-    // Split the untrimmed payload: the SQL field may end in spaces.
-    auto fields = SplitEscapedFields(std::string(payload.substr(6)));
-    if (fields.size() != 6) {
-      return Status::ParseError("QUERY line needs 6 fields, got " +
-                                std::to_string(fields.size()));
-    }
-    int64_t micros;
-    if (!ParseInt64(fields[1], &micros)) {
-      return Status::ParseError("bad timestamp: " + fields[1]);
-    }
-    auto user = UnescapeField(fields[2]);
-    auto role = UnescapeField(fields[3]);
-    auto purpose = UnescapeField(fields[4]);
-    auto sql = UnescapeField(fields[5]);
-    if (!user.ok()) return user.status();
-    if (!role.ok()) return role.status();
-    if (!purpose.ok()) return purpose.status();
-    if (!sql.ok()) return sql.status();
-    log->Append(std::move(*sql), Timestamp(micros), std::move(*user),
-                std::move(*role), std::move(*purpose));
+    // Decode the untrimmed payload: the SQL field may end in spaces.
+    auto entry =
+        querylog::DecodeQueryWalPayload(std::string(payload.substr(6)));
+    if (!entry.ok()) return entry.status();
+    log->Append(std::move(entry->sql), entry->timestamp,
+                std::move(entry->user), std::move(entry->role),
+                std::move(entry->purpose));
   }
   return Status::Ok();
 }

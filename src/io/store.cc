@@ -4,6 +4,7 @@
 
 #include "src/common/string_util.h"
 #include "src/io/dump.h"
+#include "src/service/metrics.h"
 
 namespace auditdb {
 namespace io {
@@ -321,21 +322,18 @@ Status DurableStore::Sync() {
 }
 
 std::string DurableStore::MetricsJson() const {
-  std::ostringstream out;
-  out << "{\"wal_bytes\":" << wal_bytes_.load(std::memory_order_relaxed)
-      << ",\"wal_records\":"
-      << wal_records_.load(std::memory_order_relaxed)
-      << ",\"recovered_records\":" << recovery_.recovered_records
-      << ",\"torn_tail_dropped\":" << recovery_.torn_tail_dropped
-      << ",\"last_checkpoint_seq\":"
-      << seq_.load(std::memory_order_relaxed)
-      << ",\"checkpoints\":" << checkpoints_.load(std::memory_order_relaxed)
-      << ",\"checkpoint_failures\":"
-      << checkpoint_failures_.load(std::memory_order_relaxed)
-      << ",\"broken\":" << (broken() ? "true" : "false")
-      << ",\"fsync_policy\":\"" << querylog::FsyncPolicyName(options_.fsync)
-      << "\"}";
-  return out.str();
+  return service::JsonObject()
+      .Add("wal_bytes", wal_bytes_.load(std::memory_order_relaxed))
+      .Add("wal_records", wal_records_.load(std::memory_order_relaxed))
+      .Add("recovered_records", recovery_.recovered_records)
+      .Add("torn_tail_dropped", recovery_.torn_tail_dropped)
+      .Add("last_checkpoint_seq", seq_.load(std::memory_order_relaxed))
+      .Add("checkpoints", checkpoints_.load(std::memory_order_relaxed))
+      .Add("checkpoint_failures",
+           checkpoint_failures_.load(std::memory_order_relaxed))
+      .Add("broken", broken())
+      .Add("fsync_policy", querylog::FsyncPolicyName(options_.fsync))
+      .str();
 }
 
 }  // namespace io

@@ -111,9 +111,8 @@ class DurableStore {
     return checkpoints_.load(std::memory_order_relaxed);
   }
 
-  /// {"wal_bytes":..,"wal_records":..,"recovered_records":..,
-  ///  "torn_tail_dropped":..,"last_checkpoint_seq":..,...} — merged into
-  ///  the Metrics endpoint as the "durability" section.
+  /// The Metrics reply's "durability" section (keys:
+  /// docs/wire_protocol.md).
   std::string MetricsJson() const;
 
   const std::string& dir() const { return dir_; }

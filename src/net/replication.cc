@@ -315,34 +315,27 @@ size_t ReplicationHub::TotalPending() const {
 std::string ReplicationHub::MetricsJson() const {
   std::lock_guard<std::mutex> lock(mutex_);
   int64_t shipped = last_shipped_.load(std::memory_order_relaxed);
-  std::string json = "{";
-  json += "\"last_shipped\":" + std::to_string(shipped);
-  json += ",\"followers_active\":" + std::to_string(followers_.size());
-  json +=
-      ",\"records_shipped\":" + std::to_string(records_shipped_.value());
-  json += ",\"bytes_shipped\":" + std::to_string(bytes_shipped_.value());
-  json += ",\"acks_received\":" + std::to_string(acks_received_.value());
-  json += ",\"ack_wait_timeouts\":" +
-          std::to_string(ack_wait_timeouts_.value());
-  json += ",\"followers_evicted\":" +
-          std::to_string(followers_evicted_.value());
-  json += ",\"followers\":[";
-  bool first = true;
-  for (const auto& entry : followers_) {
-    if (!first) json += ",";
-    first = false;
-    const Follower& follower = entry.second;
+  service::JsonArray followers;
+  for (const auto& [conn_id, follower] : followers_) {
     int64_t lag = shipped - follower.acked;
-    json += "{\"conn_id\":" + std::to_string(entry.first);
-    json += ",\"acked\":" + std::to_string(follower.acked);
-    json += ",\"lag_records\":" + std::to_string(lag < 0 ? 0 : lag);
-    json += ",\"lag_bytes\":" + std::to_string(follower.queued_bytes);
-    json += ",\"last_ack_latency_ms\":" +
-            std::to_string(follower.last_ack_latency_ms);
-    json += "}";
+    followers.Add(service::JsonObject()
+                      .Add("conn_id", conn_id)
+                      .Add("acked", follower.acked)
+                      .Add("lag_records", lag < 0 ? 0 : lag)
+                      .Add("lag_bytes", follower.queued_bytes)
+                      .Add("last_ack_latency_ms", follower.last_ack_latency_ms)
+                      .str());
   }
-  json += "]}";
-  return json;
+  return service::JsonObject()
+      .Add("last_shipped", shipped)
+      .Add("followers_active", followers_.size())
+      .Add("records_shipped", records_shipped_.value())
+      .Add("bytes_shipped", bytes_shipped_.value())
+      .Add("acks_received", acks_received_.value())
+      .Add("ack_wait_timeouts", ack_wait_timeouts_.value())
+      .Add("followers_evicted", followers_evicted_.value())
+      .AddJson("followers", followers.str())
+      .str();
 }
 
 // --- ReplicaSession ---
@@ -380,17 +373,15 @@ std::string ReplicaSession::upstream() const {
 }
 
 std::string ReplicaSession::MetricsJson() const {
-  std::string json = "{";
-  json += "\"upstream\":" + service::JsonQuote(upstream());
-  json += ",\"connected\":" + std::string(connected() ? "true" : "false");
-  json += ",\"reconnects\":" + std::to_string(reconnects_.value());
-  json += ",\"resyncs\":" + std::to_string(resyncs_.value());
-  json +=
-      ",\"records_applied\":" + std::to_string(records_applied_.value());
-  json += ",\"bytes_received\":" + std::to_string(bytes_received_.value());
-  json += ",\"apply_errors\":" + std::to_string(apply_errors_.value());
-  json += "}";
-  return json;
+  return service::JsonObject()
+      .Add("upstream", upstream())
+      .Add("connected", connected())
+      .Add("reconnects", reconnects_.value())
+      .Add("resyncs", resyncs_.value())
+      .Add("records_applied", records_applied_.value())
+      .Add("bytes_received", bytes_received_.value())
+      .Add("apply_errors", apply_errors_.value())
+      .str();
 }
 
 bool ReplicaSession::SleepReconnectBackoff(RetryBudget* budget) {

@@ -159,9 +159,7 @@ class ReplicationHub {
     return last_shipped_.load(std::memory_order_relaxed);
   }
 
-  /// {"last_shipped","followers_active","records_shipped",...,
-  ///  "followers":[{"conn_id","acked","lag_records","lag_bytes",
-  ///  "last_ack_latency_ms"}]}.
+  /// The replication section's "hub" (keys: docs/wire_protocol.md).
   std::string MetricsJson() const;
 
  private:
@@ -259,8 +257,7 @@ class ReplicaSession {
   uint64_t resyncs() const { return resyncs_.value(); }
   uint64_t reconnects() const { return reconnects_.value(); }
 
-  /// {"upstream","connected","reconnects","resyncs","records_applied",
-  ///  "bytes_received","apply_errors"}.
+  /// The replication section's "session" (keys: docs/wire_protocol.md).
   std::string MetricsJson() const;
 
  private:

@@ -256,12 +256,10 @@ struct AuditServer::Impl {
                          metrics->histogram("net.request_micros." + name),
                          metrics->counter("net.request_errors." + name)};
     }
-    // No cache-invalidation change listener: decision-cache entries are
-    // keyed on per-table version epochs (catalog epoch for schema-only
-    // decisions, FROM-table epoch fingerprints for executed profiles), so
-    // a write can never produce a stale hit — it simply changes the key.
-    // Wholesale eviction here would throw away exactly the cross-write
-    // hit rates the versioned keys exist to preserve.
+    // No cache-invalidation change listener: executed profiles are keyed
+    // on the epoch fingerprint of the tables they read, so a write changes
+    // the key instead of producing a stale hit, and evicting on writes
+    // would only throw away the profiles of untouched tables.
   }
 
   ~Impl() {
@@ -787,20 +785,20 @@ struct AuditServer::Impl {
   }
 
   std::string CombinedMetricsJson() const {
-    std::string json = "{\"server\":" + metrics->ToJson() +
-                       ",\"service\":" + service->MetricsJson() +
-                       ",\"index\":" +
-                       service->decision_cache()->stats()->ToJson();
+    service::JsonObject json;
+    json.AddJson("server", metrics->ToJson())
+        .AddJson("service", service->MetricsJson())
+        .AddJson("index", service->decision_cache()->stats()->ToJson());
     if (options.durable_store != nullptr) {
-      json += ",\"durability\":" + options.durable_store->MetricsJson();
+      json.AddJson("durability", options.durable_store->MetricsJson());
     }
-    json += ",\"push\":" + subscriptions.MetricsJson();
+    json.AddJson("push", subscriptions.MetricsJson());
     if (options.policy != nullptr) {
-      json += ",\"policy\":" + options.policy->MetricsJson();
+      json.AddJson("policy", options.policy->MetricsJson());
     }
-    json += ",\"replication\":" + ReplicationMetricsJson();
-    json += ",\"versions\":" + VersionsMetricsJson();
-    return json + "}";
+    return json.AddJson("replication", ReplicationMetricsJson())
+        .AddJson("versions", VersionsMetricsJson())
+        .str();
   }
 
   bool ReplicationOn() const {
@@ -814,22 +812,16 @@ struct AuditServer::Impl {
   }
 
   std::string ReplicationMetricsJson() const {
-    std::string json = "{\"role\":\"";
-    json += is_replica.load() ? "replica" : "primary";
-    json += "\",\"ack_policy\":\"";
-    json += ReplAckPolicyName(options.repl_ack);
-    json += "\",\"advertise\":" + service::JsonQuote(advertise);
-    json += ",\"applied_log_id\":" + std::to_string(AppliedLogId());
-    json += ",\"load_generation\":" +
-            std::to_string(load_generation.load());
-    json += ",\"hub\":" + hub.MetricsJson();
-    {
-      std::lock_guard<std::mutex> lock(repl_mutex);
-      if (replica != nullptr) {
-        json += ",\"session\":" + replica->MetricsJson();
-      }
-    }
-    return json + "}";
+    service::JsonObject json;
+    json.Add("role", is_replica.load() ? "replica" : "primary")
+        .Add("ack_policy", ReplAckPolicyName(options.repl_ack))
+        .Add("advertise", advertise)
+        .Add("applied_log_id", AppliedLogId())
+        .Add("load_generation", load_generation.load())
+        .AddJson("hub", hub.MetricsJson());
+    std::lock_guard<std::mutex> lock(repl_mutex);
+    if (replica != nullptr) json.AddJson("session", replica->MetricsJson());
+    return json.str();
   }
 
   /// The `|role=...` tail appended to Health when replication is on —
@@ -1009,43 +1001,37 @@ struct AuditServer::Impl {
   /// walk (the per-table counters themselves are atomics).
   std::string VersionsMetricsJson() const {
     std::shared_lock<std::shared_mutex> lock(state_mutex);
-    std::string json = "{\"catalog_epoch\":" +
-                       std::to_string(db->catalog_epoch()) + ",\"tables\":{";
-    bool first = true;
+    service::JsonObject tables;
     for (const auto& name : db->TableNames()) {
       auto table = db->GetTable(name);
       if (!table.ok()) continue;
       const TableStats& stats = (*table)->stats();
-      if (!first) json += ",";
-      first = false;
-      json += service::JsonQuote(name) + ":{\"epoch\":" +
-              std::to_string((*table)->epoch()) +
-              ",\"live_versions\":" +
-              std::to_string(stats.live_versions.load()) +
-              ",\"versions_published\":" +
-              std::to_string(stats.versions_published.load()) +
-              ",\"cow_rows\":" + std::to_string(stats.cow_rows.load()) +
-              ",\"cow_bytes\":" + std::to_string(stats.cow_bytes.load()) +
-              ",\"columnar_builds\":" +
-              std::to_string(stats.columnar_builds.load()) +
-              ",\"columnar_hits\":" +
-              std::to_string(stats.columnar_hits.load()) +
-              ",\"join_index_builds\":" +
-              std::to_string(stats.join_index_builds.load()) +
-              ",\"join_index_hits\":" +
-              std::to_string(stats.join_index_hits.load()) + "}";
+      tables.AddJson(
+          name, service::JsonObject()
+                    .Add("epoch", (*table)->epoch())
+                    .Add("live_versions", stats.live_versions.load())
+                    .Add("versions_published", stats.versions_published.load())
+                    .Add("cow_rows", stats.cow_rows.load())
+                    .Add("cow_bytes", stats.cow_bytes.load())
+                    .Add("columnar_builds", stats.columnar_builds.load())
+                    .Add("columnar_hits", stats.columnar_hits.load())
+                    .Add("join_index_builds", stats.join_index_builds.load())
+                    .Add("join_index_hits", stats.join_index_hits.load())
+                    .str());
     }
     const size_t entries = log->size();
     const size_t shapes = log->distinct_shapes();
-    char ratio[32];
-    std::snprintf(ratio, sizeof(ratio), "%.3f",
-                  shapes == 0 ? 1.0
-                              : static_cast<double>(entries) /
-                                    static_cast<double>(shapes));
-    json += "},\"log_entries\":" + std::to_string(entries) +
-            ",\"distinct_shapes\":" + std::to_string(shapes) +
-            ",\"shape_dedup_ratio\":" + ratio + "}";
-    return json;
+    return service::JsonObject()
+        .Add("catalog_epoch", db->catalog_epoch())
+        .AddJson("tables", tables.str())
+        .Add("log_entries", entries)
+        .Add("distinct_shapes", shapes)
+        .Add("shape_dedup_ratio",
+             shapes == 0 ? 1.0
+                         : static_cast<double>(entries) /
+                               static_cast<double>(shapes),
+             3)
+        .str();
   }
 
   /// Runs the automatic checkpoint cadence; call under the writer lock

@@ -184,9 +184,10 @@ class AuditServer {
   int64_t applied_log_id() const;
 
   const service::MetricsRegistry& metrics() const { return metrics_; }
-  /// {"server": <net.* metrics>, "service": <audit-service metrics>}
-  /// plus, when present, "index" (decision-cache hit/miss/skip counters)
-  /// and "durability" sections.
+  /// One JSON object of sections: "server", "service", "index",
+  /// "durability" (with a durable store), "push", "policy" (with a policy
+  /// engine), "replication" and "versions". docs/wire_protocol.md lists
+  /// every section's keys.
   std::string MetricsJson() const;
 
  private:

@@ -277,16 +277,15 @@ size_t SubscriptionRegistry::TotalPending() const {
 }
 
 std::string SubscriptionRegistry::MetricsJson() const {
-  std::string out = "{";
-  out += "\"subscriptions_active\":" + std::to_string(active());
-  out += ",\"pushes_sent\":" + std::to_string(pushes_sent_.value());
-  out += ",\"pushes_dropped\":" + std::to_string(pushes_dropped_.value());
-  out += ",\"gap_frames_sent\":" + std::to_string(gap_frames_sent_.value());
-  out += ",\"slow_subscribers_evicted\":" + std::to_string(evicted_.value());
-  out += ",\"queue_depth_peak\":" + std::to_string(queue_depth_.max());
-  out += ",\"pending_events\":" + std::to_string(TotalPending());
-  out += "}";
-  return out;
+  return service::JsonObject()
+      .Add("subscriptions_active", active())
+      .Add("pushes_sent", pushes_sent_.value())
+      .Add("pushes_dropped", pushes_dropped_.value())
+      .Add("gap_frames_sent", gap_frames_sent_.value())
+      .Add("slow_subscribers_evicted", evicted_.value())
+      .Add("queue_depth_peak", queue_depth_.max())
+      .Add("pending_events", TotalPending())
+      .str();
 }
 
 }  // namespace net

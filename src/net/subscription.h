@@ -154,10 +154,7 @@ class SubscriptionRegistry {
 
   const SubscriptionLimits& limits() const { return limits_; }
 
-  /// The metrics JSON "push" section:
-  /// {"subscriptions_active","pushes_sent","pushes_dropped",
-  ///  "gap_frames_sent","slow_subscribers_evicted","queue_depth_peak",
-  ///  "pending_events"}.
+  /// The Metrics reply's "push" section (keys: docs/wire_protocol.md).
   std::string MetricsJson() const;
 
  private:

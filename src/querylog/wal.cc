@@ -116,16 +116,16 @@ std::string EncodeQueryWalPayload(const LoggedQuery& entry) {
 Result<LoggedQuery> DecodeQueryWalPayload(const std::string& payload) {
   auto fields = io::SplitEscapedFields(payload);
   if (fields.size() != 6) {
-    return Status::ParseError("query WAL payload needs 6 fields, got " +
+    return Status::ParseError("query record needs 6 fields, got " +
                               std::to_string(fields.size()));
   }
   LoggedQuery entry;
   int64_t micros;
   if (!ParseInt64(fields[0], &entry.id)) {
-    return Status::ParseError("bad WAL query id: " + fields[0]);
+    return Status::ParseError("bad query record id: " + fields[0]);
   }
   if (!ParseInt64(fields[1], &micros)) {
-    return Status::ParseError("bad WAL query timestamp: " + fields[1]);
+    return Status::ParseError("bad query record timestamp: " + fields[1]);
   }
   entry.timestamp = Timestamp(micros);
   auto user = io::UnescapeField(fields[2]);

@@ -70,7 +70,10 @@ std::string EncodeWalRecord(WalRecordType type, std::string_view payload);
 Result<bool> DecodeWalRecord(std::string_view data, WalRecordType* type,
                              std::string* payload, size_t* consumed);
 
-/// Renders / parses the kQuery payload (the dump QUERY line body).
+/// The one codec for query records: the kQuery WAL payload, the body of
+/// a dump's QUERY line, and the replication stream's query record —
+/// `id|micros|user|role|purpose|sql`, text fields escaped. Decoding
+/// rejects a malformed id or timestamp with ParseError.
 std::string EncodeQueryWalPayload(const LoggedQuery& entry);
 Result<LoggedQuery> DecodeQueryWalPayload(const std::string& payload);
 

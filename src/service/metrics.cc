@@ -1,7 +1,7 @@
 #include "src/service/metrics.h"
 
 #include <bit>
-#include <cstdio>
+#include <charconv>
 
 namespace auditdb {
 namespace service {
@@ -29,6 +29,23 @@ uint64_t BucketUpperBound(size_t i) {
   const size_t shift = (i - kSub) / kSub;
   const uint64_t lower = uint64_t{kSub + (i - kSub) % kSub} << shift;
   return lower + ((uint64_t{1} << shift) - 1);
+}
+
+/// Appends `text` to *out as a JSON string literal, quotes included.
+void AppendQuoted(std::string_view text, std::string* out) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  *out += '"';
+  for (char c : text) {
+    const auto byte = static_cast<unsigned char>(c);
+    if (byte < 0x20) {
+      out->append("\\u00").append(1, kHex[byte >> 4]);
+      *out += kHex[byte & 0xf];
+      continue;
+    }
+    if (c == '"' || c == '\\') *out += '\\';
+    *out += c;
+  }
+  *out += '"';
 }
 
 }  // namespace
@@ -80,59 +97,47 @@ Histogram* MetricsRegistry::histogram(const std::string& name) {
   return slot.get();
 }
 
-std::string JsonQuote(const std::string& text) {
-  std::string out = "\"";
-  out.reserve(text.size() + 2);
-  for (char c : text) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char escaped[8];
-      std::snprintf(escaped, sizeof(escaped), "\\u%04x",
-                    static_cast<unsigned>(c));
-      out += escaped;
-    } else {
-      out += c;
-    }
-  }
-  out += '"';
-  return out;
-}
-
 std::string MetricsRegistry::ToJson() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::string out = "{";
-  bool first = true;
-  auto append = [&out, &first](const std::string& key,
-                               const std::string& value) {
-    if (!first) out += ",";
-    first = false;
-    out += JsonQuote(key) + ":" + value;
-  };
-  for (const auto& [name, c] : counters_) {
-    append(name, std::to_string(c->value()));
-  }
+  JsonObject out;
+  for (const auto& [name, c] : counters_) out.Add(name, c->value());
   for (const auto& [name, g] : gauges_) {
-    append(name, "{\"value\":" + std::to_string(g->value()) +
-                     ",\"max\":" + std::to_string(g->max()) + "}");
+    out.AddJson(
+        name, JsonObject().Add("value", g->value()).Add("max", g->max()).str());
   }
   for (const auto& [name, h] : histograms_) {
-    char mean[32];
-    std::snprintf(mean, sizeof(mean), "%.1f", h->mean_micros());
-    append(name,
-           "{\"count\":" + std::to_string(h->count()) +
-               ",\"sum_micros\":" + std::to_string(h->sum_micros()) +
-               ",\"mean_micros\":" + mean +
-               ",\"p50_micros\":" +
-               std::to_string(h->QuantileUpperBound(0.50)) +
-               ",\"p95_micros\":" +
-               std::to_string(h->QuantileUpperBound(0.95)) +
-               ",\"p99_micros\":" +
-               std::to_string(h->QuantileUpperBound(0.99)) + "}");
+    out.AddJson(name, JsonObject()
+                          .Add("count", h->count())
+                          .Add("sum_micros", h->sum_micros())
+                          .Add("mean_micros", h->mean_micros(), 1)
+                          .Add("p50_micros", h->QuantileUpperBound(0.50))
+                          .Add("p95_micros", h->QuantileUpperBound(0.95))
+                          .Add("p99_micros", h->QuantileUpperBound(0.99))
+                          .str());
   }
-  out += "}";
-  return out;
+  return out.str();
+}
+
+JsonObject& JsonObject::Add(std::string_view key, std::string_view value) {
+  std::string quoted;
+  AppendQuoted(value, &quoted);
+  return AddJson(key, quoted);
+}
+
+JsonObject& JsonObject::Add(std::string_view key, double value,
+                            int decimals) {
+  char text[512];
+  auto [end, ec] = std::to_chars(text, text + sizeof(text), value,
+                                 std::chars_format::fixed, decimals);
+  return AddJson(key, ec == std::errc() ? std::string_view(text, end - text)
+                                        : std::string_view("null"));
+}
+
+JsonObject& JsonObject::AddJson(std::string_view key, std::string_view json) {
+  if (out_.size() > 1) out_ += ',';
+  AppendQuoted(key, &out_);
+  out_.append(":").append(json);
+  return *this;
 }
 
 }  // namespace service

@@ -7,15 +7,58 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
+#include <type_traits>
 
 namespace auditdb {
 namespace service {
 
-/// `text` as a JSON string literal, quotes included: `"` and `\` are
-/// backslash-escaped and control bytes become \u00XX.
-/// Every metrics emitter that interpolates a string (table names, peer
-/// addresses, metric names) goes through it.
-std::string JsonQuote(const std::string& text);
+/// The one JSON writer: builds one object field by field, in call order.
+/// Keys and string values are escaped here (`"` and `\` get a backslash,
+/// control bytes become \u00XX), so no caller spells JSON syntax. A
+/// nested object or array is a value another writer produced (AddJson).
+/// Every metrics section and bench artifact is built with it.
+class JsonObject {
+ public:
+  template <typename Int>
+    requires(std::is_integral_v<Int> && !std::is_same_v<Int, bool>)
+  JsonObject& Add(std::string_view key, Int value) {
+    return AddJson(key, std::to_string(value));
+  }
+  JsonObject& Add(std::string_view key, bool value) {
+    return AddJson(key, value ? "true" : "false");
+  }
+  JsonObject& Add(std::string_view key, std::string_view value);
+  /// A string literal would otherwise convert to bool, not string_view.
+  JsonObject& Add(std::string_view key, const char* value) {
+    return Add(key, std::string_view(value));
+  }
+  /// `value` in fixed notation with `decimals` digits after the point.
+  JsonObject& Add(std::string_view key, double value, int decimals);
+  /// A double must state its decimals (it would otherwise become bool).
+  JsonObject& Add(std::string_view key, double value) = delete;
+  /// `json` is a complete value from another JsonObject or JsonArray.
+  JsonObject& AddJson(std::string_view key, std::string_view json);
+
+  /// The object built so far, closed.
+  std::string str() const { return out_ + '}'; }
+
+ private:
+  std::string out_ = "{";
+};
+
+/// A JSON array whose elements other writers produced.
+class JsonArray {
+ public:
+  JsonArray& Add(std::string_view json) {
+    out_.append(out_.size() > 1 ? "," : "").append(json);
+    return *this;
+  }
+  std::string str() const { return out_ + ']'; }
+
+ private:
+  std::string out_ = "[";
+};
 
 /// Monotonically increasing event count (jobs submitted, completed,
 /// rejected, ...). Lock-free; safe to bump from any worker.
@@ -99,7 +142,7 @@ class MetricsRegistry {
   Gauge* gauge(const std::string& name);
   Histogram* histogram(const std::string& name);
 
-  /// One JSON object, keys sorted: counters as numbers, gauges as
+  /// One JSON object, keys sorted per kind: counters as numbers, gauges as
   /// {"value","max"}, histograms as {"count","sum_micros","mean_micros",
   /// "p50_micros","p95_micros","p99_micros"}.
   std::string ToJson() const;

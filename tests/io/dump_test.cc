@@ -6,6 +6,7 @@
 
 #include "src/backlog/backlog.h"
 #include "src/engine/executor.h"
+#include "src/querylog/wal.h"
 #include "src/workload/hospital.h"
 
 namespace auditdb {
@@ -267,6 +268,30 @@ TEST(QueryLogDumpTest, RejectsWrongFieldCount) {
   QueryLog log;
   std::stringstream bad("QUERY 1|2|3\n");
   EXPECT_FALSE(ReadQueryLogDump(bad, &log).ok());
+}
+
+TEST(QueryLogDumpTest, RejectsMalformedQueryId) {
+  QueryLog log;
+  std::stringstream bad("QUERY not-an-id|5|u|r|p|SELECT 1\n");
+  Status read = ReadQueryLogDump(bad, &log);
+  EXPECT_EQ(read.code(), StatusCode::kParseError) << read.ToString();
+  EXPECT_EQ(log.size(), 0u);
+}
+
+TEST(QueryLogDumpTest, QueryLinesAreWalQueryPayloads) {
+  // One codec for query records: a dump line is "QUERY " plus the WAL
+  // payload of the same entry, byte for byte.
+  QueryLog log;
+  log.Append("SELECT a FROM T WHERE s = 'p|q\\r'", Ts(10), "al|ice",
+             "doc\ntor", "treat ");
+  log.Append("SELECT b FROM T", Ts(11), "bob", "nurse", "");
+  std::stringstream dump;
+  ASSERT_TRUE(WriteQueryLogDump(log, dump).ok());
+  std::string expected;
+  for (size_t i = 0; i < log.size(); ++i) {
+    expected += "QUERY " + querylog::EncodeQueryWalPayload(log.Entry(i)) + "\n";
+  }
+  EXPECT_EQ(dump.str(), expected);
 }
 
 TEST(FileWrappersTest, SaveAndLoad) {

@@ -20,6 +20,7 @@
 #include "src/net/client.h"
 #include "src/workload/generator.h"
 #include "src/workload/hospital.h"
+#include "tests/net/metrics_json.h"
 
 namespace auditdb {
 namespace net {
@@ -104,29 +105,6 @@ std::vector<Message> ReadUntilEof(int fd) {
     reader.Feed(buf, static_cast<size_t>(n));
   }
   return frames;
-}
-
-uint64_t CounterFromJson(const std::string& json, const std::string& name) {
-  auto pos = json.find("\"" + name + "\":");
-  if (pos == std::string::npos) return 0;
-  pos += name.size() + 3;
-  uint64_t value = 0;
-  while (pos < json.size() && json[pos] >= '0' && json[pos] <= '9') {
-    value = value * 10 + static_cast<uint64_t>(json[pos++] - '0');
-  }
-  return value;
-}
-
-bool WaitForCounter(const AuditServer& server, const std::string& name,
-                    uint64_t at_least, milliseconds budget) {
-  auto deadline = std::chrono::steady_clock::now() + budget;
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (CounterFromJson(server.MetricsJson(), name) >= at_least) {
-      return true;
-    }
-    std::this_thread::sleep_for(milliseconds(2));
-  }
-  return false;
 }
 
 // --- Happy paths -----------------------------------------------------

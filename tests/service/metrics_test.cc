@@ -133,9 +133,67 @@ TEST(MetricsRegistryTest, ToJsonRendersEveryInstrumentKind) {
 }
 
 TEST(MetricsRegistryTest, JsonQuoteEscapesQuotesBackslashesAndControlBytes) {
-  EXPECT_EQ(JsonQuote("net.frames_sent"), "\"net.frames_sent\"");
-  EXPECT_EQ(JsonQuote("a\"b\\c"), "\"a\\\"b\\\\c\"");
-  EXPECT_EQ(JsonQuote(std::string("x\ny\x01", 4)), "\"x\\u000ay\\u0001\"");
+  // Keys and string values share one escaping routine.
+  EXPECT_EQ(JsonObject().Add("net.frames_sent", "ok").str(),
+            "{\"net.frames_sent\":\"ok\"}");
+  EXPECT_EQ(JsonObject().Add("a\"b\\c", "a\"b\\c").str(),
+            "{\"a\\\"b\\\\c\":\"a\\\"b\\\\c\"}");
+  const std::string control("x\ny\x01\x1f", 5);
+  EXPECT_EQ(JsonObject().Add(control, control).str(),
+            "{\"x\\u000ay\\u0001\\u001f\":\"x\\u000ay\\u0001\\u001f\"}");
+  // Bytes at and above 0x20 (including UTF-8) pass through unchanged.
+  EXPECT_EQ(JsonObject().Add("k", " ~\x7f\xc3\xa9").str(),
+            "{\"k\":\" ~\x7f\xc3\xa9\"}");
+}
+
+TEST(JsonObjectTest, StringLiteralRendersAsStringNotBool) {
+  // A string literal converts to bool before string_view; the writer
+  // must still render it as a string.
+  EXPECT_EQ(JsonObject().Add("role", "primary").str(),
+            "{\"role\":\"primary\"}");
+  const char* name = "never";
+  EXPECT_EQ(JsonObject().Add("fsync", name).str(), "{\"fsync\":\"never\"}");
+  EXPECT_EQ(JsonObject().Add("upstream", std::string("h:1")).str(),
+            "{\"upstream\":\"h:1\"}");
+  EXPECT_EQ(JsonObject().Add("broken", true).Add("connected", false).str(),
+            "{\"broken\":true,\"connected\":false}");
+}
+
+TEST(JsonObjectTest, FieldsKeepCallOrderAndIntegerWidths) {
+  EXPECT_EQ(JsonObject().str(), "{}");
+  EXPECT_EQ(JsonObject()
+                .Add("z", uint64_t{18446744073709551615u})
+                .Add("a", int64_t{-9223372036854775807 - 1})
+                .Add("m", size_t{0})
+                .Add("i", -1)
+                .str(),
+            "{\"z\":18446744073709551615,\"a\":-9223372036854775808,"
+            "\"m\":0,\"i\":-1}");
+}
+
+TEST(JsonObjectTest, DoublesPrintAtTheStatedDecimals) {
+  EXPECT_EQ(JsonObject()
+                .Add("mean", 2690.6, 1)
+                .Add("ratio", 1.5, 3)
+                .Add("rate", 1234.5678, 0)
+                .Add("zero", 0.0, 1)
+                .str(),
+            "{\"mean\":2690.6,\"ratio\":1.500,\"rate\":1235,"
+            "\"zero\":0.0}");
+}
+
+TEST(JsonObjectTest, NestedValuesComeFromOtherWriters) {
+  JsonArray empty;
+  EXPECT_EQ(empty.str(), "[]");
+  JsonArray rows;
+  rows.Add(JsonObject().Add("id", 1).str()).Add(JsonObject().str());
+  EXPECT_EQ(JsonObject()
+                .AddJson("rows", rows.str())
+                .AddJson("none", empty.str())
+                .AddJson("inner", JsonObject().Add("k", "v").str())
+                .str(),
+            "{\"rows\":[{\"id\":1},{}],\"none\":[],"
+            "\"inner\":{\"k\":\"v\"}}");
 }
 
 TEST(MetricsRegistryTest, EmptyRegistrySerializesToEmptyObject) {

@@ -31,12 +31,13 @@
 # tid-bitmap kernel sweeps (bench_granule set-vs-bitmap), plus the
 # bench_net push-latency sweep, the bench_policy overhead acceptance
 # check (<5% at 0% rule-hit rate), and the bench_mixed MVCC sweep
-# (the decision cache must stay hot AND writes must commit under every
-# write combo),
+# (no shape's static facts computed twice AND writes must commit under
+# every write combo),
 # checking their BENCH_scan.json / BENCH_granule.json /
 # BENCH_index.json / BENCH_push.json
 # / BENCH_policy.json / BENCH_mixed.json / BENCH_repl.json artifacts
-# (the last from the bench_net replication followers-x-ack sweep).
+# (the last from the bench_net replication followers-x-ack sweep), each
+# of which must parse as JSON, as must auditd's final metrics line.
 #
 # Usage: tools/run_ci.sh [build-dir-prefix]
 #   Build trees land in <prefix>, <prefix>-tsan, <prefix>-asan,
@@ -84,17 +85,43 @@ cmake --build "${PREFIX}-tsan" -j "${JOBS}" \
 ctest --test-dir "${PREFIX}-tsan" --output-on-failure \
       -R 'AuditPipelineTest|OnlineConcurrentTest|MvccConcurrentTest|ThreadPoolTest|RunBatchTest|BoundedQueueTest|CounterTest|GaugeTest|HistogramTest|MetricsRegistryTest|PushCodecTest|SubscriptionRegistryTest|SubscriptionConcurrentTest|PushSubscriptionTest|PolicyEngineConcurrentTest|TidBitmapTest|TidBitmapDifferentialTest|ChurnedAuditorTest.PoolMatchesSerial|ParsedShapeConcurrentTest|ShapeMemoTest|ParsedShapeTest|ParsedShapeProperty'
 
+# The sanitizer stages [4/9] (ASan) and [5/9] (UBSan) share one suite
+# list and the test binaries that carry it; each stage's -R filter and
+# --target list add only that stage's extras. The reasons each shared
+# suite rides along are given at the stages below. MetricsGoldenTest
+# pins the bytes of every metrics section (escaping included).
+SANITIZER_SUITES="$(printf '%s' \
+  'TidBitmapTest|TidBitmapDifferentialTest|SuspicionTest|' \
+  'SuspicionReferenceTest|MinimizeDifferentialTest|' \
+  'OnlineAuditorTest.FailedReexecutionIsAnErrorNotAClear|' \
+  'OnlineAuditorTest.OneFailingExpressionDoesNotStopTheOthers|' \
+  'ClusterTest.ReplicaCountsAFailedObserveReexecution|ExecutorDifferential|' \
+  'ExecutorReferenceTest|TableScanTest|PredicateProgramTest|' \
+  'PredicateProgramPropertyTest|JoinKeyIndexTest|' \
+  'TableVersionTest.JoinIndexIsBuiltOncePerVersionAndColumn|' \
+  'AuditorTest.RepeatedCandidatesShareOneExecutionPerState|' \
+  'BacklogDifferential|BacklogCursorTest|TargetViewSweepDifferential|' \
+  'ChurnedAuditorTest|SemijoinDifferential|ExecutorSemijoinTest|' \
+  'ExecutorHashSkipTest|OnlineReferenceDifferential|LineageTest|' \
+  'LineageOnlyDifferential|GranuleTest|PaperExamplesTest|SchemeMismatchTest|' \
+  'ExecutorHashJoinKeyLayoutTest|TargetViewRestrictionDifferential|' \
+  'ParsedShapeProperty|ParsedShapeTest|ShapeMemoTest|' \
+  'ParsedShapeConcurrentTest|' \
+  'OnlineAuditorTest.LoggedEntryAndZeroShapeCopyScreenIdentically|' \
+  'MetricsGoldenTest')"
+SANITIZER_TARGETS=(common_test suspicion_test suspicion_reference_test
+                   minimize_test online_test cluster_test engine_test
+                   property_test storage_test auditor_test backlog_test
+                   target_view_test online_reference_test expr_test
+                   granule_test paper_examples_test querylog_test
+                   metrics_golden_test)
+
 echo "== [4/9] network layer under AddressSanitizer =="
 cmake -B "${PREFIX}-asan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DAUDITDB_SANITIZE=address
 cmake --build "${PREFIX}-asan" -j "${JOBS}" \
       --target net_test subscription_test auditd audit_client \
-               subscription_soak common_test suspicion_test \
-               suspicion_reference_test minimize_test online_test \
-               cluster_test engine_test property_test storage_test \
-               auditor_test backlog_test target_view_test \
-               online_reference_test expr_test granule_test \
-               paper_examples_test querylog_test
+               subscription_soak "${SANITIZER_TARGETS[@]}"
 # ASan exits non-zero on any report; halt_on_error makes that immediate.
 # The tid-bitmap and suspicion suites ride along here: the BatchIndex
 # lifetime regression (dangling batch vector) is exactly the kind of bug
@@ -124,7 +151,7 @@ cmake --build "${PREFIX}-asan" -j "${JOBS}" \
 # into ParsedShapes and share their statements and facts by pointer.
 export ASAN_OPTIONS="halt_on_error=1:abort_on_error=0:exitcode=99"
 ctest --test-dir "${PREFIX}-asan" --output-on-failure \
-      -R 'FrameCodecTest|FrameReaderTest|FieldCodecTest|ErrorCodecTest|TypePredicatesTest|AuditServerTest|PushCodecTest|SubscriptionRegistryTest|PushSubscriptionTest|TidBitmapTest|TidBitmapDifferentialTest|SuspicionTest|SuspicionReferenceTest|MinimizeDifferentialTest|OnlineAuditorTest.FailedReexecutionIsAnErrorNotAClear|OnlineAuditorTest.OneFailingExpressionDoesNotStopTheOthers|ClusterTest.ReplicaCountsAFailedObserveReexecution|ExecutorDifferential|ExecutorReferenceTest|TableScanTest|PredicateProgramTest|PredicateProgramPropertyTest|JoinKeyIndexTest|TableVersionTest.JoinIndexIsBuiltOncePerVersionAndColumn|AuditorTest.RepeatedCandidatesShareOneExecutionPerState|BacklogDifferential|BacklogCursorTest|TargetViewSweepDifferential|ChurnedAuditorTest|SemijoinDifferential|ExecutorSemijoinTest|ExecutorHashSkipTest|OnlineReferenceDifferential|LineageTest|LineageOnlyDifferential|GranuleTest|PaperExamplesTest|SchemeMismatchTest|ExecutorHashJoinKeyLayoutTest|TargetViewRestrictionDifferential|ParsedShapeProperty|ParsedShapeTest|ShapeMemoTest|ParsedShapeConcurrentTest|OnlineAuditorTest.LoggedEntryAndZeroShapeCopyScreenIdentically'
+      -R 'FrameCodecTest|FrameReaderTest|FieldCodecTest|ErrorCodecTest|TypePredicatesTest|AuditServerTest|PushCodecTest|SubscriptionRegistryTest|PushSubscriptionTest|'"${SANITIZER_SUITES}"
 
 echo "-- auditd loopback smoke (ASan build) --"
 PORT_FILE="$(mktemp)"
@@ -159,6 +186,9 @@ if [ "${DRAIN_RC}" -ne 0 ]; then
 fi
 grep -q '"server"' "${AUDITD_LOG}" || {
   echo "auditd did not print final metrics"; cat "${AUDITD_LOG}"; exit 1; }
+grep '^{"server"' "${AUDITD_LOG}" | tail -n 1 |
+    python3 -c 'import json, sys; json.load(sys.stdin)' || {
+  echo "auditd's final metrics line is not JSON"; cat "${AUDITD_LOG}"; exit 1; }
 rm -f "${PORT_FILE}" "${AUDITD_LOG}"
 
 # Starts a fresh ASan auditd with the given extra flags and exports
@@ -260,14 +290,10 @@ echo "== [5/9] tid-bitmap kernels under UndefinedBehaviorSanitizer =="
 cmake -B "${PREFIX}-ubsan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DAUDITDB_SANITIZE=undefined
 cmake --build "${PREFIX}-ubsan" -j "${JOBS}" \
-      --target common_test suspicion_test suspicion_reference_test \
-               minimize_test online_test cluster_test engine_test \
-               property_test storage_test auditor_test backlog_test \
-               target_view_test online_reference_test expr_test \
-               granule_test paper_examples_test querylog_test
+      --target "${SANITIZER_TARGETS[@]}"
 export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
 ctest --test-dir "${PREFIX}-ubsan" --output-on-failure \
-      -R 'StringUtilTest|TidBitmapTest|TidBitmapDifferentialTest|SuspicionTest|SuspicionReferenceTest|MinimizeDifferentialTest|OnlineAuditorTest.FailedReexecutionIsAnErrorNotAClear|OnlineAuditorTest.OneFailingExpressionDoesNotStopTheOthers|ClusterTest.ReplicaCountsAFailedObserveReexecution|ExecutorDifferential|ExecutorReferenceTest|TableScanTest|PredicateProgramTest|PredicateProgramPropertyTest|JoinKeyIndexTest|TableVersionTest.JoinIndexIsBuiltOncePerVersionAndColumn|AuditorTest.RepeatedCandidatesShareOneExecutionPerState|BacklogDifferential|BacklogCursorTest|TargetViewSweepDifferential|ChurnedAuditorTest|SemijoinDifferential|ExecutorSemijoinTest|ExecutorHashSkipTest|OnlineReferenceDifferential|LineageTest|LineageOnlyDifferential|GranuleTest|PaperExamplesTest|SchemeMismatchTest|ExecutorHashJoinKeyLayoutTest|TargetViewRestrictionDifferential|ParsedShapeProperty|ParsedShapeTest|ShapeMemoTest|ParsedShapeConcurrentTest|OnlineAuditorTest.LoggedEntryAndZeroShapeCopyScreenIdentically'
+      -R 'StringUtilTest|'"${SANITIZER_SUITES}"
 
 echo "== [6/9] policy gate under AddressSanitizer =="
 cmake --build "${PREFIX}-asan" -j "${JOBS}" \
@@ -647,14 +673,20 @@ grep -q '"benchmarks"' "${PREFIX}-release/bench/BENCH_policy.json" || {
 ( cd "${PREFIX}-release/bench" && ./bench_policy overhead 300 )
 
 # The mixed read/write sweep: writer threads racing pinned audits. The
-# bench itself enforces the acceptance: under every write combo the
-# decision cache's hit rate stays >= 0.5 AND the writers commit, and it
-# always emits BENCH_mixed.json.
+# bench itself enforces the acceptance: under every write combo no
+# shape's static facts are computed twice (facts per parsed shape
+# <= 1.0) AND the writers commit, and it always emits BENCH_mixed.json.
 cmake --build "${PREFIX}-release" -j "${JOBS}" --target bench_mixed
 ( cd "${PREFIX}-release/bench" && ./bench_mixed 3 )
 [ -s "${PREFIX}-release/bench/BENCH_mixed.json" ] || {
   echo "bench_mixed did not write BENCH_mixed.json"; exit 1; }
 grep -q '"benchmarks"' "${PREFIX}-release/bench/BENCH_mixed.json" || {
   echo "BENCH_mixed.json is not benchmark JSON"; exit 1; }
+
+# Every artifact must parse as JSON, not just mention "benchmarks".
+for artifact in "${PREFIX}-release"/bench/BENCH_*.json; do
+  python3 -c 'import json, sys; json.load(open(sys.argv[1]))' "${artifact}" ||
+    { echo "${artifact} is not JSON"; exit 1; }
+done
 
 echo "CI gate passed."
