@@ -1,8 +1,9 @@
 // Differential test of the suspicion kernels against the std::set
 // reference model (suspicion_reference.h): CheckBatchSuspicion in
-// per-table, joint and value-containment mode, the end-to-end verdicts
-// the Auditor reports from it, and GranuleEnumerator's valid facts — on
-// the paper data and on a 120-query generated workload.
+// per-table, joint and value-containment mode, the end-to-end verdicts,
+// evidence and minimal batch the Auditor reports from it, and
+// GranuleEnumerator's valid facts — on the paper data and on a 120-query
+// generated workload.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -98,6 +99,35 @@ class SuspicionReferenceTest : public ::testing::Test {
     std::vector<size_t> all;
     for (size_t i = 0; i < profiles.size(); ++i) all.push_back(i);
     EXPECT_EQ(check(all, tag + " full batch"), report->batch_suspicious);
+
+    // The report's evidence is the model's, rendered, for the full batch,
+    // and its minimal batch is suspicious under the model.
+    auto model = [&](const std::vector<const AccessProfile*>& batch) {
+      return reference::CheckBatch(*view, schemes, expr.threshold,
+                                   expr.indispensable, batch, mode);
+    };
+    std::vector<const AccessProfile*> full;
+    for (const AccessProfile& profile : profiles) full.push_back(&profile);
+    auto full_model = model(full);
+    EXPECT_TRUE(full_model.ok()) << tag;
+    if (full_model.ok()) {
+      EXPECT_EQ(report->evidence, full_model->Describe(*view, schemes))
+          << tag;
+    }
+    if (report->batch_suspicious) {
+      std::vector<const AccessProfile*> minimal;
+      for (int64_t id : report->minimal_batch) {
+        for (size_t i = 0; i < profiles.size(); ++i) {
+          if (log_.Entry(log_index[i]).id == id) {
+            minimal.push_back(&profiles[i]);
+          }
+        }
+      }
+      EXPECT_EQ(minimal.size(), report->minimal_batch.size()) << tag;
+      auto minimal_model = model(minimal);
+      EXPECT_TRUE(minimal_model.ok() && minimal_model->suspicious)
+          << tag << " minimal batch";
+    }
     for (size_t i = 0; i < profiles.size(); ++i) {
       EXPECT_EQ(check({i}, tag + " query " + std::to_string(i)),
                 report->verdicts[log_index[i]].suspicious_alone)
