@@ -7,7 +7,11 @@
 /// two-query split disclosures the batch check catches that single-query
 /// auditing misses.
 ///
-/// Run: build/bench/bench_batch
+/// (b) and (d) also report `check_ms`, the audit's phase-5 time (batch
+/// verdict, per-query verdicts in (d), minimization in (b)) per
+/// iteration.
+///
+/// Run: build/bench/bench_batch (writes BENCH_batch.json)
 
 #include <benchmark/benchmark.h>
 
@@ -70,13 +74,17 @@ void BM_MinimalBatchExtraction(benchmark::State& state) {
   options.per_query_verdicts = false;
   options.minimize_batch = true;
   size_t minimal = 0;
+  double check_seconds = 0;
   for (auto _ : state) {
     auto report = auditor.Audit(bench::CanonicalAudit(), Ts(1000000),
                                 options);
     if (!report.ok()) std::abort();
     minimal = report->minimal_batch.size();
+    check_seconds += report->check_seconds;
   }
   state.counters["minimal_size"] = static_cast<double>(minimal);
+  state.counters["check_ms"] = benchmark::Counter(
+      check_seconds * 1e3, benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_MinimalBatchExtraction)
     ->Arg(100)
@@ -115,15 +123,19 @@ void BM_SplitAttackDetection(benchmark::State& state) {
   options.minimize_batch = false;
   bool batch_caught = false;
   size_t singles = 0;
+  double check_seconds = 0;
   for (auto _ : state) {
     auto report = auditor.Audit(bench::CanonicalAudit(), Ts(1000000),
                                 options);
     if (!report.ok()) std::abort();
     batch_caught = report->batch_suspicious;
     singles = report->SuspiciousQueryIds().size();
+    check_seconds += report->check_seconds;
   }
   state.counters["batch_caught"] = batch_caught ? 1 : 0;
   state.counters["singles_flagged"] = static_cast<double>(singles);
+  state.counters["check_ms"] = benchmark::Counter(
+      check_seconds * 1e3, benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_SplitAttackDetection)
     ->Arg(1)
@@ -133,4 +145,4 @@ BENCHMARK(BM_SplitAttackDetection)
 
 }  // namespace
 
-BENCHMARK_MAIN();
+AUDITDB_BENCH_MAIN(batch);

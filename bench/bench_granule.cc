@@ -158,9 +158,10 @@ BENCHMARK(BM_SchemeEnumeration)
 //
 // `dense` = consecutive tids (bulk loads; bitset chunks), sparse = stride-41
 // tids (selective predicates; array chunks). The three kernels mirror the
-// audit hot paths: building the per-table indispensable union (BatchIndex),
-// per-fact membership probes (kPerTable suspicion), and witness-overlap
-// tests (SharesIndispensableTuple / the kPerTable prescreen).
+// audit hot paths: building a query's per-table indispensable tids from
+// its lineage (AccessProfile::table_tids), per-fact membership probes
+// (kPerTable suspicion), and witness-overlap tests
+// (SharesIndispensableTuple).
 // ---------------------------------------------------------------------------
 
 /// Synthetic indispensable-tid universe: `n` tids, consecutive or strided.
@@ -174,8 +175,9 @@ std::vector<int64_t> MakeTids(size_t n, bool dense) {
   return tids;
 }
 
-// Args: {n, dense, bitmap}. Builds the batch-level union of 8 per-query
-// witness lists (n/8 tids each), as BatchIndex does on first use.
+// Args: {n, dense, bitmap}. Builds one tid set from 8 witness lists (n/8
+// tids each), as AccessProfile::table_tids gathers a table's tids from
+// lineage rows.
 void BM_IndispensableUnion(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const bool dense = state.range(1) != 0;
@@ -256,7 +258,7 @@ BENCHMARK(BM_SuspicionMembership)
 
 // Args: {n, dense, bitmap}. Witness-overlap test between a query's
 // lineage projection and the audit view's tids, overlapping only in the
-// last 1% — the SharesIndispensableTuple / prescreen kernel, worst case
+// last 1% — the SharesIndispensableTuple kernel, worst case
 // (the scan must run deep before finding the intersection).
 void BM_WitnessIntersect(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

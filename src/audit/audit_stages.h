@@ -82,14 +82,8 @@ void StaticOnlyBatchVerdict(const AuditExpression& expr,
 
 /// Phase-5 greedy batch minimization: drops each profile (in id order) if
 /// the batch stays suspicious without it; returns the kept query ids.
-/// The kept list is the one n successive CheckBatchSuspicion calls on the
-/// shrinking batch would give, but the cost is one pass over all supports
-/// (every valid fact's components and every query's lineage, once) plus
-/// O(|supports of i|) per drop test, instead of n full batch checks.
-/// Only `options.mode` is read. Value containment (INDISPENSABLE false)
-/// needs profiles computed with ExecOutput::kLineageAndValues.
-/// Profiles may repeat (queries that share one execution share it by
-/// pointer); each entry still counts as its own query.
+/// ResolveSchemes, then BatchSupports::Minimize. Only `options.mode` is
+/// read.
 Result<std::vector<int64_t>> MinimizeBatch(
     const TargetView& view, const std::vector<GranuleScheme>& schemes,
     const AuditExpression& expr,

@@ -184,8 +184,9 @@ double SecondsBetween(Clock::time_point start, Clock::time_point end) {
   return std::chrono::duration<double>(end - start).count();
 }
 
-/// Upper bounds on log entries per static-screening shard and candidates
-/// per execution / check shard; Shards() shrinks them to the pool.
+/// Upper bounds on log entries per static-screening shard and on
+/// executions (static-only: candidates) per later shard; Shards() shrinks
+/// them to the pool.
 constexpr size_t kStaticShardSize = 256;
 constexpr size_t kExecShardSize = 32;
 
@@ -422,6 +423,7 @@ Result<AuditReport> Auditor::AuditPinned(const AuditExpression& parsed,
   // Share the profiles by pointer, in candidate (= log) order.
   std::vector<const AccessProfile*> profiles;
   std::vector<int64_t> profile_ids;
+  std::vector<size_t> profile_log_index;
   for (size_t c = 0; c < candidates.size(); ++c) {
     const std::optional<AccessProfile>& profile = executed[exec_of[c]];
     if (!profile.has_value()) {
@@ -433,53 +435,31 @@ Result<AuditReport> Auditor::AuditPinned(const AuditExpression& parsed,
     }
     profiles.push_back(&*profile);
     profile_ids.push_back(log_->Entry(candidates[c].log_index).id);
+    profile_log_index.push_back(candidates[c].log_index);
   }
   report.num_executed = profiles.size();
   report.exec_seconds = SecondsBetween(stage_start, Clock::now());
 
-  // --- Phase 5: granule-access suspicion. The batch verdict is one call;
-  // the singleton checks fan out over execution ranges, one per distinct
-  // profile, and every candidate sharing a profile takes its verdict;
-  // greedy minimization stays one call because its drop order is part of
-  // the output contract.
+  // --- Phase 5: granule-access suspicion. One support index over the
+  // batch yields the batch verdict, every query's verdict alone (once
+  // per distinct execution) and the greedy minimal batch, whose drop
+  // order is part of the output contract.
   stage_start = Clock::now();
   auto resolved = ResolveSchemes(view, schemes, expr.threshold);
   if (!resolved.ok()) return resolved.status();
-  auto batch_result = CheckBatchSuspicion(view, *resolved, expr.indispensable,
-                                          profiles, options.suspicion);
-  if (!batch_result.ok()) return batch_result.status();
-  report.batch_suspicious = batch_result->suspicious;
-  report.evidence = batch_result->Describe(view, schemes);
-
+  BatchSupports supports(view, *resolved, expr.indispensable, profiles,
+                         options.suspicion.mode);
+  const SuspicionResult batch_result = supports.Verdict();
+  report.batch_suspicious = batch_result.suspicious;
+  report.evidence = batch_result.Describe(view, schemes);
   if (options.per_query_verdicts) {
-    std::vector<char> suspicious_alone(executed.size(), 0);
-    tasks.clear();
-    for (auto [begin, end] : Shards(executed.size(), kExecShardSize, pool)) {
-      tasks.push_back([&, begin, end] {
-        for (size_t e = begin; e < end; ++e) {
-          if (!executed[e].has_value()) continue;
-          std::vector<const AccessProfile*> single{&*executed[e]};
-          auto single_result =
-              CheckBatchSuspicion(view, *resolved, expr.indispensable, single,
-                                  options.suspicion);
-          if (!single_result.ok()) return single_result.status();
-          suspicious_alone[e] = single_result->suspicious;
-        }
-        return Status::Ok();
-      });
-    }
-    AUDITDB_RETURN_IF_ERROR(RunStage(pool, std::move(tasks)));
-    for (size_t c = 0; c < candidates.size(); ++c) {
-      report.verdicts[candidates[c].log_index].suspicious_alone =
-          suspicious_alone[exec_of[c]];
+    const std::vector<char> alone = supports.SuspiciousAlone();
+    for (size_t i = 0; i < profiles.size(); ++i) {
+      report.verdicts[profile_log_index[i]].suspicious_alone = alone[i];
     }
   }
-
   if (options.minimize_batch && report.batch_suspicious) {
-    auto minimal = MinimizeBatch(view, schemes, expr, profiles, profile_ids,
-                                 options.suspicion);
-    if (!minimal.ok()) return minimal.status();
-    report.minimal_batch = std::move(*minimal);
+    report.minimal_batch = supports.Minimize(profile_ids);
   }
   report.check_seconds = SecondsBetween(stage_start, Clock::now());
 

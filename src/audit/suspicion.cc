@@ -1,10 +1,10 @@
 #include "src/audit/suspicion.h"
 
 #include <algorithm>
+#include <map>
 #include <unordered_map>
-#include <unordered_set>
 
-#include "src/common/hashing.h"
+#include "src/common/tid_bitmap.h"
 #include "src/expr/analysis.h"
 
 namespace auditdb {
@@ -33,80 +33,353 @@ std::string SuspicionResult::Describe(
   return out;
 }
 
-bool BatchIndex::Accesses(const ColumnRef& col) const {
-  for (const auto* profile : batch_) {
-    if (profile->Accesses(col)) return true;
-  }
-  return false;
+namespace {
+
+/// Id of `key` in `*ids`, appending it to `*keys` when new.
+template <typename Key, typename Map>
+uint32_t Intern(Map* ids, std::vector<Key>* keys, const Key& key) {
+  auto [it, fresh] = ids->emplace(key, static_cast<uint32_t>(keys->size()));
+  if (fresh) keys->push_back(key);
+  return it->second;
 }
 
-const TidBitmap& BatchIndex::IndispensableTidBitmap(
-    const std::string& table) {
-  if (batch_.size() == 1) return batch_[0]->IndispensableTids(table);
-  auto it = tid_bitmap_union_.find(table);
-  if (it != tid_bitmap_union_.end()) return it->second;
-  TidBitmap tids;
-  for (const auto* profile : batch_) tids.Or(profile->IndispensableTids(table));
-  return tid_bitmap_union_.emplace(table, std::move(tids)).first->second;
+/// Whether every attribute id in `attrs` passes `covered`.
+template <typename Covered>
+bool AllCovered(const std::vector<uint32_t>& attrs, Covered covered) {
+  return std::all_of(attrs.begin(), attrs.end(), covered);
 }
 
-bool BatchIndex::JointlyWitnessed(
-    const std::vector<std::string>& tables, const std::vector<Tid>& tids) {
-  for (size_t q = 0; q < batch_.size(); ++q) {
-    const auto& from = batch_[q]->result.from;
-    // A query whose FROM clause lacks one of the tables legitimately has
-    // no joint witness over them; skip it without touching the lineage.
-    bool covers = true;
-    for (const auto& t : tables) {
-      if (std::find(from.begin(), from.end(), t) == from.end()) {
-        covers = false;
-        break;
+/// One family of components: a table's tids, a table list's tid tuples,
+/// or an attribute's values. Collects the (key, slot) needs of the facts;
+/// once sealed, holds the distinct keys sorted, the i-th being component
+/// `first` + i.
+template <typename Key>
+struct Family {
+  std::vector<std::pair<Key, uint32_t>> needs;
+  std::vector<Key> keys;
+  uint32_t first = 0;
+
+  /// Sorts the needs into one run per key and closes each run's slots,
+  /// in slot order, as the next list of `*components`.
+  template <typename Lists>
+  void Seal(Lists* components) {
+    std::sort(needs.begin(), needs.end());
+    first = static_cast<uint32_t>(components->size());
+    for (size_t i = 0; i < needs.size(); ++i) {
+      components->ids.push_back(needs[i].second);
+      if (i + 1 == needs.size() || !(needs[i + 1].first == needs[i].first)) {
+        keys.push_back(needs[i].first);
+        components->Close();
       }
     }
-    if (!covers) continue;
+    needs = {};
+  }
 
-    if (tables.size() == 1) {
-      if (batch_[q]->IndispensableTids(tables[0]).Contains(tids[0])) {
-        return true;
+  /// The component of `key`, or -1 when no fact needs it.
+  int64_t Find(const Key& key) const {
+    auto it = std::lower_bound(keys.begin(), keys.end(), key);
+    if (it == keys.end() || !(*it == key)) return -1;
+    return first + (it - keys.begin());
+  }
+};
+
+}  // namespace
+
+BatchSupports::BatchSupports(const TargetView& view,
+                             const std::vector<ResolvedScheme>& schemes,
+                             bool indispensable,
+                             const std::vector<const AccessProfile*>& batch,
+                             IndispensabilityMode mode) {
+  const bool per_table =
+      indispensable && mode == IndispensabilityMode::kPerTable;
+  const bool joint =
+      indispensable && mode == IndispensabilityMode::kJointPerQuery;
+
+  // The batch's distinct profiles, in order of first appearance.
+  std::unordered_map<const AccessProfile*, uint32_t> profile_ids;
+  std::vector<const AccessProfile*> profiles;
+  for (const AccessProfile* profile : batch) {
+    profile_of_.push_back(Intern(&profile_ids, &profiles, profile));
+  }
+
+  // The scheme attributes, and those each distinct profile covers.
+  std::map<ColumnRef, uint32_t> attr_ids;
+  std::vector<ColumnRef> attrs;
+  for (const ResolvedScheme& resolved : schemes) {
+    Scheme scheme;
+    scheme.k = resolved.k;
+    for (size_t c : resolved.columns) {
+      scheme.attrs.push_back(Intern(&attr_ids, &attrs, view.columns[c]));
+    }
+    schemes_.push_back(std::move(scheme));
+  }
+  for (const AccessProfile* profile : profiles) {
+    for (size_t a = 0; a < attrs.size(); ++a) {
+      if (indispensable ? profile->Accesses(attrs[a])
+                        : profile->Outputs(attrs[a])) {
+        covers_.ids.push_back(static_cast<uint32_t>(a));
       }
-      continue;
     }
-
-    auto key = std::make_pair(q, tables);
-    auto it = joint_.find(key);
-    if (it == joint_.end()) {
-      // Every table is in FROM (checked above), so this cannot fail.
-      auto projected = batch_[q]->result.ProjectLineage(tables);
-      std::unordered_set<std::vector<Tid>, VectorHash<Tid>> tuples(
-          projected->begin(), projected->end());
-      it = joint_.emplace(std::move(key), std::move(tuples)).first;
-    }
-    if (it->second.count(tids) > 0) return true;
+    covers_.Close();
   }
-  return false;
+  coverers_.assign(attrs.size(), 0);
+  attr_lost_.assign(attrs.size(), 0);
+  for (uint32_t p : profile_of_) {
+    for (uint32_t a : covers_[p]) ++coverers_[a];
+  }
+
+  // One slot per valid fact of each scheme the batch covers; no part of
+  // the batch covers the others, so they never fire and list no facts.
+  // Component families: per table in per-table mode, per table list in
+  // joint mode, per attribute for value containment.
+  std::map<std::string, uint32_t> table_ids;
+  std::vector<std::string> tables;
+  std::map<std::vector<std::string>, uint32_t> group_ids;
+  std::vector<std::vector<std::string>> groups;
+  std::vector<Family<Tid>> by_tid;
+  std::vector<Family<std::vector<Tid>>> by_tuple;
+  std::vector<Family<Value>> by_value(attrs.size());
+  // Records that `slot` needs component `key` of `*family`.
+  auto need = [&](auto* family, auto key, uint32_t slot) {
+    family->needs.emplace_back(std::move(key), slot);
+    ++slot_needs_[slot];
+  };
+  for (size_t s = 0; s < schemes.size(); ++s) {
+    const ResolvedScheme& resolved = schemes[s];
+    Scheme& scheme = schemes_[s];
+    scheme.first_slot = static_cast<uint32_t>(slot_scheme_.size());
+    if (!Covered(scheme)) continue;
+    scheme.num_slots = static_cast<uint32_t>(resolved.valid_facts.size());
+    std::vector<uint32_t> table_keys;
+    for (const auto& table : resolved.scheme.tid_tables) {
+      table_keys.push_back(Intern(&table_ids, &tables, table));
+    }
+    by_tid.resize(tables.size());
+    uint32_t group = Intern(&group_ids, &groups, resolved.scheme.tid_tables);
+    by_tuple.resize(groups.size());
+    const std::vector<size_t>& tid_positions = resolved.tid_positions;
+    for (size_t f : resolved.valid_facts) {
+      const TargetView::Fact& fact = view.facts[f];
+      const auto slot = static_cast<uint32_t>(slot_scheme_.size());
+      slot_scheme_.push_back(static_cast<uint32_t>(s));
+      slot_fact_.push_back(f);
+      slot_needs_.push_back(0);
+      if (per_table) {
+        for (size_t i = 0; i < tid_positions.size(); ++i) {
+          need(&by_tid[table_keys[i]], fact.tids[tid_positions[i]], slot);
+        }
+      } else if (joint) {
+        std::vector<Tid> tuple;
+        tuple.reserve(tid_positions.size());
+        for (size_t p : tid_positions) tuple.push_back(fact.tids[p]);
+        need(&by_tuple[group], std::move(tuple), slot);
+      } else {
+        for (size_t i = 0; i < resolved.columns.size(); ++i) {
+          need(&by_value[scheme.attrs[i]], fact.values[resolved.columns[i]],
+               slot);
+        }
+      }
+    }
+  }
+  for (auto& family : by_tid) family.Seal(&component_slots_);
+  for (auto& family : by_tuple) family.Seal(&component_slots_);
+  for (auto& family : by_value) family.Seal(&component_slots_);
+
+  // One pass over every distinct profile's supplies.
+  std::vector<size_t> stamp(component_slots_.size(), 0);
+  for (size_t p = 0; p < profiles.size(); ++p) {
+    const AccessProfile& profile = *profiles[p];
+    const QueryResult& result = profile.result;
+    auto supply = [&](const auto& family, const auto& key) {
+      const int64_t c = family.Find(key);
+      if (c < 0 || stamp[c] == p + 1) return;
+      stamp[c] = p + 1;
+      supplies_.ids.push_back(static_cast<uint32_t>(c));
+    };
+    if (per_table) {
+      // Walk the smaller side: the query's tids, or the needed ones.
+      for (size_t t = 0; t < tables.size(); ++t) {
+        const Family<Tid>& family = by_tid[t];
+        const TidBitmap& tids = profile.IndispensableTids(tables[t]);
+        if (tids.Cardinality() <= family.keys.size()) {
+          tids.ForEach([&](Tid tid) { supply(family, tid); });
+          continue;
+        }
+        for (size_t i = 0; i < family.keys.size(); ++i) {
+          if (tids.Contains(family.keys[i])) {
+            supplies_.ids.push_back(family.first + static_cast<uint32_t>(i));
+          }
+        }
+      }
+    } else if (joint) {
+      for (size_t g = 0; g < groups.size(); ++g) {
+        if (by_tuple[g].keys.empty()) continue;
+        // A query whose FROM lacks a scheme table witnesses nothing over
+        // it.
+        bool covers = true;
+        for (const auto& table : groups[g]) {
+          if (std::find(result.from.begin(), result.from.end(), table) ==
+              result.from.end()) {
+            covers = false;
+            break;
+          }
+        }
+        if (!covers) continue;
+        auto projected = result.ProjectLineage(groups[g]);
+        for (const auto& tuple : *projected) supply(by_tuple[g], tuple);
+      }
+    } else {
+      for (size_t a = 0; a < attrs.size(); ++a) {
+        if (by_value[a].keys.empty() || !profile.Outputs(attrs[a])) continue;
+        for (const auto& value : result.ColumnValues(attrs[a])) {
+          supply(by_value[a], value);
+        }
+      }
+    }
+    supplies_.Close();
+  }
+
+  suppliers_.assign(component_slots_.size(), 0);
+  for (uint32_t p : profile_of_) {
+    for (uint32_t c : supplies_[p]) ++suppliers_[c];
+  }
+  slot_accessed_.assign(slot_scheme_.size(), 1);
+  slot_stamp_.assign(slot_scheme_.size(), 0);
+  for (size_t c = 0; c < suppliers_.size(); ++c) {
+    if (suppliers_[c] > 0) continue;
+    for (uint32_t slot : component_slots_[c]) slot_accessed_[slot] = 0;
+  }
+  for (size_t slot = 0; slot < slot_scheme_.size(); ++slot) {
+    if (slot_accessed_[slot]) ++schemes_[slot_scheme_[slot]].accessed;
+  }
 }
 
-bool BatchIndex::OutputsValue(const ColumnRef& col, const Value& value) {
-  for (size_t q = 0; q < batch_.size(); ++q) {
-    if (!batch_[q]->Outputs(col)) continue;
-    auto key = std::make_pair(q, col);
-    auto it = values_.find(key);
-    if (it == values_.end()) {
-      auto column_values = batch_[q]->result.ColumnValues(col);
-      std::unordered_set<Value> values(column_values.begin(),
-                                       column_values.end());
-      it = values_.emplace(std::move(key), std::move(values)).first;
-    }
-    if (it->second.count(value) > 0) return true;
-  }
-  return false;
+bool BatchSupports::Covered(const Scheme& scheme) const {
+  return AllCovered(scheme.attrs,
+                    [&](uint32_t a) { return coverers_[a] > 0; });
 }
 
-bool BatchIndex::OutputsColumn(const ColumnRef& col) const {
-  for (const auto* profile : batch_) {
-    if (profile->Outputs(col)) return true;
+SuspicionResult BatchSupports::Verdict() const {
+  SuspicionResult result;
+  for (size_t s = 0; s < schemes_.size(); ++s) {
+    const Scheme& scheme = schemes_[s];
+    SchemeAccess access;
+    access.scheme_index = s;
+    access.attrs_covered = Covered(scheme);
+    const uint32_t end = scheme.first_slot + scheme.num_slots;
+    for (uint32_t slot = scheme.first_slot; slot < end; ++slot) {
+      if (access.attrs_covered && slot_accessed_[slot]) {
+        access.accessed_facts.push_back(slot_fact_[slot]);
+      }
+    }
+    access.suspicious =
+        access.attrs_covered && scheme.k > 0 && scheme.accessed >= scheme.k;
+    if (access.suspicious) result.suspicious = true;
+    result.per_scheme.push_back(std::move(access));
   }
-  return false;
+  return result;
+}
+
+std::vector<char> BatchSupports::SuspiciousAlone() const {
+  // Per slot: how many of its components the profile supplies (valid
+  // while the slot's stamp is the profile's); per scheme: the facts the
+  // profile accesses alone. A slot that needs no component is accessed
+  // by every query.
+  std::vector<uint32_t> hits(slot_scheme_.size(), 0);
+  std::vector<size_t> stamp(slot_scheme_.size(), 0);
+  std::vector<size_t> free(schemes_.size(), 0);
+  std::vector<uint32_t> free_schemes;
+  for (size_t slot = 0; slot < slot_scheme_.size(); ++slot) {
+    if (slot_needs_[slot] > 0) continue;
+    if (free[slot_scheme_[slot]]++ == 0) {
+      free_schemes.push_back(slot_scheme_[slot]);
+    }
+  }
+  std::vector<size_t> accessed(schemes_.size(), 0);
+  std::vector<uint32_t> touched;
+  std::vector<char> covered(coverers_.size(), 0);
+  std::vector<char> alone(supplies_.size(), 0);
+  for (size_t p = 0; p < supplies_.size(); ++p) {
+    for (uint32_t s : free_schemes) accessed[s] = free[s];
+    touched = free_schemes;
+    for (uint32_t c : supplies_[p]) {
+      for (uint32_t slot : component_slots_[c]) {
+        if (stamp[slot] != p + 1) {
+          stamp[slot] = p + 1;
+          hits[slot] = 0;
+        }
+        if (++hits[slot] != slot_needs_[slot]) continue;
+        const uint32_t s = slot_scheme_[slot];
+        if (accessed[s]++ == 0) touched.push_back(s);
+      }
+    }
+    for (uint32_t a : covers_[p]) covered[a] = 1;
+    for (uint32_t s : touched) {
+      const Scheme& scheme = schemes_[s];
+      if (scheme.k > 0 && accessed[s] >= scheme.k &&
+          AllCovered(scheme.attrs, [&](uint32_t a) { return covered[a]; })) {
+        alone[p] = 1;
+      }
+      accessed[s] = 0;
+    }
+    for (uint32_t a : covers_[p]) covered[a] = 0;
+  }
+  std::vector<char> out;
+  out.reserve(profile_of_.size());
+  for (uint32_t p : profile_of_) out.push_back(alone[p]);
+  return out;
+}
+
+bool BatchSupports::SuspiciousWithout(size_t q) {
+  const uint32_t p = profile_of_[q];
+  for (uint32_t a : covers_[p]) {
+    if (coverers_[a] == 1) attr_lost_[a] = 1;
+  }
+  for (uint32_t c : supplies_[p]) {
+    if (suppliers_[c] != 1) continue;
+    for (uint32_t slot : component_slots_[c]) {
+      if (!slot_accessed_[slot] || slot_stamp_[slot] == q + 1) continue;
+      slot_stamp_[slot] = q + 1;
+      ++schemes_[slot_scheme_[slot]].lost;
+    }
+  }
+  bool suspicious = false;
+  for (Scheme& scheme : schemes_) {
+    const bool covered =
+        AllCovered(scheme.attrs, [&](uint32_t a) { return !attr_lost_[a]; }) &&
+        Covered(scheme);
+    if (covered && scheme.k > 0 && scheme.accessed - scheme.lost >= scheme.k) {
+      suspicious = true;
+    }
+    scheme.lost = 0;
+  }
+  for (uint32_t a : covers_[p]) attr_lost_[a] = 0;
+  return suspicious;
+}
+
+void BatchSupports::Drop(size_t q) {
+  const uint32_t p = profile_of_[q];
+  for (uint32_t a : covers_[p]) --coverers_[a];
+  for (uint32_t c : supplies_[p]) {
+    if (--suppliers_[c] > 0) continue;
+    for (uint32_t slot : component_slots_[c]) {
+      if (!slot_accessed_[slot]) continue;
+      slot_accessed_[slot] = 0;
+      --schemes_[slot_scheme_[slot]].accessed;
+    }
+  }
+}
+
+std::vector<int64_t> BatchSupports::Minimize(const std::vector<int64_t>& ids) {
+  std::vector<int64_t> out;
+  for (size_t q = 0; q < profile_of_.size(); ++q) {
+    if (SuspiciousWithout(q)) {
+      Drop(q);
+    } else {
+      out.push_back(ids[q]);
+    }
+  }
+  return out;
 }
 
 Result<SuspicionResult> CheckBatchSuspicion(
@@ -123,89 +396,8 @@ Result<SuspicionResult> CheckBatchSuspicion(
     const TargetView& view, const std::vector<ResolvedScheme>& resolved,
     bool indispensable, const std::vector<const AccessProfile*>& batch,
     const SuspicionOptions& options) {
-  SuspicionResult result;
-  BatchIndex index(batch);
-  // Per-table mode: the batch's indispensable union per scheme table.
-  const bool per_table =
-      indispensable && options.mode == IndispensabilityMode::kPerTable;
-
-  for (size_t s = 0; s < resolved.size(); ++s) {
-    const ResolvedScheme& scheme = resolved[s];
-    SchemeAccess access;
-    access.scheme_index = s;
-
-    // Attribute coverage by the batch.
-    access.attrs_covered = true;
-    for (const auto& attr : scheme.scheme.attrs) {
-      bool covered = indispensable ? index.Accesses(attr)
-                                   : index.OutputsColumn(attr);
-      if (!covered) {
-        access.attrs_covered = false;
-        break;
-      }
-    }
-
-    if (access.attrs_covered) {
-      std::vector<const TidBitmap*> unions;
-      if (per_table) {
-        for (const auto& table : scheme.scheme.tid_tables) {
-          unions.push_back(&index.IndispensableTidBitmap(table));
-        }
-      }
-
-      // Word-wide prescreen (per-table mode): if the view's tids for some
-      // scheme table never intersect the batch's indispensable union, the
-      // per-fact probes below would reject every fact — skip them.
-      bool can_access = true;
-      if (per_table && view.table_tids.size() == view.tables.size()) {
-        for (size_t i = 0; i < scheme.tid_positions.size(); ++i) {
-          if (!view.table_tids[scheme.tid_positions[i]].Intersects(
-                  *unions[i])) {
-            can_access = false;
-            break;
-          }
-        }
-      }
-
-      if (can_access) {
-        for (size_t f : scheme.valid_facts) {
-          const TargetView::Fact& fact = view.facts[f];
-          bool accessed = true;
-          if (indispensable) {
-            const std::vector<size_t>& positions = scheme.tid_positions;
-            if (per_table) {
-              for (size_t i = 0; i < positions.size(); ++i) {
-                if (!unions[i]->Contains(fact.tids[positions[i]])) {
-                  accessed = false;
-                  break;
-                }
-              }
-            } else {
-              std::vector<Tid> tuple;
-              tuple.reserve(positions.size());
-              for (size_t p : positions) tuple.push_back(fact.tids[p]);
-              accessed =
-                  index.JointlyWitnessed(scheme.scheme.tid_tables, tuple);
-            }
-          } else {
-            for (size_t c : scheme.columns) {
-              if (!index.OutputsValue(view.columns[c], fact.values[c])) {
-                accessed = false;
-                break;
-              }
-            }
-          }
-          if (accessed) access.accessed_facts.push_back(f);
-        }
-      }
-    }
-
-    access.suspicious = access.attrs_covered && scheme.k > 0 &&
-                        access.accessed_facts.size() >= scheme.k;
-    if (access.suspicious) result.suspicious = true;
-    result.per_scheme.push_back(std::move(access));
-  }
-  return result;
+  return BatchSupports(view, resolved, indispensable, batch, options.mode)
+      .Verdict();
 }
 
 namespace {

@@ -1,15 +1,12 @@
 #ifndef AUDITDB_AUDIT_SUSPICION_H_
 #define AUDITDB_AUDIT_SUSPICION_H_
 
+#include <cstdint>
+#include <span>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "src/audit/granule.h"
-#include "src/common/hashing.h"
-#include "src/common/tid_bitmap.h"
 #include "src/engine/lineage.h"
 
 namespace auditdb {
@@ -55,54 +52,8 @@ struct SuspicionResult {
                        const std::vector<GranuleScheme>& schemes) const;
 };
 
-/// Precomputed batch-level access state: per-table indispensable-tid
-/// unions (compressed bitmaps), joint lineage projections, and
-/// output-value sets, each cached on first use. Holds the profile pointer
-/// vector by value — the profiles themselves must outlive the index, but
-/// the vector argument may be a temporary.
-class BatchIndex {
- public:
-  explicit BatchIndex(std::vector<const AccessProfile*> batch)
-      : batch_(std::move(batch)) {}
-
-  /// Whether any query in the batch references `col`.
-  bool Accesses(const ColumnRef& col) const;
-
-  /// Union of per-query indispensable tids for `table`: a single query's
-  /// own bitmap, else a cached word-wide Or over the profiles' bitmaps.
-  const TidBitmap& IndispensableTidBitmap(const std::string& table);
-
-  /// Whether some single query's lineage contains the tid tuple `tids`
-  /// over `tables` (joint witness). Single-table tuples probe the
-  /// profile's per-table bitmap; wider tuples probe the query's projected
-  /// lineage (cached), since a tid tuple has no bitmap form. A query whose
-  /// FROM clause lacks one of the tables has no joint witness.
-  bool JointlyWitnessed(const std::vector<std::string>& tables,
-                        const std::vector<Tid>& tids);
-
-  /// Whether some query outputs `col` with `value` among its results.
-  bool OutputsValue(const ColumnRef& col, const Value& value);
-
-  bool OutputsColumn(const ColumnRef& col) const;
-
- private:
-  std::vector<const AccessProfile*> batch_;
-  std::unordered_map<std::string, TidBitmap> tid_bitmap_union_;
-  std::unordered_map<
-      std::pair<size_t, std::vector<std::string>>,
-      std::unordered_set<std::vector<Tid>, VectorHash<Tid>>,
-      PairHash<size_t, std::vector<std::string>, std::hash<size_t>,
-               VectorHash<std::string>>>
-      joint_;
-  std::unordered_map<std::pair<size_t, ColumnRef>, std::unordered_set<Value>,
-                     PairHash<size_t, ColumnRef, std::hash<size_t>,
-                              ColumnRefHash>>
-      values_;
-};
-
-/// Decides whether the batch of queries (given by their access profiles,
-/// each computed on the database state that query actually ran against)
-/// accesses any granule of the audit expression's granule set.
+/// The granule-access kernel: the one offline implementation of "the
+/// batch accesses fact u w.r.t. scheme S".
 ///
 /// A fact u of U is accessed w.r.t. scheme S when
 ///   - INDISPENSABLE = true: the batch covers every attribute of S
@@ -112,16 +63,117 @@ class BatchIndex {
 ///   - INDISPENSABLE = false: for every attribute of S, some query
 ///     *outputs* that attribute with u's value among its results
 ///     (value containment — predicates alone do not count).
-/// The scheme fires when at least `threshold` facts (ALL: every valid
-/// fact, and at least one) are accessed; the batch is suspicious when any
-/// scheme fires.
+/// The scheme fires when at least `k` facts (ALL: every valid fact, and
+/// at least one) are accessed; the batch is suspicious when any scheme
+/// fires.
 ///
-/// INDISPENSABLE = false reads the profiles' rows: they must have been
-/// computed with ExecOutput::kLineageAndValues.
+/// Built once per batch as support counts. Each valid fact of each scheme
+/// needs *components* from the batch: its tid in each scheme table
+/// (kPerTable), its whole tid tuple over the scheme tables
+/// (kJointPerQuery), or its value in each scheme attribute (INDISPENSABLE
+/// false). A fact is accessed while every one of its components has a
+/// kept supplier; a scheme attribute is covered while some kept query
+/// accesses (outputs, for value containment) it. A scheme the whole batch
+/// does not cover never fires, so its facts get no slots. The batch
+/// verdict, each query's verdict alone, and the greedy minimal batch are
+/// all read off these counts.
 ///
-/// In IndispensabilityMode::kPerTable, the check reads each profile's
-/// table_tids only at tids of U (a fact's tids are U's), so restricted
-/// profiles (ComputeRestrictedAccessProfile) decide it exactly.
+/// The kernel copies what it reads: neither the profiles nor the vector
+/// naming them need outlive the constructor. INDISPENSABLE = false reads
+/// the profiles' rows: they must have been computed with
+/// ExecOutput::kLineageAndValues. In kPerTable mode the kernel reads each
+/// profile's table_tids only at tids of U (a fact's tids are U's), so
+/// restricted profiles (ComputeRestrictedAccessProfile) decide it
+/// exactly. Profiles may repeat (queries that share one execution share
+/// it by pointer): each entry still counts as its own query, but a
+/// repeated profile's supports are collected once.
+class BatchSupports {
+ public:
+  BatchSupports(const TargetView& view,
+                const std::vector<ResolvedScheme>& schemes,
+                bool indispensable,
+                const std::vector<const AccessProfile*>& batch,
+                IndispensabilityMode mode);
+
+  /// The kept batch's verdict (the whole batch until Minimize), one
+  /// SchemeAccess per scheme. Accessed facts are listed, in valid-fact
+  /// order, only for schemes whose attributes the batch covers.
+  SuspicionResult Verdict() const;
+
+  /// Per batch entry: whether that query alone is suspicious. A fact is
+  /// accessed alone when the query supplies every one of its components,
+  /// so each distinct profile costs O(|its supplies|).
+  std::vector<char> SuspiciousAlone() const;
+
+  /// Greedy minimization: in batch order, drops each entry if the kept
+  /// batch stays suspicious without it, and returns the `ids` of the
+  /// entries kept. The kept list is the one successive batch checks on
+  /// the shrinking batch would give, at O(|supports of q|) per drop test.
+  std::vector<int64_t> Minimize(const std::vector<int64_t>& ids);
+
+ private:
+  struct Scheme {
+    size_t k = 0;
+    /// Attribute ids of the scheme's columns.
+    std::vector<uint32_t> attrs;
+    /// The scheme's slots: one per valid fact, in valid-fact order.
+    uint32_t first_slot = 0;
+    uint32_t num_slots = 0;
+    /// Valid facts the kept batch accesses.
+    size_t accessed = 0;
+    /// Scratch for SuspiciousWithout.
+    size_t lost = 0;
+  };
+
+  /// Lists of ids stored back to back: list i is ids[begin[i],
+  /// begin[i + 1]). Append a list's ids, then Close it.
+  struct IdLists {
+    std::vector<uint32_t> begin{0};
+    std::vector<uint32_t> ids;
+
+    void Close() { begin.push_back(static_cast<uint32_t>(ids.size())); }
+    size_t size() const { return begin.size() - 1; }
+    std::span<const uint32_t> operator[](size_t i) const {
+      return {ids.data() + begin[i], ids.data() + begin[i + 1]};
+    }
+  };
+
+  /// Whether the kept batch covers every attribute of `scheme`.
+  bool Covered(const Scheme& scheme) const;
+
+  /// Whether the kept batch without entry `q` still fires some scheme.
+  /// O(|supports of q|) plus one pass over the schemes.
+  bool SuspiciousWithout(size_t q);
+
+  /// Removes entry `q` from the kept batch.
+  void Drop(size_t q);
+
+  std::vector<Scheme> schemes_;
+  /// Per slot: its scheme, its fact, how many components it needs, and
+  /// whether the kept batch supplies them all.
+  std::vector<uint32_t> slot_scheme_;
+  std::vector<size_t> slot_fact_;
+  std::vector<uint32_t> slot_needs_;
+  std::vector<char> slot_accessed_;
+  std::vector<size_t> slot_stamp_;
+  /// Per component: kept suppliers, and the slots that need it.
+  std::vector<uint32_t> suppliers_;
+  IdLists component_slots_;
+  /// Per scheme attribute: kept entries covering it.
+  std::vector<uint32_t> coverers_;
+  std::vector<char> attr_lost_;
+  /// Per distinct profile: the distinct components it supplies and the
+  /// attributes it covers.
+  IdLists supplies_;
+  IdLists covers_;
+  /// Per batch entry: its distinct profile.
+  std::vector<uint32_t> profile_of_;
+};
+
+/// Decides whether the batch of queries (given by their access profiles,
+/// each computed on the database state that query actually ran against)
+/// accesses any granule of the audit expression's granule set:
+/// BatchSupports(...).Verdict().
 Result<SuspicionResult> CheckBatchSuspicion(
     const TargetView& view, const std::vector<ResolvedScheme>& schemes,
     bool indispensable, const std::vector<const AccessProfile*>& batch,

@@ -1,11 +1,16 @@
 // Differential test of MinimizeBatch against the quadratic greedy loop it
-// replaced: one full CheckBatchSuspicion per candidate on the shrinking
-// batch. The kept id lists must match exactly, on the paper fixture and
-// on generated hospital worlds (one state, and churned into many), in
-// every indispensability mode, INDISPENSABLE setting and threshold.
+// replaced: one full batch check per candidate on the shrinking batch.
+// The paper fixture runs that loop over the literal reference model
+// (suspicion_reference.h), which shares no code with the production
+// kernel; the generated worlds, too large for the model, run it over
+// CheckBatchSuspicion. The kept id lists must match exactly, on the paper
+// fixture and on generated hospital worlds (one state, and churned into
+// many), in every indispensability mode, INDISPENSABLE setting and
+// threshold.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -16,6 +21,7 @@
 #include "src/audit/suspicion.h"
 #include "src/workload/generator.h"
 #include "src/workload/hospital.h"
+#include "tests/audit/suspicion_reference.h"
 
 namespace auditdb {
 namespace audit {
@@ -23,12 +29,31 @@ namespace {
 
 Timestamp Ts(int64_t s) { return Timestamp(s * 1000000); }
 
-/// The reference model: drop each profile in id order when the batch
-/// without it is still suspicious, re-checking the whole batch each time.
-Result<std::vector<int64_t>> ReferenceMinimize(
+/// A batch check with reference::CheckBatch's signature.
+using BatchCheck = std::function<Result<SuspicionResult>(
+    const TargetView&, const std::vector<GranuleScheme>&, Threshold, bool,
+    const std::vector<const AccessProfile*>&, IndispensabilityMode)>;
+
+/// The production kernel behind BatchCheck's signature.
+Result<SuspicionResult> ProductionCheck(
     const TargetView& view, const std::vector<GranuleScheme>& schemes,
-    const AuditExpression& expr, const std::vector<AccessProfile>& profiles,
-    const std::vector<int64_t>& profile_ids, const SuspicionOptions& options) {
+    Threshold threshold, bool indispensable,
+    const std::vector<const AccessProfile*>& batch,
+    IndispensabilityMode mode) {
+  SuspicionOptions options;
+  options.mode = mode;
+  return CheckBatchSuspicion(view, schemes, threshold, indispensable, batch,
+                             options);
+}
+
+/// The reference minimizer: drop each profile in id order when the batch
+/// without it is still suspicious under `check`, re-checking the whole
+/// batch each time.
+Result<std::vector<int64_t>> ReferenceMinimize(
+    const BatchCheck& check, const TargetView& view,
+    const std::vector<GranuleScheme>& schemes, const AuditExpression& expr,
+    const std::vector<AccessProfile>& profiles,
+    const std::vector<int64_t>& profile_ids, IndispensabilityMode mode) {
   std::vector<size_t> kept;
   for (size_t i = 0; i < profiles.size(); ++i) kept.push_back(i);
   for (size_t i = 0; i < profiles.size(); ++i) {
@@ -36,9 +61,8 @@ Result<std::vector<int64_t>> ReferenceMinimize(
     for (size_t j : kept) {
       if (j != i) reduced.push_back(&profiles[j]);
     }
-    auto reduced_result = CheckBatchSuspicion(view, schemes, expr.threshold,
-                                              expr.indispensable, reduced,
-                                              options);
+    auto reduced_result = check(view, schemes, expr.threshold,
+                                expr.indispensable, reduced, mode);
     if (!reduced_result.ok()) return reduced_result.status();
     if (reduced_result->suspicious) {
       kept.erase(std::remove(kept.begin(), kept.end(), i), kept.end());
@@ -92,9 +116,12 @@ class MinimizeDifferentialTest : public ::testing::Test {
   }
 
   /// Runs every (mode, INDISPENSABLE, threshold) combination
-  /// of `body` (an audit expression without those clauses) through both
-  /// minimizers. Returns how many combinations had a suspicious batch.
-  size_t ExpectSameKeptLists(const std::string& body) {
+  /// of `body` (an audit expression without those clauses) through
+  /// MinimizeBatch and ReferenceMinimize over `check`, which also judges
+  /// the full and the kept batch. Returns how many combinations had a
+  /// suspicious batch.
+  size_t ExpectSameKeptLists(const std::string& body,
+                             const BatchCheck& check) {
     const std::string span =
         "DURING 1/1/1970 to 2/1/1970 DATA-INTERVAL 1/1/1970 to 2/1/1970 ";
     size_t suspicious = 0;
@@ -117,9 +144,9 @@ class MinimizeDifferentialTest : public ::testing::Test {
           const std::string where =
               text + " | joint=" +
               std::to_string(mode == IndispensabilityMode::kJointPerQuery);
-          auto want = ReferenceMinimize(in->view, in->schemes, in->expr,
-                                        in->profiles, in->profile_ids,
-                                        options);
+          auto want = ReferenceMinimize(check, in->view, in->schemes,
+                                        in->expr, in->profiles,
+                                        in->profile_ids, mode);
           auto got = MinimizeBatch(in->view, in->schemes, in->expr,
                                    in->profiles, in->profile_ids, options);
           EXPECT_TRUE(want.ok()) << where << ": "
@@ -128,10 +155,8 @@ class MinimizeDifferentialTest : public ::testing::Test {
           if (!want.ok() || !got.ok()) continue;
           EXPECT_EQ(*got, *want) << where;
 
-          auto full = CheckBatchSuspicion(in->view, in->schemes,
-                                          in->expr.threshold,
-                                          in->expr.indispensable, batch,
-                                          options);
+          auto full = check(in->view, in->schemes, in->expr.threshold,
+                            in->expr.indispensable, batch, mode);
           EXPECT_TRUE(full.ok()) << where;
           if (!full.ok() || !full->suspicious) continue;
           ++suspicious;
@@ -142,9 +167,8 @@ class MinimizeDifferentialTest : public ::testing::Test {
           }
           std::vector<const AccessProfile*> kept;
           for (int64_t id : *got) kept.push_back(by_id.at(id));
-          auto kept_result = CheckBatchSuspicion(
-              in->view, in->schemes, in->expr.threshold,
-              in->expr.indispensable, kept, options);
+          auto kept_result = check(in->view, in->schemes, in->expr.threshold,
+                                   in->expr.indispensable, kept, mode);
           EXPECT_TRUE(kept_result.ok() && kept_result->suspicious)
               << where;
         }
@@ -218,13 +242,16 @@ TEST_F(MinimizeDifferentialTest, PaperFixture) {
       "AUDIT (name,disease,address) FROM P-Personal, P-Health, P-Employ "
       "WHERE P-Personal.pid=P-Health.pid and P-Health.pid=P-Employ.pid "
       "and P-Personal.zipcode='145568' and P-Employ.salary > 10000 "
-      "and P-Health.disease='diabetic'");
+      "and P-Health.disease='diabetic'",
+      reference::CheckBatch);
   suspicious += ExpectSameKeptLists(
       "AUDIT (name),[disease,address] FROM P-Personal, P-Health "
-      "WHERE P-Personal.pid=P-Health.pid");
+      "WHERE P-Personal.pid=P-Health.pid",
+      reference::CheckBatch);
   suspicious += ExpectSameKeptLists(
       "AUDIT [*] FROM P-Personal, P-Health "
-      "WHERE P-Personal.pid=P-Health.pid and P-Health.disease='diabetic'");
+      "WHERE P-Personal.pid=P-Health.pid and P-Health.disease='diabetic'",
+      reference::CheckBatch);
   EXPECT_GT(suspicious, 20u);
 }
 
@@ -233,11 +260,13 @@ TEST_F(MinimizeDifferentialTest, HospitalSingleState) {
   size_t suspicious = 0;
   suspicious += ExpectSameKeptLists(
       "AUDIT (name,disease) FROM P-Personal, P-Health "
-      "WHERE P-Personal.pid = P-Health.pid AND disease='diabetic'");
+      "WHERE P-Personal.pid = P-Health.pid AND disease='diabetic'",
+      ProductionCheck);
   suspicious += ExpectSameKeptLists(
       "AUDIT (name),[disease,salary] FROM P-Personal, P-Health, P-Employ "
       "WHERE P-Personal.pid = P-Health.pid AND "
-      "P-Health.pid = P-Employ.pid");
+      "P-Health.pid = P-Employ.pid",
+      ProductionCheck);
   EXPECT_GT(suspicious, 20u);
 }
 
@@ -246,11 +275,13 @@ TEST_F(MinimizeDifferentialTest, HospitalChurned) {
   size_t suspicious = 0;
   suspicious += ExpectSameKeptLists(
       "AUDIT (name,disease) FROM P-Personal, P-Health "
-      "WHERE P-Personal.pid = P-Health.pid AND disease='diabetic'");
+      "WHERE P-Personal.pid = P-Health.pid AND disease='diabetic'",
+      ProductionCheck);
   suspicious += ExpectSameKeptLists(
       "AUDIT (name),[disease,salary] FROM P-Personal, P-Health, P-Employ "
       "WHERE P-Personal.pid = P-Health.pid AND "
-      "P-Health.pid = P-Employ.pid");
+      "P-Health.pid = P-Employ.pid",
+      ProductionCheck);
   EXPECT_GT(suspicious, 20u);
 }
 

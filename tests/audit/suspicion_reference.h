@@ -1,8 +1,8 @@
 // Test-only reference model of the suspicion kernels: the granule-access
 // definitions (suspicion.h) evaluated literally over std::set, one fact
-// and one query at a time, with none of the production caches, bitmaps
-// or prescreens. Differential tests compare CheckBatchSuspicion and
-// GranuleEnumerator against it.
+// and one query at a time, with none of the production kernel's support
+// counts or bitmaps. Differential tests compare CheckBatchSuspicion,
+// MinimizeBatch and GranuleEnumerator against it.
 #ifndef AUDITDB_TESTS_AUDIT_SUSPICION_REFERENCE_H_
 #define AUDITDB_TESTS_AUDIT_SUSPICION_REFERENCE_H_
 

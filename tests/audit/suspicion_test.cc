@@ -308,19 +308,36 @@ TEST_F(SuspicionTest, PartialFromCoverageIsNotAnError) {
   EXPECT_TRUE(Check(expr, {&q1, &q2}, joint).suspicious);
 }
 
-// Regression: BatchIndex used to hold a reference to the caller's vector; a
-// temporary argument left it dangling. It now holds the vector by value.
-TEST_F(SuspicionTest, BatchIndexOutlivesTemporaryBatchVector) {
+// Regression: the batch kernel once held a reference to the caller's
+// profile-pointer vector, and a temporary argument left it dangling. The
+// kernel now copies what it reads, so every reading below runs after the
+// temporary vector (which repeats one profile, as shared executions do)
+// is dead.
+TEST_F(SuspicionTest, BatchSupportsOutliveTemporaryBatchVector) {
+  auto expr = Parse(
+      "AUDIT (name,disease) FROM P-Personal, P-Health "
+      "WHERE P-Personal.pid=P-Health.pid");
+  auto view = ComputeTargetView(expr, db_.View(), Ts(1));
+  ASSERT_TRUE(view.ok());
+  auto schemes = BuildSchemes(expr);
+  auto resolved = ResolveSchemes(*view, schemes, expr.threshold);
+  ASSERT_TRUE(resolved.ok());
   auto profile = Profile(
       "SELECT name, disease FROM P-Personal, P-Health "
       "WHERE P-Personal.pid=P-Health.pid AND disease='diabetic'");
-  BatchIndex index(std::vector<const AccessProfile*>{&profile});
-  // The temporary vector is dead here; every probe below reads batch_.
-  EXPECT_TRUE(index.Accesses(ColumnRef{"P-Health", "disease"}));
-  const TidBitmap& tids = index.IndispensableTidBitmap("P-Health");
-  EXPECT_FALSE(tids.Empty());
-  std::set<Tid> want = reference::LineageTids(profile.result, "P-Health");
-  EXPECT_EQ(tids.ToVector(), std::vector<Tid>(want.begin(), want.end()));
+  BatchSupports supports(*view, *resolved, expr.indispensable,
+                         std::vector<const AccessProfile*>{&profile, &profile},
+                         IndispensabilityMode::kPerTable);
+  auto want = reference::CheckBatch(*view, schemes, expr.threshold,
+                                    expr.indispensable, {&profile},
+                                    IndispensabilityMode::kPerTable);
+  ASSERT_TRUE(want.ok());
+  ASSERT_TRUE(want->suspicious);
+  reference::ExpectSameResult(supports.Verdict(), *want, "batch");
+  EXPECT_EQ(supports.SuspiciousAlone(), (std::vector<char>{1, 1}));
+  // Either copy alone fires: the first is dropped, the second kept.
+  EXPECT_EQ(supports.Minimize({7, 8}), (std::vector<int64_t>{8}));
+  reference::ExpectSameResult(supports.Verdict(), *want, "minimal batch");
 }
 
 // Differential: the compressed-bitmap kernels must reproduce the std::set

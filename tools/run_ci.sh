@@ -9,7 +9,7 @@
 # flush parked pushes), failing on any ASan report — the tid-bitmap
 # kernels plus the suspicion/granule bitmap differentials under
 # UndefinedBehaviorSanitizer (and the same suites re-run in the ASan
-# tree, where the BatchIndex lifetime regression is visible) — the
+# tree, where the batch kernel's lifetime regression is visible) — the
 # durability gate
 # (crash-fault-injection harness under ASan, then a live kill -9: stream
 # ExecuteQuery at an auditd with --data-dir, SIGKILL it mid-stream, and
@@ -28,13 +28,15 @@
 # killed primary's quiesced dir, and a promote-on-primary-kill failover
 # that must lose no acked write) — and finally a Release (-O2) build
 # that smoke-runs the scan and expression-index benches, the 10M-row
-# tid-bitmap kernel sweeps (bench_granule set-vs-bitmap), plus the
+# tid-bitmap kernel sweeps (bench_granule set-vs-bitmap), the batch
+# suspicion benches (bench_batch minimization and split-attack
+# detection, with their check-phase time), plus the
 # bench_net push-latency sweep, the bench_policy overhead acceptance
 # check (<5% at 0% rule-hit rate), and the bench_mixed MVCC sweep
 # (no shape's static facts computed twice AND writes must commit under
 # every write combo),
 # checking their BENCH_scan.json / BENCH_granule.json /
-# BENCH_index.json / BENCH_push.json
+# BENCH_batch.json / BENCH_index.json / BENCH_push.json
 # / BENCH_policy.json / BENCH_mixed.json / BENCH_repl.json artifacts
 # (the last from the bench_net replication followers-x-ack sweep), each
 # of which must parse as JSON, as must auditd's final metrics line.
@@ -123,9 +125,9 @@ cmake --build "${PREFIX}-asan" -j "${JOBS}" \
       --target net_test subscription_test auditd audit_client \
                subscription_soak "${SANITIZER_TARGETS[@]}"
 # ASan exits non-zero on any report; halt_on_error makes that immediate.
-# The tid-bitmap and suspicion suites ride along here: the BatchIndex
-# lifetime regression (dangling batch vector) is exactly the kind of bug
-# only this tree can see. The online re-execution-failure cases ride
+# The tid-bitmap and suspicion suites ride along here: the batch
+# kernel's lifetime regression (BatchSupports read after its temporary
+# batch vector died) is exactly the kind of bug only this tree can see. The online re-execution-failure cases ride
 # along too: they drive the observe error path, in process and over the
 # wire on a replica. So do the executor's reference differentials and
 # the scan/predicate-program suites: the hash-join build, the
@@ -603,7 +605,7 @@ rm -f "${DRIVE_LOG}" "${V_P}" "${V_A}" "${V_B}" "${V_OFF}" \
 echo "== [9/9] Release build + bench smokes =="
 cmake -B "${PREFIX}-release" -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build "${PREFIX}-release" -j "${JOBS}" \
-      --target bench_scan bench_index bench_granule
+      --target bench_scan bench_index bench_granule bench_batch
 # A tiny sweep: one fused-filter shape, just enough to prove the bench
 # runs and emits its JSON artifact.
 ( cd "${PREFIX}-release/bench" && \
@@ -626,6 +628,19 @@ grep -q '"benchmarks"' "${PREFIX}-release/bench/BENCH_scan.json" || {
   echo "bench_granule did not write BENCH_granule.json"; exit 1; }
 grep -q '"benchmarks"' "${PREFIX}-release/bench/BENCH_granule.json" || {
   echo "BENCH_granule.json is not benchmark JSON"; exit 1; }
+
+# The batch suspicion benches: one minimization point and one
+# split-attack point (per-query verdicts), proving BENCH_batch.json lands
+# with the audit's check-phase time (check_ms) on every row.
+( cd "${PREFIX}-release/bench" && \
+  ./bench_batch \
+      --benchmark_filter='BM_MinimalBatchExtraction/100$|BM_SplitAttackDetection/8$' \
+      --benchmark_min_time=0.05 )
+[ -s "${PREFIX}-release/bench/BENCH_batch.json" ] || {
+  echo "bench_batch did not write BENCH_batch.json"; exit 1; }
+python3 -c 'import json, sys; rows = json.load(open(sys.argv[1]))["benchmarks"]; sys.exit(0 if rows and all("check_ms" in r for r in rows) else 1)' \
+    "${PREFIX}-release/bench/BENCH_batch.json" || {
+  echo "BENCH_batch.json lacks benchmark rows with check_ms"; exit 1; }
 
 # The expression-index bench: one point at 64 standing expressions,
 # proving the sweep runs and emits BENCH_index.json.
