@@ -74,13 +74,25 @@ void BM_TargetViewOverInterval(benchmark::State& state) {
   auto expr = audit::ParseAudit(text, Ts(1000000));
   if (!expr.ok() || !expr->Qualify(world->db.catalog()).ok()) std::abort();
   size_t view_size = 0;
+  audit::SweepCounters storage;
   for (auto _ : state) {
-    auto view = audit::ComputeTargetViewOverVersions(*expr, world->backlog);
+    auto view = audit::ComputeTargetViewOverVersions(
+        *expr, world->backlog, ExecOptions{}, Backlog::kNoLimit, &storage);
     if (!view.ok()) std::abort();
     view_size = view->size();
   }
   state.counters["versions"] = static_cast<double>(versions);
   state.counters["view_size"] = static_cast<double>(view_size);
+  // Storage work per sweep: copy-on-write rows and the column vectors
+  // and join-key indexes the swept versions built rather than borrowed.
+  const auto per_iteration = [&](uint64_t total) {
+    return benchmark::Counter(static_cast<double>(total),
+                              benchmark::Counter::kAvgIterations);
+  };
+  state.counters["cow_rows"] = per_iteration(storage.cow_rows);
+  state.counters["columnar_builds"] = per_iteration(storage.columnar_builds);
+  state.counters["join_index_builds"] =
+      per_iteration(storage.join_index_builds);
 }
 BENCHMARK(BM_TargetViewOverInterval)
     ->Arg(1)

@@ -148,7 +148,8 @@ Result<TargetView> ComputeTargetView(const AuditExpression& expr,
 Result<TargetView> ComputeTargetViewOverVersions(const AuditExpression& expr,
                                                  const Backlog& backlog,
                                                  const ExecOptions&,
-                                                 size_t event_limit) {
+                                                 size_t event_limit,
+                                                 SweepCounters* counters) {
   TargetView merged;
   merged.tables = expr.from;
   merged.columns = ViewColumns(expr);
@@ -161,8 +162,9 @@ Result<TargetView> ComputeTargetViewOverVersions(const AuditExpression& expr,
   BacklogCursor cursor(backlog, event_limit);
   std::optional<DatabaseView> evaluated;
   FactSet seen;
-  for (Timestamp version :
-       backlog.VersionTimestamps(expr.data_interval, event_limit)) {
+  const std::vector<Timestamp> versions =
+      backlog.VersionTimestamps(expr.data_interval, event_limit);
+  for (Timestamp version : versions) {
     auto db = cursor.ViewAt(version);
     if (!db.ok()) return db.status();
     if (evaluated.has_value() &&
@@ -184,6 +186,22 @@ Result<TargetView> ComputeTargetViewOverVersions(const AuditExpression& expr,
     }
   }
   merged.RebuildTidIndex();
+  if (counters != nullptr && !versions.empty()) {
+    // The cursor's tables outlive the loop; their stats cover the sweep.
+    auto db = cursor.ViewAt(versions.back());
+    if (!db.ok()) return db.status();
+    std::vector<std::string> tables = expr.from;
+    std::sort(tables.begin(), tables.end());
+    tables.erase(std::unique(tables.begin(), tables.end()), tables.end());
+    for (const std::string& table : tables) {
+      auto now = db->GetTable(table);
+      if (!now.ok()) return now.status();
+      const TableStats& stats = (*now)->stats();
+      counters->cow_rows += stats.cow_rows.load();
+      counters->columnar_builds += stats.columnar_builds.load();
+      counters->join_index_builds += stats.join_index_builds.load();
+    }
+  }
   return merged;
 }
 

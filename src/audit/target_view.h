@@ -67,6 +67,17 @@ Result<TargetView> ComputeTargetView(const AuditExpression& expr,
                                      const DatabaseView& db,
                                      Timestamp version);
 
+/// Storage work of one ComputeTargetViewOverVersions sweep, summed over
+/// the FROM tables of the cursor's states (TableStats): rows copied on
+/// write, column vectors gathered and join-key indexes built. A
+/// non-monotone backlog replays each state anew; only its last
+/// replay is counted.
+struct SweepCounters {
+  uint64_t cow_rows = 0;
+  uint64_t columnar_builds = 0;
+  uint64_t join_index_builds = 0;
+};
+
 /// Computes U across every data version in `expr.data_interval`, as
 /// reconstructed from the backlog, and unions the facts (deduplicated by
 /// tids + values). `event_limit` bounds the backlog prefix read (a pinned
@@ -75,10 +86,11 @@ Result<TargetView> ComputeTargetView(const AuditExpression& expr,
 /// version whose FROM tables are unchanged since the last evaluated one,
 /// in every tid and every column the view reads, is skipped (it could
 /// add no fact). The ExecOptions parameter is ignored (see ExecOptions).
+/// A non-null `counters` accumulates the storage work of the sweep.
 Result<TargetView> ComputeTargetViewOverVersions(
     const AuditExpression& expr, const Backlog& backlog,
     const ExecOptions& = ExecOptions{},
-    size_t event_limit = Backlog::kNoLimit);
+    size_t event_limit = Backlog::kNoLimit, SweepCounters* counters = nullptr);
 
 }  // namespace audit
 }  // namespace auditdb

@@ -290,12 +290,14 @@ class ExecutionContext {
       if (!ReductionIsExact()) return;
       const JoinKeyIndex& index = tables_[p]->JoinIndex(plan.probe_column);
       const RowStore& rows = tables_[j]->rows();
+      const RowStore& probed = tables_[p]->rows();
       std::vector<uint8_t> hit(tables_[p]->size(), 0);
       ForEachAllowed(j, [&](uint32_t r) {
-        (void)index.ForEachMatch(rows[r].values[plan.column], [&](size_t m) {
-          hit[m] = 1;
-          return Status::Ok();
-        });
+        (void)index.ForEachMatch(probed, rows[r].values[plan.column],
+                                 [&](size_t m) {
+                                   hit[m] = 1;
+                                   return Status::Ok();
+                                 });
       });
       AllowedRows kept;
       ForEachAllowed(p, [&](uint32_t r) {
@@ -547,8 +549,9 @@ class ExecutionContext {
     // only runs when no visit can fail, no error: skip them.
     const std::optional<AllowedRows>& allowed = allowed_[position];
     if (key != nullptr) {
-      if (!allowed) return plan.index->ForEachMatch(*key, try_row);
-      return plan.index->ForEachMatch(*key, [&](size_t r) -> Status {
+      const RowStore& rows = table.rows();
+      if (!allowed) return plan.index->ForEachMatch(rows, *key, try_row);
+      return plan.index->ForEachMatch(rows, *key, [&](size_t r) -> Status {
         return allowed->mask[r] ? try_row(r) : Status::Ok();
       });
     }

@@ -1,6 +1,7 @@
 #include "src/storage/table.h"
 
 #include <algorithm>
+#include <cstring>
 
 namespace auditdb {
 
@@ -63,31 +64,10 @@ void RowStore::EraseStable(size_t pos) {
 }
 
 // ---------------------------------------------------------------------------
-// Columnar projection (one build per TableVersion)
-
-namespace {
-
-std::shared_ptr<const Batch> BuildColumnar(const TableSchema& schema,
-                                           const RowStore& rows) {
-  auto batch = std::make_shared<Batch>();
-  batch->num_rows = rows.size();
-  batch->tids.reserve(rows.size());
-  for (const Row& row : rows) batch->tids.push_back(row.tid);
-  batch->columns.reserve(schema.num_columns());
-  for (size_t c = 0; c < schema.num_columns(); ++c) {
-    batch->columns.push_back(ColumnVector::Gather(
-        rows.size(), [&](size_t i) -> const Value& { return rows[i].values[c]; }));
-  }
-  return batch;
-}
-
-}  // namespace
-
-// ---------------------------------------------------------------------------
 // JoinKeyIndex
 
 JoinKeyIndex::JoinKeyIndex(const RowStore& rows, size_t column)
-    : rows_(&rows), column_(column) {
+    : column_(column) {
   entries_.reserve(rows.size());
   for (size_t p = 0; p < rows.size(); ++p) {
     entries_.push_back({rows[p].values[column].Hash(),
@@ -101,6 +81,36 @@ JoinKeyIndex::JoinKeyIndex(const RowStore& rows, size_t column)
 }
 
 // ---------------------------------------------------------------------------
+// Derived-data slots (shared by the versions that agree with them)
+
+struct ColumnSlot {
+  std::mutex mu;
+  std::shared_ptr<const ColumnVector> vector;
+  std::optional<ColumnVector::Layout> layout;
+  std::unique_ptr<const JoinKeyIndex> join_index;
+};
+
+struct TidSlot {
+  std::mutex mu;
+  std::shared_ptr<const std::vector<int64_t>> tids;
+};
+
+namespace {
+
+/// Whether two cells are interchangeable for every derived structure:
+/// the same alternative holding the same bits. Value == is too coarse
+/// (0.0 == -0.0, yet the columnar batch stores the sign bit).
+bool SameCell(const Value& a, const Value& b) {
+  if (a.type() != b.type()) return false;
+  if (a.type() != ValueType::kDouble) return a == b;
+  const double x = a.double_value();
+  const double y = b.double_value();
+  return std::memcmp(&x, &y, sizeof(double)) == 0;
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
 // Table (write side)
 
 Table::Table(TableSchema schema)
@@ -108,6 +118,7 @@ Table::Table(TableSchema schema)
       index_(std::make_shared<TidIndex>()),
       stats_(std::make_shared<TableStats>()) {
   rows_.SetStats(stats_);
+  slots_.columns.resize(schema_->num_columns());
 }
 
 Status Table::CheckArity(const std::vector<Value>& values) const {
@@ -141,13 +152,22 @@ TidIndex* Table::OwnedIndex() {
   return index_.get();
 }
 
+void Table::DropSlots() {
+  slots_.tids.reset();
+  for (auto& slot : slots_.columns) slot.reset();
+}
+
 std::shared_ptr<const TableVersion> Table::CurrentVersion() const {
   std::lock_guard<std::mutex> lock(version_mu_);
   if (!current_) {
     stats_->versions_published.fetch_add(1, std::memory_order_relaxed);
+    if (!slots_.tids) slots_.tids = std::make_shared<TidSlot>();
+    for (auto& slot : slots_.columns) {
+      if (!slot) slot = std::make_shared<ColumnSlot>();
+    }
     current_ = std::make_shared<const TableVersion>(
         schema_, epoch_.load(std::memory_order_acquire), rows_, index_,
-        stats_);
+        slots_, stats_);
   }
   return current_;
 }
@@ -159,6 +179,7 @@ std::shared_ptr<const Batch> Table::Columnar() const {
 Result<Tid> Table::Insert(std::vector<Value> values) {
   AUDITDB_RETURN_IF_ERROR(CheckArity(values));
   BeginWrite();
+  DropSlots();
   Tid tid = next_tid_++;
   (*OwnedIndex())[tid] = rows_.size();
   rows_.PushBack(Row{tid, std::move(values)});
@@ -173,6 +194,7 @@ Status Table::InsertWithTid(Tid tid, std::vector<Value> values) {
                                  " already present in " + schema_->name());
   }
   BeginWrite();
+  DropSlots();
   (*OwnedIndex())[tid] = rows_.size();
   rows_.PushBack(Row{tid, std::move(values)});
   if (tid >= next_tid_) next_tid_ = tid + 1;
@@ -189,7 +211,16 @@ Status Table::Update(Tid tid, std::vector<Value> values) {
   }
   size_t pos = it->second;
   BeginWrite();
-  rows_.MutableAt(pos).values = std::move(values);
+  // Positions stay put, so only the columns whose cell changes lose
+  // their slots; an update that changes nothing copies nothing.
+  const std::vector<Value>& old_values = rows_[pos].values;
+  bool changed = false;
+  for (size_t c = 0; c < values.size(); ++c) {
+    if (SameCell(old_values[c], values[c])) continue;
+    slots_.columns[c].reset();
+    changed = true;
+  }
+  if (changed) rows_.MutableAt(pos).values = std::move(values);
   BumpEpoch();
   return Status::Ok();
 }
@@ -207,7 +238,10 @@ Status Table::UpdateColumn(Tid tid, const std::string& column, Value value) {
   }
   size_t pos = it->second;
   BeginWrite();
-  rows_.MutableAt(pos).values[*col] = std::move(value);
+  if (!SameCell(rows_[pos].values[*col], value)) {
+    slots_.columns[*col].reset();
+    rows_.MutableAt(pos).values[*col] = std::move(value);
+  }
   BumpEpoch();
   return Status::Ok();
 }
@@ -220,6 +254,7 @@ Result<Row> Table::Delete(Tid tid) {
   }
   size_t pos = it->second;
   BeginWrite();
+  DropSlots();
   Row before = std::move(rows_.MutableAt(pos));
   // Stable removal: keeps insertion order deterministic (result sets and
   // granule listings are order-sensitive in tests and paper artifacts).
@@ -252,17 +287,19 @@ void Table::ReserveTidsThrough(Tid tid) {
 TableVersion::TableVersion(std::shared_ptr<const TableSchema> schema,
                            uint64_t epoch, RowStore rows,
                            std::shared_ptr<const TidIndex> index,
+                           VersionSlots slots,
                            std::shared_ptr<TableStats> stats)
     : schema_(std::move(schema)),
       epoch_(epoch),
       rows_(std::move(rows)),
       index_(std::move(index)),
+      slots_(std::move(slots)),
       stats_(std::move(stats)) {
-  if (stats_) stats_->live_versions.fetch_add(1, std::memory_order_relaxed);
+  stats_->live_versions.fetch_add(1, std::memory_order_relaxed);
 }
 
 TableVersion::~TableVersion() {
-  if (stats_) stats_->live_versions.fetch_sub(1, std::memory_order_relaxed);
+  stats_->live_versions.fetch_sub(1, std::memory_order_relaxed);
 }
 
 Result<const Row*> TableVersion::Get(Tid tid) const {
@@ -285,42 +322,63 @@ Result<size_t> TableVersion::GetPosition(Tid tid) const {
 
 std::shared_ptr<const Batch> TableVersion::Columnar() const {
   std::lock_guard<std::mutex> lock(columnar_mu_);
-  if (!batch_) {
-    batch_ = BuildColumnar(*schema_, rows_);
-    if (stats_) {
+  const size_t num_columns = slots_.columns.size();
+  if (batch_) {
+    stats_->columnar_hits.fetch_add(num_columns, std::memory_order_relaxed);
+    return batch_;
+  }
+  auto batch = std::make_shared<Batch>();
+  batch->num_rows = rows_.size();
+  {
+    TidSlot& slot = *slots_.tids;
+    std::lock_guard<std::mutex> slot_lock(slot.mu);
+    if (!slot.tids) {
+      auto tids = std::make_shared<std::vector<int64_t>>();
+      tids->reserve(rows_.size());
+      for (const Row& row : rows_) tids->push_back(row.tid);
+      slot.tids = std::move(tids);
+    }
+    batch->tids = slot.tids;
+  }
+  batch->columns.reserve(num_columns);
+  for (size_t c = 0; c < num_columns; ++c) {
+    ColumnSlot& slot = *slots_.columns[c];
+    std::lock_guard<std::mutex> slot_lock(slot.mu);
+    if (slot.vector) {
+      stats_->columnar_hits.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      slot.vector = std::make_shared<const ColumnVector>(ColumnVector::Gather(
+          rows_.size(),
+          [&](size_t i) -> const Value& { return rows_[i].values[c]; }));
       stats_->columnar_builds.fetch_add(1, std::memory_order_relaxed);
     }
-  } else if (stats_) {
-    stats_->columnar_hits.fetch_add(1, std::memory_order_relaxed);
+    batch->columns.push_back(slot.vector);
   }
+  batch_ = std::move(batch);
   return batch_;
 }
 
 ColumnVector::Layout TableVersion::ColumnLayout(size_t column) const {
-  std::lock_guard<std::mutex> lock(layout_mu_);
-  if (layouts_.empty()) layouts_.resize(schema_->num_columns());
-  std::optional<ColumnVector::Layout>& slot = layouts_[column];
-  if (!slot) {
-    slot = ColumnVector::LayoutOf(rows_.size(), [&](size_t i) -> const Value& {
-      return rows_[i].values[column];
-    });
+  ColumnSlot& slot = *slots_.columns[column];
+  std::lock_guard<std::mutex> lock(slot.mu);
+  if (!slot.layout) {
+    slot.layout = ColumnVector::LayoutOf(
+        rows_.size(),
+        [&](size_t i) -> const Value& { return rows_[i].values[column]; });
   }
-  return *slot;
+  return *slot.layout;
 }
 
 const JoinKeyIndex& TableVersion::JoinIndex(size_t column) const {
-  std::lock_guard<std::mutex> lock(join_index_mu_);
-  if (join_indexes_.empty()) join_indexes_.resize(schema_->num_columns());
-  std::unique_ptr<const JoinKeyIndex>& slot = join_indexes_[column];
-  if (!slot) {
-    slot = std::make_unique<const JoinKeyIndex>(rows_, column);
-    if (stats_) {
-      stats_->join_index_builds.fetch_add(1, std::memory_order_relaxed);
-    }
-  } else if (stats_) {
+  ColumnSlot& slot = *slots_.columns[column];
+  std::lock_guard<std::mutex> lock(slot.mu);
+  if (slot.join_index) {
     stats_->join_index_hits.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    slot.join_index = std::make_unique<const JoinKeyIndex>(rows_, column);
+    stats_->join_index_builds.fetch_add(1, std::memory_order_relaxed);
   }
-  return *slot;
+  return *slot.join_index;
 }
 
 }  // namespace auditdb

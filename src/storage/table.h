@@ -56,9 +56,9 @@ using TidIndex = std::map<Tid, size_t>;
 
 /// Monotonic per-table counters of the MVCC machinery: how many versions
 /// are pinned right now, how much copy-on-write actually copied, and how
-/// the per-version columnar cache behaves. Shared between a Table and all
-/// of its published TableVersions (a version may outlive its table), and
-/// surfaced as the auditd "versions" metrics section.
+/// the per-column derived structures behave. Shared between a Table and
+/// all of its published TableVersions (a version may outlive its table),
+/// and surfaced as the auditd "versions" metrics section.
 struct TableStats {
   /// TableVersions currently alive (published and still referenced).
   std::atomic<int64_t> live_versions{0};
@@ -68,12 +68,15 @@ struct TableStats {
   std::atomic<uint64_t> cow_rows{0};
   /// Estimated bytes those copies moved (row header + value slots).
   std::atomic<uint64_t> cow_bytes{0};
-  /// Columnar builds (one per version that was actually scanned) and
-  /// reuses of an already-built per-version batch.
+  /// Column vectors gathered for a columnar batch (one per column slot
+  /// that had none yet), and column vectors a batch took already built:
+  /// borrowed from an earlier version an update left the column
+  /// unchanged in, or read again by a repeat Columnar() of one version.
   std::atomic<uint64_t> columnar_builds{0};
   std::atomic<uint64_t> columnar_hits{0};
-  /// Join-key index builds (one per version and join column) and reuses
-  /// of an already-built per-version index.
+  /// Join-key indexes built (one per column slot probed), and probes
+  /// that found their column's index already built, by this version or
+  /// by an earlier one it borrows the column from.
   std::atomic<uint64_t> join_index_builds{0};
   std::atomic<uint64_t> join_index_hits{0};
 };
@@ -83,13 +86,15 @@ struct TableStats {
 /// a later mutation copies only the touched segment (plus, for stable
 /// deletes, the tail it shifts). Invariant: every segment except the last
 /// holds exactly kSegmentRows rows, so position p lives at
-/// segment[p >> kSegmentBits][p & kSegmentMask].
+/// segment[p >> kSegmentBits][p & kSegmentMask]. Segments are small so
+/// that an update under a pinned version copies about what it changed,
+/// not the table (docs/architecture.md gives the measurement).
 ///
 /// Read API mirrors std::vector<Row> (size / operator[] / iteration), so
 /// scan loops are unchanged; only .data() pointer arithmetic is gone.
 class RowStore {
  public:
-  static constexpr size_t kSegmentBits = 10;
+  static constexpr size_t kSegmentBits = 5;
   static constexpr size_t kSegmentRows = size_t{1} << kSegmentBits;
   static constexpr size_t kSegmentMask = kSegmentRows - 1;
 
@@ -180,25 +185,30 @@ class RowStore {
 /// 0.0 and -0.0 meet (Hash() normalizes the sign), NaN meets nothing, and
 /// every NULL key lands in one run (NULL == NULL under Value ==; the join
 /// conjunct itself is what rejects those pairs). Positions within a key
-/// come back ascending, i.e. in storage order. Flat on purpose: a version
-/// keeps its index alive as long as it lives, and one 16-byte entry per
-/// row costs far less than a node-based map.
+/// come back ascending, i.e. in storage order. Flat on purpose: one
+/// 16-byte entry per row costs far less than a node-based map.
+///
+/// The index keeps no pointer to the rows it was built from: versions
+/// that share a column share its index, and the version that built it
+/// may be gone. A probe confirms against the probing version's rows,
+/// which hold the same key at every position.
 class JoinKeyIndex {
  public:
-  /// Indexes column `column` of `rows`; `rows` must outlive the index.
+  /// Indexes column `column` of `rows`.
   JoinKeyIndex(const RowStore& rows, size_t column);
 
-  /// Calls `fn(position)` (returning Status) for every row whose key
-  /// equals `key` under Value ==, in ascending position order; stops at
-  /// and returns the first error.
+  /// Calls `fn(position)` (returning Status) for every row of `rows`
+  /// whose key equals `key` under Value ==, in ascending position order;
+  /// stops at and returns the first error. `rows` must hold, in the
+  /// indexed column, the cells the index was built from.
   template <typename Fn>
-  Status ForEachMatch(const Value& key, Fn&& fn) const {
+  Status ForEachMatch(const RowStore& rows, const Value& key, Fn&& fn) const {
     const size_t hash = key.Hash();
     auto it = std::lower_bound(
         entries_.begin(), entries_.end(), hash,
         [](const Entry& e, size_t h) { return e.hash < h; });
     for (; it != entries_.end() && it->hash == hash; ++it) {
-      if ((*rows_)[it->position].values[column_] != key) continue;
+      if (rows[it->position].values[column_] != key) continue;
       AUDITDB_RETURN_IF_ERROR(fn(static_cast<size_t>(it->position)));
     }
     return Status::Ok();
@@ -210,9 +220,24 @@ class JoinKeyIndex {
     uint32_t position;
   };
 
-  const RowStore* rows_;
   size_t column_;
   std::vector<Entry> entries_;
+};
+
+/// Lazily built derived data of a version, defined in table.cc: one
+/// ColumnSlot per column (its ColumnVector, layout and JoinKeyIndex) and
+/// one TidSlot (the tids in position order). A slot is shared by every
+/// version whose rows agree with it: a TidSlot by versions no insert or
+/// delete separates, a ColumnSlot by versions that, in addition, hold
+/// bitwise the same cells in its column. Each structure in a slot is
+/// built once, from the rows of whichever version asks first.
+struct ColumnSlot;
+struct TidSlot;
+
+/// The slots a version reads its derived data from.
+struct VersionSlots {
+  std::shared_ptr<TidSlot> tids;
+  std::vector<std::shared_ptr<ColumnSlot>> columns;
 };
 
 class TableVersion;
@@ -278,6 +303,8 @@ class Table {
   /// mutation copies only what it touches). Published lazily and cached
   /// until the next mutation, so back-to-back snapshots of a quiet table
   /// pin the same version object (and its built-once columnar batch).
+  /// The version also shares the derived-data slots of every column no
+  /// mutation since the previous version changed (see VersionSlots).
   std::shared_ptr<const TableVersion> CurrentVersion() const;
 
   /// Monotonic version counter: bumped by every mutation with
@@ -288,8 +315,9 @@ class Table {
 
   /// --- Columnar projection cache ------------------------------------
   /// The columnar batch of the current version (built once per version,
-  /// never invalidated — a new version simply has its own batch). Readers
-  /// keep their shared_ptr across later mutations.
+  /// never invalidated — a new version has its own batch, sharing the
+  /// column vectors of unchanged columns). Readers keep their shared_ptr
+  /// across later mutations.
   std::shared_ptr<const Batch> Columnar() const;
 
   /// Version/COW counters shared with every published version.
@@ -305,6 +333,8 @@ class Table {
   /// Copy-on-write guard: makes the tid index uniquely owned before
   /// mutating it (published versions share it).
   TidIndex* OwnedIndex();
+  /// Drops every derived-data slot: an insert or delete moved positions.
+  void DropSlots();
 
   std::shared_ptr<const TableSchema> schema_;
   RowStore rows_;
@@ -316,20 +346,29 @@ class Table {
   /// Cached current version; reset by every mutation, rebuilt on demand.
   mutable std::mutex version_mu_;
   mutable std::shared_ptr<const TableVersion> current_;
+  /// Derived-data slots of the rows as they stand, handed to each
+  /// published version. A mutation nulls the slots it invalidates and
+  /// CurrentVersion() fills the gaps with fresh, empty ones. Holding
+  /// slots rather than a version keeps the table from pinning row
+  /// segments, which would turn its in-place writes into copies.
+  mutable VersionSlots slots_;
 };
 
 /// An immutable snapshot of one table: the *read side* of the MVCC pair.
 /// Shares the publishing table's row segments and tid index (cheap to
-/// pin), carries the epoch it was published at, and owns a build-once
-/// columnar batch — immutable data never invalidates, so the batch lives
-/// exactly as long as the version. All members are safe to use from any
-/// thread, concurrently with writes to the source table.
+/// pin), carries the epoch it was published at, and reads its derived
+/// data (columnar batch, layouts, join-key indexes) from slots it shares
+/// with the neighbouring versions that agree with it (VersionSlots).
+/// Immutable data never invalidates, so a built structure lives as long
+/// as some version holding its slot. All members are safe to use from
+/// any thread, concurrently with writes to the source table.
 class TableVersion {
  public:
   /// Published by Table::CurrentVersion(); not for direct construction.
+  /// Every slot in `slots` is non-null, with one column slot per column.
   TableVersion(std::shared_ptr<const TableSchema> schema, uint64_t epoch,
                RowStore rows, std::shared_ptr<const TidIndex> index,
-               std::shared_ptr<TableStats> stats);
+               VersionSlots slots, std::shared_ptr<TableStats> stats);
   ~TableVersion();
 
   TableVersion(const TableVersion&) = delete;
@@ -350,19 +389,19 @@ class TableVersion {
   /// arithmetic scans used against contiguous storage).
   Result<size_t> GetPosition(Tid tid) const;
 
-  /// Columnar projection of this version, built on first use and shared
-  /// by every scan of the version thereafter. Never invalidated: the
-  /// version is immutable.
+  /// Columnar projection of this version, assembled on first use from
+  /// the column slots and shared by every scan of the version
+  /// thereafter. Never invalidated: the version is immutable.
   std::shared_ptr<const Batch> Columnar() const;
 
   /// Join-key index over column `column` (< schema().num_columns()),
-  /// built on first use and shared by every probe of the version
-  /// thereafter, like Columnar(). Lives as long as the version.
+  /// built on first use of its slot and shared by every probe of every
+  /// version holding the slot. Probe it with this version's rows().
   const JoinKeyIndex& JoinIndex(size_t column) const;
 
   /// Layout column `column` (< schema().num_columns()) has in
   /// Columnar(), found without building the batch: one pass over the
-  /// column on first use, cached thereafter, like JoinIndex().
+  /// column on first use of its slot, cached there thereafter.
   ColumnVector::Layout ColumnLayout(size_t column) const;
 
   /// Counters shared with the publishing table and its other versions.
@@ -373,18 +412,11 @@ class TableVersion {
   uint64_t epoch_ = 0;
   RowStore rows_;
   std::shared_ptr<const TidIndex> index_;
+  VersionSlots slots_;
   std::shared_ptr<TableStats> stats_;
 
   mutable std::mutex columnar_mu_;
   mutable std::shared_ptr<const Batch> batch_;
-
-  mutable std::mutex join_index_mu_;
-  /// One slot per column, filled on first JoinIndex() of that column.
-  mutable std::vector<std::unique_ptr<const JoinKeyIndex>> join_indexes_;
-
-  mutable std::mutex layout_mu_;
-  /// One slot per column, filled on first ColumnLayout() of that column.
-  mutable std::vector<std::optional<ColumnVector::Layout>> layouts_;
 };
 
 }  // namespace auditdb

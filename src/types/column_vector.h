@@ -2,6 +2,7 @@
 #define AUDITDB_TYPES_COLUMN_VECTOR_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -217,14 +218,16 @@ class ColumnVector {
 
 /// A batch of rows in columnar form: one ColumnVector per column plus the
 /// row identifiers. This is the unit the scan layer evaluates compiled
-/// predicate programs over.
+/// predicate programs over. Columns and tids are immutable and shared:
+/// the batches of neighbouring table versions hold the same vector for
+/// every column an update left unchanged.
 struct Batch {
   size_t num_rows = 0;
   /// Tid of each row.
-  std::vector<int64_t> tids;
-  std::vector<ColumnVector> columns;
+  std::shared_ptr<const std::vector<int64_t>> tids;
+  std::vector<std::shared_ptr<const ColumnVector>> columns;
 
-  const ColumnVector& column(size_t i) const { return columns[i]; }
+  const ColumnVector& column(size_t i) const { return *columns[i]; }
   size_t num_columns() const { return columns.size(); }
 };
 

@@ -62,7 +62,7 @@ TEST(TableScanTest, ColumnarProjectionMatchesRows) {
   auto batch = table->Columnar();
   ASSERT_EQ(batch->num_rows, 4u);
   ASSERT_EQ(batch->num_columns(), 2u);
-  EXPECT_EQ(batch->tids, (std::vector<int64_t>{1, 2, 3, 4}));
+  EXPECT_EQ(*batch->tids, (std::vector<int64_t>{1, 2, 3, 4}));
   EXPECT_EQ(batch->column(0).ValueAt(2), Value::Int(30));
   EXPECT_EQ(batch->column(1).ValueAt(3), Value::String("z"));
 }

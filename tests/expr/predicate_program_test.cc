@@ -45,7 +45,8 @@ ExprPtr ParseBound(const std::string& text) {
 Batch TestBatch() {
   Batch batch;
   batch.num_rows = 4;
-  batch.tids = {1, 2, 3, 4};
+  batch.tids = std::make_shared<const std::vector<int64_t>>(
+      std::vector<int64_t>{1, 2, 3, 4});
   std::vector<std::vector<Value>> cols = {
       {Value::Int(10), Value::Int(25), Value::Int(30), Value::Null()},
       {Value::String("apple"), Value::String("banana"),
@@ -53,7 +54,10 @@ Batch TestBatch() {
       {Value::Double(1.5), Value::Double(2.5), Value::Null(),
        Value::Double(4.0)},
   };
-  for (auto& col : cols) batch.columns.push_back(ColumnVector::FromValues(col));
+  for (auto& col : cols) {
+    batch.columns.push_back(
+        std::make_shared<const ColumnVector>(ColumnVector::FromValues(col)));
+  }
   return batch;
 }
 

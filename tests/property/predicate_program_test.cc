@@ -59,7 +59,8 @@ Batch RandomBatch(Random& rng, size_t rows) {
     for (size_t r = 0; r < rows; ++r) {
       cells.push_back(RandomCell(rng, bias, null_rate, stray_rate));
     }
-    batch.columns.push_back(ColumnVector::FromValues(cells));
+    batch.columns.push_back(
+        std::make_shared<const ColumnVector>(ColumnVector::FromValues(cells)));
   }
   return batch;
 }

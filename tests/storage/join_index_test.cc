@@ -18,13 +18,15 @@ namespace {
 
 Timestamp Ts(int64_t s) { return Timestamp(s * 1000000); }
 
-/// Every position the index returns for `key`, in the order returned.
-std::vector<size_t> Probe(const JoinKeyIndex& index, const Value& key) {
+/// Every position `version`'s index on column 0 returns for `key`, in
+/// the order returned.
+std::vector<size_t> Probe(const TableVersion& version, const Value& key) {
   std::vector<size_t> out;
-  Status status = index.ForEachMatch(key, [&](size_t position) {
-    out.push_back(position);
-    return Status::Ok();
-  });
+  Status status = version.JoinIndex(0).ForEachMatch(
+      version.rows(), key, [&](size_t position) {
+        out.push_back(position);
+        return Status::Ok();
+      });
   EXPECT_TRUE(status.ok()) << status.ToString();
   return out;
 }
@@ -45,9 +47,9 @@ TEST(JoinKeyIndexTest, NullKeysShareARunButNullNeverJoinsNull) {
   auto version = table->CurrentVersion();
   // Under Value == every NULL key is one key: the index hands back both
   // NULL rows for a NULL probe, and nothing else.
-  EXPECT_EQ(Probe(version->JoinIndex(0), Value::Null()),
+  EXPECT_EQ(Probe(*version, Value::Null()),
             (std::vector<size_t>{0, 2}));
-  EXPECT_EQ(Probe(version->JoinIndex(0), Value::Int(1)),
+  EXPECT_EQ(Probe(*version, Value::Int(1)),
             (std::vector<size_t>{1}));
 
   // The join still rejects NULL = NULL: the equi-join conjunct runs on
@@ -74,9 +76,9 @@ TEST(JoinKeyIndexTest, SignedZerosJoin) {
                         {Value::Double(-0.0), Value::Double(1.5),
                          Value::Double(0.0)});
   auto version = table->CurrentVersion();
-  EXPECT_EQ(Probe(version->JoinIndex(0), Value::Double(0.0)),
+  EXPECT_EQ(Probe(*version, Value::Double(0.0)),
             (std::vector<size_t>{0, 2}));
-  EXPECT_EQ(Probe(version->JoinIndex(0), Value::Double(-0.0)),
+  EXPECT_EQ(Probe(*version, Value::Double(-0.0)),
             (std::vector<size_t>{0, 2}));
 
   Database db;
@@ -98,8 +100,8 @@ TEST(JoinKeyIndexTest, NaNNeverMatches) {
                         {Value::Double(nan), Value::Double(2.0),
                          Value::Double(nan)});
   auto version = table->CurrentVersion();
-  EXPECT_TRUE(Probe(version->JoinIndex(0), Value::Double(nan)).empty());
-  EXPECT_EQ(Probe(version->JoinIndex(0), Value::Double(2.0)),
+  EXPECT_TRUE(Probe(*version, Value::Double(nan)).empty());
+  EXPECT_EQ(Probe(*version, Value::Double(2.0)),
             (std::vector<size_t>{1}));
 }
 
@@ -117,9 +119,9 @@ TEST(JoinKeyIndexTest, PositionsWithinAKeyAscend) {
     for (size_t p = 0; p < keys.size(); ++p) {
       if (keys[p] == key) expected.push_back(p);
     }
-    EXPECT_EQ(Probe(version->JoinIndex(0), key), expected) << k;
+    EXPECT_EQ(Probe(*version, key), expected) << k;
   }
-  EXPECT_TRUE(Probe(version->JoinIndex(0), Value::String("absent")).empty());
+  EXPECT_TRUE(Probe(*version, Value::String("absent")).empty());
 }
 
 TEST(JoinKeyIndexTest, StopsAtTheFirstError) {
@@ -128,9 +130,10 @@ TEST(JoinKeyIndexTest, StopsAtTheFirstError) {
   auto version = table->CurrentVersion();
   size_t visited = 0;
   Status status =
-      version->JoinIndex(0).ForEachMatch(Value::Int(4), [&](size_t) {
-        return ++visited == 2 ? Status::Internal("stop") : Status::Ok();
-      });
+      version->JoinIndex(0).ForEachMatch(
+          version->rows(), Value::Int(4), [&](size_t) {
+            return ++visited == 2 ? Status::Internal("stop") : Status::Ok();
+          });
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(visited, 2u);
 }
@@ -142,7 +145,7 @@ TEST(JoinKeyIndexTest, PinnedVersionKeepsItsOwnIndex) {
   ASSERT_TRUE(table.Insert({Value::Int(2), Value::String("y")}).ok());
   auto pinned = table.CurrentVersion();
   const JoinKeyIndex& before = pinned->JoinIndex(0);
-  EXPECT_EQ(Probe(before, Value::Int(1)), (std::vector<size_t>{0}));
+  EXPECT_EQ(Probe(*pinned, Value::Int(1)), (std::vector<size_t>{0}));
 
   // Rewrite key 1 to 2, delete the old 2 and add a new 1: every write
   // lands in storage the pinned version shares.
@@ -152,15 +155,15 @@ TEST(JoinKeyIndexTest, PinnedVersionKeepsItsOwnIndex) {
 
   // The pinned version still answers from its own rows.
   EXPECT_EQ(&pinned->JoinIndex(0), &before);
-  EXPECT_EQ(Probe(before, Value::Int(1)), (std::vector<size_t>{0}));
-  EXPECT_EQ(Probe(before, Value::Int(2)), (std::vector<size_t>{1}));
+  EXPECT_EQ(Probe(*pinned, Value::Int(1)), (std::vector<size_t>{0}));
+  EXPECT_EQ(Probe(*pinned, Value::Int(2)), (std::vector<size_t>{1}));
 
   // The new version builds its own.
   auto current = table.CurrentVersion();
   const JoinKeyIndex& after = current->JoinIndex(0);
   EXPECT_NE(&after, &before);
-  EXPECT_EQ(Probe(after, Value::Int(2)), (std::vector<size_t>{0}));
-  EXPECT_EQ(Probe(after, Value::Int(1)), (std::vector<size_t>{1}));
+  EXPECT_EQ(Probe(*current, Value::Int(2)), (std::vector<size_t>{0}));
+  EXPECT_EQ(Probe(*current, Value::Int(1)), (std::vector<size_t>{1}));
 }
 
 }  // namespace

@@ -155,7 +155,7 @@ TEST(TableTest, ColumnarCarriesTidsInRowOrder) {
   ASSERT_TRUE(table.InsertWithTid(5, Row1()).ok());
   ASSERT_TRUE(table.InsertWithTid(3, Row2()).ok());
   auto batch = table.Columnar();
-  EXPECT_EQ(batch->tids, (std::vector<int64_t>{5, 3}));
+  EXPECT_EQ(*batch->tids, (std::vector<int64_t>{5, 3}));
 }
 
 TEST(TableTest, DeletedTidIsNotReused) {

@@ -77,7 +77,11 @@ cmake -B "${PREFIX}-tsan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 # auditor_test also carries ParsedShapeConcurrentTest: a served audit and
 # a pooled audit race the first parse and the first static-facts
 # computation of every shape of a cold query log; the ParsedShape unit
-# and property suites and ShapeMemoTest ride along.
+# and property suites and ShapeMemoTest ride along. property_test also
+# carries VersionSharingProperty: neighbouring table versions share
+# per-column slots (column vector, layout, join-key index), and its
+# concurrent case races the first builds of slots that several pinned
+# versions share.
 cmake --build "${PREFIX}-tsan" -j "${JOBS}" \
       --target service_test subscription_test net_test policy_test \
                common_test auditor_test querylog_test property_test
@@ -85,7 +89,7 @@ cmake --build "${PREFIX}-tsan" -j "${JOBS}" \
 # by default (caller thread vs 1/2/3/8-worker pools), so the kernels also
 # run under the parallel checkers above.
 ctest --test-dir "${PREFIX}-tsan" --output-on-failure \
-      -R 'AuditPipelineTest|OnlineConcurrentTest|MvccConcurrentTest|ThreadPoolTest|RunBatchTest|BoundedQueueTest|CounterTest|GaugeTest|HistogramTest|MetricsRegistryTest|PushCodecTest|SubscriptionRegistryTest|SubscriptionConcurrentTest|PushSubscriptionTest|PolicyEngineConcurrentTest|TidBitmapTest|TidBitmapDifferentialTest|ChurnedAuditorTest.PoolMatchesSerial|ParsedShapeConcurrentTest|ShapeMemoTest|ParsedShapeTest|ParsedShapeProperty'
+      -R 'AuditPipelineTest|OnlineConcurrentTest|MvccConcurrentTest|ThreadPoolTest|RunBatchTest|BoundedQueueTest|CounterTest|GaugeTest|HistogramTest|MetricsRegistryTest|PushCodecTest|SubscriptionRegistryTest|SubscriptionConcurrentTest|PushSubscriptionTest|PolicyEngineConcurrentTest|TidBitmapTest|TidBitmapDifferentialTest|ChurnedAuditorTest.PoolMatchesSerial|ParsedShapeConcurrentTest|ShapeMemoTest|ParsedShapeTest|ParsedShapeProperty|VersionSharingProperty'
 
 # The sanitizer stages [4/9] (ASan) and [5/9] (UBSan) share one suite
 # list and the test binaries that carry it; each stage's -R filter and
@@ -110,7 +114,7 @@ SANITIZER_SUITES="$(printf '%s' \
   'ParsedShapeProperty|ParsedShapeTest|ShapeMemoTest|' \
   'ParsedShapeConcurrentTest|' \
   'OnlineAuditorTest.LoggedEntryAndZeroShapeCopyScreenIdentically|' \
-  'MetricsGoldenTest')"
+  'MetricsGoldenTest|VersionSharingProperty')"
 SANITIZER_TARGETS=(common_test suspicion_test suspicion_reference_test
                    minimize_test online_test cluster_test engine_test
                    property_test storage_test auditor_test backlog_test
@@ -151,6 +155,9 @@ cmake --build "${PREFIX}-asan" -j "${JOBS}" \
 # auditor owns, and restricted runs index masks by row position. The
 # query log's per-shape memo suites ride along: audits keep pointers
 # into ParsedShapes and share their statements and facts by pointer.
+# The version-sharing property rides along: a column slot's join-key
+# index outlives the version that built it and is probed against a
+# later version's rows.
 export ASAN_OPTIONS="halt_on_error=1:abort_on_error=0:exitcode=99"
 ctest --test-dir "${PREFIX}-asan" --output-on-failure \
       -R 'FrameCodecTest|FrameReaderTest|FieldCodecTest|ErrorCodecTest|TypePredicatesTest|AuditServerTest|PushCodecTest|SubscriptionRegistryTest|PushSubscriptionTest|'"${SANITIZER_SUITES}"
@@ -288,7 +295,9 @@ echo "== [5/9] tid-bitmap kernels under UndefinedBehaviorSanitizer =="
 # scheme-mismatch cases (k-combination index arithmetic over resolved
 # schemes), and the target-view restriction differential with the
 # hash-join key-layout cases (row positions cast to 32 bits, per-run
-# allowed-row masks), and the query log's per-shape memo suites.
+# allowed-row masks), and the query log's per-shape memo suites, and
+# the version-sharing property (join-key index positions cast to 32
+# bits and probed through a later version's rows).
 cmake -B "${PREFIX}-ubsan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DAUDITDB_SANITIZE=undefined
 cmake --build "${PREFIX}-ubsan" -j "${JOBS}" \
