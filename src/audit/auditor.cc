@@ -208,6 +208,26 @@ std::vector<std::pair<size_t, size_t>> Shards(
   return out;
 }
 
+/// Whether `a` and `b` hold the same columns, in order, for every table
+/// of `tables`: then they resolve a statement over those tables alike.
+bool SameSchemas(const Catalog& a, const Catalog& b,
+                 const std::vector<std::string>& tables) {
+  for (const std::string& table : tables) {
+    auto x = a.GetTable(table);
+    auto y = b.GetTable(table);
+    if (!x.ok() || !y.ok()) return false;
+    const auto& xc = (*x)->columns();
+    const auto& yc = (*y)->columns();
+    if (!std::equal(xc.begin(), xc.end(), yc.begin(), yc.end(),
+                    [](const Column& l, const Column& r) {
+                      return l.name == r.name && l.type == r.type;
+                    })) {
+      return false;
+    }
+  }
+  return true;
+}
+
 /// Runs one stage's tasks and returns the first failure in task order,
 /// so the error an audit reports never depends on the pool.
 Status RunStage(service::ThreadPool* pool, std::vector<Task> tasks) {
@@ -408,11 +428,22 @@ Result<AuditReport> Auditor::AuditPinned(const AuditExpression& parsed,
       for (size_t e = begin; e < end; ++e) {
         const size_t c = exec_owner[e];
         const size_t s = slot_of[c];
-        auto profile = restrict ? ComputeRestrictedAccessProfile(
-                                      *candidates[c].stmt, views[s],
-                                      restrictions[s])
-                                : ComputeAccessProfile(*candidates[c].stmt,
-                                                       views[s], output);
+        const sql::SelectStatement& stmt = *candidates[c].stmt;
+        if (!restrict) {
+          auto profile = ComputeAccessProfile(stmt, views[s], output);
+          if (profile.ok()) executed[e] = std::move(*profile);
+          continue;
+        }
+        // The shape's memoized static facts hold the profile's column
+        // sets whenever the state resolves the FROM tables alike.
+        const StaticFacts& facts = *candidates[c].facts;
+        std::optional<ProfileColumns> known;
+        if (facts.outputs.ok() && facts.accessed.ok() &&
+            SameSchemas(views[s].catalog(), pin.db.catalog(), stmt.from)) {
+          known.emplace(ProfileColumns{*facts.outputs, *facts.accessed});
+        }
+        auto profile = ComputeRestrictedAccessProfile(
+            stmt, views[s], restrictions[s], known ? &*known : nullptr);
         if (profile.ok()) executed[e] = std::move(*profile);
       }
       return Status::Ok();

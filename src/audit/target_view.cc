@@ -87,6 +87,11 @@ std::vector<ColumnRef> ViewColumns(const AuditExpression& expr) {
   return columns;
 }
 
+bool MayHoldNaN(ColumnVector::Layout layout) {
+  return layout == ColumnVector::Layout::kDouble ||
+         layout == ColumnVector::Layout::kGeneric;
+}
+
 /// True when the view SPJ, which reads only `columns` (the view's value
 /// columns) and tids, must give over `now` the facts it gave over
 /// `then`, two versions of one FROM table: both hold the same tids in
@@ -94,6 +99,13 @@ std::vector<ColumnRef> ViewColumns(const AuditExpression& expr) {
 /// view reads. Value == is the equality the fact dedup uses and no
 /// predicate tells ==-equal values apart, so a change it cannot see
 /// could add no fact.
+///
+/// Versions sharing a slot (TableVersion::SharesTids, SharesColumn)
+/// agree there by construction, so only the other columns are read row
+/// by row. A shared column of a layout that can hold a NaN (DOUBLE or
+/// generic) is still read: NaN != NaN, so the row compare calls such a
+/// column changed, and the skip decisions stay those of comparing every
+/// read column.
 bool SameViewInput(const TableVersion& now, const TableVersion& then,
                    const std::vector<ColumnRef>& columns) {
   if (&now == &then) return true;
@@ -103,12 +115,18 @@ bool SameViewInput(const TableVersion& now, const TableVersion& then,
     if (col.table != now.name()) continue;
     auto index = now.schema().FindColumn(col.column);
     if (!index.has_value()) return false;
+    if (now.SharesColumn(then, *index) &&
+        !MayHoldNaN(now.ColumnLayout(*index))) {
+      continue;
+    }
     read.push_back(*index);
   }
+  const bool same_tids = now.SharesTids(then);
+  if (same_tids && read.empty()) return true;
   for (size_t i = 0; i < now.size(); ++i) {
     const Row& a = now.rows()[i];
     const Row& b = then.rows()[i];
-    if (a.tid != b.tid) return false;
+    if (!same_tids && a.tid != b.tid) return false;
     for (size_t c : read) {
       if (a.values[c] != b.values[c]) return false;
     }

@@ -28,10 +28,16 @@ struct HashJoinPlan {
   size_t probe_column = 0;    // its column, within that table's schema
 };
 
-/// Rows of one position that a semijoin reduction kept (see Reduce()).
+/// Rows of one position that a restriction or a semijoin reduction kept
+/// (see Reduce()), ascending. Every one passes the position's local
+/// stages, and they are kept only when no visit can fail, so a visit
+/// checks membership and skips those stages.
 struct AllowedRows {
-  std::vector<uint32_t> rows;  // ascending
-  std::vector<uint8_t> mask;   // per row; filled at hash-join positions
+  std::vector<uint32_t> rows;
+
+  bool Contains(uint32_t row) const {
+    return std::binary_search(rows.begin(), rows.end(), row);
+  }
 };
 
 class ExecutionContext {
@@ -62,15 +68,21 @@ class ExecutionContext {
         }
       }
     }
-    if (ReductionIsExact()) {
+    // When the column layouts alone show that no visit can fail, no
+    // program needs to run ahead: local stages see only rows a visit can
+    // reach. Otherwise the whole-table filters decide the guard.
+    local_only_ = LocalStagesCannotFail() && CrossStagesCannotFail();
+    if (local_only_ || ReductionIsExact()) {
       // No visit can fail, so a run that skips rows skips no error.
       for (const auto& [p, rows] : restricted) {
         allowed_.assign(tables_.size(), std::nullopt);
-        allowed_[p] = Restrict(p, rows);
+        allowed_[p] = AllowedRows{
+            PassingLocal(p, std::vector<uint32_t>(rows.begin(), rows.end()))};
         if (allowed_[p]->rows.empty()) continue;  // no output row
         sink_ = &out.table_tids[p];
         sink_position_ = p;
         Reduce();
+        if (local_only_ && !NarrowForward()) continue;  // no output row
         AUDITDB_RETURN_IF_ERROR(Enumerate(0));
       }
     } else {
@@ -165,6 +177,7 @@ class ExecutionContext {
     batches_.resize(tables_.size());
     filters_.resize(tables_.size());
     allowed_.resize(tables_.size());
+    unbounded_.resize(tables_.size());
     return Status::Ok();
   }
 
@@ -275,7 +288,8 @@ class ExecutionContext {
   /// symmetric, so those are exactly the rows of p whose enumeration
   /// probe would meet an allowed row of j: every other row reaches no
   /// output. NULL keys meet each other here and are kept, a superset the
-  /// join conjunct still rejects.
+  /// join conjunct still rejects. The hits are collected as a sorted
+  /// list, and only they meet p's local stages.
   ///
   /// Cost rule: p is reduced from j only when j has fewer allowed rows
   /// than p. The probes cost about count(j) and can only save visits of
@@ -287,57 +301,121 @@ class ExecutionContext {
       const size_t p = plan.probe_position;
       const size_t probe_count = AllowedCount(p);
       if (probe_count == 0 || AllowedCount(j) >= probe_count) continue;
-      if (!ReductionIsExact()) return;
+      if (!local_only_ && !ReductionIsExact()) return;
       const JoinKeyIndex& index = tables_[p]->JoinIndex(plan.probe_column);
       const RowStore& rows = tables_[j]->rows();
-      const RowStore& probed = tables_[p]->rows();
-      std::vector<uint8_t> hit(tables_[p]->size(), 0);
+      std::vector<uint32_t> hits;
       ForEachAllowed(j, [&](uint32_t r) {
-        (void)index.ForEachMatch(probed, rows[r].values[plan.column],
-                                 [&](size_t m) {
-                                   hit[m] = 1;
-                                   return Status::Ok();
-                                 });
+        CollectMatches(index, p, rows[r].values[plan.column], &hits);
       });
-      AllowedRows kept;
-      ForEachAllowed(p, [&](uint32_t r) {
-        if (hit[r]) kept.rows.push_back(r);
-      });
-      if (hash_plans_[p].index != nullptr) {
-        kept.mask.assign(hit.size(), 0);
-        for (uint32_t r : kept.rows) kept.mask[r] = 1;
-      }
-      allowed_[p] = std::move(kept);
+      allowed_[p] =
+          AllowedRows{PassingLocal(p, SortedUnique(std::move(hits)))};
     }
   }
 
-  /// Position `p`'s allowed rows for a restricted run: `rows` (ascending)
-  /// that pass its local filter, so the reduction's cost rule counts only
-  /// rows a visit can keep, with the mask a hash-join position reads.
-  AllowedRows Restrict(size_t p, std::span<const uint32_t> rows) {
-    AllowedRows kept;
-    if (HasLocalStage(p)) {
-      const std::vector<uint32_t>& passing = Filter(p).passing();
-      std::set_intersection(rows.begin(), rows.end(), passing.begin(),
-                            passing.end(), std::back_inserter(kept.rows));
-    } else {
-      kept.rows.assign(rows.begin(), rows.end());
+  /// Local-only runs, after Reduce: walking forward, each hash-join
+  /// position whose probe side is narrowed keeps only the rows the probe
+  /// side's allowed rows hit, since no other row is ever visited there,
+  /// and that pass its local stages. A position nothing narrows but that
+  /// has local stages is visited over all its rows, so it is filtered
+  /// over all of them, once per execution. Only positions with local
+  /// stages, or feeding a later one's probes, are narrowed: elsewhere a
+  /// visit's probe meets the same rows unnarrowed. False when some
+  /// position keeps no row: the run has no output.
+  bool NarrowForward() {
+    if (narrows_.empty()) {
+      narrows_.assign(tables_.size(), 0);
+      for (size_t j = tables_.size(); j-- > 0;) {
+        if (HasLocalStage(j)) narrows_[j] = 1;
+        const HashJoinPlan& plan = hash_plans_[j];
+        if (narrows_[j] && plan.index != nullptr) {
+          narrows_[plan.probe_position] = 1;
+        }
+      }
     }
-    if (hash_plans_[p].index != nullptr) {
-      kept.mask.assign(tables_[p]->size(), 0);
-      for (uint32_t r : kept.rows) kept.mask[r] = 1;
+    for (size_t j = 0; j < tables_.size(); ++j) {
+      const HashJoinPlan& plan = hash_plans_[j];
+      if (allowed_[j] || !narrows_[j]) {
+        // already narrowed, or left to the visits' own probes
+      } else if (plan.index != nullptr && allowed_[plan.probe_position]) {
+        const RowStore& probe = tables_[plan.probe_position]->rows();
+        std::vector<uint32_t> hits;
+        for (uint32_t r : allowed_[plan.probe_position]->rows) {
+          CollectMatches(*plan.index, j, probe[r].values[plan.probe_column],
+                         &hits);
+        }
+        allowed_[j] =
+            AllowedRows{PassingLocal(j, SortedUnique(std::move(hits)))};
+      } else if (HasLocalStage(j)) {
+        if (!unbounded_[j]) {
+          std::vector<uint32_t> all(tables_[j]->size());
+          for (uint32_t r = 0; r < all.size(); ++r) all[r] = r;
+          unbounded_[j] = AllowedRows{PassingLocal(j, std::move(all))};
+        }
+        allowed_[j] = unbounded_[j];
+      }
+      if (allowed_[j] && allowed_[j]->rows.empty()) return false;
     }
+    return true;
+  }
+
+  /// Appends the rows of position `p` whose key meets `key` in `index`.
+  void CollectMatches(const JoinKeyIndex& index, size_t p, const Value& key,
+                      std::vector<uint32_t>* out) const {
+    (void)index.ForEachMatch(tables_[p]->rows(), key, [&](size_t m) {
+      out->push_back(static_cast<uint32_t>(m));
+      return Status::Ok();
+    });
+  }
+
+  static std::vector<uint32_t> SortedUnique(std::vector<uint32_t> rows) {
+    std::sort(rows.begin(), rows.end());
+    rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+    return rows;
+  }
+
+  /// The rows of `rows` (ascending) that position `p` may keep: those
+  /// passing its local stages, and, when p is already narrowed, among
+  /// its allowed rows. No visit can fail here. A local-only run runs
+  /// the stages' programs over `rows` alone; otherwise they read the
+  /// whole-table filter the guard already built.
+  std::vector<uint32_t> PassingLocal(size_t p, std::vector<uint32_t> rows) {
+    if (!allowed_[p]) {
+      if (!HasLocalStage(p)) return rows;
+      if (local_only_) {
+        for (const ScanStage& stage : stages_[p]) {
+          if (!stage.local || rows.empty()) continue;
+          rows = stage.program.Run(BatchOf(p), rows).passed;
+        }
+        return rows;
+      }
+    }
+    const std::vector<uint32_t>& keep =
+        allowed_[p] ? allowed_[p]->rows : Filter(p).passing();
+    std::vector<uint32_t> kept;
+    std::set_intersection(rows.begin(), rows.end(), keep.begin(), keep.end(),
+                          std::back_inserter(kept));
     return kept;
+  }
+
+  /// Whether every local stage's program cannot fail on its table's
+  /// column layouts (PredicateProgram::CannotFail), decided without
+  /// running any row.
+  bool LocalStagesCannotFail() {
+    for (size_t i = 0; i < tables_.size(); ++i) {
+      for (const ScanStage& stage : stages_[i]) {
+        if (stage.local && !stage.program.CannotFail(BatchOf(i))) {
+          return false;
+        }
+      }
+    }
+    return true;
   }
 
   /// Whether skipping rows that reach no output leaves the result and
   /// its error Status unchanged: true when no visit can fail at all. No
-  /// local filter may hold an error row, and every other cross conjunct
-  /// must compare two columns whose non-NULL cells share one type, where
-  /// Value::Compare cannot fail. Storage does not enforce declared
-  /// column types, so this reads the columnar layouts, not the schema.
-  /// A hash join's own conjunct is exempt: it only ever sees keys equal
-  /// under Value ==, hence of one type.
+  /// local filter may hold an error row, and no cross conjunct may fail
+  /// (CrossStagesCannotFail).
   bool ReductionIsExact() {
     if (!exact_.has_value()) exact_ = ComputeReductionIsExact();
     return *exact_;
@@ -347,6 +425,20 @@ class ExecutionContext {
     for (size_t i = 0; i < tables_.size(); ++i) {
       for (const ScanStage& stage : stages_[i]) {
         if (stage.local && Filter(i).has_errors()) return false;
+      }
+    }
+    return CrossStagesCannotFail();
+  }
+
+  /// Every cross conjunct but a hash join's own must compare two columns
+  /// whose non-NULL cells share one type, where Value::Compare cannot
+  /// fail. Storage does not enforce declared column types, so this reads
+  /// the columnar layouts, not the schema. A hash join's own conjunct is
+  /// exempt: it only ever sees keys equal under Value ==, hence of one
+  /// type.
+  bool CrossStagesCannotFail() {
+    for (size_t i = 0; i < tables_.size(); ++i) {
+      for (const ScanStage& stage : stages_[i]) {
         for (const Expression* conjunct : stage.cross) {
           if (conjunct == hash_plans_[i].conjunct) continue;
           if (conjunct->kind != ExprKind::kBinary ||
@@ -393,17 +485,24 @@ class ExecutionContext {
                                            offsets[position].second);
   }
 
+  /// Rows position `position` may visit. A local-only run has no count
+  /// for a position not yet narrowed and bounds it by the table size.
   size_t AllowedCount(size_t position) {
     if (allowed_[position]) return allowed_[position]->rows.size();
-    if (HasLocalStage(position)) return Filter(position).passing().size();
+    if (!local_only_ && HasLocalStage(position)) {
+      return Filter(position).passing().size();
+    }
     return tables_[position]->size();
   }
 
+  /// Calls `fn` on the rows AllowedCount counts: in a local-only run, on
+  /// every row of a position not yet narrowed, a superset that only
+  /// keeps more rows of the side it reduces.
   template <typename Fn>
   void ForEachAllowed(size_t position, Fn&& fn) {
     if (allowed_[position]) {
       for (uint32_t r : allowed_[position]->rows) fn(r);
-    } else if (HasLocalStage(position)) {
+    } else if (!local_only_ && HasLocalStage(position)) {
       for (uint32_t r : Filter(position).passing()) fn(r);
     } else {
       const auto n = static_cast<uint32_t>(tables_[position]->size());
@@ -488,10 +587,15 @@ class ExecutionContext {
     for (const ScanStage& stage : stages) {
       (stage.local ? any_local : any_cross) = true;
     }
-    // Local-stage outcomes are independent of outer rows, so they are
+    // Rows a restriction or a semijoin reduction dropped reach no output
+    // and, since those only run when no visit can fail, no error: skip
+    // them. The allowed rows all passed the local stages already.
+    const std::optional<AllowedRows>& allowed = allowed_[position];
+    // Otherwise local-stage outcomes, independent of outer rows, are
     // precomputed once over the table's batch; visits consult the stored
     // tri-state per row. Cross stages still run per combined row.
-    const TableFilter* filter = any_local ? &Filter(position) : nullptr;
+    const TableFilter* filter =
+        any_local && !allowed ? &Filter(position) : nullptr;
 
     const HashJoinPlan& plan = hash_plans_[position];
     const Value* key =
@@ -521,6 +625,7 @@ class ExecutionContext {
       for (size_t s = 0; s < stages.size(); ++s) {
         const ScanStage& stage = stages[s];
         if (stage.local) {
+          if (filter == nullptr) continue;  // an allowed row passed it
           switch (filter->StageState(s, static_cast<uint32_t>(r))) {
             case TableFilter::RowState::kPass:
               break;
@@ -545,14 +650,12 @@ class ExecutionContext {
       return Enumerate(position + 1);
     };
 
-    // Rows a semijoin reduction dropped reach no output and, since it
-    // only runs when no visit can fail, no error: skip them.
-    const std::optional<AllowedRows>& allowed = allowed_[position];
     if (key != nullptr) {
       const RowStore& rows = table.rows();
       if (!allowed) return plan.index->ForEachMatch(rows, *key, try_row);
       return plan.index->ForEachMatch(rows, *key, [&](size_t r) -> Status {
-        return allowed->mask[r] ? try_row(r) : Status::Ok();
+        return allowed->Contains(static_cast<uint32_t>(r)) ? try_row(r)
+                                                           : Status::Ok();
       });
     }
     if (allowed) {
@@ -589,6 +692,13 @@ class ExecutionContext {
   std::vector<std::optional<TableFilter>> filters_;
   std::vector<std::optional<AllowedRows>> allowed_;  // set by Reduce()
   std::optional<bool> exact_;  // ReductionIsExact(), once computed
+  // A restricted run whose guard held without running a program: local
+  // stages run only over rows a visit can reach (see RunRestricted).
+  bool local_only_ = false;
+  // Per position, its passing rows over the whole table, shared by the
+  // restricted runs of a local-only execution (see NarrowForward).
+  std::vector<std::optional<AllowedRows>> unbounded_;
+  std::vector<char> narrows_;  // per position, see NarrowForward
   // A restricted run adds each output row's tid at sink_position_ to
   // sink_ instead of appending lineage.
   TidBitmap* sink_ = nullptr;

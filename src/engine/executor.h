@@ -184,7 +184,10 @@ struct RestrictedResult {
 /// filters across tables. When no visit can fail (the semijoin
 /// reduction's guard), each restricted table gets its own enumeration
 /// with only its restricted rows allowed: in SPJ bag lineage, that yields
-/// exactly the output rows whose tid there is restricted. Otherwise one
+/// exactly the output rows whose tid there is restricted. When the guard
+/// holds on the column layouts alone (PredicateProgram::CannotFail for
+/// every local filter), local filters run only over the rows a visit can
+/// reach; otherwise over whole tables, and if some row errors there, one
 /// unrestricted enumeration runs, so every error Status is that of
 /// Execute.
 Result<RestrictedResult> ExecuteRestricted(

@@ -57,12 +57,18 @@ Result<AccessProfile> ComputeAccessProfile(const sql::SelectStatement& stmt,
 
 Result<AccessProfile> ComputeRestrictedAccessProfile(
     const sql::SelectStatement& stmt, const DatabaseView& db,
-    std::span<const RowRestriction> restrictions) {
+    std::span<const RowRestriction> restrictions,
+    const ProfileColumns* columns) {
   AccessProfile profile;
   auto restricted = ExecuteRestricted(stmt, db, restrictions);
   if (!restricted.ok()) return restricted.status();
   profile.result = std::move(restricted->result);
   profile.table_tids = std::move(restricted->table_tids);
+  if (columns != nullptr) {
+    profile.output_columns = columns->outputs;
+    profile.accessed_columns = columns->accessed;
+    return profile;
+  }
   AUDITDB_RETURN_IF_ERROR(AddColumns(stmt, db, &profile));
   return profile;
 }

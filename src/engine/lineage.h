@@ -55,13 +55,25 @@ Result<AccessProfile> ComputeAccessProfile(
     const sql::SelectStatement& stmt, const DatabaseView& db,
     ExecOutput output = ExecOutput::kLineageAndValues);
 
+/// A statement's column sets known before it runs: the fully qualified
+/// projection (star-expanded) and that plus its WHERE columns.
+struct ProfileColumns {
+  const std::set<ColumnRef>& outputs;
+  const std::set<ColumnRef>& accessed;
+};
+
 /// The restricted profile (see AccessProfile) of `stmt` on `db`, from
 /// ExecuteRestricted: enough for an INDISPENSABLE = true check in
 /// IndispensabilityMode::kPerTable when each restriction holds the rows of
-/// the target view's tids of that table, and nothing else.
+/// the target view's tids of that table, and nothing else. With
+/// `columns`, the profile copies them instead of resolving the
+/// statement's columns again; they must be what `db`'s catalog resolves
+/// (e.g. the statement's static facts against a catalog whose FROM
+/// schemas are the same).
 Result<AccessProfile> ComputeRestrictedAccessProfile(
     const sql::SelectStatement& stmt, const DatabaseView& db,
-    std::span<const RowRestriction> restrictions);
+    std::span<const RowRestriction> restrictions,
+    const ProfileColumns* columns = nullptr);
 
 /// ComputeAccessProfile with values. The ExecOptions parameter is
 /// ignored (see ExecOptions).

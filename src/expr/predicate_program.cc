@@ -133,6 +133,69 @@ Result<PredicateProgram> PredicateProgram::Compile(const Expression& expr,
   return p;
 }
 
+namespace {
+
+/// The value type a non-generic layout's cells hold.
+ValueType CellType(ColumnVector::Layout layout) {
+  using Layout = ColumnVector::Layout;
+  switch (layout) {
+    case Layout::kInt64:
+      return ValueType::kInt;
+    case Layout::kDouble:
+      return ValueType::kDouble;
+    case Layout::kString:
+      return ValueType::kString;
+    case Layout::kBool:
+      return ValueType::kBool;
+    case Layout::kTimestamp:
+      return ValueType::kTimestamp;
+    case Layout::kGeneric:
+      break;
+  }
+  return ValueType::kNull;
+}
+
+bool IsNumericType(ValueType type) {
+  return type == ValueType::kInt || type == ValueType::kDouble;
+}
+
+/// Whether Value::Compare of two non-NULL cells of these types succeeds.
+bool Comparable(ValueType a, ValueType b) {
+  return a == b || (IsNumericType(a) && IsNumericType(b));
+}
+
+}  // namespace
+
+bool PredicateProgram::CannotFail(const Batch& batch) const {
+  if (interpreted_ != nullptr) return false;
+  for (const Instr& ins : instrs_) {
+    const ValueType a =
+        CellType(batch.column(static_cast<size_t>(ins.a)).layout());
+    if (a == ValueType::kNull) return false;  // generic layout
+    switch (ins.op) {
+      case OpCode::kFilterCmpColConst:
+        if (!ins.literal.is_null() && !Comparable(a, ins.literal.type())) {
+          return false;
+        }
+        break;
+      case OpCode::kFilterCmpColCol: {
+        const ValueType b =
+            CellType(batch.column(static_cast<size_t>(ins.b)).layout());
+        if (b == ValueType::kNull || !Comparable(a, b)) return false;
+        break;
+      }
+      case OpCode::kFilterLikeColConst:
+        if (!ins.literal.is_null() &&
+            (a != ValueType::kString ||
+             ins.literal.type() != ValueType::kString)) {
+          return false;
+        }
+        break;
+    }
+  }
+  return true;
+}
+
 // ---------------------------------------------------------------------------
 // Fused filter executors
 // ---------------------------------------------------------------------------

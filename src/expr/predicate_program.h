@@ -59,6 +59,16 @@ class PredicateProgram {
   bool pure_filter() const { return interpreted_ == nullptr; }
   size_t num_instructions() const { return instrs_.size(); }
 
+  /// True when Run over `batch` can report no error row, decided from
+  /// the column layouts alone: the program is a pure filter, every
+  /// column it reads has a non-generic layout, and each comparison's
+  /// literal or second column is NULL, of the column's type, or numeric
+  /// against a numeric column. LIKE counts only for a STRING column
+  /// against a STRING (or NULL) literal. A STRING column against a
+  /// numeric literal does not count: Value::Compare coerces only
+  /// numeric strings. False does not mean some row errors.
+  bool CannotFail(const Batch& batch) const;
+
  private:
   /// Fused filters: each narrows the selection directly from column
   /// arrays.

@@ -361,6 +361,7 @@ std::shared_ptr<const Batch> TableVersion::Columnar() const {
 ColumnVector::Layout TableVersion::ColumnLayout(size_t column) const {
   ColumnSlot& slot = *slots_.columns[column];
   std::lock_guard<std::mutex> lock(slot.mu);
+  if (!slot.layout && slot.vector) slot.layout = slot.vector->layout();
   if (!slot.layout) {
     slot.layout = ColumnVector::LayoutOf(
         rows_.size(),

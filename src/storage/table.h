@@ -404,6 +404,21 @@ class TableVersion {
   /// column on first use of its slot, cached there thereafter.
   ColumnVector::Layout ColumnLayout(size_t column) const;
 
+  /// Whether `other` reads its tids from this version's tid slot: then
+  /// both hold the same tids at the same positions.
+  bool SharesTids(const TableVersion& other) const {
+    return slots_.tids == other.slots_.tids;
+  }
+
+  /// Whether `other` reads column `column` from this version's slot:
+  /// then both hold the same tids and, in that column, bitwise the same
+  /// cells. False when `other` has no such column.
+  bool SharesColumn(const TableVersion& other, size_t column) const {
+    return column < slots_.columns.size() &&
+           column < other.slots_.columns.size() &&
+           slots_.columns[column] == other.slots_.columns[column];
+  }
+
   /// Counters shared with the publishing table and its other versions.
   const TableStats& stats() const { return *stats_; }
 

@@ -202,6 +202,176 @@ void CheckAgainstInterpreter(const Batch& batch, const Expression& expr,
   }
 }
 
+/// A column for the may-fail checks: with equal odds typed without
+/// NULLs, typed with NULLs, mixed types, all NULL, or numeric strings
+/// ("42", "-1.5") that Value::Compare coerces but a plain string does
+/// not.
+std::shared_ptr<const ColumnVector> RandomMayFailColumn(Random& rng,
+                                                         size_t rows) {
+  const int bias = static_cast<int>(rng.Uniform(4));
+  const int mode = static_cast<int>(rng.Uniform(5));
+  std::vector<Value> cells;
+  cells.reserve(rows);
+  for (size_t r = 0; r < rows; ++r) {
+    switch (mode) {
+      case 0:
+        cells.push_back(RandomCell(rng, bias, 0.0, 0.0));
+        break;
+      case 1:
+        cells.push_back(RandomCell(rng, bias, 0.3, 0.0));
+        break;
+      case 2:
+        cells.push_back(RandomCell(rng, bias, 0.15, 0.5));
+        break;
+      case 3:
+        cells.push_back(Value::Null());
+        break;
+      default: {
+        static const char* kNumeric[] = {"42", "-1.5", "3", "0", "apple"};
+        cells.push_back(Value::String(kNumeric[rng.Uniform(5)]));
+        break;
+      }
+    }
+  }
+  return std::make_shared<const ColumnVector>(ColumnVector::FromValues(cells));
+}
+
+/// A literal whose comparison with `column` cannot fail: NULL, the
+/// column's own type, or numeric against a numeric column.
+Value MatchingLiteral(Random& rng, const ColumnVector& column) {
+  if (rng.Uniform(8) == 0) return Value::Null();
+  switch (column.layout()) {
+    case ColumnVector::Layout::kInt64:
+    case ColumnVector::Layout::kDouble:
+      return rng.Uniform(2) == 0
+                 ? Value::Int(rng.UniformInt(-5, 5))
+                 : Value::Double(static_cast<double>(rng.UniformInt(-50, 50)) /
+                                 10);
+    case ColumnVector::Layout::kString: {
+      static const char* kStrings[] = {"apple", "42", "ap%", ""};
+      return Value::String(kStrings[rng.Uniform(4)]);
+    }
+    case ColumnVector::Layout::kBool:
+      return Value::Bool(rng.Uniform(2) == 0);
+    case ColumnVector::Layout::kTimestamp:
+      return Value::Time(Timestamp(rng.UniformInt(0, 10)));
+    case ColumnVector::Layout::kGeneric:
+      break;
+  }
+  return Value::Null();
+}
+
+bool Numeric(ColumnVector::Layout layout) {
+  return layout == ColumnVector::Layout::kInt64 ||
+         layout == ColumnVector::Layout::kDouble;
+}
+
+/// A random conjunction of comparisons over the batch's typed columns,
+/// each against a MatchingLiteral or a second column of the same or a
+/// numeric-against-numeric layout, plus LIKE on STRING columns. Null
+/// when the batch has no typed column.
+ExprPtr RandomMatchingConjunction(Random& rng, const Batch& batch) {
+  std::vector<int> typed;
+  for (size_t c = 0; c < batch.num_columns(); ++c) {
+    if (batch.column(c).layout() != ColumnVector::Layout::kGeneric) {
+      typed.push_back(static_cast<int>(c));
+    }
+  }
+  if (typed.empty()) return nullptr;
+  static const BinaryOp kCmps[] = {BinaryOp::kEq, BinaryOp::kNe,
+                                   BinaryOp::kLt, BinaryOp::kLe,
+                                   BinaryOp::kGt, BinaryOp::kGe};
+  auto column = [](int c) {
+    auto col = Expression::MakeColumn(ColumnRef{"T", "c"});
+    col->slot = c;
+    return col;
+  };
+  std::vector<ExprPtr> conjuncts;
+  const int n = static_cast<int>(rng.UniformInt(1, 4));
+  for (int i = 0; i < n; ++i) {
+    const int a = typed[rng.Uniform(typed.size())];
+    const ColumnVector& ca = batch.column(static_cast<size_t>(a));
+    const BinaryOp op = kCmps[rng.Uniform(6)];
+    std::vector<int> partners;
+    for (int b : typed) {
+      const auto lb = batch.column(static_cast<size_t>(b)).layout();
+      if (lb == ca.layout() || (Numeric(lb) && Numeric(ca.layout()))) {
+        partners.push_back(b);
+      }
+    }
+    switch (rng.Uniform(4)) {
+      case 0:
+        conjuncts.push_back(Expression::MakeBinary(
+            op, column(a), Expression::MakeLiteral(MatchingLiteral(rng, ca))));
+        break;
+      case 1:
+        conjuncts.push_back(Expression::MakeBinary(
+            op, Expression::MakeLiteral(MatchingLiteral(rng, ca)), column(a)));
+        break;
+      case 2:
+        conjuncts.push_back(Expression::MakeBinary(
+            op, column(a), column(partners[rng.Uniform(partners.size())])));
+        break;
+      default:
+        if (ca.layout() == ColumnVector::Layout::kString) {
+          conjuncts.push_back(Expression::MakeBinary(
+              BinaryOp::kLike, column(a),
+              Expression::MakeLiteral(Value::String("%p%"))));
+        } else {
+          conjuncts.push_back(Expression::MakeBinary(
+              op, column(a),
+              Expression::MakeLiteral(MatchingLiteral(rng, ca))));
+        }
+        break;
+    }
+  }
+  return Expression::MakeConjunction(std::move(conjuncts));
+}
+
+TEST(PredicateProgramPropertyTest, CannotFailHoldsOnRandomLayouts) {
+  Random rng(20261020);
+  size_t claimed = 0;
+  size_t errored = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    Batch batch;
+    batch.num_rows = static_cast<size_t>(rng.UniformInt(0, 40));
+    for (size_t c = 0; c < kNumColumns; ++c) {
+      batch.columns.push_back(RandomMayFailColumn(rng, batch.num_rows));
+    }
+    std::vector<uint32_t> sel(batch.num_rows);
+    for (uint32_t r = 0; r < sel.size(); ++r) sel[r] = r;
+
+    // No program that claims it may report an error row.
+    ExprPtr exprs[] = {RandomExpr(rng, 3), RandomFusableConjunction(rng)};
+    for (const ExprPtr& expr : exprs) {
+      auto program = PredicateProgram::Compile(*expr, 0, kNumColumns);
+      ASSERT_TRUE(program.ok()) << expr->ToString();
+      auto outcome = program->Run(batch, sel);
+      if (!outcome.errors.empty()) ++errored;
+      if (!program->CannotFail(batch)) continue;
+      ++claimed;
+      EXPECT_TRUE(outcome.errors.empty())
+          << expr->ToString() << " trial " << trial << ": "
+          << outcome.errors.front().second.ToString();
+    }
+
+    // Every pure comparison over matching typed layouts claims it.
+    ExprPtr matching = RandomMatchingConjunction(rng, batch);
+    if (matching == nullptr) continue;
+    auto program = PredicateProgram::Compile(*matching, 0, kNumColumns);
+    ASSERT_TRUE(program.ok()) << matching->ToString();
+    ASSERT_TRUE(program->pure_filter()) << matching->ToString();
+    EXPECT_TRUE(program->CannotFail(batch))
+        << matching->ToString() << " trial " << trial;
+    EXPECT_TRUE(program->Run(batch, sel).errors.empty())
+        << matching->ToString() << " trial " << trial;
+  }
+  // Both sides of the claim occur: programs that claim it, and
+  // programs that do report error rows (never among the claimed ones).
+  EXPECT_GT(claimed, 50u);
+  EXPECT_GT(errored, 50u);
+}
+
 TEST(PredicateProgramPropertyTest, MatchesInterpreterOnRandomInputs) {
   Random rng(20260806);
   Random fused_rng(20261018);

@@ -10,13 +10,17 @@
 /// Besides the generated queries, every log carries targeted cases:
 /// candidates reading one audited table, a 3-way join with P-Employ, a
 /// cross conjunct that trips the no-failing-visit guard, NULL join keys
-/// on both sides, and a cross product whose only P-Personal row lies
-/// outside U. One world kind adds a P-Personal row outside U whose STRING
-/// age makes local age filters fail there: a restricted run would never
-/// visit it.
+/// on both sides, a cross product whose only P-Personal row lies
+/// outside U, local filters only on a probed side (narrowed forward),
+/// 3-way chains narrowed in the middle, and a STRING column against an
+/// INT literal (a filter that may fail, so the guard runs it). One world
+/// kind adds a P-Personal row outside U whose STRING age makes local age
+/// filters fail there: a restricted run would never visit it, and a
+/// cross product that reaches it must stay an error verdict.
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <ostream>
 #include <set>
 #include <string>
@@ -86,7 +90,33 @@ const char* const kTargeted[] = {
     // NULL-pid patient Nil, who lies outside U.
     "SELECT name, disease FROM P-Personal, P-Health "
     "WHERE P-Personal.name = 'Nil'",
+    // Local filters only on the probed side: a run restricted to the
+    // outer table narrows it forward, to the rows its probes hit.
+    "SELECT name, disease FROM P-Personal, P-Health "
+    "WHERE P-Personal.pid = P-Health.pid AND ward <> 'W1'",
+    "SELECT P-Health.pid, disease FROM P-Health, P-Employ "
+    "WHERE P-Health.pid = P-Employ.pid AND employer <> 'E3'",
+    // 3-way chains: the middle position narrowed by its restriction,
+    // reducing the outer table backward and the inner one forward.
+    "SELECT name, disease, salary FROM P-Personal, P-Health, P-Employ "
+    "WHERE P-Personal.pid = P-Health.pid AND P-Health.pid = P-Employ.pid "
+    "AND age > 10 AND ward <> 'W2' AND employer <> 'E3'",
+    "SELECT salary, disease, name FROM P-Employ, P-Health, P-Personal "
+    "WHERE P-Employ.pid = P-Health.pid AND P-Health.pid = P-Personal.pid "
+    "AND salary > 20000 AND sex = 'F'",
+    // A STRING column against an INT literal may fail (only numeric
+    // strings coerce), so the guard is not decided statically; every
+    // zipcode is numeric, so no row fails and the rows are filtered
+    // whole-table.
+    "SELECT name, disease FROM P-Personal, P-Health "
+    "WHERE P-Personal.pid = P-Health.pid AND zipcode > 100000",
+    // kMayFailOutsideU: a cross product visits every P-Personal row, so
+    // the error row's failing age filter is reached from every P-Health
+    // row, although the row lies outside U.
+    "SELECT name, disease FROM P-Health, P-Personal "
+    "WHERE ward <> 'none' AND age < 200",
 };
+const char* const kMayFailOutsideU = kTargeted[std::size(kTargeted) - 1];
 
 class TargetViewRestrictionDifferential
     : public ::testing::TestWithParam<Param> {
@@ -255,6 +285,7 @@ TEST_P(TargetViewRestrictionDifferential, MatchesUnrestrictedAudit) {
   pool_options.num_threads = 4;
   service::ThreadPool pool(pool_options);
   size_t errored = 0;
+  size_t may_fail_checked = 0;
   for (const char* audit : kAudits) {
     const std::string text = std::string(kSpan) + audit;
     auto parsed = ParseAudit(text, Ts(1000));
@@ -284,7 +315,16 @@ TEST_P(TargetViewRestrictionDifferential, MatchesUnrestrictedAudit) {
     EXPECT_EQ(pooled->CanonicalString(), want.CanonicalString()) << text;
     ExpectRestrictedProfilesMatch(*serial, expr, *view);
     errored += serial->NumErrored();
+    for (size_t i = 0; i < log_.size(); ++i) {
+      const QueryVerdict& verdict = serial->verdicts[i];
+      if (!verdict.candidate || log_.Entry(i).sql != kMayFailOutsideU) {
+        continue;
+      }
+      EXPECT_EQ(verdict.error, GetParam().world == World::kErrorRow) << text;
+      ++may_fail_checked;
+    }
   }
+  EXPECT_GT(may_fail_checked, 0u);
   // The error row fails every age filter that reaches it, restricted or
   // not: those candidates must stay errors, never read as cleared.
   if (GetParam().world == World::kErrorRow) {
@@ -292,6 +332,28 @@ TEST_P(TargetViewRestrictionDifferential, MatchesUnrestrictedAudit) {
   } else {
     EXPECT_EQ(errored, 0u);
   }
+}
+
+// Restricted executions in the auditor copy their column sets from the
+// shape's static facts instead of resolving the statement again: over
+// every logged query, both sets equal what the profile resolves itself.
+TEST_P(TargetViewRestrictionDifferential, StaticFactsHoldTheProfileColumns) {
+  const DatabaseView db = db_.Snapshot();
+  size_t compared = 0;
+  for (size_t i = 0; i < log_.size(); ++i) {
+    auto stmt = sql::ParseSelect(log_.Entry(i).sql);
+    ASSERT_TRUE(stmt.ok()) << log_.Entry(i).sql;
+    const StaticFacts facts = ComputeStaticFacts(*stmt, db.catalog());
+    auto profile = ComputeRestrictedAccessProfile(*stmt, db, {});
+    if (!profile.ok()) continue;
+    ASSERT_TRUE(facts.outputs.ok() && facts.accessed.ok())
+        << log_.Entry(i).sql;
+    EXPECT_EQ(*facts.outputs, profile->output_columns) << log_.Entry(i).sql;
+    EXPECT_EQ(*facts.accessed, profile->accessed_columns)
+        << log_.Entry(i).sql;
+    ++compared;
+  }
+  EXPECT_GT(compared, 40u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

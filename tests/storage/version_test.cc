@@ -186,6 +186,28 @@ TEST(TableVersionTest, UpdateColumnSharesUntouchedColumns) {
   EXPECT_EQ(hits, (std::vector<size_t>{1}));
 }
 
+// Slot identity is what the target view's skip test reads: an update to
+// a column the view does not read leaves the tids and every read column
+// shared, without building anything; an insert shares nothing.
+TEST(TableVersionTest, UpdateToUnreadColumnKeepsReadSlotsShared) {
+  Table table(TwoColSchema());
+  ASSERT_TRUE(table.Insert({Value::Int(1), Value::String("x")}).ok());
+  ASSERT_TRUE(table.Insert({Value::Int(2), Value::String("y")}).ok());
+  auto v0 = table.CurrentVersion();
+  ASSERT_TRUE(table.UpdateColumn(2, "b", Value::String("z")).ok());
+  auto v1 = table.CurrentVersion();
+  ASSERT_NE(v1.get(), v0.get());
+  EXPECT_TRUE(v1->SharesTids(*v0));
+  EXPECT_TRUE(v1->SharesColumn(*v0, 0));
+  EXPECT_FALSE(v1->SharesColumn(*v0, 1));
+  EXPECT_EQ(table.stats().columnar_builds.load(), 0u);
+
+  ASSERT_TRUE(table.Insert({Value::Int(3), Value::String("w")}).ok());
+  auto v2 = table.CurrentVersion();
+  EXPECT_FALSE(v2->SharesTids(*v1));
+  EXPECT_FALSE(v2->SharesColumn(*v1, 0));
+}
+
 // "Unchanged" is bitwise: 0.0 == -0.0 under Value ==, but the batch
 // stores the sign, so a sign flip is a touched column. Rewriting a cell
 // with its own bits is not.
